@@ -14,9 +14,10 @@ Contract shared by every implementation:
   seed and the same vector table produce bitwise-identical index contents
   (asserted by :meth:`AnnIndex.fingerprint` equality in tests and the
   bench smoke).
-* ``search(query, k)`` returns **sorted unique** candidate ids, at least
-  ``k`` of them whenever the index holds that many vectors (implementations
-  widen their probe until the quota is met), possibly more — candidate
+* ``search(query, k)`` returns **sorted unique** (strictly increasing
+  int64) candidate ids, at least ``k`` of them whenever the index holds
+  that many vectors (implementations widen their probe until the quota
+  is met), possibly more — candidate
   generation returns whole probed cells/buckets, and the exact rerank pays
   per candidate, so callers cap cost with ``k``, not by truncation.
 * ``save``/``load`` round-trip the full index state through one ``.npz``
@@ -93,7 +94,14 @@ class AnnIndex(abc.ABC):
 
     @abc.abstractmethod
     def search(self, query: np.ndarray, k: int) -> np.ndarray:
-        """Sorted unique candidate ids for one query (>= ``k`` when possible)."""
+        """Sorted unique candidate ids for one query (>= ``k`` when possible).
+
+        The ids are strictly increasing int64 inside ``[0, num_vectors)``.
+        The serving path relies on that order for speed only: the
+        candidate guard (``validate_scores``) skips a sort when the ids
+        are strictly increasing, and still judges any other order
+        correctly, just slower.
+        """
 
     @abc.abstractmethod
     def _state_arrays(self) -> dict[str, np.ndarray]:

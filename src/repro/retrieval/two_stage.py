@@ -150,7 +150,14 @@ class ArrayEmbeddingRecommender(Recommender):
         return u if self._relation is None else u + self._relation
 
     def score_items(self, user_id: int, item_ids) -> np.ndarray:
-        items = self._items[np.asarray(item_ids, dtype=np.int64)]
+        ids = np.asarray(item_ids, dtype=np.int64)
+        # Both gathers give the same rows. Over as many rows as the table
+        # holds fancy indexing is the faster one; over a candidate subset
+        # ``take`` is.
+        if ids.size == self._items.shape[0]:
+            items = self._items[ids]
+        else:
+            items = np.take(self._items, ids, axis=0)
         q = self.query_vector(user_id)
         if self._relation is None:
             return items @ q

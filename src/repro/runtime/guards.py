@@ -168,6 +168,12 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
     valid partial scoring, while a short vector alone still reads as
     corruption.
 
+    Strictly increasing indices — what :meth:`AnnIndex.search
+    <repro.retrieval.base.AnnIndex.search>` returns — are proven distinct
+    by one vectorised comparison, their ends giving the range; any other
+    order pays one sort.  The verdict is the same either way: the order
+    only decides how fast it is reached.
+
     Never raises — returns a :class:`ScoreReport` so both the serving
     boundary and the hot-swap canary probe can decide policy themselves.
     """
@@ -186,13 +192,19 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
                 ok=False, expected_items=num_items, actual_shape=shape,
                 reason=f"candidate indices must be integers, got dtype {idx.dtype}",
             )
-        if idx.min() < 0 or idx.max() >= num_items:
+        if (idx[1:] > idx[:-1]).all():
+            ordered, distinct = idx, True
+        else:
+            ordered = np.sort(idx)
+            distinct = not (ordered[1:] == ordered[:-1]).any()
+        lo, hi = int(ordered[0]), int(ordered[-1])
+        if lo < 0 or hi >= num_items:
             return ScoreReport(
                 ok=False, expected_items=num_items, actual_shape=shape,
                 reason=f"candidate indices out of range for {num_items} items "
-                f"(min {int(idx.min())}, max {int(idx.max())})",
+                f"(min {lo}, max {hi})",
             )
-        if np.unique(idx).size != idx.size:
+        if not distinct:
             return ScoreReport(
                 ok=False, expected_items=num_items, actual_shape=shape,
                 reason="candidate indices contain duplicates",

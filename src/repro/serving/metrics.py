@@ -101,6 +101,9 @@ class ServiceMetrics:
     def __init__(self, registry: MetricRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricRegistry()
         self._latency: Histogram = self.registry.histogram(LATENCY_SERIES)
+        # Counter handles by unprefixed name, bound on first use: the
+        # registry never drops a series, so a handle stays valid.
+        self._counters: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------ #
     # historical API (thin shim over the registry)
@@ -110,11 +113,14 @@ class ServiceMetrics:
         return _CounterView(self.registry)
 
     def incr(self, name: str, amount: int = 1) -> None:
-        self.registry.counter(PREFIX + name).inc(amount)
+        self.counter(name).inc(amount)
 
     def counter(self, name: str) -> Counter:
         """The underlying registry counter for ``name`` (prefixed)."""
-        return self.registry.counter(PREFIX + name)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(PREFIX + name)
+        return counter
 
     def observe_latency(self, seconds: float) -> None:
         self._latency.observe(float(seconds))

@@ -92,13 +92,21 @@ class TestIndexDeterminism:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_search_contract(self, kind, catalog):
-        """Sorted unique ids, at least k of them whenever possible."""
+        """Strictly increasing int64 ids inside ``[0, n)``, at least k of
+        them whenever possible — the order the serving guard relies on
+        for speed — over several seeds, sizes and k."""
         items, queries = catalog
+        for seed in (0, 1, 2):
+            for n in (1, 37, items.shape[0]):
+                index = KINDS[kind](seed=seed).build(items[:n])
+                for k in (1, 5, 50, n):
+                    for q in queries:
+                        ids = index.search(q, k)
+                        assert ids.dtype == np.int64
+                        assert ids.size >= min(k, n)
+                        assert np.all(ids[1:] > ids[:-1])
+                        assert 0 <= ids[0] and ids[-1] < n
         index = KINDS[kind](seed=0).build(items)
-        for q in queries:
-            ids = index.search(q, 50)
-            assert ids.size >= 50
-            assert np.array_equal(ids, np.unique(ids))
         assert index.search(queries[0], items.shape[0]).size == items.shape[0]
 
     @pytest.mark.parametrize("kind", KINDS)

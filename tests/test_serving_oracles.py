@@ -1,0 +1,195 @@
+"""Oracle tests for the serving hot path's fast paths.
+
+Each fast path is checked against the straightforward code it replaces:
+
+* the candidate-subset score guard (strictly increasing ids proven
+  distinct in one comparison, anything else sorted once) against the
+  ``np.unique`` guard;
+* ``ArrayEmbeddingRecommender`` scoring through ``np.take`` against
+  fancy-indexed gathers, bitwise;
+* ``ServiceMetrics`` counter handles against the registry series.
+
+The index contract the guard relies on for speed (strictly
+increasing int64 ids inside ``[0, n)``) is checked in
+``tests/test_retrieval.py::TestIndexDeterminism::test_search_contract``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.dataset import Dataset
+from repro.core.interactions import InteractionMatrix
+from repro.retrieval import ArrayEmbeddingRecommender
+from repro.runtime.guards import ScoreReport, validate_scores
+from repro.serving.metrics import PREFIX, ServiceMetrics
+from repro.telemetry.metrics import MetricRegistry
+
+
+# ---------------------------------------------------------------------- #
+# the candidate-subset guard
+# ---------------------------------------------------------------------- #
+def unique_guard(scores, num_items: int, expected_indices) -> ScoreReport:
+    """The candidate-subset guard as it was, proving distinctness with np.unique."""
+    arr = np.asarray(scores)
+    shape = tuple(int(s) for s in arr.shape)
+    idx = np.asarray(expected_indices)
+
+    def bad(reason, **counts):
+        return ScoreReport(ok=False, expected_items=num_items, actual_shape=shape,
+                           reason=reason, **counts)
+
+    if idx.ndim != 1 or idx.size < 1:
+        return bad(f"expected a non-empty 1-d candidate set, got shape "
+                   f"{tuple(int(s) for s in idx.shape)}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        return bad(f"candidate indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= num_items:
+        return bad(f"candidate indices out of range for {num_items} items "
+                   f"(min {int(idx.min())}, max {int(idx.max())})")
+    if np.unique(idx).size != idx.size:
+        return bad("candidate indices contain duplicates")
+    if arr.ndim != 1 or shape != (int(idx.size),):
+        return bad(f"expected shape {(int(idx.size),)}, got {shape}")
+    if not np.issubdtype(arr.dtype, np.number):
+        return bad(f"expected numeric scores, got dtype {arr.dtype}")
+    if not np.isfinite(arr).all():
+        num_nan, num_inf = int(np.isnan(arr).sum()), int(np.isinf(arr).sum())
+        return bad(f"non-finite scores: {num_nan} NaN, {num_inf} Inf",
+                   num_nan=num_nan, num_inf=num_inf)
+    return ScoreReport(ok=True, expected_items=num_items, actual_shape=shape,
+                       num_scored=int(arr.size))
+
+
+SHAPES = ("sorted", "unsorted", "duplicated", "single", "as_drawn")
+
+
+@st.composite
+def guard_inputs(draw):
+    num_items = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(SHAPES))
+    values = draw(st.lists(st.integers(-3, 45), min_size=1, max_size=30))
+    if shape == "single":
+        values = values[:1]
+    elif shape == "sorted":
+        values = sorted(set(values))
+    elif shape == "unsorted":
+        values = sorted(set(values), reverse=True)
+    elif shape == "duplicated":
+        values = values + [values[draw(st.integers(0, len(values) - 1))]]
+    dtype = draw(st.sampled_from(("int64", "int32", "uint16", "float64")))
+    if dtype == "uint16":
+        values = [abs(v) for v in values]
+    ids = np.asarray(values, dtype=dtype)
+    length = ids.size + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    scores = np.asarray(
+        draw(st.lists(st.floats(-5, 5), min_size=length, max_size=length)),
+        dtype=np.float64,
+    )
+    if scores.size and draw(st.booleans()):
+        at = draw(st.integers(0, scores.size - 1))
+        scores[at] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return scores, num_items, ids
+
+
+class TestCandidateGuardOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(guard_inputs())
+    def test_report_equals_unique_guard(self, case):
+        scores, num_items, ids = case
+        assert validate_scores(scores, num_items, expected_indices=ids) == unique_guard(
+            scores, num_items, ids
+        )
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([3, 1, 2]),  # unsorted, distinct
+            np.array([1, 2, 2, 3]),  # sorted with a duplicate
+            np.array([2, 1, 2]),  # unsorted with a duplicate
+            np.array([7]),  # size 1
+            np.array([-2, 0, 5]),  # negative
+            np.array([5, 0, 40]),  # out of range, unsorted
+            np.zeros(0, dtype=np.int64),  # empty
+            np.zeros((2, 2), dtype=np.int64),  # not 1-d
+            np.array([0.0, 1.0]),  # not integers
+        ],
+    )
+    def test_named_shapes(self, ids):
+        scores = np.zeros(max(ids.size, 1))
+        assert validate_scores(scores, 10, expected_indices=ids) == unique_guard(
+            scores, 10, ids
+        )
+
+
+# ---------------------------------------------------------------------- #
+# exact scoring and rerank
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module", params=[None, "relation"], ids=["ip", "transe"])
+def array_model(request):
+    rng = np.random.default_rng(4)
+    users, items = rng.standard_normal((6, 12)), rng.standard_normal((257, 12))
+    relation = rng.standard_normal(12) if request.param else None
+    dataset = Dataset(
+        name="oracle",
+        interactions=InteractionMatrix(
+            np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64), 6, 257
+        ),
+    )
+    model = ArrayEmbeddingRecommender(users, items, relation_vector=relation)
+    return model.fit(dataset), items, relation
+
+
+def fancy_scores(items, q, relation, ids):
+    """Scores of ``items[ids]`` computed the straightforward way."""
+    rows = items[ids]
+    if relation is None:
+        return rows @ q
+    delta = q[None, :] - rows
+    return -np.einsum("ij,ij->i", delta, delta)
+
+
+class TestArrayScoringOracle:
+    def test_score_all_is_bitwise_the_gathered_product(self, array_model):
+        model, items, relation = array_model
+        for user in range(6):
+            q = model.query_vector(user)
+            expected = fancy_scores(items, q, relation, np.arange(items.shape[0]))
+            assert model.score_all(user).tobytes() == expected.tobytes()
+
+    def test_score_items_over_a_whole_table_permutation(self, array_model):
+        # As many ids as the table has rows takes the fancy-indexing gather.
+        model, items, relation = array_model
+        ids = np.random.default_rng(9).permutation(items.shape[0])
+        expected = fancy_scores(items, model.query_vector(1), relation, ids)
+        assert model.score_items(1, ids).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        user=st.integers(0, 5),
+        ids=st.lists(st.integers(0, 256), min_size=1, max_size=300),
+        ordered=st.booleans(),
+    )
+    def test_score_items_is_bitwise_fancy_indexing(self, array_model, user, ids, ordered):
+        model, items, relation = array_model
+        ids = np.asarray(sorted(set(ids)) if ordered else ids, dtype=np.int64)
+        expected = fancy_scores(items, model.query_vector(user), relation, ids)
+        assert model.score_items(user, ids).tobytes() == expected.tobytes()
+        assert model.score_items(user, ids.tolist()).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# bound counter handles
+# ---------------------------------------------------------------------- #
+class TestServiceMetricsHandles:
+    def test_incr_reuses_the_registry_counter(self):
+        registry = MetricRegistry()
+        metrics = ServiceMetrics(registry)
+        metrics.incr("requests")
+        handle = metrics.counter("requests")
+        assert handle is registry.counter(PREFIX + "requests")
+        metrics.counters["requests"] = 5  # writes through the shared series
+        metrics.incr("requests", 2)
+        assert handle.value == 7
+        assert metrics.snapshot()["requests"] == 7
