@@ -25,17 +25,22 @@ Run as a script:
     PYTHONPATH=src python benchmarks/bench_retrieval.py --smoke   # CI smoke
 
 The full run writes machine-readable results to ``--out`` (default
-``benchmarks/BENCH_retrieval.json``).  ``--smoke`` runs a small catalog
-and asserts the recall floors and the seed-determinism contract
-(bitwise-identical fingerprints and candidate sets across rebuilds, and
-across a save/load round trip) instead of reporting timings.  See
-``docs/performance.md`` for recorded numbers.
+``benchmarks/BENCH_retrieval.json``), with the host they were measured
+on (cores, CPU model, Python, NumPy, BLAS and its thread settings).
+``--smoke`` runs a small catalog and asserts the recall floors and the
+seed-determinism contract (bitwise-identical fingerprints and candidate
+sets across rebuilds, and across a save/load round trip) instead of
+reporting timings; it also builds IVF on a training subsample
+(``train_size`` below the catalog) and checks the same contract there.
+See ``docs/performance.md`` for recorded numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -45,6 +50,32 @@ from repro.retrieval import IvfIndex, LshIndex, exact_topk, load_index, recall_a
 from repro.retrieval.base import pairwise_scores
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_retrieval.json"
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def host_facts() -> dict:
+    """The machine a run measured: build times are meaningless without it."""
+    cpu = platform.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_env": {k: os.environ.get(k) for k in BLAS_ENV},
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -172,7 +203,10 @@ def bench_size(num_items: int, args) -> dict:
 
 
 def run(args) -> None:
+    host = host_facts()
+    print("host: " + json.dumps(host, sort_keys=True))
     results = {
+        "host": host,
         "config": {
             "dim": args.dim,
             "queries": args.queries,
@@ -226,6 +260,26 @@ def smoke(args) -> None:
         path.unlink()
         print(f"bench_retrieval smoke [{kind}]: recall@10 {recall:.3f}, "
               "determinism + round trip OK")
+
+    # k-means on a seeded 1,000-row training subsample (15 lists keep the
+    # trainer's 64-rows-per-list floor below it), then every row assigned.
+    subsampled = [
+        IvfIndex(seed=args.seed, num_lists=15, train_size=1_000).build(
+            items, generation=7
+        )
+        for __ in range(2)
+    ]
+    assert subsampled[0].fingerprint() == subsampled[1].fingerprint(), (
+        "ivf train_size=1000: rebuilds must give bitwise-identical indexes"
+    )
+    path = Path(args.workdir or ".") / "smoke-ivf-subsample.npz"
+    subsampled[0].save(path)
+    loaded = load_index(path)
+    path.unlink()
+    assert loaded.fingerprint() == subsampled[0].fingerprint(), (
+        "ivf train_size=1000: save/load"
+    )
+    print("bench_retrieval smoke [ivf train_size=1000]: determinism + round trip OK")
     print("bench_retrieval smoke: all floors OK")
 
 

@@ -10,15 +10,21 @@ closest to the query.  Probing more cells trades latency for recall;
 Everything is vectorized NumPy and seed-deterministic:
 
 * centroid init is a seeded no-replacement draw of data points;
-* assignment runs in fixed-size chunks with the
-  ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` expansion (the ``||x||^2``
-  term is constant per row and dropped from the argmin);
+* assignment runs in cache-sized row blocks (~4 MiB of scores each) with
+  the ``||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2`` expansion (the
+  ``||x||^2`` term is constant per row and dropped from the argmin; the
+  ``-2`` is folded into the centroid operand, which is exact);
+* centroid sums are one ``np.bincount`` over (cell, dimension) bins,
+  adding each cell's rows in row order in float64;
 * k-means trains on a seeded subsample when the table is large (the
-  standard scale trick), then one full chunked assignment builds the
+  standard scale trick), then one full blocked assignment builds the
   lists;
 * empty cells are re-seeded deterministically to the points currently
-  worst-served by their centroid, so every cell is non-empty and two
-  builds from the same seed are bitwise identical.
+  worst-served by their centroid.  A re-seed cannot fill more cells than
+  the table has distinct rows, so a degenerate table (many duplicates)
+  can still leave cells empty; search skips them.
+
+Two builds from the same seed and vectors are bitwise identical.
 """
 
 from __future__ import annotations
@@ -32,8 +38,11 @@ from .base import AnnIndex, register_index_kind
 
 __all__ = ["IvfIndex"]
 
-#: Rows per assignment chunk — bounds the (chunk x num_lists) score matrix.
-_CHUNK = 65_536
+#: Float32 scores per assignment block (4 MiB): rows per block is this
+#: over ``num_lists``, so the block stays cache-sized at any list count.
+_BLOCK_SCORES = 2**20
+#: Floor on rows per block, so huge list counts still batch the matmul.
+_MIN_BLOCK_ROWS = 256
 
 
 @register_index_kind
@@ -86,16 +95,21 @@ class IvfIndex(AnnIndex):
     # ------------------------------------------------------------------ #
     @staticmethod
     def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """Chunked nearest-centroid assignment (L2, the k-means geometry)."""
+        """Blocked nearest-centroid assignment (L2, the k-means geometry)."""
+        num_rows, num_lists = vectors.shape[0], centroids.shape[0]
         c_norm = np.einsum("ij,ij->i", centroids, centroids)
-        out = np.empty(vectors.shape[0], dtype=np.int64)
-        for start in range(0, vectors.shape[0], _CHUNK):
-            block = vectors[start : start + _CHUNK]
-            # ||x||^2 is constant per row: argmin over -2 x.c + ||c||^2.
-            scores = block @ centroids.T
-            scores *= -2.0
-            scores += c_norm[None, :]
-            out[start : start + _CHUNK] = np.argmin(scores, axis=1)
+        # ||x||^2 is constant per row: argmin over x.(-2c) + ||c||^2.
+        # Scaling by a power of two is exact, so x.(-2c) == -2(x.c).
+        neg2_t = (centroids * np.float32(-2.0)).T
+        rows = max(_MIN_BLOCK_ROWS, _BLOCK_SCORES // num_lists)
+        scores = np.empty((min(rows, num_rows), num_lists), dtype=np.float32)
+        out = np.empty(num_rows, dtype=np.int64)
+        for start in range(0, num_rows, rows):
+            block = vectors[start : start + rows]
+            view = scores[: block.shape[0]]
+            np.matmul(block, neg2_t, out=view)
+            view += c_norm
+            np.argmin(view, axis=1, out=out[start : start + rows])
         return out
 
     def _kmeans(self, vectors: np.ndarray, num_lists: int) -> np.ndarray:
@@ -108,10 +122,19 @@ class IvfIndex(AnnIndex):
         centroids = train[
             np.sort(rng.choice(train.shape[0], size=num_lists, replace=False))
         ].astype(np.float32, copy=True)
+        # Centroid sums are one bincount over (cell, dimension) bins,
+        # ``cell * dim + d``: it adds each cell's rows in row order, in
+        # float64, so every sum is the row-by-row accumulation bit for bit.
+        dim = train.shape[1]
+        values = train.astype(np.float64).ravel()
+        lanes = np.arange(dim)
+        bins = np.empty(train.shape, dtype=np.int64)
         for __ in range(self.iters):
             assign = self._assign(train, centroids)
-            sums = np.zeros_like(centroids, dtype=np.float64)
-            np.add.at(sums, assign, train.astype(np.float64))
+            np.add((assign * dim)[:, None], lanes, out=bins)
+            sums = np.bincount(
+                bins.ravel(), weights=values, minlength=num_lists * dim
+            ).reshape(num_lists, dim)
             counts = np.bincount(assign, minlength=num_lists)
             filled = counts > 0
             centroids[filled] = (
@@ -121,9 +144,8 @@ class IvfIndex(AnnIndex):
             if empty.size:
                 # Deterministic re-seed: hand each empty cell one of the
                 # points farthest from its current centroid.
-                dist = np.einsum(
-                    "ij,ij->i", train - centroids[assign], train - centroids[assign]
-                )
+                resid = train - centroids[assign]
+                dist = np.einsum("ij,ij->i", resid, resid)
                 worst = np.argsort(-dist, kind="stable")[: empty.size]
                 centroids[empty] = train[worst]
         return centroids
@@ -197,7 +219,9 @@ class IvfIndex(AnnIndex):
         tel = get_active()
         if tel.enabled:
             tel.counter("retrieval.probes", index=self.kind).inc(probed)
-        if not chunks:  # pragma: no cover - every cell non-empty by build
+        # Cells may be empty (see the module docstring), but the probe
+        # widens until quota >= 1 ids are in hand, so chunks is never empty.
+        if not chunks:  # pragma: no cover - unreachable, see above
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(chunks))
 

@@ -54,6 +54,18 @@ def clustered(num_rows, dim, seed, num_centers=16, spread=0.25):
     return (rows + spread * rng.standard_normal((num_rows, dim))).astype(np.float32)
 
 
+def assert_search_contract(index, queries, n, ks):
+    """Strictly increasing int64 ids inside ``[0, n)``, at least
+    ``min(k, n)`` of them, for every query and k."""
+    for k in ks:
+        for q in queries:
+            ids = index.search(q, k)
+            assert ids.dtype == np.int64
+            assert ids.size >= min(k, n)
+            assert np.all(ids[1:] > ids[:-1])
+            assert 0 <= ids[0] and ids[-1] < n
+
+
 @pytest.fixture(scope="module")
 def catalog():
     items = clustered(600, 16, seed=1)
@@ -99,13 +111,7 @@ class TestIndexDeterminism:
         for seed in (0, 1, 2):
             for n in (1, 37, items.shape[0]):
                 index = KINDS[kind](seed=seed).build(items[:n])
-                for k in (1, 5, 50, n):
-                    for q in queries:
-                        ids = index.search(q, k)
-                        assert ids.dtype == np.int64
-                        assert ids.size >= min(k, n)
-                        assert np.all(ids[1:] > ids[:-1])
-                        assert 0 <= ids[0] and ids[-1] < n
+                assert_search_contract(index, queries, n, (1, 5, 50, n))
         index = KINDS[kind](seed=0).build(items)
         assert index.search(queries[0], items.shape[0]).size == items.shape[0]
 
@@ -145,6 +151,124 @@ class TestIndexDeterminism:
         with pytest.raises(RetrievalError):
             index.build(np.full((10, 16), np.nan, dtype=np.float32), generation=2)
         assert index.generation == 1
+
+
+# ---------------------------------------------------------------------- #
+# the IVF build against its frozen reference
+# ---------------------------------------------------------------------- #
+class ReferenceIvf(IvfIndex):
+    """``IvfIndex`` with the k-means loops as they were first written:
+    ``np.add.at`` centroid sums, 65,536-row assignment blocks and a
+    separate ``*= -2.0`` pass.  The build must match it bit for bit."""
+
+    @staticmethod
+    def _assign(vectors, centroids):
+        c_norm = np.einsum("ij,ij->i", centroids, centroids)
+        out = np.empty(vectors.shape[0], dtype=np.int64)
+        for start in range(0, vectors.shape[0], 65_536):
+            block = vectors[start : start + 65_536]
+            scores = block @ centroids.T
+            scores *= -2.0
+            scores += c_norm[None, :]
+            out[start : start + 65_536] = np.argmin(scores, axis=1)
+        return out
+
+    def _kmeans(self, vectors, num_lists):
+        rng = np.random.default_rng(self.seed)
+        n = vectors.shape[0]
+        train = vectors
+        if self.train_size is not None and n > self.train_size:
+            take = max(self.train_size, min(n, 64 * num_lists))
+            train = vectors[np.sort(rng.choice(n, size=take, replace=False))]
+        centroids = train[
+            np.sort(rng.choice(train.shape[0], size=num_lists, replace=False))
+        ].astype(np.float32, copy=True)
+        for __ in range(self.iters):
+            assign = self._assign(train, centroids)
+            sums = np.zeros_like(centroids, dtype=np.float64)
+            np.add.at(sums, assign, train.astype(np.float64))
+            counts = np.bincount(assign, minlength=num_lists)
+            filled = counts > 0
+            centroids[filled] = (sums[filled] / counts[filled, None]).astype(np.float32)
+            empty = np.nonzero(~filled)[0]
+            if empty.size:
+                dist = np.einsum(
+                    "ij,ij->i", train - centroids[assign], train - centroids[assign]
+                )
+                worst = np.argsort(-dist, kind="stable")[: empty.size]
+                centroids[empty] = train[worst]
+        return centroids
+
+
+def duplicated(num_rows, distinct, dim, seed):
+    """``num_rows`` rows drawn from only ``distinct`` different vectors."""
+    rows = clustered(distinct, dim, seed=seed)
+    return rows[np.random.default_rng(seed).integers(distinct, size=num_rows)]
+
+
+def empty_cells(index):
+    return int(np.count_nonzero(np.diff(index._state_arrays()["offsets"]) == 0))
+
+
+class TestIvfBuildOracle:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("n", (1, 37, 600, 5_000))
+    def test_fingerprint_equals_reference(self, seed, n):
+        items = clustered(n, 16, seed=10 + seed)
+        built = IvfIndex(seed=seed).build(items, generation=3)
+        assert built.fingerprint() == ReferenceIvf(seed=seed).build(
+            items, generation=3
+        ).fingerprint()
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_subsample_path_equals_reference(self, seed):
+        items = clustered(5_000, 16, seed=seed)
+        config = dict(seed=seed, train_size=1_000, num_lists=40)
+        assert IvfIndex(**config).build(items).fingerprint() == (
+            ReferenceIvf(**config).build(items).fingerprint()
+        )
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_cancelling_rows_sum_in_row_order(self, seed):
+        # A +1e12 row first and a -1e12 row last in one cell: the float64
+        # centroid sum rounds, so only the reference's row-order
+        # accumulation gives the same float32 centroid.
+        items = clustered(3_000, 16, seed=seed)
+        items[0] = 1e12
+        items[-1] = -1e12
+        config = dict(seed=seed, num_lists=1)
+        assert IvfIndex(**config).build(items).fingerprint() == (
+            ReferenceIvf(**config).build(items).fingerprint()
+        )
+
+    def test_reseed_path_equals_reference(self):
+        items = duplicated(400, 5, 16, seed=3)
+        built = IvfIndex(seed=0, num_lists=20).build(items)
+        assert empty_cells(built) > 0  # the re-seed ran and could not fill all
+        assert built.fingerprint() == (
+            ReferenceIvf(seed=0, num_lists=20).build(items).fingerprint()
+        )
+
+    def test_many_lists_span_several_blocks(self):
+        # 2,000 lists give 524-row assignment blocks: four blocks here.
+        items = clustered(2_000, 8, seed=5)
+        config = dict(seed=1, num_lists=2_000, iters=2)
+        assert IvfIndex(**config).build(items).fingerprint() == (
+            ReferenceIvf(**config).build(items).fingerprint()
+        )
+
+    def test_degenerate_table_leaves_cells_empty_and_meets_search_contract(self):
+        """400 rows of 5 distinct vectors in 20 lists: a re-seed cannot
+        fill more cells than there are distinct rows, so 15 stay empty,
+        and search still returns strictly increasing in-range ids, at
+        least ``min(k, n)`` of them."""
+        items = duplicated(400, 5, 16, seed=3)
+        n = items.shape[0]
+        queries = clustered(6, 16, seed=4)
+        for nprobe in (1, 16):
+            index = IvfIndex(seed=0, num_lists=20, nprobe=nprobe).build(items)
+            assert empty_cells(index) == 15
+            assert_search_contract(index, queries, n, (1, 5, n))
 
 
 # ---------------------------------------------------------------------- #

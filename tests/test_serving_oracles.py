@@ -7,7 +7,9 @@ Each fast path is checked against the straightforward code it replaces:
   ``np.unique`` guard;
 * ``ArrayEmbeddingRecommender`` scoring through ``np.take`` against
   fancy-indexed gathers, bitwise;
-* ``ServiceMetrics`` counter handles against the registry series.
+* ``ServiceMetrics`` counter handles against the registry series;
+* the two-stage rung's served response against the exact rung's,
+  whenever the exact top-k lies inside the IVF candidate set.
 
 The index contract the guard relies on for speed (strictly
 increasing int64 ids inside ``[0, n)``) is checked in
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.core.dataset import Dataset
 from repro.core.interactions import InteractionMatrix
-from repro.retrieval import ArrayEmbeddingRecommender
+from repro.retrieval import ArrayEmbeddingRecommender, IvfIndex, TwoStageRecommender
 from repro.runtime.guards import ScoreReport, validate_scores
+from repro.serving import ManualClock, RecommenderService, ServeRequest
 from repro.serving.metrics import PREFIX, ServiceMetrics
 from repro.telemetry.metrics import MetricRegistry
 
@@ -193,3 +196,78 @@ class TestServiceMetricsHandles:
         metrics.incr("requests", 2)
         assert handle.value == 7
         assert metrics.snapshot()["requests"] == 7
+
+
+# ---------------------------------------------------------------------- #
+# the two-stage rung against the exact rung
+# ---------------------------------------------------------------------- #
+def clustered(rng, centers, num_rows, spread=0.3):
+    rows = centers[rng.integers(centers.shape[0], size=num_rows)]
+    return rows + spread * rng.standard_normal(rows.shape)
+
+
+def rung_services(seed):
+    """A two-stage service and an exact-only service over one catalog.
+
+    Two probed lists and a 32-candidate floor leave the exact top-k
+    outside the candidate set on roughly a quarter of the requests, so
+    the oracle's condition splits the requests both ways."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((24, 16))
+    users, items = clustered(rng, centers, 40), clustered(rng, centers, 3_000)
+    hist_users = np.repeat(np.arange(40), 8)
+    dataset = Dataset(
+        name=f"rungs-s{seed}",
+        interactions=InteractionMatrix(
+            hist_users, rng.integers(3_000, size=hist_users.size), 40, 3_000
+        ),
+    )
+    base = ArrayEmbeddingRecommender(users, items).fit(dataset)
+    index = IvfIndex(seed=seed, nprobe=2)
+    two_stage = TwoStageRecommender(base, index, k_candidates=32)
+    two_stage.fit(dataset).sync_index()
+    services = {
+        name: RecommenderService(dataset, primary=(name, model), clock=ManualClock())
+        for name, model in (("ann", two_stage), ("exact", base))
+    }
+    return base, two_stage, services
+
+
+def dot_rounding_bound(base, user, items):
+    """Largest gap two float64 evaluations of ``items . q`` can have:
+    twice the classic ``d * u * sum |x_i q_i|`` dot-product error bound."""
+    rows = base.item_vectors()[np.asarray(items)]
+    q = base.query_vector(user)
+    return rows.shape[1] * np.finfo(np.float64).eps * (np.abs(rows) @ np.abs(q))
+
+
+class TestTwoStageRungOracle:
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3))
+    def test_covered_requests_serve_the_exact_response(self, seed):
+        """Whenever the exact top-k lies inside the candidate set, the
+        two-stage rung serves the exact rung's items in the same order.
+
+        Scores agree to the dot product's rounding, not bit for bit: BLAS
+        ``gemv`` rounds the last rows of a product (the ``m mod 4``
+        remainder under OpenBLAS) through a different kernel, so a
+        candidate that lands there in the gathered subset can differ from
+        its full-table score in the last bits.
+        """
+        base, two_stage, services = rung_services(seed)
+        covered = 0
+        for user in range(40):
+            for k in (1, 5, 10, 20):
+                ids = set(two_stage.score_candidates(user, k)[0].tolist())
+                for exclude_seen in (True, False):
+                    request = ServeRequest(user_id=user, k=k, exclude_seen=exclude_seen)
+                    exact = services["exact"].serve(request)
+                    assert exact.status == "ok" and len(exact.items) == k
+                    if not set(exact.items) <= ids:
+                        continue
+                    covered += 1
+                    ann = services["ann"].serve(request)
+                    assert (ann.status, ann.model) == ("ok", "ann")
+                    assert ann.items == exact.items
+                    gap = np.abs(np.subtract(ann.scores, exact.scores))
+                    assert np.all(gap <= dot_rounding_bound(base, user, exact.items))
+        assert covered >= 160  # at least half of the 320 requests are checked
