@@ -3,7 +3,7 @@
 Measures the tradeoff the retrieval package exists for (see
 ``docs/retrieval.md``): full-catalog exact scoring is linear in the
 catalog, ANN candidate generation + exact rerank is sublinear.  For each
-catalog size the bench reports, per index kind (``ivf`` / ``lsh``):
+catalog size the bench reports, for the IVF index:
 
 * **recall@k** of the candidate set against the exact top-k ground truth
   (the rerank is exact, so candidate recall *is* end-to-end recall),
@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.retrieval import IvfIndex, LshIndex, exact_topk, load_index, recall_at_k
+from repro.retrieval import IvfIndex, exact_topk, recall_at_k
 from repro.retrieval.base import pairwise_scores
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_retrieval.json"
@@ -103,14 +103,6 @@ def make_catalog(
     return items.astype(np.float32), queries.astype(np.float32)
 
 
-def make_index(kind: str, seed: int = 0):
-    if kind == "ivf":
-        return IvfIndex(seed=seed)
-    if kind == "lsh":
-        return LshIndex(seed=seed)
-    raise SystemExit(f"unknown index kind {kind!r}")
-
-
 # --------------------------------------------------------------------- #
 # measurement
 # --------------------------------------------------------------------- #
@@ -154,7 +146,6 @@ def bench_size(num_items: int, args) -> dict:
         exact_times.append(time.perf_counter() - t0)
     exact_lat = percentiles(exact_times)
 
-    out = {"num_items": num_items, "exact": exact_lat, "indexes": {}}
     print(
         f"\n{num_items} items, dim {args.dim}: exact scoring "
         f"p50 {exact_lat['p50_ms']:.3f} ms / p99 {exact_lat['p99_ms']:.3f} ms"
@@ -166,40 +157,42 @@ def bench_size(num_items: int, args) -> dict:
     print(header)
     print("-" * len(header))
 
-    for kind in args.kinds:
-        index = make_index(kind, seed=args.seed)
-        t0 = time.perf_counter()
-        index.build(items, generation=0)
-        build_s = time.perf_counter() - t0
+    index = IvfIndex(seed=args.seed)
+    t0 = time.perf_counter()
+    index.build(items, generation=0)
+    build_s = time.perf_counter() - t0
 
-        ann_times: list[float] = []
-        recalls: list[float] = []
-        cand_counts: list[int] = []
-        for q, true_ids in zip(queries, truth):
-            t0 = time.perf_counter()
-            ids, __ = ann_query(index, items, q, args.quota, args.k)
-            ann_times.append(time.perf_counter() - t0)
-            recalls.append(recall_at_k(ids, true_ids))
-            cand_counts.append(int(ids.size))
-        ann_lat = percentiles(ann_times)
-        recall = float(np.mean(recalls))
-        cands = float(np.mean(cand_counts))
-        frac = cands / num_items
-        speedup = exact_lat["p50_ms"] / ann_lat["p50_ms"]
-        print(
-            f"{kind:<6} {build_s:>8.2f} {recall:>10.3f} {cands:>8.0f} "
-            f"{frac:>6.1%} {ann_lat['p50_ms']:>8.3f} {ann_lat['p99_ms']:>8.3f} "
-            f"{speedup:>7.1f}x"
-        )
-        out["indexes"][kind] = {
+    ann_times: list[float] = []
+    recalls: list[float] = []
+    cand_counts: list[int] = []
+    for q, true_ids in zip(queries, truth):
+        t0 = time.perf_counter()
+        ids, __ = ann_query(index, items, q, args.quota, args.k)
+        ann_times.append(time.perf_counter() - t0)
+        recalls.append(recall_at_k(ids, true_ids))
+        cand_counts.append(int(ids.size))
+    ann_lat = percentiles(ann_times)
+    recall = float(np.mean(recalls))
+    cands = float(np.mean(cand_counts))
+    frac = cands / num_items
+    speedup = exact_lat["p50_ms"] / ann_lat["p50_ms"]
+    print(
+        f"{'ivf':<6} {build_s:>8.2f} {recall:>10.3f} {cands:>8.0f} "
+        f"{frac:>6.1%} {ann_lat['p50_ms']:>8.3f} {ann_lat['p99_ms']:>8.3f} "
+        f"{speedup:>7.1f}x"
+    )
+    return {
+        "num_items": num_items,
+        "exact": exact_lat,
+        "ivf": {
             "build_seconds": build_s,
             f"recall_at_{args.k}": recall,
             "mean_candidates": cands,
             "candidate_fraction": frac,
             "latency": ann_lat,
             "speedup_p50": speedup,
-        }
-    return out
+        },
+    }
 
 
 def run(args) -> None:
@@ -215,7 +208,6 @@ def run(args) -> None:
             "centers": args.centers,
             "spread": args.spread,
             "seed": args.seed,
-            "kinds": list(args.kinds),
         },
         "sizes": [bench_size(n, args) for n in args.items],
     }
@@ -233,33 +225,32 @@ def smoke(args) -> None:
     )
     truth = [exact_topk(items, q, 10) for q in queries]
 
-    for kind in ("ivf", "lsh"):
-        first = make_index(kind, seed=args.seed).build(items, generation=7)
-        second = make_index(kind, seed=args.seed).build(items, generation=7)
-        assert first.fingerprint() == second.fingerprint(), (
-            f"{kind}: same seed + vectors must give bitwise-identical indexes"
-        )
+    first = IvfIndex(seed=args.seed).build(items, generation=7)
+    second = IvfIndex(seed=args.seed).build(items, generation=7)
+    assert first.fingerprint() == second.fingerprint(), (
+        "ivf: same seed + vectors must give bitwise-identical indexes"
+    )
 
-        recalls = []
-        for q, true_ids in zip(queries, truth):
-            ids = first.search(q, quota)
-            again = second.search(q, quota)
-            assert np.array_equal(ids, again), f"{kind}: candidate sets diverge"
-            assert ids.size >= min(quota, num_items), f"{kind}: quota not met"
-            recalls.append(recall_at_k(ids, true_ids))
-        recall = float(np.mean(recalls))
-        assert recall >= 0.9, f"{kind}: recall@10 {recall:.3f} below the 0.9 floor"
+    recalls = []
+    for q, true_ids in zip(queries, truth):
+        ids = first.search(q, quota)
+        again = second.search(q, quota)
+        assert np.array_equal(ids, again), "ivf: candidate sets diverge"
+        assert ids.size >= min(quota, num_items), "ivf: quota not met"
+        recalls.append(recall_at_k(ids, true_ids))
+    recall = float(np.mean(recalls))
+    assert recall >= 0.9, f"ivf: recall@10 {recall:.3f} below the 0.9 floor"
 
-        path = Path(args.workdir or ".") / f"smoke-{kind}.npz"
-        first.save(path)
-        loaded = load_index(path)
-        assert loaded.fingerprint() == first.fingerprint(), f"{kind}: save/load"
-        assert loaded.generation == 7, f"{kind}: generation lost in round trip"
-        q = queries[0]
-        assert np.array_equal(loaded.search(q, quota), first.search(q, quota))
-        path.unlink()
-        print(f"bench_retrieval smoke [{kind}]: recall@10 {recall:.3f}, "
-              "determinism + round trip OK")
+    path = Path(args.workdir or ".") / "smoke-ivf.npz"
+    first.save(path)
+    loaded = IvfIndex.load(path)
+    assert loaded.fingerprint() == first.fingerprint(), "ivf: save/load"
+    assert loaded.generation == 7, "ivf: generation lost in round trip"
+    q = queries[0]
+    assert np.array_equal(loaded.search(q, quota), first.search(q, quota))
+    path.unlink()
+    print(f"bench_retrieval smoke [ivf]: recall@10 {recall:.3f}, "
+          "determinism + round trip OK")
 
     # k-means on a seeded 1,000-row training subsample (15 lists keep the
     # trainer's 64-rows-per-list floor below it), then every row assigned.
@@ -274,7 +265,7 @@ def smoke(args) -> None:
     )
     path = Path(args.workdir or ".") / "smoke-ivf-subsample.npz"
     subsampled[0].save(path)
-    loaded = load_index(path)
+    loaded = IvfIndex.load(path)
     path.unlink()
     assert loaded.fingerprint() == subsampled[0].fingerprint(), (
         "ivf train_size=1000: save/load"
@@ -303,9 +294,6 @@ def main() -> None:
     )
     parser.add_argument("--spread", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--kinds", nargs="+", default=["ivf", "lsh"], choices=["ivf", "lsh"]
-    )
     parser.add_argument("--out", type=str, default=str(DEFAULT_OUT))
     parser.add_argument(
         "--workdir", type=str, default=None,

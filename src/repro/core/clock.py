@@ -8,9 +8,6 @@ to :func:`time.monotonic`.  Tests and the seeded traffic replays pass a
 drain happen instantly and two runs with the same seed observe
 bitwise-identical timestamps (which is what makes exported traces
 byte-for-byte reproducible; see ``docs/observability.md``).
-
-This module is the canonical home of the abstraction; it grew out of
-``repro.serving.clock``, which now re-exports from here for compatibility.
 """
 
 from __future__ import annotations

@@ -5,16 +5,12 @@ in the catalog; this package makes serving sublinear by splitting every
 request into *candidate generation* over an approximate top-k index and
 an *exact rerank* of only the candidates (see ``docs/retrieval.md``):
 
-* :mod:`repro.retrieval.base` — the :class:`AnnIndex` interface
-  (``build`` / ``search`` / ``search_batch`` / ``save`` / ``load``),
-  seed-deterministic with fingerprintable contents, plus exact-top-k
-  ground-truth and recall helpers.
-* :mod:`repro.retrieval.ivf` — :class:`IvfIndex`: k-means coarse
-  partitions, ``nprobe``-controlled probing, chunked vectorized
-  assignment.
-* :mod:`repro.retrieval.lsh` — :class:`LshIndex`: multi-table
-  random-hyperplane signatures packed into ``uint64``, Hamming-wave
-  bucket probing over signature-sorted arrays.
+* :mod:`repro.retrieval.ivf` — :class:`IvfIndex`, the ANN index:
+  k-means coarse partitions, ``nprobe``-controlled probing, blocked
+  vectorized assignment; seed-deterministic with fingerprintable
+  contents (``build`` / ``search`` / ``save`` / ``load``).
+* :mod:`repro.retrieval.base` — exact-top-k ground-truth and recall
+  helpers.
 * :mod:`repro.retrieval.two_stage` — :class:`TwoStageRecommender`, the
   serving rung that wraps any embedding-backed recommender (including the
   store-backed :class:`~repro.store.serving.StoredEmbeddingRecommender`),
@@ -31,18 +27,14 @@ promotion end to end.
 
 from __future__ import annotations
 
-from .base import AnnIndex, exact_topk, load_index, recall_at_k
+from .base import exact_topk, recall_at_k
 from .ivf import IvfIndex
-from .lsh import LshIndex
 from .two_stage import ArrayEmbeddingRecommender, TwoStageRecommender
 
 __all__ = [
-    "AnnIndex",
     "IvfIndex",
-    "LshIndex",
     "TwoStageRecommender",
     "ArrayEmbeddingRecommender",
-    "load_index",
     "exact_topk",
     "recall_at_k",
 ]

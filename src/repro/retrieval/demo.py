@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.clock import ManualClock
 from repro.core.rng import ensure_rng
 from repro.data import MOVIE_SCHEMA, generate_dataset
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.serving.clock import ManualClock
 from repro.serving.service import RecommenderService, ServeRequest
 
 from .ivf import IvfIndex

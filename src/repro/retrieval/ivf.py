@@ -1,7 +1,15 @@
 """Inverted-file (coarse k-means) candidate index.
 
-The classic production ANN layout: partition the item vectors into
-``num_lists`` cells with a few rounds of seeded k-means, store each
+The index is a **candidate generator**: given a query vector it returns a
+small set of item ids whose *exact* scores are then computed by the
+second stage (:class:`~repro.retrieval.two_stage.TwoStageRecommender`).
+Because the rerank is exact, the index never changes *which order*
+surviving candidates are ranked in, only *which* items survive; so the
+quality knob is recall@k of the candidate set, and the cost knob is how
+many candidates the second stage has to score.
+
+The layout is the classic production one: partition the item vectors
+into ``num_lists`` cells with a few rounds of seeded k-means, store each
 cell's member ids contiguously (CSR: offsets + one flat id array), and
 at query time score only the ``nprobe`` cells whose centroids sit
 closest to the query.  Probing more cells trades latency for recall;
@@ -24,17 +32,30 @@ Everything is vectorized NumPy and seed-deterministic:
   the table has distinct rows, so a degenerate table (many duplicates)
   can still leave cells empty; search skips them.
 
-Two builds from the same seed and vectors are bitwise identical.
+Two builds from the same seed and vectors are bitwise identical (equal
+:meth:`IvfIndex.fingerprint`).  ``save``/``load`` round-trip the full
+state through one ``.npz`` file, and a loaded index searches
+bitwise-identically to the one saved.  ``generation`` records which
+embedding-store generation (or model version) the index was built
+against; the two-stage rung compares it to its base recommender's
+generation on every request and refuses to serve from a stale index
+(:class:`~repro.core.exceptions.IndexStaleError`).
+
+Builds are traced (``retrieval/build`` spans) and searches counted
+(``retrieval.probes``, labeled ``index=ivf``) through the active
+telemetry, guarded on ``enabled`` like every other instrumented hot path.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.exceptions import RetrievalError
 from repro.telemetry.base import get_active
-
-from .base import AnnIndex, register_index_kind
 
 __all__ = ["IvfIndex"]
 
@@ -44,9 +65,16 @@ _BLOCK_SCORES = 2**20
 #: Floor on rows per block, so huge list counts still batch the matmul.
 _MIN_BLOCK_ROWS = 256
 
+#: Supported similarity metrics: ``"ip"`` ranks by descending inner
+#: product; ``"l2"`` by ascending squared euclidean distance (the TransE
+#: scoring geometry, where the query is ``u + r``).
+METRICS: tuple[str, ...] = ("ip", "l2")
 
-@register_index_kind
-class IvfIndex(AnnIndex):
+#: Save-file schema version.
+FORMAT_VERSION = 1
+
+
+class IvfIndex:
     """K-means inverted-file index with ``nprobe``-controlled search.
 
     Parameters
@@ -64,6 +92,7 @@ class IvfIndex(AnnIndex):
         always assigned to lists).  ``None`` trains on everything.
     """
 
+    #: Identifier stored in save files and on telemetry labels.
     kind = "ivf"
 
     def __init__(
@@ -75,7 +104,8 @@ class IvfIndex(AnnIndex):
         seed: int = 0,
         metric: str = "ip",
     ) -> None:
-        super().__init__(seed=seed, metric=metric)
+        if metric not in METRICS:
+            raise RetrievalError(f"unknown metric {metric!r}; known: {METRICS}")
         if num_lists is not None and num_lists < 1:
             raise RetrievalError("num_lists must be >= 1")
         if nprobe < 1:
@@ -86,9 +116,22 @@ class IvfIndex(AnnIndex):
         self.nprobe = int(nprobe)
         self.iters = int(iters)
         self.train_size = train_size
+        self.seed = int(seed)
+        self.metric = metric
+        self.generation: int | None = None
+        self.num_vectors = 0
+        self.dim = 0
         self._centroids: np.ndarray | None = None  # (L, dim) float32
         self._offsets: np.ndarray | None = None  # (L + 1,) int64
         self._members: np.ndarray | None = None  # (n,) int64, grouped by cell
+
+    @property
+    def is_built(self) -> bool:
+        return self.num_vectors > 0
+
+    def _require_built(self) -> None:
+        if not self.is_built:
+            raise RetrievalError("IvfIndex has not been built")
 
     # ------------------------------------------------------------------ #
     # build
@@ -151,7 +194,19 @@ class IvfIndex(AnnIndex):
         return centroids
 
     def build(self, vectors: np.ndarray, generation: int | None = None) -> "IvfIndex":
-        vectors = self._check_vectors(vectors)
+        """Index ``vectors`` (rows are item ids); returns ``self``.
+
+        ``generation`` is assigned last: a build that raises midway
+        leaves the index stale, never half-fresh.
+        """
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        if vectors.ndim != 2 or vectors.shape[0] < 1:
+            raise RetrievalError(
+                f"index vectors must be a non-empty 2-d array, got shape "
+                f"{vectors.shape}"
+            )
+        if not np.isfinite(vectors).all():
+            raise RetrievalError("index vectors must be finite")
         n, dim = vectors.shape
         num_lists = self.num_lists
         if num_lists is None:
@@ -195,8 +250,24 @@ class IvfIndex(AnnIndex):
         return np.argsort(-promise, kind="stable")
 
     def search(self, query: np.ndarray, k: int) -> np.ndarray:
+        """Sorted unique candidate ids for one query.
+
+        The ids are strictly increasing int64 inside ``[0, num_vectors)``,
+        at least ``k`` of them whenever the index holds that many vectors
+        (the probe widens past ``nprobe`` cells until the quota is met),
+        possibly more: whole probed cells are returned, and the exact
+        rerank pays per candidate, so callers cap cost with ``k``, not by
+        truncation.  The serving path relies on the order for speed only:
+        the candidate guard (``validate_scores``) skips a sort when the ids
+        are strictly increasing, and still judges any other order
+        correctly, just slower.
+        """
         self._require_built()
-        query = self._check_query(query)
+        query = np.asarray(query, dtype=np.float32).ravel()
+        if query.size != self.dim:
+            raise RetrievalError(
+                f"query has dimension {query.size}, index has {self.dim}"
+            )
         if k < 1:
             raise RetrievalError("k must be >= 1")
         order = self._probe_order(query)
@@ -228,12 +299,21 @@ class IvfIndex(AnnIndex):
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def _config(self) -> dict:
+    def _meta(self) -> dict:
         return {
-            "num_lists": self.num_lists,
-            "nprobe": self.nprobe,
-            "iters": self.iters,
-            "train_size": self.train_size,
+            "format": FORMAT_VERSION,
+            "kind": self.kind,
+            "metric": self.metric,
+            "seed": self.seed,
+            "generation": self.generation,
+            "num_vectors": self.num_vectors,
+            "dim": self.dim,
+            "config": {
+                "num_lists": self.num_lists,
+                "nprobe": self.nprobe,
+                "iters": self.iters,
+                "train_size": self.train_size,
+            },
         }
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
@@ -244,12 +324,74 @@ class IvfIndex(AnnIndex):
             "members": self._members,
         }
 
-    def _restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+    def fingerprint(self) -> str:
+        """SHA-256 over the full index state (meta + every array, in order).
+
+        Two builds from the same seed and vectors must produce equal
+        fingerprints: the determinism contract tests and the bench smoke
+        assert.
+        """
+        digest = hashlib.sha256(json.dumps(self._meta(), sort_keys=True).encode())
+        arrays = self._state_arrays()
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name])
+            digest.update(name.encode())
+            digest.update(str(arr.dtype).encode())
+            digest.update(str(arr.shape).encode())
+            digest.update(arr.tobytes())
+        return digest.hexdigest()
+
+    def save(self, path: str | Path) -> str:
+        """Persist the built index as one ``.npz``; returns the path."""
+        arrays = {f"arr::{k}": v for k, v in self._state_arrays().items()}
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(
+            path,
+            meta=np.frombuffer(
+                json.dumps(self._meta(), sort_keys=True).encode(), dtype=np.uint8
+            ),
+            **arrays,
+        )
+        return str(path)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "IvfIndex":
+        """Load an index saved by :meth:`save`.
+
+        Raises :class:`RetrievalError` for a missing or unreadable file,
+        another format version, or another index kind.
+        """
+        path = Path(path)
+        if not path.is_file():
+            raise RetrievalError(f"no index file at {path}")
         try:
-            self._centroids = np.ascontiguousarray(
+            with np.load(path) as bundle:
+                meta = json.loads(bytes(bundle["meta"].tobytes()).decode())
+                arrays = {
+                    name[len("arr::"):]: bundle[name]
+                    for name in bundle.files
+                    if name.startswith("arr::")
+                }
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            raise RetrievalError(f"{path} is not a readable index file: {exc}") from exc
+        if meta.get("format") != FORMAT_VERSION:
+            raise RetrievalError(
+                f"{path} has index format {meta.get('format')!r}, "
+                f"this build reads {FORMAT_VERSION}"
+            )
+        if meta.get("kind") != cls.kind:
+            raise RetrievalError(f"{path} holds unknown index kind {meta.get('kind')!r}")
+        try:
+            index = cls(seed=meta["seed"], metric=meta["metric"], **meta["config"])
+            index.generation = meta["generation"]
+            index.num_vectors = int(meta["num_vectors"])
+            index.dim = int(meta["dim"])
+            index._centroids = np.ascontiguousarray(
                 arrays["centroids"], dtype=np.float32
             )
-            self._offsets = np.ascontiguousarray(arrays["offsets"], dtype=np.int64)
-            self._members = np.ascontiguousarray(arrays["members"], dtype=np.int64)
-        except KeyError as exc:
-            raise RetrievalError(f"ivf index file is missing array {exc}") from exc
+            index._offsets = np.ascontiguousarray(arrays["offsets"], dtype=np.int64)
+            index._members = np.ascontiguousarray(arrays["members"], dtype=np.int64)
+        except (KeyError, TypeError) as exc:
+            raise RetrievalError(f"{path} is an incomplete index file: {exc!r}") from exc
+        return index

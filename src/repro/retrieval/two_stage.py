@@ -4,7 +4,7 @@
 one whose scores are a similarity between a per-user query vector and
 per-item vectors — and replaces full-catalog scoring with:
 
-1. **candidate generation**: an :class:`~repro.retrieval.base.AnnIndex`
+1. **candidate generation**: an :class:`~repro.retrieval.ivf.IvfIndex`
    over the item vectors returns ``>= k_candidates`` candidate ids in
    sublinear time;
 2. **exact rerank**: only those rows are scored with the base model's own
@@ -56,7 +56,7 @@ from repro.core.exceptions import (
 from repro.core.recommender import Recommender
 from repro.telemetry.base import get_active
 
-from .base import AnnIndex
+from .ivf import IvfIndex
 
 __all__ = ["TwoStageRecommender", "ArrayEmbeddingRecommender"]
 
@@ -174,7 +174,7 @@ class TwoStageRecommender(Recommender):
         A fitted (or fit-able) recommender implementing the retrieval
         protocol above.
     index:
-        The :class:`AnnIndex` to generate candidates with.  It may be
+        The :class:`IvfIndex` to generate candidates with.  It may be
         unbuilt; :meth:`sync_index` (called automatically by
         ``ModelRegistry.promote``) builds it against the base's current
         item vectors and generation.
@@ -199,7 +199,7 @@ class TwoStageRecommender(Recommender):
     def __init__(
         self,
         base: Recommender,
-        index: AnnIndex,
+        index: IvfIndex,
         k_candidates: int = 128,
         exact_fallback: bool = True,
     ) -> None:

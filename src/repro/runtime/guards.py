@@ -168,8 +168,8 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
     valid partial scoring, while a short vector alone still reads as
     corruption.
 
-    Strictly increasing indices — what :meth:`AnnIndex.search
-    <repro.retrieval.base.AnnIndex.search>` returns — are proven distinct
+    Strictly increasing indices — what :meth:`IvfIndex.search
+    <repro.retrieval.ivf.IvfIndex.search>` returns — are proven distinct
     by one vectorised comparison, their ends giving the range; any other
     order pays one sort.  The verdict is the same either way: the order
     only decides how fast it is reached.

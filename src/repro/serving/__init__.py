@@ -21,7 +21,7 @@ can misbehave (see ``docs/serving.md``):
   ``python -m repro serve-demo``.
 
 Everything is deterministic under seed: time is injectable
-(:class:`ManualClock`), faults come from seeded
+(:class:`~repro.core.clock.ManualClock`), faults come from seeded
 :class:`~repro.runtime.faults.FaultPlan`\\ s, and two replays of the same
 seed produce bitwise-identical response traces.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from .admission import AdmissionQueue
 from .breaker import BreakerTransition, CircuitBreaker
-from .clock import ManualClock
 from .deadline import Deadline
 from .fallback import StaticTopK
 from .metrics import ServiceMetrics
@@ -46,7 +45,6 @@ __all__ = [
     "AdmissionQueue",
     "BreakerTransition",
     "CircuitBreaker",
-    "ManualClock",
     "Deadline",
     "StaticTopK",
     "ServiceMetrics",

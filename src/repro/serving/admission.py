@@ -11,7 +11,7 @@ bounded worst-case latency; unbounded queues just convert overload into
 timeouts).
 
 The model is exact for the replay harness (arrivals and service times
-both advance the same :class:`~repro.serving.clock.ManualClock`) and a
+both advance the same :class:`~repro.core.clock.ManualClock`) and a
 reasonable token-bucket approximation under a real clock.
 
 Backlog accounting is carried in :class:`fractions.Fraction`, not float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.core.clock import ManualClock
 from repro.data import make_movie_dataset
 from repro.models.baselines import ItemKNN, MostPopular
 from repro.runtime.faults import SERVING_FAULT_KINDS, FaultInjector, FaultPlan
@@ -28,7 +29,6 @@ from repro.runtime.retry import RetryPolicy
 from repro.telemetry import Telemetry
 
 from .admission import AdmissionQueue
-from .clock import ManualClock
 from .service import RecommenderService, ServeRequest
 
 __all__ = [
@@ -172,19 +172,19 @@ def reconcile_trace_outcomes(service: RecommenderService) -> dict[str, int]:
     outcomes = Counter(
         str(s.attrs["outcome"]) for s in spans if s.name == "serve/request"
     )
-    counters = service.metrics.counters
+    metrics = service.metrics
     for status in ("ok", "degraded", "shed", "rejected"):
         span_count = outcomes.get(status, 0)
-        counted = counters[f"status::{status}"]
+        counted = metrics.count(f"status::{status}")
         if span_count != counted:
             raise AssertionError(
                 f"trace/metric mismatch for {status!r}: "
                 f"{span_count} spans vs {counted} counted"
             )
-    if sum(outcomes.values()) != counters["requests"]:
+    if sum(outcomes.values()) != metrics.count("requests"):
         raise AssertionError(
             f"{sum(outcomes.values())} request spans for "
-            f"{counters['requests']} requests"
+            f"{metrics.count('requests')} requests"
         )
     return dict(outcomes)
 

@@ -240,7 +240,6 @@ class ModelRegistry:
         )
         self.history.append(record)
         if span is not None:
-            tel.counter("serve.promotions").inc()
             tel.end(span, outcome="promoted")
         return record
 
@@ -277,7 +276,6 @@ class ModelRegistry:
             )
         )
         if span is not None:
-            tel.counter("serve.rollbacks").inc()
             tel.end(span, outcome="rolled_back", reason=rejection,
                     to_model=restored_name)
         return restored_name

@@ -321,6 +321,14 @@ class MetricRegistry:
     def counter(self, name: str, **labels) -> Counter:
         return self._get("counter", name, labels)
 
+    def find(self, kind: str, name: str, **labels):
+        """The series' instrument if it exists as a ``kind``, else ``None``.
+
+        Unlike the get-or-create accessors this never creates a series.
+        """
+        entry = self._series.get(_series_key(name, labels))
+        return entry[1] if entry is not None and entry[0] == kind else None
+
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get("gauge", name, labels)
 

@@ -163,7 +163,7 @@ def reconcile(report: LoadReport, service) -> dict[str, int]:
     * total requests vs ``serve.requests``,
     * latency observations vs the service latency histogram count.
     """
-    counters = service.metrics.counters
+    metrics = service.metrics
     tally: dict[str, int] = {}
     for status in STATUSES:
         mine = getattr(report, status)
@@ -173,7 +173,7 @@ def reconcile(report: LoadReport, service) -> dict[str, int]:
                 f"persona {status} tallies sum to {per_persona}, "
                 f"aggregate says {mine}"
             )
-        theirs = counters[f"status::{status}"]
+        theirs = metrics.count(f"status::{status}")
         if mine != theirs:
             raise AssertionError(
                 f"report counted {mine} {status} responses, service "
@@ -185,12 +185,12 @@ def reconcile(report: LoadReport, service) -> dict[str, int]:
         raise AssertionError(
             f"{total} statused responses for {report.requests} requests"
         )
-    if total != counters["requests"]:
+    if total != metrics.count("requests"):
         raise AssertionError(
             f"report saw {total} requests, service counted "
-            f"{counters['requests']}"
+            f"{metrics.count('requests')}"
         )
-    observed = service.metrics.num_observations
+    observed = metrics.num_observations
     if observed != report.requests:
         raise AssertionError(
             f"service observed {observed} latencies for "

@@ -4,8 +4,9 @@ degradation through the serving ladder, and index-synced promotion.
 The three contracts under test:
 
 * **determinism** — same seed + same vectors ⇒ bitwise-identical index
-  contents (fingerprints), candidate sets, and recall, for both kinds,
-  across rebuilds and across a save/load round trip;
+  contents (fingerprints), candidate sets, and recall, across rebuilds,
+  across a save/load round trip, and against an index file saved by an
+  earlier build of the code;
 * **typed degradation** — a stale, missing, or fault-injected index never
   surfaces as an exception or an empty response: the candidate rung
   raises :class:`IndexStaleError`, the ladder answers through the exact
@@ -16,9 +17,13 @@ The three contracts under test:
   from another.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.clock import ManualClock
 from repro.core.exceptions import (
     ConfigError,
     IndexStaleError,
@@ -32,18 +37,24 @@ from repro.kge.translational import TransE
 from repro.retrieval import (
     ArrayEmbeddingRecommender,
     IvfIndex,
-    LshIndex,
     TwoStageRecommender,
     exact_topk,
-    load_index,
     recall_at_k,
 )
 from repro.runtime.faults import Fault, FaultInjector, FaultPlan
 from repro.runtime.guards import validate_scores
-from repro.serving import ManualClock, RecommenderService, ServeRequest
+from repro.serving import RecommenderService, ServeRequest
 from repro.store import MmapShardStore, StoredEmbeddingRecommender
 
-KINDS = {"ivf": IvfIndex, "lsh": LshIndex}
+KINDS = {"ivf": IvfIndex}
+
+#: ``IvfIndex(seed=5).build(clustered(37, 4, seed=7), generation=3)``,
+#: saved by an earlier build of the code in save format 1.
+SAVED_V1 = Path(__file__).parent / "fixtures" / "ivf_format1.npz"
+#: Its ``fingerprint()`` when it was written.
+SAVED_V1_FINGERPRINT = (
+    "73642042517a51ad4408d6fbeb3f9c4abd4d961d71aca1efeb7022c4bf428fdd"
+)
 
 
 def clustered(num_rows, dim, seed, num_centers=16, spread=0.25):
@@ -74,7 +85,7 @@ def catalog():
 
 
 # ---------------------------------------------------------------------- #
-# determinism + the AnnIndex contract
+# determinism + the index contract
 # ---------------------------------------------------------------------- #
 class TestIndexDeterminism:
     @pytest.mark.parametrize("kind", KINDS)
@@ -120,8 +131,7 @@ class TestIndexDeterminism:
         items, queries = catalog
         index = KINDS[kind](seed=4).build(items, generation=9)
         path = index.save(tmp_path / f"{kind}.npz")
-        loaded = load_index(path)
-        assert type(loaded) is KINDS[kind]
+        loaded = IvfIndex.load(path)
         assert loaded.generation == 9
         assert loaded.fingerprint() == index.fingerprint()
         for q in queries:
@@ -131,9 +141,32 @@ class TestIndexDeterminism:
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not an index")
         with pytest.raises(RetrievalError):
-            load_index(path)
+            IvfIndex.load(path)
         with pytest.raises(RetrievalError):
-            load_index(tmp_path / "missing.npz")
+            IvfIndex.load(tmp_path / "missing.npz")
+
+    def test_loads_a_file_saved_by_an_earlier_build(self):
+        loaded = IvfIndex.load(SAVED_V1)
+        assert loaded.fingerprint() == SAVED_V1_FINGERPRINT
+        assert loaded.generation == 3
+        fresh = IvfIndex(seed=5).build(clustered(37, 4, seed=7), generation=3)
+        for q in clustered(6, 4, seed=8):
+            for k in (1, 5, 37):
+                assert np.array_equal(loaded.search(q, k), fresh.search(q, k))
+
+    @pytest.mark.parametrize("change", [{"kind": "lsh"}, {"format": 2}])
+    def test_load_rejects_other_kinds_and_formats(self, change, tmp_path):
+        with np.load(SAVED_V1) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        meta = json.loads(arrays["meta"].tobytes().decode())
+        meta.update(change)
+        arrays["meta"] = np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
+        )
+        path = tmp_path / "other.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(RetrievalError):
+            IvfIndex.load(path)
 
     def test_unbuilt_and_invalid_inputs_raise_typed(self):
         index = IvfIndex()
@@ -448,7 +481,7 @@ def stored_two_stage(tmp_path):
             dataset.num_users, dataset.num_users + dataset.num_items
         ),
     ).fit(dataset)
-    model = TwoStageRecommender(base, LshIndex(seed=0), k_candidates=8)
+    model = TwoStageRecommender(base, IvfIndex(seed=0), k_candidates=8)
     model.fit(dataset)
     yield dataset, store, base, model
     store.close()

@@ -12,6 +12,7 @@ from repro.core.exceptions import (
     PromotionError,
     RequestError,
 )
+from repro.core.clock import ManualClock
 from repro.core.recommender import Recommender
 from repro.data import MOVIE_SCHEMA, generate_dataset
 from repro.models.baselines import MostPopular
@@ -20,7 +21,6 @@ from repro.serving import (
     AdmissionQueue,
     CircuitBreaker,
     Deadline,
-    ManualClock,
     ModelRegistry,
     RecommenderService,
     ServeRequest,
@@ -333,7 +333,7 @@ class TestRequestValidation:
         response = service.serve(ServeRequest(user_id=999))
         assert response.status == "rejected"
         assert "unknown user" in response.error
-        assert service.metrics.counters["status::rejected"] == 1
+        assert service.metrics.count("status::rejected") == 1
 
     def test_recommend_facade_raises(self, dataset):
         service, __ = make_service(dataset)
@@ -375,8 +375,8 @@ class TestRecommenderService:
         response = service.serve(ServeRequest(user_id=1, k=3))
         assert response.status == "degraded"
         assert response.fallback_used == "popular"
-        assert service.metrics.counters["fallback_activations"] == 1
-        assert service.metrics.counters["rung_errors::breakable"] == 1
+        assert service.metrics.count("fallback_activations") == 1
+        assert service.metrics.count("rung_errors::breakable") == 1
 
     def test_nan_primary_degrades(self, dataset):
         primary = Breakable(mode="nan").fit(dataset)
@@ -384,7 +384,7 @@ class TestRecommenderService:
         primary.broken = True
         response = service.serve(ServeRequest(user_id=1, k=3))
         assert response.status == "degraded"
-        assert service.metrics.counters["invalid_scores::breakable"] == 1
+        assert service.metrics.count("invalid_scores::breakable") == 1
 
     def test_all_models_broken_static_answers(self, dataset):
         primary = Breakable(mode="raise").fit(dataset)
@@ -424,13 +424,13 @@ class TestRecommenderService:
         assert service.serve(ServeRequest(user_id=0)).model == "linear"
         service.promote("popular-v2", MostPopular().fit(dataset))
         assert service.serve(ServeRequest(user_id=0)).model == "popular-v2"
-        assert service.metrics.counters["promotions"] == 2  # init + swap
+        assert service.metrics.count("promotions") == 2  # init + swap
 
         bad = Breakable(mode="nan").fit(dataset)
         bad.broken = True
         with pytest.raises(PromotionError):
             service.promote("bad", bad)
-        assert service.metrics.counters["promotion_failures"] == 1
+        assert service.metrics.count("promotion_failures") == 1
         assert service.serve(ServeRequest(user_id=0)).model == "popular-v2"
 
         assert service.rollback() == "linear"
@@ -465,7 +465,7 @@ class TestRecommenderService:
         )
         response = service.serve(ServeRequest(user_id=0))
         assert response.status == "degraded"
-        assert service.metrics.counters["deadline_exceeded::slow"] == 1
+        assert service.metrics.count("deadline_exceeded::slow") == 1
 
     def test_reserved_static_name(self, dataset):
         with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ The serving contract under chaos (ISSUE 4 acceptance invariant):
 import numpy as np
 import pytest
 
+from repro.core.clock import ManualClock
 from repro.core.recommender import Recommender
 from repro.core.rng import ensure_rng
 from repro.data import MOVIE_SCHEMA, generate_dataset
@@ -22,12 +23,7 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.serving import (
-    AdmissionQueue,
-    ManualClock,
-    RecommenderService,
-    ServeRequest,
-)
+from repro.serving import AdmissionQueue, RecommenderService, ServeRequest
 
 VALID_STATUSES = {"ok", "degraded", "shed", "rejected"}
 
@@ -138,7 +134,7 @@ def test_breaker_transitions_match_plan(dataset):
     # while open, the primary is never called: degraded via breaker rejection
     response = service.serve(ServeRequest(user_id=3))
     assert response.status == "degraded"
-    assert service.metrics.counters["breaker_rejected::primary"] == 1
+    assert service.metrics.count("breaker_rejected::primary") == 1
 
     # cooldown elapses on the manual clock -> half-open -> closed via probes
     clock.advance(1.0)
@@ -183,7 +179,7 @@ def test_latency_fault_blows_deadline(dataset):
     response = service.serve(ServeRequest(user_id=0))
     assert response.status == "degraded"
     assert response.latency >= 0.2  # the injected stall is visible in metrics
-    assert service.metrics.counters["deadline_exceeded::primary"] == 1
+    assert service.metrics.count("deadline_exceeded::primary") == 1
     assert service._breakers["primary"].snapshot()["consecutive_failures"] == 1
 
 
@@ -192,7 +188,7 @@ def test_nan_scores_fault_caught_at_boundary(dataset):
     service, clock, __ = make_chaos_service(dataset, plan)
     response = service.serve(ServeRequest(user_id=0))
     assert response.status == "degraded"
-    assert service.metrics.counters["invalid_scores::primary"] == 1
+    assert service.metrics.count("invalid_scores::primary") == 1
     # NaNs never reach the response
     assert all(np.isfinite(s) for s in response.scores)
 
@@ -202,7 +198,7 @@ def test_exception_fault_isolated(dataset):
     service, clock, __ = make_chaos_service(dataset, plan)
     response = service.serve(ServeRequest(user_id=0))
     assert response.status == "degraded"
-    assert service.metrics.counters["rung_errors::primary"] == 1
+    assert service.metrics.count("rung_errors::primary") == 1
 
 
 def test_training_faults_ignored_by_serving_hooks(dataset):

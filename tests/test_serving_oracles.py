@@ -21,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clock import ManualClock
 from repro.core.dataset import Dataset
 from repro.core.interactions import InteractionMatrix
 from repro.retrieval import ArrayEmbeddingRecommender, IvfIndex, TwoStageRecommender
 from repro.runtime.guards import ScoreReport, validate_scores
-from repro.serving import ManualClock, RecommenderService, ServeRequest
+from repro.serving import RecommenderService, ServeRequest
 from repro.serving.metrics import PREFIX, ServiceMetrics
 from repro.telemetry.metrics import MetricRegistry
 
@@ -192,9 +193,9 @@ class TestServiceMetricsHandles:
         metrics.incr("requests")
         handle = metrics.counter("requests")
         assert handle is registry.counter(PREFIX + "requests")
-        metrics.counters["requests"] = 5  # writes through the shared series
-        metrics.incr("requests", 2)
+        metrics.incr("requests", 6)
         assert handle.value == 7
+        assert metrics.count("requests") == 7
         assert metrics.snapshot()["requests"] == 7
 
 

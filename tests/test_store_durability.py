@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.clock import ManualClock
 from repro.core.exceptions import StoreError
 from repro.data import MOVIE_SCHEMA, generate_dataset
 from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
 from repro.models.baselines import MostPopular
-from repro.serving import ManualClock, RecommenderService, ServeRequest
+from repro.serving import RecommenderService, ServeRequest
 from repro.store import MmapShardStore, StoredEmbeddingRecommender
 from repro.store.harness import (
     ScenarioConfig,

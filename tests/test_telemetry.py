@@ -440,19 +440,19 @@ class TestInstrumentation:
 
 
 # --------------------------------------------------------------------- #
-# ServiceMetrics shim + clock promotion
+# ServiceMetrics on the shared registry
 # --------------------------------------------------------------------- #
 class TestServiceMetricsShim:
-    def test_legacy_counter_api(self):
+    def test_count_reads_without_creating_series(self):
         m = ServiceMetrics()
         m.incr("requests")
         m.incr("requests", 2)
-        assert m.counters["requests"] == 3
-        # Missing keys read as 0 without creating a series (Counter-like).
-        assert m.counters["never_written"] == 0
-        assert "never_written" not in m.counters
-        m.counters["queue_depth"] = 5
-        assert m.counters["queue_depth"] == 5
+        assert m.count("requests") == 3
+        series = len(m.registry)
+        # A name never written reads as 0 and creates no series.
+        assert m.count("never_written") == 0
+        assert len(m.registry) == series
+        assert "never_written" not in m.snapshot()
 
     def test_small_sample_p99_is_observed_value(self):
         m = ServiceMetrics()
@@ -473,19 +473,26 @@ class TestServiceMetricsShim:
         m.incr("requests")
         assert reg.counter("serve.requests").value == 1
 
-    def test_clock_promotion_compat(self):
-        # The serving module keeps re-exporting the promoted core clock.
-        from repro.core import clock as core_clock
-        from repro.serving import clock as serving_clock
+    def test_promotions_and_rollbacks_count_once_with_telemetry(self):
+        from repro.models.baselines import MostPopular
+        from repro.serving import RecommenderService
 
-        assert serving_clock.ManualClock is core_clock.ManualClock
-        assert serving_clock.system_clock is core_clock.system_clock
-        c = serving_clock.ManualClock()
-        c.advance(1.5)
-        c.sleep(0.5)  # alias preserved
-        assert c() == 2.0
-        with pytest.raises(ValueError):
-            c.advance(-1.0)
+        dataset = make_movie_dataset(seed=0)
+
+        def promote_swap_rollback(telemetry):
+            service = RecommenderService(
+                dataset, ("a", MostPopular().fit(dataset)),
+                clock=ManualClock(), telemetry=telemetry,
+            )
+            service.promote("b", MostPopular().fit(dataset))
+            service.rollback()
+            return service.metrics
+
+        on = promote_swap_rollback(Telemetry(clock=ManualClock()))
+        off = promote_swap_rollback(None)
+        for metrics in (on, off):
+            assert metrics.count("promotions") == 2
+            assert metrics.count("rollbacks") == 1
 
 
 # --------------------------------------------------------------------- #
@@ -551,4 +558,4 @@ class TestPanelAndServiceIntegration:
         traces = run_replay(service, clock, 0, 20)
         assert len(traces) == 20
         assert service.telemetry is NULL
-        assert service.metrics.counters["requests"] == 20
+        assert service.metrics.count("requests") == 20

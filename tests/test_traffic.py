@@ -261,7 +261,7 @@ class TestLoadHarness:
 
     def test_reconcile_detects_tampering(self):
         harness, service = _quick_run(5)
-        service.metrics.counters["status::ok"] += 1
+        service.metrics.incr("status::ok")
         with pytest.raises(AssertionError):
             harness.reconcile()
 
