@@ -10,7 +10,13 @@ Measures the two numbers the online subsystem exists for (see
 * **promote latency** — wall-clock seconds from "commit the dirty rows"
   to "candidate is live" (store commit + pinned serve-mode open + ANN
   index sync + canary probe + watch), reported as p50/p99 across every
-  promotion cycle of every seed.
+  promotion cycle of every seed;
+* **index build** — wall-clock seconds of each promotion's IVF build
+  (the ``retrieval/build`` spans), the largest part of a cycle.  Every
+  loop promotion builds warm, from the live index's centroids; only the
+  bootstrap build is cold, and it is not counted.
+
+Both are wall times, recorded with the host facts that explain them.
 
 Run as a script:
 
@@ -18,9 +24,10 @@ Run as a script:
     PYTHONPATH=src python benchmarks/bench_online.py --smoke   # CI smoke
 
 The full run writes machine-readable results to ``--out`` (default
-``benchmarks/BENCH_online.json``).  ``--smoke`` runs one small replay
-and asserts the invariants (bitwise old-or-new serving, positive
-freshness uplift) without recording timings.
+``benchmarks/BENCH_online.json``).  ``--smoke`` runs small replays and
+asserts the invariants (bitwise old-or-new serving, positive freshness
+uplift, warm promotion builds, trace-identical replays) without
+recording timings.
 """
 
 from __future__ import annotations
@@ -28,40 +35,61 @@ from __future__ import annotations
 import argparse
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.online.harness import (
     ChurnConfig,
+    _replay_trace,
     build_world,
     freshness_report,
     run_churn_cell,
 )
 from repro.runtime.faults import FaultPlan
+from repro.telemetry import Telemetry, activated
+
+if __package__:  # imported as ``benchmarks.bench_online`` (pytest collection)
+    from .bench_retrieval import host_facts
+else:  # run as a script: this directory is on sys.path
+    from bench_retrieval import host_facts
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_online.json"
 
 
 def bench_seed(workdir: Path, seed: int, config: ChurnConfig) -> dict:
-    """One fault-free replay: freshness + per-cycle promote wall times."""
-    world = build_world(workdir, seed, plan=FaultPlan(), config=config)
-    world.loop.run(config.num_batches)
+    """One fault-free replay: freshness, per-cycle promote and build times."""
+    tel = Telemetry(clock=time.perf_counter)
+    with activated(tel):
+        world = build_world(workdir, seed, plan=FaultPlan(), config=config)
+        world.loop.run(config.num_batches)
+    builds = [r for r in tel.tracer.records() if r.name == "retrieval/build"]
+    loop = world.loop
     fresh = freshness_report(world)
-    promoted = sum(1 for c in world.loop.cycles if c.outcome == "promoted")
+    promoted = sum(1 for c in loop.cycles if c.outcome == "promoted")
     out = {
         "seed": seed,
-        "batches": len(world.loop.batch_outcomes),
+        "batches": len(loop.batch_outcomes),
         "promotions": promoted,
         "newcomer_users": fresh["newcomer_users"],
         "new_items": fresh["new_items"],
         "hit_rate_online": fresh["hit_rate_online"],
         "hit_rate_frozen": fresh["hit_rate_frozen"],
         "freshness_uplift": fresh["freshness_uplift"],
-        "promote_wall_times_s": list(world.loop.promote_wall_times),
+        "promote_wall_times_s": list(loop.promote_wall_times),
+        # The first build is the bootstrap's; the rest are the cycles'.
+        "build_starts": [r.attrs["start"] for r in builds],
+        "build_wall_times_s": [r.duration for r in builds[1:]],
+        "trace": _replay_trace(world),
     }
-    world.loop.close()
+    loop.close()
     return out
+
+
+#: Per-seed rows drop these: the samples are summarized above them, and
+#: the trace is for the smoke's determinism check.
+_RAW_KEYS = ("promote_wall_times_s", "build_wall_times_s", "build_starts", "trace")
 
 
 def percentiles(samples: list[float]) -> dict:
@@ -75,23 +103,29 @@ def percentiles(samples: list[float]) -> dict:
 
 def run_full(args) -> dict:
     config = ChurnConfig(num_batches=args.batches)
+    host = host_facts()
+    print("host: " + json.dumps(host, sort_keys=True))
     rows = []
     with tempfile.TemporaryDirectory(prefix="bench-online-") as tmp:
         for seed in args.seeds:
             rows.append(bench_seed(Path(tmp) / f"seed{seed}", seed, config))
             r = rows[-1]
             lat = percentiles(r["promote_wall_times_s"])
+            build = percentiles(r["build_wall_times_s"])
             print(
                 f"seed {seed}: {r['promotions']} promotions over "
                 f"{r['batches']} batches, freshness "
                 f"online={r['hit_rate_online']:.3f} "
                 f"frozen={r['hit_rate_frozen']:.3f} "
                 f"(uplift {r['freshness_uplift']:+.3f}), promote "
-                f"p50 {lat['p50_ms']:.1f} ms / p99 {lat['p99_ms']:.1f} ms"
+                f"p50 {lat['p50_ms']:.1f} ms / p99 {lat['p99_ms']:.1f} ms, "
+                f"build p50 {build['p50_ms']:.2f} ms"
             )
     all_times = [t for r in rows for t in r["promote_wall_times_s"]]
+    build_times = [t for r in rows for t in r["build_wall_times_s"]]
     uplifts = [r["freshness_uplift"] for r in rows]
     result = {
+        "host": host,
         "config": {
             "num_batches": config.num_batches,
             "commit_every": config.commit_every,
@@ -118,8 +152,12 @@ def run_full(args) -> dict:
             "uplift_min": float(np.min(uplifts)),
         },
         "promote_latency": percentiles(all_times),
+        "build_wall_time": {
+            **percentiles(build_times),
+            "starts": sorted({s for r in rows for s in r["build_starts"][1:]}),
+        },
         "per_seed": [
-            {k: v for k, v in r.items() if k != "promote_wall_times_s"}
+            {k: v for k, v in r.items() if k not in _RAW_KEYS}
             for r in rows
         ],
     }
@@ -129,7 +167,8 @@ def run_full(args) -> dict:
         f"{result['freshness']['uplift_mean']:+.3f} "
         f"(min {result['freshness']['uplift_min']:+.3f}), promote latency "
         f"p50 {mean_lat['p50_ms']:.1f} ms / p99 {mean_lat['p99_ms']:.1f} ms "
-        f"across {len(all_times)} promotions"
+        f"across {len(all_times)} promotions, index build p50 "
+        f"{result['build_wall_time']['p50_ms']:.2f} ms"
     )
     return result
 
@@ -141,14 +180,21 @@ def run_smoke(args) -> None:
         cell = run_churn_cell(Path(tmp) / "none", 0, "none", config)
         assert cell.ok, f"churn cell failed: {cell.describe()}"
         row = bench_seed(Path(tmp) / "fresh", 0, config)
-        assert row["promotions"] >= 2, "smoke replay promoted too few times"
-        assert row["freshness_uplift"] > 0, (
-            "online freshness did not beat the frozen baseline: "
-            f"{row['hit_rate_online']:.3f} vs {row['hit_rate_frozen']:.3f}"
-        )
+        again = bench_seed(Path(tmp) / "again", 0, config)
+    assert row["promotions"] >= 2, "smoke replay promoted too few times"
+    assert row["freshness_uplift"] > 0, (
+        "online freshness did not beat the frozen baseline: "
+        f"{row['hit_rate_online']:.3f} vs {row['hit_rate_frozen']:.3f}"
+    )
+    starts = row["build_starts"]
+    assert starts == ["cold"] + ["warm"] * row["promotions"], (
+        f"expected a cold bootstrap build, then warm builds: {starts}"
+    )
+    assert row["trace"] == again["trace"], "warm-build replay is not deterministic"
     print(
         "online bench smoke OK: bitwise old-or-new held, "
-        f"{row['promotions']} promotions, freshness uplift "
+        f"{row['promotions']} promotions built warm, trace-identical "
+        f"replay ({len(row['trace'])} lines), freshness uplift "
         f"{row['freshness_uplift']:+.3f}"
     )
 

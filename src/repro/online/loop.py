@@ -18,10 +18,16 @@
    is the crash-safe commit point), open a *pinned* serve-mode view of
    that generation, wrap it in a fresh two-stage candidate, and push it
    through :meth:`RecommenderService.promote` — which syncs the ANN
-   index and runs the canary probe before the atomic swap;
+   index and runs the canary probe before the atomic swap.  The
+   candidate's index is the live index's
+   :meth:`~repro.retrieval.ivf.IvfIndex.successor`, so its build refines
+   the live centroids instead of clustering from scratch;
 4. after a successful swap, serve a short seeded **post-promotion
    watch**: a majority of non-ok responses rolls the live model back
-   through :meth:`RecommenderService.rollback` with a structured cause.
+   through :meth:`RecommenderService.rollback` with a structured cause;
+5. close every serve-mode store that neither the live model nor the
+   rollback target holds, so a long-running loop keeps at most two
+   generations mapped.
 
 Every served model holds its own serve-mode store pinned at its own
 generation, so the live model and the rollback target never share a
@@ -115,6 +121,7 @@ def make_candidate(
     index_seed: int = 0,
     k_candidates: int = 64,
     keep: list | None = None,
+    index: IvfIndex | None = None,
 ) -> TwoStageRecommender:
     """A fresh two-stage candidate pinned at one store ``generation``.
 
@@ -123,6 +130,8 @@ def make_candidate(
     current live model — promotion and rollback swap whole models, and
     a served score can only ever come from one committed generation.
     ``keep`` collects the opened store for caller-owned cleanup.
+    ``index`` is the unbuilt index to attach (default: a cold
+    ``IvfIndex(seed=index_seed)``).
     """
     store = MmapShardStore.open(store_dir, mode="serve", generation=int(generation))
     if keep is not None:
@@ -134,9 +143,9 @@ def make_candidate(
         relation_id=None,
         entity_table=ENTITY_TABLE,
     )
-    two = TwoStageRecommender(
-        base, IvfIndex(seed=index_seed), k_candidates=k_candidates
-    )
+    if index is None:
+        index = IvfIndex(seed=index_seed)
+    two = TwoStageRecommender(base, index, k_candidates=k_candidates)
     return two.fit(dataset)
 
 
@@ -198,6 +207,16 @@ class ChaosCandidate:
     def score_all(self, user_id: int) -> np.ndarray:
         scores = self.inner.score_all(user_id)
         return self._poison(scores) if self._armed else np.asarray(scores)
+
+
+def _unwrap(model):
+    """The candidate a :class:`ChaosCandidate` wraps (else ``model``)."""
+    return model.inner if isinstance(model, ChaosCandidate) else model
+
+
+def _serve_store(model) -> MmapShardStore | None:
+    """The serve-mode store behind a loop-built candidate."""
+    return getattr(getattr(_unwrap(model), "base", None), "store", None)
 
 
 class OnlineLoop:
@@ -270,6 +289,7 @@ class OnlineLoop:
             if self._applied_since_commit >= self.commit_every:
                 self._applied_since_commit = 0
                 self.cycles.append(self._promote_cycle(batch.step))
+                self._release_serve_stores()
 
     def _process_batch(self, batch) -> None:
         tel = self.telemetry
@@ -369,7 +389,7 @@ class OnlineLoop:
             self.trainer.store.directory, self.dataset,
             self.trainer.num_users, self.trainer.num_items, generation,
             index_seed=self.index_seed, k_candidates=self.k_candidates,
-            keep=self._serve_stores,
+            keep=self._serve_stores, index=self._successor_index(),
         )
         chaos: ChaosCandidate | None = None
         if kinds & {"sync_fail", "canary_regress", "late_regress"}:
@@ -415,6 +435,33 @@ class OnlineLoop:
                 latency=self.clock() - t0,
             )
         )
+
+    def _successor_index(self) -> IvfIndex | None:
+        """The live built index's successor; None means a cold build."""
+        registry = self.service.registry
+        live = _unwrap(registry.live) if registry.has_live else None
+        if isinstance(live, TwoStageRecommender) and live.index.is_built:
+            return live.index.successor()
+        return None
+
+    def _release_serve_stores(self) -> None:
+        """Close the serve stores no servable model holds.
+
+        Only the live model and the registry's rollback target can serve
+        again; rejected candidates and demoted generations cannot.
+        """
+        registry = self.service.registry
+        held = [registry.live] if registry.has_live else []
+        if registry._previous is not None:
+            held.append(registry._previous[1])
+        held_ids = {id(_serve_store(model)) for model in held}
+        kept = []
+        for store in self._serve_stores:
+            if id(store) in held_ids:
+                kept.append(store)
+            else:
+                store.close()
+        self._serve_stores = kept
 
     def _watch(self) -> int:
         """Seeded post-promotion probe traffic; returns non-ok count.

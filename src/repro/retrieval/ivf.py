@@ -32,6 +32,15 @@ Everything is vectorized NumPy and seed-deterministic:
   the table has distinct rows, so a degenerate table (many duplicates)
   can still leave cells empty; search skips them.
 
+A *successor* (:meth:`IvfIndex.successor`) is the rebuild path for a
+table that drifted a little since the last build (the online loop's
+promotions): its build starts k-means from the predecessor's centroids
+and refines them for ``_WARM_ROUNDS`` Lloyd rounds instead of drawing
+seeded centroids and running ``iters`` rounds.  A warm build changes the
+index, so it is judged by recall against a cold build, not by
+fingerprint.  When the start centroids do not fit (another resolved
+``num_lists`` or ``dim``) the build is cold, bit for bit.
+
 Two builds from the same seed and vectors are bitwise identical (equal
 :meth:`IvfIndex.fingerprint`).  ``save``/``load`` round-trip the full
 state through one ``.npz`` file, and a loaded index searches
@@ -64,6 +73,10 @@ __all__ = ["IvfIndex"]
 _BLOCK_SCORES = 2**20
 #: Floor on rows per block, so huge list counts still batch the matmul.
 _MIN_BLOCK_ROWS = 256
+#: Lloyd rounds of a successor's warm build: one refines centroids that
+#: already fit a slightly drifted table (two cost more and recalled no
+#: better on the online loop).
+_WARM_ROUNDS = 1
 
 #: Supported similarity metrics: ``"ip"`` ranks by descending inner
 #: product; ``"l2"`` by ascending squared euclidean distance (the TransE
@@ -86,7 +99,8 @@ class IvfIndex:
     nprobe:
         Cells probed per query (clamped to ``num_lists`` at search time).
     iters:
-        K-means refinement rounds.
+        K-means refinement rounds of a cold build (a successor's warm
+        build runs ``_WARM_ROUNDS``).
     train_size:
         Cap on vectors used to *train* the centroids (the full table is
         always assigned to lists).  ``None`` trains on everything.
@@ -124,6 +138,9 @@ class IvfIndex:
         self._centroids: np.ndarray | None = None  # (L, dim) float32
         self._offsets: np.ndarray | None = None  # (L + 1,) int64
         self._members: np.ndarray | None = None  # (n,) int64, grouped by cell
+        #: A successor's k-means start (the predecessor's centroids),
+        #: consumed by the next build.
+        self._start: np.ndarray | None = None
 
     @property
     def is_built(self) -> bool:
@@ -132,6 +149,30 @@ class IvfIndex:
     def _require_built(self) -> None:
         if not self.is_built:
             raise RetrievalError("IvfIndex has not been built")
+
+    def successor(self) -> "IvfIndex":
+        """A new, unbuilt index whose next build warm-starts from this one.
+
+        Same constructor configuration; its :meth:`build` refines a copy
+        of this index's centroids for ``_WARM_ROUNDS`` rounds instead of
+        running ``iters`` rounds from a seeded draw.  A build whose
+        resolved ``num_lists`` or ``dim`` differs from this index's is
+        cold, bit for bit what a fresh ``IvfIndex(...)`` builds.
+        """
+        self._require_built()
+        nxt = type(self)(
+            num_lists=self.num_lists, nprobe=self.nprobe, iters=self.iters,
+            train_size=self.train_size, seed=self.seed, metric=self.metric,
+        )
+        nxt._start = self._centroids
+        return nxt
+
+    def _warm_start(self, num_lists: int, dim: int) -> np.ndarray | None:
+        """The successor start when it fits a build of this shape."""
+        start = self._start
+        if start is not None and start.shape == (num_lists, dim):
+            return start
+        return None
 
     # ------------------------------------------------------------------ #
     # build
@@ -162,9 +203,15 @@ class IvfIndex:
         if self.train_size is not None and n > self.train_size:
             take = max(self.train_size, min(n, 64 * num_lists))
             train = vectors[np.sort(rng.choice(n, size=take, replace=False))]
-        centroids = train[
-            np.sort(rng.choice(train.shape[0], size=num_lists, replace=False))
-        ].astype(np.float32, copy=True)
+        start = self._warm_start(num_lists, train.shape[1])
+        if start is None:
+            centroids = train[
+                np.sort(rng.choice(train.shape[0], size=num_lists, replace=False))
+            ].astype(np.float32, copy=True)
+            rounds = self.iters
+        else:
+            centroids = start.copy()
+            rounds = _WARM_ROUNDS
         # Centroid sums are one bincount over (cell, dimension) bins,
         # ``cell * dim + d``: it adds each cell's rows in row order, in
         # float64, so every sum is the row-by-row accumulation bit for bit.
@@ -172,7 +219,7 @@ class IvfIndex:
         values = train.astype(np.float64).ravel()
         lanes = np.arange(dim)
         bins = np.empty(train.shape, dtype=np.int64)
-        for __ in range(self.iters):
+        for __ in range(rounds):
             assign = self._assign(train, centroids)
             np.add((assign * dim)[:, None], lanes, out=bins)
             sums = np.bincount(
@@ -213,10 +260,13 @@ class IvfIndex:
             num_lists = max(1, int(round(float(n) ** 0.5)))
         num_lists = min(num_lists, n)
         tel = get_active()
+        warm = self._warm_start(num_lists, dim) is not None
         span = (
             tel.begin(
                 "retrieval/build", kind=self.kind, vectors=n, dim=dim,
                 lists=num_lists, generation=generation,
+                start="warm" if warm else "cold",
+                rounds=_WARM_ROUNDS if warm else self.iters,
             )
             if tel.enabled
             else None
@@ -231,6 +281,7 @@ class IvfIndex:
         self._offsets = offsets
         self._members = order.astype(np.int64)
         self.num_vectors, self.dim = n, dim
+        self._start = None
         self.generation = int(generation) if generation is not None else None
         if span is not None:
             tel.counter("retrieval.index_builds", index=self.kind).inc()

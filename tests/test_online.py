@@ -26,10 +26,12 @@ from repro.runtime.faults import (
     FaultPlan,
     InjectedCrash,
 )
+from repro.retrieval import IvfIndex
 from repro.serving.registry import ModelRegistry
 from repro.store.mmap import MmapShardStore
 from repro.telemetry import (
     Telemetry,
+    activated,
     read_jsonl,
     render_trace_report,
     write_jsonl,
@@ -46,6 +48,7 @@ from repro.online import (
 from repro.online.harness import (
     ChurnConfig,
     SERVE_STATUSES,
+    _served_bytes,
     build_world,
     default_plan_for,
     freshness_report,
@@ -529,6 +532,120 @@ class TestChurnMatrix:
         assert "post_promotion_regression" in str(
             world.service.registry.history
         )
+        world.loop.close()
+
+    def test_only_servable_generations_keep_their_stores_open(
+        self, tmp_path, monkeypatch
+    ):
+        opened = []
+        open_store = MmapShardStore.open
+
+        def recording_open(*args, **kwargs):
+            store = open_store(*args, **kwargs)
+            if store.mode == "serve":
+                opened.append(store)
+            return store
+
+        monkeypatch.setattr(MmapShardStore, "open", recording_open)
+        plan = FaultPlan(
+            [Fault(step=15, kind="sync_fail"), Fault(step=31, kind="late_regress")]
+        )
+        config = ChurnConfig(num_batches=56)
+        world = build_world(tmp_path, seed=0, plan=plan, config=config)
+        loop, registry = world.loop, world.service.registry
+        for __ in range(config.num_batches):
+            cycles = len(loop.cycles)
+            loop.run(1)
+            if len(loop.cycles) == cycles:
+                continue
+            still_open = [s for s in opened if not s._closed]
+            assert len(still_open) <= 2
+            # The live model still serves its committed bytes, bitwise.
+            assert _served_bytes(registry.live) == (
+                loop.committed[loop.live_generation()]
+            )
+        outcomes = [c.outcome for c in loop.cycles]
+        assert len(outcomes) == 7
+        assert outcomes[1] == "rejected" and outcomes[3] == "rolled_back"
+        assert loop.cycles[1].detail.startswith("index_sync:")
+        # One store per candidate plus the bootstrap's, nearly all closed.
+        assert len(opened) == 8
+        assert sum(not s._closed for s in opened) == 2
+        loop.close()
+        assert all(s._closed for s in opened)
+
+
+# ---------------------------------------------------------------------- #
+# warm index builds on promotion
+# ---------------------------------------------------------------------- #
+#: The ledger's online world at its smoke size: 2,000 items in 45 IVF
+#: lists, 128 candidates, so candidate recall is below 1 and can move.
+SMOKE_WORLD = ChurnConfig(
+    num_batches=40, commit_every=8, model_dim=32, rows_per_shard=1024,
+    k_candidates=128,
+    stream=StreamConfig(
+        num_users=256, num_items=2_000, warm_users=192, warm_items=1_600,
+        session_size=16,
+    ),
+)
+
+
+def candidate_recall(model, index, users, k=10):
+    """Mean recall@k of ``index``'s candidates against ``model``'s exact
+    ranking (the live two-stage model's base)."""
+    recalls = []
+    for user in users:
+        scores = np.asarray(model.score_all(int(user)))
+        truth = np.argpartition(-scores, k - 1)[:k]
+        query = np.asarray(model.query_vector(int(user)), dtype=np.float32)
+        ids = index.search(query, SMOKE_WORLD.k_candidates)
+        recalls.append(np.intersect1d(ids, truth).size / k)
+    return float(np.mean(recalls))
+
+
+class TestWarmPromotionBuilds:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_index_recalls_like_a_cold_build(self, tmp_path, seed):
+        tel = Telemetry()
+        with activated(tel):
+            world = build_world(tmp_path, seed, config=SMOKE_WORLD)
+            world.loop.run(SMOKE_WORLD.num_batches)
+        builds = [
+            (r.attrs["start"], r.attrs["rounds"])
+            for r in tel.tracer.records() if r.name == "retrieval/build"
+        ]
+        promoted = [c for c in world.loop.cycles if c.outcome == "promoted"]
+        assert len(promoted) >= 5
+        # The bootstrap builds cold; every promotion after it builds warm.
+        assert builds == [("cold", 8)] + [("warm", 1)] * len(promoted)
+
+        live = world.service.registry.live
+        vectors = np.ascontiguousarray(live.base.item_vectors(), dtype=np.float32)
+        cold = IvfIndex(seed=seed).build(vectors, generation=live.generation)
+        seen = world.stream.seen_users
+        users = np.random.default_rng(seed).choice(
+            seen, size=min(200, seen), replace=False
+        )
+        warm_recall = candidate_recall(live.base, live.index, users)
+        cold_recall = candidate_recall(live.base, cold, users)
+        assert warm_recall >= cold_recall - 0.05
+        world.loop.close()
+
+    def test_candidate_takes_the_index_it_is_given(self, tmp_path):
+        world = build_world(tmp_path, seed=0, plan=FaultPlan(), config=SMALL)
+        live = world.service.registry.live
+        nxt = live.index.successor()
+        keep = []
+        candidate = make_candidate(
+            world.store_dir, world.dataset, world.trainer.num_users,
+            world.trainer.num_items, world.bootstrap_generation,
+            keep=keep, index=nxt,
+        )
+        assert candidate.index is nxt
+        candidate.sync_index()
+        assert candidate.index.is_built
+        for store in keep:
+            store.close()
         world.loop.close()
 
 

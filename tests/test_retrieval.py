@@ -305,6 +305,120 @@ class TestIvfBuildOracle:
 
 
 # ---------------------------------------------------------------------- #
+# successor (warm-started) builds
+# ---------------------------------------------------------------------- #
+def drift(items, seed, scale=0.05):
+    """``items`` after a small update, like a few batches of training."""
+    rng = np.random.default_rng(seed)
+    return (items + scale * rng.standard_normal(items.shape)).astype(np.float32)
+
+
+class TestIvfSuccessor:
+    """A warm build changes the index, so it is held to determinism, the
+    search contract and recall against a cold build, not to a fingerprint
+    oracle.  Cold builds keep theirs (``TestIvfBuildOracle``)."""
+
+    def test_same_config_and_unbuilt(self, catalog):
+        items, __ = catalog
+        live = IvfIndex(num_lists=12, nprobe=3, iters=5, train_size=500,
+                        seed=4, metric="l2").build(items)
+        nxt = live.successor()
+        assert not nxt.is_built
+        assert nxt._meta()["config"] == live._meta()["config"]
+        assert (nxt.seed, nxt.metric) == (4, "l2")
+
+    def test_unbuilt_index_has_no_successor(self):
+        with pytest.raises(RetrievalError):
+            IvfIndex().successor()
+
+    def test_two_successors_build_identically(self, catalog):
+        items, __ = catalog
+        live = IvfIndex(seed=2).build(items, generation=1)
+        moved = drift(items, seed=0)
+        first = live.successor().build(moved, generation=2)
+        second = live.successor().build(moved, generation=2)
+        assert first.fingerprint() == second.fingerprint()
+        # A warm build is not the cold one, and leaves the live index be.
+        assert first.fingerprint() != IvfIndex(seed=2).build(
+            moved, generation=2
+        ).fingerprint()
+        assert live.fingerprint() == IvfIndex(seed=2).build(
+            items, generation=1
+        ).fingerprint()
+
+    @pytest.mark.parametrize("n", (400, 37))
+    def test_start_that_does_not_fit_builds_cold(self, catalog, n):
+        # 600 rows resolve to 24 lists; 400 and 37 rows to 20 and 6.
+        items, __ = catalog
+        live = IvfIndex(seed=1).build(items)
+        built = live.successor().build(items[:n], generation=7)
+        assert built.fingerprint() == IvfIndex(seed=1).build(
+            items[:n], generation=7
+        ).fingerprint()
+
+    def test_other_dim_builds_cold(self, catalog):
+        items, __ = catalog
+        live = IvfIndex(seed=1, num_lists=10).build(items)
+        narrow = np.ascontiguousarray(items[:, :8])
+        assert live.successor().build(narrow).fingerprint() == (
+            IvfIndex(seed=1, num_lists=10).build(narrow).fingerprint()
+        )
+
+    def test_search_contract(self, catalog):
+        items, queries = catalog
+        n = items.shape[0]
+        for seed in (0, 1, 2):
+            live = IvfIndex(seed=seed).build(items)
+            warm = live.successor().build(drift(items, seed))
+            assert_search_contract(warm, queries, n, (1, 5, 50, n))
+        # Subsampled training keeps its seeded draw on a warm build.
+        live = IvfIndex(seed=0, train_size=200, num_lists=4).build(items)
+        warm = live.successor().build(drift(items, 3))
+        assert_search_contract(warm, queries, n, (1, 5, 50))
+
+    def test_empty_cells_meet_search_contract(self):
+        # The degenerate table: the warm round re-seeds empty cells the
+        # same way a cold round does, and 15 of 20 still stay empty.
+        items = duplicated(400, 5, 16, seed=3)
+        n = items.shape[0]
+        queries = clustered(6, 16, seed=4)
+        for nprobe in (1, 16):
+            live = IvfIndex(seed=0, num_lists=20, nprobe=nprobe).build(items)
+            warm = live.successor().build(items)
+            assert empty_cells(warm) == 15
+            assert_search_contract(warm, queries, n, (1, 5, n))
+
+    def test_save_load_round_trip(self, catalog, tmp_path):
+        items, queries = catalog
+        live = IvfIndex(seed=4).build(items, generation=8)
+        warm = live.successor().build(drift(items, 1), generation=9)
+        loaded = IvfIndex.load(warm.save(tmp_path / "warm.npz"))
+        assert loaded.generation == 9
+        assert loaded.fingerprint() == warm.fingerprint()
+        for q in queries:
+            assert np.array_equal(loaded.search(q, 32), warm.search(q, 32))
+
+    def test_recall_matches_a_cold_build(self):
+        # Few probes over 5,000 rows, so recall is below 1 and can differ.
+        items = clustered(5_000, 16, seed=1)
+        moved = drift(items, seed=9)
+        queries = clustered(64, 16, seed=2)
+        truth = [exact_topk(moved, q, 10) for q in queries]
+
+        def recall(index):
+            return np.mean(
+                [recall_at_k(index.search(q, 64), t) for q, t in zip(queries, truth)]
+            )
+
+        warm, cold = [], []
+        for seed in (0, 1, 2):
+            live = IvfIndex(seed=seed, nprobe=4).build(items)
+            warm.append(recall(live.successor().build(moved)))
+            cold.append(recall(IvfIndex(seed=seed, nprobe=4).build(moved)))
+        assert np.mean(warm) >= np.mean(cold) - 0.02
+
+
+# ---------------------------------------------------------------------- #
 # the two-stage wrapper
 # ---------------------------------------------------------------------- #
 @pytest.fixture()
