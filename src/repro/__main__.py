@@ -8,15 +8,12 @@ Usage::
     python -m repro study e3 --parallel --workers 4   # same rows, pool speed
     python -m repro scenarios          # list dataset generators
     python -m repro models             # list implemented models by family
-    python -m repro serve-demo         # chaos replay through the serving layer
-    python -m repro load-test          # persona-driven load run + LoadReport
-    python -m repro retrieval-demo     # ANN rung: staleness + index-synced promote
-    python -m repro online-demo        # continuous deployment under churn + faults
+    python -m repro fault-matrix       # every subsystem x seed x fault kind
+    python -m repro fault-matrix store online --seeds 0,1
     python -m repro trace-report f.jsonl   # render a --trace-out capture
     python -m repro store-verify DIR   # fsck an embedding store (--repair)
-    python -m repro durability-smoke   # crash-matrix sweep (CI mode)
 
-``study`` and ``serve-demo`` accept ``--trace-out <path>`` to export the
+``study`` and ``fault-matrix`` accept ``--trace-out <path>`` to export a
 run's telemetry (spans + metrics) as JSONL; ``trace-report`` renders such
 a capture as a span tree with self/total times, hotspots, and outcome
 summaries (``--check`` schema-validates instead, for CI).
@@ -26,6 +23,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+#: The subsystems ``fault-matrix`` sweeps, in run order.
+FAULT_SUBSYSTEMS = ("store", "online", "serving", "traffic", "retrieval")
 
 
 def _cmd_table(number: int) -> str:
@@ -128,61 +128,6 @@ def _cmd_models() -> str:
     return "\n".join(lines)
 
 
-def _cmd_serve_demo(args) -> str:
-    from repro.serving.demo import (
-        build_demo_service,
-        demo_report,
-        run_replay,
-        run_smoke,
-    )
-
-    if args.smoke:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-        return run_smoke(
-            seeds=seeds, num_requests=args.requests, trace_out=args.trace_out
-        )
-    service, clock, __ = build_demo_service(
-        args.seed, args.requests, fault_rate=args.fault_rate,
-        trace=args.trace_out is not None,
-    )
-    traces = run_replay(service, clock, args.seed, args.requests)
-    report = demo_report(service, traces)
-    if args.trace_out:
-        path = service.telemetry.export_jsonl(args.trace_out)
-        report += f"\n\ntrace capture written to {path}"
-    return report
-
-
-def _cmd_load_test(args) -> str:
-    from repro.traffic.demo import run_load_test, run_smoke
-
-    if args.smoke:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-        return run_smoke(seeds=seeds)
-    return run_load_test(
-        scenario=args.scenario,
-        seed=args.seed,
-        horizon=args.horizon,
-        rate_scale=args.rate_scale,
-        fault_rate=args.fault_rate,
-    )
-
-
-def _cmd_retrieval_demo(args) -> str:
-    from repro.retrieval.demo import run_demo
-
-    return run_demo(seed=args.seed, num_requests=args.requests)
-
-
-def _cmd_online_demo(args) -> str:
-    from repro.online.demo import run_demo, run_smoke
-
-    if args.smoke:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-        return run_smoke(seeds=seeds)
-    return run_demo(seed=args.seed, num_batches=args.batches)
-
-
 def _cmd_trace_report(args) -> str:
     from repro.telemetry import check_trace, trace_report
 
@@ -228,27 +173,67 @@ def _cmd_store_verify(args) -> str:
     return out
 
 
-def _cmd_durability_smoke(args) -> str:
-    import tempfile
-    from pathlib import Path
+def _cmd_fault_matrix(args) -> str:
+    from functools import partial
 
-    from repro.store.harness import make_corrupted_store, run_smoke
+    from repro.core.exceptions import ConfigError
+    from repro.online.harness import churn_cells
+    from repro.retrieval.demo import staleness_cells
+    from repro.runtime.faults import (
+        IO_FAULT_KINDS,
+        ONLINE_FAULT_KINDS,
+        SERVING_FAULT_KINDS,
+        run_matrix,
+    )
+    from repro.serving.demo import chaos_cells
+    from repro.store.harness import crash_cells, make_corrupted_store
+    from repro.traffic.demo import load_cells
 
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    lines = []
-    with tempfile.TemporaryDirectory(prefix="durability-smoke-") as tmp:
-        workdir = Path(args.workdir) if args.workdir else Path(tmp)
-        results = run_smoke(workdir, seeds=seeds)
-        lines.extend(r.summary() for r in results)
-        cells = sum(len(r.cells) for r in results)
-        lines.append(
-            f"durability smoke OK: {cells} crash cells across "
-            f"{len(seeds)} seeds, 0 violations"
+    unknown = sorted(set(args.subsystems) - set(FAULT_SUBSYSTEMS))
+    if unknown:
+        raise SystemExit(
+            f"fault-matrix: unknown subsystem(s) {unknown}; choose from "
+            f"{', '.join(FAULT_SUBSYSTEMS)}"
+        )
+    chosen = args.subsystems or FAULT_SUBSYSTEMS
+    if args.trace_out and "serving" not in chosen:
+        raise SystemExit(
+            "fault-matrix: --trace-out needs the serving subsystem"
+        )
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    except ValueError:
+        raise SystemExit(
+            f"fault-matrix: --seeds must be comma-separated integers, "
+            f"got {args.seeds!r}"
+        )
+    cell_fns = {
+        "store": (IO_FAULT_KINDS, crash_cells),
+        "online": (ONLINE_FAULT_KINDS, churn_cells),
+        "serving": (
+            SERVING_FAULT_KINDS, partial(chaos_cells, trace_out=args.trace_out)
+        ),
+        "traffic": (SERVING_FAULT_KINDS, load_cells),
+        "retrieval": (("index_stale",), staleness_cells),
+    }
+    try:
+        out = run_matrix(
+            {name: fns for name, fns in cell_fns.items() if name in chosen},
+            seeds,
+            args.workdir,
+        )
+    except ConfigError as exc:
+        raise SystemExit(f"fault-matrix: {exc}")
+    except AssertionError as exc:
+        raise SystemExit(str(exc))
+    if args.trace_out:
+        out += (
+            f"\ntrace capture (seed {seeds[-1]}) written to {args.trace_out}"
         )
     if args.corrupt_store_out:
         store_dir = make_corrupted_store(args.corrupt_store_out, seed=seeds[0])
-        lines.append(f"deliberately corrupted store left at {store_dir}")
-    return "\n".join(lines)
+        out += f"\ndeliberately corrupted store left at {store_dir}"
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -282,80 +267,33 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("scenarios", help="list synthetic dataset generators")
     sub.add_parser("models", help="list implemented models by family")
 
-    p_serve = sub.add_parser(
-        "serve-demo",
-        help="seeded chaos traffic replay through the fault-tolerant serving layer",
+    p_matrix = sub.add_parser(
+        "fault-matrix",
+        help="replay every subsystem's faults over a seed matrix and assert "
+        "its safety contract; reports every violation, then fails",
     )
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--requests", type=int, default=300)
-    p_serve.add_argument("--fault-rate", type=float, default=0.10)
-    p_serve.add_argument(
-        "--smoke", action="store_true",
-        help="assert chaos invariants over a seed matrix (CI mode)",
+    p_matrix.add_argument(
+        "subsystems", nargs="*", metavar="SUBSYSTEM",
+        help="subsystems to sweep (default: all of "
+        f"{', '.join(FAULT_SUBSYSTEMS)})",
     )
-    p_serve.add_argument(
-        "--seeds", default="0,1,2",
-        help="comma-separated seed matrix for --smoke",
-    )
-    p_serve.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="run traced and export the telemetry capture as JSONL "
-        "(with --smoke: also assert trace determinism + outcome reconciliation)",
-    )
-
-    p_load = sub.add_parser(
-        "load-test",
-        help="persona-driven traffic replay: population + schedule + load "
-        "report with exact telemetry reconciliation",
-    )
-    p_load.add_argument(
-        "--scenario", default="movie",
-        help="Table-4 scenario whose persona mix drives the load",
-    )
-    p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument(
-        "--horizon", type=float, default=2.0,
-        help="simulated seconds of traffic",
-    )
-    p_load.add_argument(
-        "--rate-scale", type=float, default=8.0,
-        help="global arrival-rate multiplier (the throughput dial)",
-    )
-    p_load.add_argument("--fault-rate", type=float, default=0.0)
-    p_load.add_argument(
-        "--smoke", action="store_true",
-        help="assert determinism, response/shed-rate invariants, telemetry "
-        "reconciliation, and the persona-driven online bridge (CI mode)",
-    )
-    p_load.add_argument(
+    p_matrix.add_argument(
         "--seeds", default="0,1,2,3,4",
-        help="comma-separated seed matrix for --smoke",
+        help="comma-separated distinct non-negative seeds",
     )
-
-    p_retr = sub.add_parser(
-        "retrieval-demo",
-        help="two-stage retrieval replay: ANN rung, injected + real index "
-        "staleness, and an index-synced re-promotion",
+    p_matrix.add_argument(
+        "--workdir", default=None, metavar="DIR",
+        help="keep cell artifacts in DIR (must be empty) instead of a "
+        "temp dir",
     )
-    p_retr.add_argument("--seed", type=int, default=0)
-    p_retr.add_argument("--requests", type=int, default=150)
-
-    p_online = sub.add_parser(
-        "online-demo",
-        help="online learning loop: seeded interaction stream with churn, "
-        "shadow-trained store commits, canary promotions, rollback, and "
-        "crash recovery",
+    p_matrix.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="write the last seed's serving telemetry capture as JSONL",
     )
-    p_online.add_argument("--seed", type=int, default=0)
-    p_online.add_argument("--batches", type=int, default=60)
-    p_online.add_argument(
-        "--smoke", action="store_true",
-        help="run the full stream x fault churn matrix and assert bitwise "
-        "old-or-new serving, quarantine, and rollback invariants (CI mode)",
-    )
-    p_online.add_argument(
-        "--seeds", default="0,1,2",
-        help="comma-separated seed matrix for --smoke",
+    p_matrix.add_argument(
+        "--corrupt-store-out", default=None, metavar="DIR",
+        help="also build a store with a deliberately rotted newest "
+        "generation at DIR (for exercising store-verify --repair)",
     )
 
     p_trace = sub.add_parser(
@@ -380,25 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         "consistent generation",
     )
 
-    p_dur = sub.add_parser(
-        "durability-smoke",
-        help="crash-matrix sweep: inject every IO fault kind at every store "
-        "IO op and assert recovery lands on exactly one generation (CI mode)",
-    )
-    p_dur.add_argument(
-        "--seeds", default="0,1,2,3,4",
-        help="comma-separated scenario seeds to sweep",
-    )
-    p_dur.add_argument(
-        "--workdir", default=None, metavar="DIR",
-        help="keep matrix artifacts here instead of a temp dir",
-    )
-    p_dur.add_argument(
-        "--corrupt-store-out", default=None, metavar="DIR",
-        help="also build a store with a deliberately rotted newest "
-        "generation at DIR (for exercising store-verify --repair)",
-    )
-
     p_report = sub.add_parser("report", help="build the full reproduction report")
     p_report.add_argument("--output", "-o", default=None, help="write to file")
     p_report.add_argument("--full", action="store_true", help="full-size studies")
@@ -416,20 +335,12 @@ def main(argv: list[str] | None = None) -> int:
         print(_cmd_scenarios())
     elif args.command == "models":
         print(_cmd_models())
-    elif args.command == "serve-demo":
-        print(_cmd_serve_demo(args))
-    elif args.command == "load-test":
-        print(_cmd_load_test(args))
-    elif args.command == "retrieval-demo":
-        print(_cmd_retrieval_demo(args))
-    elif args.command == "online-demo":
-        print(_cmd_online_demo(args))
+    elif args.command == "fault-matrix":
+        print(_cmd_fault_matrix(args))
     elif args.command == "trace-report":
         print(_cmd_trace_report(args))
     elif args.command == "store-verify":
         print(_cmd_store_verify(args))
-    elif args.command == "durability-smoke":
-        print(_cmd_durability_smoke(args))
     elif args.command == "report":
         from repro.experiments.report import build_report, write_report
 

@@ -16,9 +16,8 @@ layers —
   through the :class:`~repro.serving.registry.ModelRegistry` (PR 7's
   ``sync_index`` promotion), watch, and roll back regressions;
 * :mod:`repro.online.harness` — the churn matrix replaying seeded
-  stream x fault scenarios with bitwise old-or-new assertions;
-* :mod:`repro.online.demo` — the narrated chaos demo behind
-  ``python -m repro online-demo`` and the CI smoke job.
+  stream x fault scenarios with bitwise old-or-new assertions: the
+  online cells of ``python -m repro fault-matrix``.
 
 See ``docs/online.md`` for the architecture and the fault matrix.
 """

@@ -23,6 +23,9 @@ the loop's safety contract:
 :func:`freshness_report` measures what the loop buys: hit-rate against
 the stream's hidden ground truth on *newly introduced* users, served
 online vs a baseline frozen at the bootstrap generation.
+:func:`churn_cells` is the online cell function of
+``python -m repro fault-matrix``: every kind's cell plus the determinism
+and freshness checks.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.core.interactions import InteractionMatrix
 from repro.runtime.faults import (
     ONLINE_FAULT_KINDS,
     Fault,
+    FaultCell,
     FaultInjector,
     FaultPlan,
     InjectedCrash,
@@ -58,7 +62,7 @@ __all__ = [
     "run_churn_cell",
     "run_churn_matrix",
     "freshness_report",
-    "run_smoke",
+    "churn_cells",
     "SERVE_STATUSES",
 ]
 
@@ -204,11 +208,10 @@ class ChurnCell:
     rejected: int
     rolled_back: int
     problems: tuple[str, ...] = ()
+    fired: tuple[str, ...] = ()  # the fault kinds the injector recorded
 
     def describe(self) -> str:
-        verdict = "ok" if self.ok else "FAIL"
         out = (
-            f"seed={self.seed} kind={self.kind:<14s} {verdict} "
             f"gen={self.served_generation} "
             f"committed={list(self.committed_generations)} "
             f"batches={self.batches} q={self.quarantined} "
@@ -295,9 +298,9 @@ def run_churn_cell(
 
     quarantined = [b for b in loop.batch_outcomes if b.status == "quarantined"]
     outcomes = {c.outcome for c in loop.cycles}
-    injected_kinds = [
+    injected_kinds = tuple(
         f.kind for f in (world.injector.injected if world.injector else [])
-    ]
+    )
 
     for b in quarantined:
         if "OnlineUpdateError" not in b.error:
@@ -383,22 +386,19 @@ def run_churn_cell(
         rejected=sum(1 for c in loop.cycles if c.outcome == "rejected"),
         rolled_back=sum(1 for c in loop.cycles if c.outcome == "rolled_back"),
         problems=tuple(problems),
+        fired=tuple(sorted(set(injected_kinds))),
     )
     return cell
 
 
 def run_churn_matrix(
-    workdir: str | Path,
-    seed: int,
-    kinds: tuple[str, ...] = ("none",) + ONLINE_FAULT_KINDS,
-    config: ChurnConfig | None = None,
-    stream_factory=None,
+    workdir: str | Path, seed: int, config: ChurnConfig | None = None
 ) -> list[ChurnCell]:
     """Every fault kind once for ``seed``, each cell in its own directory."""
     workdir = Path(workdir)
     return [
-        run_churn_cell(workdir / kind, seed, kind, config, stream_factory)
-        for kind in kinds
+        run_churn_cell(workdir / kind, seed, kind, config)
+        for kind in ("none",) + ONLINE_FAULT_KINDS
     ]
 
 
@@ -495,56 +495,45 @@ def freshness_report(world: World, k: int = 10) -> dict:
     return report
 
 
-def run_smoke(
-    workdir: str | Path,
-    seeds: tuple[int, ...] = (0, 1, 2),
-    config: ChurnConfig | None = None,
-) -> str:
-    """Full churn matrix + determinism + freshness; raises on violation."""
-    config = config if config is not None else ChurnConfig()
-    workdir = Path(workdir)
-    lines: list[str] = []
-    for seed in seeds:
-        cells = run_churn_matrix(workdir / f"seed{seed}", seed, config=config)
-        for cell in cells:
-            lines.append(cell.describe())
-            if not cell.ok:
-                raise AssertionError(
-                    "churn cell violation: " + cell.describe()
-                )
+def churn_cells(seed: int, workdir: str | Path) -> list[FaultCell]:
+    """Every kind's churn cell for ``seed``, then determinism + freshness.
 
-        # Determinism: a fault-free replay run twice is byte-identical.
-        traces = []
-        for run in ("a", "b"):
-            world = build_world(
-                workdir / f"seed{seed}" / f"determinism-{run}", seed,
-                plan=FaultPlan(), config=config,
-            )
-            world.loop.run(config.num_batches)
-            traces.append(_replay_trace(world))
-            if run == "b":
-                fresh = freshness_report(world)
-                if fresh["hit_rate_online"] + 1e-12 < fresh["hit_rate_frozen"]:
-                    raise AssertionError(
-                        f"seed {seed}: online freshness "
-                        f"{fresh['hit_rate_online']:.3f} fell below the "
-                        f"frozen baseline {fresh['hit_rate_frozen']:.3f}"
-                    )
-                lines.append(
-                    f"seed={seed} freshness: newcomers="
-                    f"{fresh['newcomer_users']} online="
-                    f"{fresh['hit_rate_online']:.3f} frozen="
-                    f"{fresh['hit_rate_frozen']:.3f} uplift="
-                    f"{fresh['freshness_uplift']:+.3f}"
-                )
-            world.loop.close()
-        if traces[0] != traces[1]:
-            raise AssertionError(
-                f"seed {seed}: fault-free replay is not deterministic"
-            )
-        lines.append(f"seed={seed} determinism: {len(traces[0])} trace lines identical")
-    lines.append(
-        f"churn matrix clean: {len(seeds)} seed(s) x "
-        f"{1 + len(ONLINE_FAULT_KINDS)} kinds, bitwise old-or-new held"
-    )
-    return "\n".join(lines)
+    The determinism cell replays the fault-free stream twice and requires
+    byte-identical traces; its second world must serve newcomers at least
+    as well as the baseline frozen at the bootstrap generation.
+    """
+    config = ChurnConfig()
+    workdir = Path(workdir)
+    cells = [
+        FaultCell("online", seed, c.kind, c.problems, c.fired, c.describe())
+        for c in run_churn_matrix(workdir, seed, config=config)
+    ]
+    traces = []
+    for run in ("a", "b"):
+        world = build_world(
+            workdir / f"determinism-{run}", seed, plan=FaultPlan(),
+            config=config,
+        )
+        world.loop.run(config.num_batches)
+        traces.append(_replay_trace(world))
+        if run == "b":
+            fresh = freshness_report(world)
+        world.loop.close()
+    problems = []
+    if traces[0] != traces[1]:
+        problems.append("fault-free replay is not deterministic")
+    if fresh["hit_rate_online"] + 1e-12 < fresh["hit_rate_frozen"]:
+        problems.append(
+            f"online freshness {fresh['hit_rate_online']:.3f} fell below "
+            f"the frozen baseline {fresh['hit_rate_frozen']:.3f}"
+        )
+    cells.append(FaultCell(
+        "online", seed, "determinism", tuple(problems),
+        summary=(
+            f"{len(traces[0])} trace lines identical; freshness newcomers="
+            f"{fresh['newcomer_users']} online={fresh['hit_rate_online']:.3f} "
+            f"frozen={fresh['hit_rate_frozen']:.3f} "
+            f"uplift={fresh['freshness_uplift']:+.3f}"
+        ),
+    ))
+    return cells

@@ -20,9 +20,10 @@ an *exact rerank* of only the candidates (see ``docs/retrieval.md``):
 
 Benchmarks (recall@k vs exact, p50/p99 latency at 10^5 and 10^6 items)
 live in ``benchmarks/bench_retrieval.py`` →
-``benchmarks/BENCH_retrieval.json``; ``python -m repro retrieval-demo``
-replays the ANN rung, an injected staleness episode, and an index-synced
-promotion end to end.
+``benchmarks/BENCH_retrieval.json``; :mod:`repro.retrieval.demo` holds
+the retrieval cells of ``python -m repro fault-matrix``, which replay the
+ANN rung, injected and real staleness, and an index-synced promotion end
+to end and assert each episode's typed outcomes.
 """
 
 from __future__ import annotations

@@ -1,20 +1,23 @@
-"""End-to-end replay of the two-stage retrieval serving path.
+"""The two-stage retrieval serving path under staleness.
 
-``python -m repro retrieval-demo`` builds a synthetic catalog with
-clustered embeddings, promotes a :class:`TwoStageRecommender` (IVF
-candidates + exact rerank) as the live rung of a
-:class:`~repro.serving.service.RecommenderService` — the promotion
-itself builds the ANN index, via ``ModelRegistry.promote`` calling
-``sync_index`` — then walks the three episodes that define the design:
+:func:`build_demo` builds a synthetic catalog with clustered embeddings
+and promotes a :class:`TwoStageRecommender` (IVF candidates + exact
+rerank) as the live rung of a
+:class:`~repro.serving.service.RecommenderService` — the promotion itself
+builds the ANN index, via ``ModelRegistry.promote`` calling
+``sync_index``.  :func:`staleness_cells`, the retrieval cell function of
+``python -m repro fault-matrix``, walks the three episodes that define
+the design and asserts each one's typed outcomes:
 
-1. **steady state** — requests served ``ok`` by the ANN rung, with a
-   seeded sprinkle of injected ``index_stale`` faults degrading
-   individual requests to the exact rung (typed, never an error);
+1. **steady state** — requests are served ``ok`` by the ANN rung, and a
+   seeded sprinkle of injected ``index_stale`` faults degrades individual
+   requests to the exact rung (typed, never an error);
 2. **real staleness** — the embedding tables are swapped to a new
-   generation *without* rebuilding the index; every request now degrades
-   to the exact rung because the stale index refuses to serve;
+   generation *without* rebuilding the index; every request degrades to
+   the exact rung because the stale index refuses to serve;
 3. **re-promotion** — promoting the model again rebuilds the index
-   against the new generation atomically, and requests return to ``ok``.
+   against the new generation atomically, and every request is ``ok``
+   from the ANN rung again.
 """
 
 from __future__ import annotations
@@ -24,13 +27,16 @@ import numpy as np
 from repro.core.clock import ManualClock
 from repro.core.rng import ensure_rng
 from repro.data import MOVIE_SCHEMA, generate_dataset
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultCell, FaultInjector, FaultPlan
 from repro.serving.service import RecommenderService, ServeRequest
 
 from .ivf import IvfIndex
 from .two_stage import ArrayEmbeddingRecommender, TwoStageRecommender
 
-__all__ = ["build_demo", "run_demo"]
+__all__ = ["build_demo", "staleness_cells"]
+
+#: Requests in the steady-state episode; the later two replay 30 each.
+NUM_REQUESTS = 150
 
 
 def _clustered(rng, rows: int, dim: int, centers: np.ndarray) -> np.ndarray:
@@ -43,7 +49,7 @@ def build_demo(
     num_users: int = 64,
     num_items: int = 2_000,
     dim: int = 32,
-    num_requests: int = 150,
+    num_requests: int = NUM_REQUESTS,
     fault_rate: float = 0.06,
 ):
     """A service whose live rung is a two-stage recommender; plus the models."""
@@ -90,31 +96,34 @@ def _replay(service, clock, seed: int, count: int) -> dict:
     return outcomes
 
 
-def _fmt(outcomes: dict) -> list[str]:
-    return [f"    {key:24s} {count}" for key, count in sorted(outcomes.items())]
+def _episode(
+    seed: int,
+    kind: str,
+    outcomes: dict,
+    allowed: tuple[str, ...],
+    problems: tuple[str, ...] = (),
+    fired: tuple[str, ...] = (),
+) -> FaultCell:
+    """One episode's cell: any ``status::model`` outside ``allowed`` fails."""
+    unexpected = tuple(
+        f"{count} responses {key}, expected only {' or '.join(allowed)}"
+        for key, count in sorted(outcomes.items()) if key not in allowed
+    )
+    return FaultCell(
+        "retrieval", seed, kind, unexpected + problems, fired,
+        summary=" ".join(f"{k}={n}" for k, n in sorted(outcomes.items())),
+    )
 
 
-def run_demo(seed: int = 0, num_requests: int = 150) -> str:
-    """The three-episode replay; returns the printable report."""
-    service, clock, injector, base, two = build_demo(
-        seed=seed, num_requests=num_requests
-    )
-    lines = [
-        "retrieval-demo: ANN candidates + exact rerank behind the serving ladder",
-        "=" * 71,
-        f"catalog: {service.dataset.num_items} items, "
-        f"{service.dataset.num_users} users; index: {two.index.kind} "
-        f"(generation {two.index.generation}, "
-        f"{two.index.num_vectors} vectors)",
-        "",
-        f"[1] steady state with injected index_stale faults "
-        f"({len(injector.plan)} planned):",
-    ]
-    lines += _fmt(_replay(service, clock, seed, num_requests))
-    lines.append(
-        f"    faults fired: {len(injector.injected)}; every stale request "
-        "was answered by the exact rung, typed degraded"
-    )
+def staleness_cells(seed: int, workdir) -> list[FaultCell]:
+    """The three episodes for ``seed``; ``workdir`` is unused."""
+    service, clock, injector, base, two = build_demo(seed=seed)
+    outcomes = _replay(service, clock, seed, NUM_REQUESTS)
+    fired = tuple(sorted({f.kind for f in injector.injected}))
+    cells = [_episode(
+        seed, "index_stale", outcomes, ("ok::ann", "degraded::exact"),
+        () if fired else ("no index_stale fault fired",), fired,
+    )]
 
     # Swap in a new embedding generation without rebuilding the index.
     rng = ensure_rng(seed + 99)
@@ -123,22 +132,21 @@ def run_demo(seed: int = 0, num_requests: int = 150) -> str:
             base.item_vectors().shape
         )
     )
-    lines.append("")
-    lines.append(
-        f"[2] embeddings swapped to generation {base.generation}; index still "
-        f"at {two.index.generation} -> stale ({two.index_report()}):"
-    )
     service.faults = None  # isolate real staleness from injected faults
-    lines += _fmt(_replay(service, clock, seed + 1, 30))
-
-    record = service.promote("ann", two)
-    lines.append("")
-    lines.append(
-        f"[3] re-promoted: sync_index rebuilt the index at generation "
-        f"{two.index.generation}; promotion record: {record.describe()}"
+    outcomes = _replay(service, clock, seed + 1, 30)
+    cells.append(
+        _episode(seed, "stale_embeddings", outcomes, ("degraded::exact",))
     )
-    lines += _fmt(_replay(service, clock, seed + 2, 30))
-    lines.append("")
-    lines.append("promotion history:")
-    lines.extend(f"  {r.describe()}" for r in service.registry.history)
-    return "\n".join(lines)
+
+    service.promote("ann", two)
+    outcomes = _replay(service, clock, seed + 2, 30)
+    problems = ()
+    if two.index.generation != base.generation:
+        problems = (
+            f"re-promoted index at generation {two.index.generation}, "
+            f"embeddings at {base.generation}",
+        )
+    cells.append(
+        _episode(seed, "re_promotion", outcomes, ("ok::ann",), problems)
+    )
+    return cells

@@ -39,7 +39,8 @@ the index stale, not half-fresh.
 :class:`ArrayEmbeddingRecommender` is the protocol's reference
 implementation over plain in-memory arrays — the adapter for exporting
 any trained model's embedding tables into the two-stage path, and the
-catalog generator behind ``python -m repro retrieval-demo``.
+catalog generator behind the retrieval cells of
+``python -m repro fault-matrix``.
 """
 
 from __future__ import annotations

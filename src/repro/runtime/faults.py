@@ -51,9 +51,9 @@ write/rename the store performs advances it, see
   abort the commit cleanly.
 
 IO faults are applied by :class:`repro.store.io.FaultingStoreIO`, which
-wraps these kinds around the store's write hooks; the crash-matrix
-harness (:mod:`repro.store.harness`) sweeps them across every IO op of a
-train→checkpoint→promote scenario.
+wraps these kinds around the store's write hooks; the store's crash
+cells (:func:`repro.store.harness.crash_cells`) sweep them across every
+IO op of a train→checkpoint→promote scenario.
 
 The online learning loop (:mod:`repro.online`) adds *churn-shaped* faults,
 where ``step`` is the global interaction-batch index of the stream:
@@ -74,13 +74,22 @@ where ``step`` is the global interaction-batch index of the stream:
 * ``"late_regress"`` — the candidate passes its canary but regresses
   immediately after the swap; the loop's post-promotion watch must detect
   the degradation and roll the live model back.
+
+:func:`run_matrix` is the one fault-matrix runner behind
+``python -m repro fault-matrix``.  Each subsystem owns one cell function
+that replays its faults for a seed and returns :class:`FaultCell`
+verdicts; the runner sweeps every seed through every subsystem, checks
+that each kind a subsystem owns fired in at least one cell, and reports
+every violation at once.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from pathlib import Path
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -100,6 +109,8 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "InjectedCrash",
+    "FaultCell",
+    "run_matrix",
 ]
 
 TRAINING_FAULT_KINDS: tuple[str, ...] = ("nan_grad", "raise", "stall")
@@ -331,3 +342,101 @@ class FaultInjector:
         ]
         self.injected.extend(faults)
         return faults
+
+
+# ---------------------------------------------------------------------- #
+# the fault matrix
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class FaultCell:
+    """One verdict of the fault matrix.
+
+    ``kind`` is the fault kind the cell injects, or a label such as
+    ``"none"`` for a fault-free check; ``fired`` lists the kinds its
+    injectors actually recorded, which the coverage check reads.
+    """
+
+    subsystem: str
+    seed: int
+    kind: str
+    problems: tuple[str, ...] = ()
+    fired: tuple[str, ...] = ()
+    summary: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+
+#: ``cell_fn(seed, directory)`` -> that seed's cells for one subsystem.
+CellFn = Callable[[int, Path], Iterable[FaultCell]]
+
+
+def run_matrix(
+    cell_fns: Mapping[str, tuple[tuple[str, ...], CellFn]],
+    seeds: Iterable[int],
+    workdir: str | Path | None = None,
+) -> str:
+    """Run every seed through every subsystem's cell function.
+
+    ``cell_fns`` maps a subsystem name to ``(owned kinds, cell function)``;
+    each call gets its own empty directory under ``workdir`` (a temporary
+    directory when ``None``).  Every cell runs before anything is judged:
+    failed cells, cell functions that raised, and owned kinds that fired
+    in no cell all go into one :class:`AssertionError`.  Returns the
+    printable summary when the matrix is clean.  Seeds must be distinct
+    and non-negative and ``workdir`` empty or absent, else
+    :class:`ConfigError`.
+    """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigError("the fault matrix needs at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"seeds must be distinct, got {repeated} twice")
+    if workdir is not None:
+        root = Path(workdir)
+        if root.exists() and (not root.is_dir() or any(root.iterdir())):
+            raise ConfigError(f"workdir {root} is not an empty directory")
+
+    cells: list[FaultCell] = []
+    with tempfile.TemporaryDirectory(prefix="fault-matrix-") as tmp:
+        root = Path(workdir if workdir is not None else tmp)
+        for name, (__, cell_fn) in cell_fns.items():
+            for seed in seeds:
+                directory = root / name / f"seed{seed}"
+                directory.mkdir(parents=True)
+                try:
+                    cells.extend(cell_fn(seed, directory))
+                except Exception as exc:  # judged with the rest, not fatal
+                    cells.append(FaultCell(
+                        name, seed, "error",
+                        problems=(f"raised {type(exc).__name__}: {exc}",),
+                    ))
+
+    problems = [
+        f"{c.subsystem} seed={c.seed} {c.kind}: {p}"
+        for c in cells for p in c.problems
+    ]
+    for name, (owned, __) in cell_fns.items():
+        fired = {k for c in cells if c.subsystem == name for k in c.fired}
+        problems += [
+            f"{name}: owned fault kind {k!r} fired in no cell"
+            for k in owned if k not in fired
+        ]
+    lines = [
+        f"{c.subsystem:<9s} seed={c.seed} {c.kind:<19s} "
+        f"{'ok  ' if c.ok else 'FAIL'} {c.summary}"
+        for c in cells
+    ]
+    if problems:
+        raise AssertionError("\n".join(
+            lines + [f"fault matrix FAILED: {len(problems)} violation(s)"]
+            + [f"  {p}" for p in problems]
+        ))
+    return "\n".join(lines + [
+        f"fault matrix OK: {len(cells)} cells, {len(seeds)} seed(s) x "
+        f"{len(cell_fns)} subsystem(s), every owned fault kind fired"
+    ])

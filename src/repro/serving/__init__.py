@@ -17,8 +17,8 @@ can misbehave (see ``docs/serving.md``):
   :class:`StaticTopK` last resort.
 * :mod:`repro.serving.registry` — validate-then-promote model hot swap
   with canary probes and atomic rollback.
-* :mod:`repro.serving.demo` — the seeded chaos replay behind
-  ``python -m repro serve-demo``.
+* :mod:`repro.serving.demo` — the seeded chaos replay: the serving
+  cells of ``python -m repro fault-matrix``.
 
 Everything is deterministic under seed: time is injectable
 (:class:`~repro.core.clock.ManualClock`), faults come from seeded

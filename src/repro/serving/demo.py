@@ -1,20 +1,24 @@
-"""Seeded synthetic traffic replay through a faulty serving stack.
+"""Seeded chaos replay through a faulty serving stack.
 
-``python -m repro serve-demo`` builds a synthetic movie catalog, fits a
-small degradation ladder (ItemKNN -> MostPopular -> static top-k), draws
-a seeded serving-shaped :class:`~repro.runtime.faults.FaultPlan`
-(latency spikes, raising models, NaN score vectors), and replays a bursty
-request stream against the service on a :class:`ManualClock` — no real
-sleeps anywhere.  It prints the degradation report: outcome counts,
-fallback activations, breaker transitions, and p50/p99 latency.
+:func:`build_demo_service` builds a synthetic movie catalog, fits a small
+degradation ladder (ItemKNN -> MostPopular -> static top-k) and draws a
+seeded serving-shaped :class:`~repro.runtime.faults.FaultPlan` (latency
+spikes, raising models, NaN score vectors, stale indexes);
+:func:`run_replay` drives a bursty request stream against it on a
+:class:`ManualClock` — no real sleeps anywhere.
 
-``--smoke`` additionally asserts the chaos invariants CI relies on:
+:func:`chaos_cells` is the serving cell function of
+``python -m repro fault-matrix``.  It replays each seed twice, traced,
+and asserts the chaos invariants:
 
 * every request receives a typed outcome (ok / degraded / shed /
   rejected) — nothing escapes the service;
 * at least one fault fired and at least one degraded response was served
   (the plan actually exercised the ladder);
-* replaying the identical seed yields a bitwise-identical response trace.
+* replaying the identical seed yields a bitwise-identical response trace
+  and telemetry export;
+* per-request span outcomes reconcile exactly with the degradation
+  counters.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ from collections import Counter
 from repro.core.clock import ManualClock
 from repro.data import make_movie_dataset
 from repro.models.baselines import ItemKNN, MostPopular
-from repro.runtime.faults import SERVING_FAULT_KINDS, FaultInjector, FaultPlan
+from repro.runtime.faults import (
+    SERVING_FAULT_KINDS,
+    FaultCell,
+    FaultInjector,
+    FaultPlan,
+)
 from repro.runtime.retry import RetryPolicy
 from repro.telemetry import Telemetry
 
@@ -34,8 +43,7 @@ from .service import RecommenderService, ServeRequest
 __all__ = [
     "build_demo_service",
     "run_replay",
-    "demo_report",
-    "run_smoke",
+    "chaos_cells",
     "reconcile_trace_outcomes",
 ]
 
@@ -44,12 +52,14 @@ __all__ = [
 #: :meth:`repro.traffic.schedule.TrafficSchedule.bursty`.
 DEADLINE = 0.05
 LATENCY_FAULT_SECONDS = 0.12
+#: Requests per chaos replay and the share of them that fault.
+NUM_REQUESTS = 200
+FAULT_RATE = 0.10
 
 
 def build_demo_service(
     seed: int = 0,
-    num_requests: int = 300,
-    fault_rate: float = 0.10,
+    num_requests: int = NUM_REQUESTS,
     trace: bool = False,
 ) -> tuple[RecommenderService, ManualClock, FaultInjector]:
     """A small fitted ladder behind a fully injected serving stack.
@@ -66,7 +76,7 @@ def build_demo_service(
     clock = ManualClock()
     telemetry = Telemetry(clock=clock) if trace else None
     plan = FaultPlan.random(
-        num_requests, rate=fault_rate, kinds=SERVING_FAULT_KINDS,
+        num_requests, rate=FAULT_RATE, kinds=SERVING_FAULT_KINDS,
         seed=seed, seconds=LATENCY_FAULT_SECONDS,
     )
     injector = FaultInjector(plan, sleep=clock.advance)
@@ -97,7 +107,7 @@ def run_replay(
     service: RecommenderService,
     clock: ManualClock,
     seed: int = 0,
-    num_requests: int = 300,
+    num_requests: int = NUM_REQUESTS,
 ) -> list[str]:
     """Drive a bursty seeded request stream; returns the response traces.
 
@@ -118,46 +128,6 @@ def run_replay(
         traces.append(response.trace())
         clock.advance(gap)
     return traces
-
-
-def demo_report(service: RecommenderService, traces: list[str]) -> str:
-    """Human-readable degradation report for one replay."""
-    health = service.health()
-    metrics = health["metrics"]
-    lines = [
-        "serve-demo degradation report",
-        "=" * 29,
-        f"requests        {metrics.get('requests', 0)}",
-        f"  ok            {metrics.get('status::ok', 0)}",
-        f"  degraded      {metrics.get('status::degraded', 0)}",
-        f"  shed          {metrics.get('status::shed', 0)}",
-        f"  rejected      {metrics.get('status::rejected', 0)}",
-        f"fallbacks used  {metrics.get('fallback_activations', 0)}",
-        f"deadline misses {metrics.get('deadline_exceeded', 0)}",
-        f"latency p50/p99 {metrics['latency_p50']:.6f}s / {metrics['latency_p99']:.6f}s",
-        f"live model      {health['live_model']} "
-        f"(breaker {health['live_breaker_state']})",
-        "",
-        "served by rung:",
-    ]
-    for key in sorted(metrics):
-        if key.startswith("served_by::"):
-            lines.append(f"  {key.split('::', 1)[1]:12s} {metrics[key]}")
-    transitions = service.breaker_transitions()
-    lines.append("")
-    lines.append(f"breaker transitions ({len(transitions)}):")
-    lines.extend(f"  {t}" for t in transitions)
-    if service.admission is not None:
-        adm = service.admission.snapshot()
-        lines.append("")
-        lines.append(
-            f"admission: {adm['admitted']} admitted, {adm['shed']} shed "
-            f"(capacity {adm['capacity']}, drain {adm['drain_rate']:g}/s)"
-        )
-    lines.append("")
-    lines.append(f"trace tail ({min(5, len(traces))} of {len(traces)}):")
-    lines.extend(f"  {t}" for t in traces[-5:])
-    return "\n".join(lines)
 
 
 def reconcile_trace_outcomes(service: RecommenderService) -> dict[str, int]:
@@ -189,62 +159,51 @@ def reconcile_trace_outcomes(service: RecommenderService) -> dict[str, int]:
     return dict(outcomes)
 
 
-def run_smoke(
-    seeds: tuple[int, ...] = (0, 1, 2),
-    num_requests: int = 200,
-    trace_out: str | None = None,
-) -> str:
-    """Chaos smoke: invariants over a seed matrix; raises on violation.
+def chaos_cells(
+    seed: int, workdir, trace_out: str | None = None
+) -> list[FaultCell]:
+    """Replay ``seed`` twice, traced, and check the chaos invariants.
 
-    With ``trace_out`` the replays also run traced: exported telemetry
-    must be byte-identical between duplicate runs of a seed, span
-    outcomes must reconcile with the degradation counters, and the last
-    seed's capture is written to ``trace_out`` (the CI job then schema-
-    checks it with ``trace-report --check``).
+    ``workdir`` is unused (the replay keeps nothing on disk).  With
+    ``trace_out`` the first replay's telemetry capture is written there.
     """
-    trace = trace_out is not None
-    lines = []
-    for seed in seeds:
-        runs = []
-        for __ in range(2):
-            service, clock, injector = build_demo_service(
-                seed, num_requests, trace=trace
-            )
-            traces = run_replay(service, clock, seed, num_requests)
-            runs.append((service, injector, traces))
-        service, injector, traces = runs[0]
-        metrics = service.metrics.snapshot()
-        answered = sum(
-            metrics.get(f"status::{s}", 0)
-            for s in ("ok", "degraded", "shed", "rejected")
+    runs = []
+    for __ in range(2):
+        service, clock, injector = build_demo_service(
+            seed, NUM_REQUESTS, trace=True
         )
-        if len(traces) != num_requests or answered != num_requests:
-            raise AssertionError(
-                f"seed {seed}: {answered}/{num_requests} requests answered"
-            )
-        if not injector.injected:
-            raise AssertionError(f"seed {seed}: fault plan injected nothing")
-        if metrics.get("status::degraded", 0) < 1:
-            raise AssertionError(f"seed {seed}: no degraded responses; ladder unused")
-        if traces != runs[1][2]:
-            raise AssertionError(f"seed {seed}: replay traces differ between runs")
-        if trace:
-            reconcile_trace_outcomes(service)
-            if (
-                service.telemetry.export_records()
-                != runs[1][0].telemetry.export_records()
-            ):
-                raise AssertionError(
-                    f"seed {seed}: telemetry exports differ between runs"
-                )
-        lines.append(
-            f"seed {seed}: {num_requests} answered "
-            f"(ok={metrics.get('status::ok', 0)} "
-            f"degraded={metrics.get('status::degraded', 0)} "
-            f"shed={metrics.get('status::shed', 0)}), "
-            f"{len(injector.injected)} faults, deterministic"
-        )
-    if trace:
-        path = service.telemetry.export_jsonl(trace_out)
-        lines.append(f"trace capture (seed {seeds[-1]}) written to {path}")
-    return "chaos smoke OK\n" + "\n".join(lines)
+        traces = run_replay(service, clock, seed, NUM_REQUESTS)
+        runs.append((service, injector, traces))
+    (service, injector, traces), (twin, __, twin_traces) = runs
+    metrics = service.metrics.snapshot()
+    counts = {
+        s: metrics.get(f"status::{s}", 0)
+        for s in ("ok", "degraded", "shed", "rejected")
+    }
+    problems = []
+    answered = sum(counts.values())
+    if len(traces) != NUM_REQUESTS or answered != NUM_REQUESTS:
+        problems.append(f"{answered}/{NUM_REQUESTS} requests answered")
+    if not injector.injected:
+        problems.append("fault plan injected nothing")
+    if counts["degraded"] < 1:
+        problems.append("no degraded responses; ladder unused")
+    if traces != twin_traces:
+        problems.append("replay traces differ between runs")
+    if service.telemetry.export_records() != twin.telemetry.export_records():
+        problems.append("telemetry exports differ between runs")
+    try:
+        reconcile_trace_outcomes(service)
+    except AssertionError as exc:
+        problems.append(str(exc))
+    if trace_out is not None:
+        service.telemetry.export_jsonl(trace_out)
+    fired = Counter(f.kind for f in injector.injected)
+    return [FaultCell(
+        "serving", seed, "replay", tuple(problems), tuple(sorted(fired)),
+        summary=(
+            f"{answered} answered (ok={counts['ok']} "
+            f"degraded={counts['degraded']} shed={counts['shed']}), faults "
+            + " ".join(f"{k}={n}" for k, n in sorted(fired.items()))
+        ),
+    )]

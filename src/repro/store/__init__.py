@@ -17,7 +17,8 @@ Layered bottom-up:
 * :mod:`repro.store.serving` — :class:`StoredEmbeddingRecommender`,
   scoring straight off a serve-mode store;
 * :mod:`repro.store.harness` — the fault-injected durability harness
-  (crash matrix over every IO operation).
+  (crash matrix over every IO operation): the store cells of
+  ``python -m repro fault-matrix``.
 
 The format and protocol are specified in ``docs/storage.md``.
 """

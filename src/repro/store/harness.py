@@ -18,10 +18,10 @@ never a hybrid.  This module turns that claim into an exhaustive check:
    (:class:`~repro.runtime.faults.InjectedCrash` is caught only at the
    very top), re-opens the store, and asserts the recovered state equals
    one recorded generation exactly.
-3. :func:`run_smoke` sweeps the matrix over several seeds and can leave a
-   deliberately corrupted store behind for ``store-verify --repair`` to
-   exercise — this is the CI ``durability-smoke`` entry point
-   (assertions, not timings).
+3. :func:`crash_cells` is the store's cell function for
+   ``python -m repro fault-matrix`` (one verdict per fault kind per
+   seed); :func:`make_corrupted_store` leaves a deliberately corrupted
+   store behind for ``store-verify --repair`` to exercise.
 
 A cell may legitimately recover *nothing* only when the faulted operation
 is part of writing generation 0's manifest — the store was never created,
@@ -30,6 +30,7 @@ so there is no generation to fall back to; every other cell must recover.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from repro.runtime.checkpoint import Checkpointer
 from repro.runtime.faults import (
     IO_FAULT_KINDS,
     Fault,
+    FaultCell,
     FaultInjector,
     FaultPlan,
     InjectedCrash,
@@ -60,7 +62,7 @@ __all__ = [
     "CrashMatrixResult",
     "run_scenario",
     "run_crash_matrix",
-    "run_smoke",
+    "crash_cells",
     "make_corrupted_store",
 ]
 
@@ -157,6 +159,7 @@ class CrashCell:
     kind: str
     op_path: str
     crashed: bool  # the injected fault surfaced (crash or aborted commit)
+    fired: bool  # the injector recorded the fault (bitrot fires silently)
     recovered_generation: int | None  # None = store unrecoverable
     ok: bool
     detail: str = ""
@@ -174,13 +177,6 @@ class CrashMatrixResult:
     @property
     def violations(self) -> list[CrashCell]:
         return [c for c in self.cells if not c.ok]
-
-    def summary(self) -> str:
-        return (
-            f"seed {self.seed}: {len(self.cells)} cells over {self.num_ops} "
-            f"io ops x {len({c.kind for c in self.cells})} kinds, "
-            f"{len(self.violations)} violations"
-        )
 
 
 def _table_state(store: MmapShardStore) -> dict[str, bytes]:
@@ -209,7 +205,6 @@ def _reference_states(
 def run_crash_matrix(
     workdir: str | Path,
     seed: int = 0,
-    kinds: tuple[str, ...] = IO_FAULT_KINDS,
     ops: tuple[int, ...] | None = None,
     config: ScenarioConfig = ScenarioConfig(),
 ) -> CrashMatrixResult:
@@ -232,7 +227,7 @@ def run_crash_matrix(
     sweep = ops if ops is not None else tuple(range(clean.num_ops))
     for op in sweep:
         op_path = clean_io.op_log[op].path
-        for kind in kinds:
+        for kind in IO_FAULT_KINDS:
             cell_dir = workdir / f"op{op:04d}-{kind}"
             injector = FaultInjector(FaultPlan([Fault(step=op, kind=kind)]))
             crashed = False
@@ -245,63 +240,52 @@ def run_crash_matrix(
                 # The top of the "process": discard every live object and
                 # recover purely from what reached disk.
                 crashed = True
-            result.cells.append(
-                _check_cell(cell_dir / "store", op, kind, op_path, crashed,
-                            references, genesis)
+            gen, detail = _recover(
+                cell_dir / "store", op_path, references, genesis
             )
+            result.cells.append(CrashCell(
+                op=op, kind=kind, op_path=op_path, crashed=crashed,
+                fired=bool(injector.injected), recovered_generation=gen,
+                ok=not detail, detail=detail,
+            ))
     return result
 
 
-def _check_cell(
+def _recover(
     store_dir: Path,
-    op: int,
-    kind: str,
     op_path: str,
-    crashed: bool,
     references: dict[int, dict[str, bytes]],
     genesis: str,
-) -> CrashCell:
-    """Reopen after the (possible) crash and assert old-or-new, not hybrid."""
+) -> tuple[int | None, str]:
+    """Reopen after the (possible) crash and assert old-or-new, not hybrid.
+
+    Returns the recovered generation and the violation ("" = none).
+    """
     try:
         store = MmapShardStore.open(store_dir, mode="train")
     except StoreError as exc:
         # Unrecoverable is legitimate only while creating generation 0 —
         # before its manifest rename the store never existed.
         ok = genesis in op_path
-        return CrashCell(
-            op=op, kind=kind, op_path=op_path, crashed=crashed,
-            recovered_generation=None, ok=ok,
-            detail="" if ok else f"store unrecoverable: {exc}",
-        )
+        return None, "" if ok else f"store unrecoverable: {exc}"
     try:
         gen = store.generation
         state = _table_state(store)
     finally:
         store.close()
     if gen not in references:
-        return CrashCell(
-            op=op, kind=kind, op_path=op_path, crashed=crashed,
-            recovered_generation=gen, ok=False,
-            detail=f"recovered generation {gen} was never committed cleanly",
-        )
+        return gen, f"recovered generation {gen} was never committed cleanly"
     if state != references[gen]:
         bad = sorted(
             name for name in set(state) | set(references[gen])
             if state.get(name) != references[gen].get(name)
         )
-        return CrashCell(
-            op=op, kind=kind, op_path=op_path, crashed=crashed,
-            recovered_generation=gen, ok=False,
-            detail=f"hybrid state: tables {bad} differ from generation {gen}",
-        )
-    return CrashCell(
-        op=op, kind=kind, op_path=op_path, crashed=crashed,
-        recovered_generation=gen, ok=True,
-    )
+        return gen, f"hybrid state: tables {bad} differ from generation {gen}"
+    return gen, ""
 
 
 # ---------------------------------------------------------------------- #
-# smoke entry point (CI)
+# fault-matrix cells and the corrupted-store fixture
 # ---------------------------------------------------------------------- #
 def make_corrupted_store(
     directory: str | Path, seed: int = 0, config: ScenarioConfig = ScenarioConfig()
@@ -335,24 +319,24 @@ def make_corrupted_store(
     )
 
 
-def run_smoke(
-    workdir: str | Path,
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    config: ScenarioConfig = ScenarioConfig(),
-) -> list[CrashMatrixResult]:
-    """Run the full crash matrix per seed; raises on any violation."""
-    workdir = Path(workdir)
-    results = []
-    for seed in seeds:
-        result = run_crash_matrix(workdir / f"seed{seed}", seed=seed,
-                                  config=config)
-        if result.violations:
-            lines = "\n".join(
-                f"  op {c.op} ({c.op_path}) kind={c.kind}: {c.detail}"
-                for c in result.violations
-            )
-            raise AssertionError(
-                f"durability invariant violated for seed {seed}:\n{lines}"
-            )
-        results.append(result)
-    return results
+def crash_cells(seed: int, workdir: str | Path) -> list[FaultCell]:
+    """The full crash matrix for ``seed``, one verdict per IO fault kind."""
+    result = run_crash_matrix(workdir, seed=seed)
+    cells = []
+    for kind in IO_FAULT_KINDS:
+        mine = [c for c in result.cells if c.kind == kind]
+        recovered = Counter(c.recovered_generation for c in mine)
+        cells.append(FaultCell(
+            "store", seed, kind,
+            problems=tuple(
+                f"op {c.op} ({c.op_path}): {c.detail}"
+                for c in mine if not c.ok
+            ),
+            fired=(kind,) if any(c.fired for c in mine) else (),
+            summary=(
+                f"{len(mine)} io ops, {sum(c.crashed for c in mine)} "
+                "crashed, recovered generations "
+                f"{dict(sorted(recovered.items(), key=str))}"
+            ),
+        ))
+    return cells

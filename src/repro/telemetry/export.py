@@ -4,8 +4,8 @@ One capture is one file: a ``header`` record, every finished span in end
 order, then one record per metric series (sorted).  Everything is plain
 ``json.dumps(sort_keys=True)``, so a seeded run on a
 :class:`~repro.core.clock.ManualClock` exports byte-identical files —
-the chaos-smoke CI job relies on that, and ``trace-report`` consumes the
-format without access to the process that produced it.
+the fault-matrix serving cells rely on that, and ``trace-report``
+consumes the format without access to the process that produced it.
 
 Schema (version 1)::
 

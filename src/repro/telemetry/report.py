@@ -11,7 +11,8 @@
 * an **outcome summary** — for every span name carrying an ``outcome``
   attribute (``serve/request``, ``panel/model``), counts per outcome.
   These reconcile exactly with the producing component's own counters
-  (the serve-demo degradation report), which the chaos CI job asserts;
+  (the service's ``status::*`` counters), which the serving cells of
+  ``python -m repro fault-matrix`` assert;
 * a **metric digest** — counters, gauges, and histogram quantiles.
 
 All aggregation is on names and attributes, never on wall-clock

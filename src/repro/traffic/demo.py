@@ -1,11 +1,9 @@
-"""``python -m repro load-test`` — persona load runs and the CI smoke.
+"""Persona load runs: the traffic cells of ``python -m repro fault-matrix``.
 
-Default mode builds one scenario world (population → schedule → timed
-service), replays it, and prints the rendered
-:class:`~repro.traffic.report.LoadReport` plus the exact-reconciliation
-verdict.  ``--smoke`` asserts, over a seed matrix, the invariants the
-``load-smoke`` CI job relies on — all simulated-time, no wall-clock
-timings:
+:func:`build_load_world` builds one scenario world (population →
+schedule → timed service).  :func:`load_cells` asserts, per seed, the
+invariants the load harness promises — all simulated time, no
+wall-clock timings:
 
 * every scheduled request receives a typed outcome (none lost, none
   double-counted: the report reconciles exactly against telemetry);
@@ -20,17 +18,18 @@ timings:
 
 from __future__ import annotations
 
-from repro.core.exceptions import ConfigError
+from pathlib import Path
+
+from repro.runtime.faults import FaultCell
 
 from .harness import LoadHarness, build_scenario_service
-from .personas import SCENARIO_MIXES, PersonaPopulation
-from .report import LoadReport
+from .personas import PersonaPopulation
 from .schedule import ScheduleProfile, TrafficSchedule
 
-__all__ = ["build_load_world", "run_load_test", "run_smoke"]
+__all__ = ["build_load_world", "load_cells"]
 
-#: The standard smoke/demo window: two simulated seconds with a diurnal
-#: cycle and one 3x flash crowd near the end.
+#: The standard load window: two simulated seconds with a diurnal cycle
+#: and one 3x flash crowd near the end.
 DEFAULT_PROFILE = ScheduleProfile(
     horizon=2.0,
     day_period=1.0,
@@ -67,135 +66,88 @@ def build_load_world(
     return harness, service, schedule
 
 
-def run_load_test(
-    scenario: str = "movie",
-    seed: int = 0,
-    horizon: float = 2.0,
-    rate_scale: float = 8.0,
-    fault_rate: float = 0.0,
-) -> str:
-    """One rendered load run (the default CLI mode)."""
-    if scenario not in SCENARIO_MIXES:
-        raise SystemExit(
-            f"unknown scenario {scenario!r}; choose from "
-            f"{sorted(SCENARIO_MIXES)}"
-        )
-    profile = ScheduleProfile(
-        horizon=horizon,
-        day_period=DEFAULT_PROFILE.day_period,
-        flash_crowds=tuple(
-            (start * horizon / DEFAULT_PROFILE.horizon, duration, mult)
-            for start, duration, mult in DEFAULT_PROFILE.flash_crowds
-        ),
-        rate_scale=rate_scale,
-    )
-    harness, service, schedule = build_load_world(
-        scenario, seed=seed, profile=profile, fault_rate=fault_rate,
-        trace=True,
-    )
-    report = harness.run()
-    tally = harness.reconcile()
-    lines = [
-        harness.schedule.population.describe(),
-        schedule.describe(),
-        "",
-        report.render(),
-        "",
-        "telemetry reconciliation: exact ("
-        + ", ".join(f"{k}={v}" for k, v in tally.items())
-        + ")",
-    ]
-    return "\n".join(lines)
-
-
-def _one_run(scenario: str, seed: int, fault_rate: float) -> LoadHarness:
+def _one_run(seed: int, fault_rate: float) -> LoadHarness:
     harness, __, ___ = build_load_world(
-        scenario, seed=seed, fault_rate=fault_rate, trace=True
+        "movie", seed=seed, fault_rate=fault_rate, trace=True
     )
     harness.run()
     return harness
 
 
-def _check_invariants(harness: LoadHarness, seed: int, clean: bool) -> None:
+def _problems(harness: LoadHarness, clean: bool) -> list[str]:
     report = harness.report
-    label = "clean" if clean else "faulted"
-    if len(harness.outcome_trace) != len(harness.schedule):
-        raise AssertionError(
-            f"seed {seed} ({label}): {len(harness.outcome_trace)} outcomes "
-            f"for {len(harness.schedule)} scheduled requests"
+    scheduled = len(harness.schedule)
+    problems = []
+    if len(harness.outcome_trace) != scheduled:
+        problems.append(
+            f"{len(harness.outcome_trace)} outcomes for {scheduled} "
+            "scheduled requests"
         )
-    if report.requests != len(harness.schedule):
-        raise AssertionError(
-            f"seed {seed} ({label}): report covers {report.requests} of "
-            f"{len(harness.schedule)} requests"
+    if report.requests != scheduled:
+        problems.append(
+            f"report covers {report.requests} of {scheduled} requests"
         )
     if report.rejected:
-        raise AssertionError(
-            f"seed {seed} ({label}): {report.rejected} requests rejected "
-            "(schedule emitted invalid requests)"
+        problems.append(
+            f"{report.rejected} requests rejected (schedule emitted "
+            "invalid requests)"
         )
-    harness.reconcile()
+    try:
+        harness.reconcile()
+    except AssertionError as exc:
+        problems.append(f"telemetry reconciliation: {exc}")
     if clean:
         if report.response_rate() < MIN_RESPONSE_RATE:
-            raise AssertionError(
-                f"seed {seed}: response rate {report.response_rate():.3f} "
-                f"below {MIN_RESPONSE_RATE}"
+            problems.append(
+                f"response rate {report.response_rate():.3f} below "
+                f"{MIN_RESPONSE_RATE}"
             )
         if report.shed_rate() > MAX_SHED_RATE:
-            raise AssertionError(
-                f"seed {seed}: shed rate {report.shed_rate():.3f} "
-                f"above {MAX_SHED_RATE}"
+            problems.append(
+                f"shed rate {report.shed_rate():.3f} above {MAX_SHED_RATE}"
             )
         if report.shed == 0:
-            raise AssertionError(
-                f"seed {seed}: flash crowd shed nothing; harness is not "
-                "exercising overload"
+            problems.append(
+                "flash crowd shed nothing; harness is not exercising overload"
             )
+    return problems
 
 
-def _online_bridge_cell(seed: int) -> str:
-    import tempfile
-
+def load_cells(seed: int, workdir: str | Path) -> list[FaultCell]:
+    """Clean and faulted load runs (each twice) plus the online bridge."""
     from repro.online.harness import run_churn_cell
     from repro.traffic.stream import persona_stream_factory
 
-    factory = persona_stream_factory(scenario="news")
-    with tempfile.TemporaryDirectory(prefix="load-smoke-online-") as tmp:
-        cell = run_churn_cell(tmp, seed, "none", stream_factory=factory)
-    if not cell.ok:
-        raise AssertionError(
-            "persona-driven churn cell failed: " + cell.describe()
-        )
-    return cell.describe()
-
-
-def run_smoke(seeds: tuple[int, ...] = (0, 1, 2, 3, 4)) -> str:
-    """Seed-matrix invariants + determinism + online bridge (CI mode)."""
-    if not seeds:
-        raise ConfigError("smoke needs at least one seed")
-    lines = []
-    for seed in seeds:
-        for fault_rate, label in ((0.0, "clean"), (SMOKE_FAULT_RATE, "faulted")):
-            runs = [_one_run("movie", seed, fault_rate) for __ in range(2)]
-            if runs[0].report.to_json() != runs[1].report.to_json():
-                raise AssertionError(
-                    f"seed {seed} ({label}): LoadReport exports differ "
-                    "between runs"
-                )
-            if runs[0].outcome_trace != runs[1].outcome_trace:
-                raise AssertionError(
-                    f"seed {seed} ({label}): per-request outcome sequences "
-                    "differ between runs"
-                )
-            _check_invariants(runs[0], seed, clean=fault_rate == 0.0)
-            report = runs[0].report
-            lines.append(
-                f"seed {seed} ({label}): {report.requests} requests, "
+    cells = []
+    for fault_rate, label in ((0.0, "clean"), (SMOKE_FAULT_RATE, "faulted")):
+        runs = [_one_run(seed, fault_rate) for __ in range(2)]
+        problems = _problems(runs[0], clean=fault_rate == 0.0)
+        if runs[0].report.to_json() != runs[1].report.to_json():
+            problems.append("LoadReport exports differ between runs")
+        if runs[0].outcome_trace != runs[1].outcome_trace:
+            problems.append(
+                "per-request outcome sequences differ between runs"
+            )
+        injector = runs[0].service.faults
+        report = runs[0].report
+        cells.append(FaultCell(
+            "traffic", seed, label, tuple(problems),
+            tuple(sorted({f.kind for f in injector.injected}))
+            if injector is not None else (),
+            summary=(
+                f"{report.requests} requests, "
                 f"rr={report.response_rate():.3f} "
                 f"shed={report.shed_rate():.3f} "
                 f"deg={report.degrade_rate():.3f} "
-                f"p99={report.latency_p99 * 1e3:.3f}ms, reconciled, "
-                "deterministic"
-            )
-    lines.append("online bridge: " + _online_bridge_cell(seeds[0]))
-    return "load smoke OK\n" + "\n".join(lines)
+                f"p99={report.latency_p99 * 1e3:.3f}ms"
+            ),
+        ))
+    bridge = run_churn_cell(
+        Path(workdir) / "online-bridge", seed, "none",
+        stream_factory=persona_stream_factory(scenario="news"),
+    )
+    cells.append(FaultCell(
+        "traffic", seed, "online_bridge", bridge.problems,
+        summary=bridge.describe(),
+    ))
+    return cells

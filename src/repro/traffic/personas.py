@@ -360,11 +360,3 @@ class PersonaPopulation:
         return PersonaPopulation(
             self.scenario, members, self.num_users, self.warm_users, self.seed
         )
-
-    def describe(self) -> str:
-        counts = self.counts()
-        parts = ", ".join(f"{name}={n}" for name, n in counts.items())
-        return (
-            f"{self.scenario} population: {len(self.members)} members "
-            f"over {self.num_users} users ({self.warm_users} warm) — {parts}"
-        )

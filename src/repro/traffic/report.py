@@ -120,7 +120,7 @@ class LoadReport:
 
     # -------------------------------------------------------------- #
     def render(self) -> str:
-        """Human-readable report (the ``load-test`` CLI output)."""
+        """Human-readable report (``bench_serving.py`` prints it)."""
         lines = [
             f"load report: {self.name} (seed {self.seed})",
             "=" * max(29, len(self.name) + 25),

@@ -17,10 +17,11 @@ be extended window-by-window (``epoch``) without replaying earlier
 windows — :class:`~repro.traffic.stream.PersonaInteractionStream` relies
 on that to feed the online loop indefinitely.
 
-:meth:`TrafficSchedule.bursty` is the legacy ``serve-demo`` replay shape
-(single pseudo-member, 70/30 tight/loose gap mixture) re-expressed as a
-schedule; it consumes its RNG in exactly the order the old private
-generator did, so rebasing the demo kept every seeded outcome.
+:meth:`TrafficSchedule.bursty` is the serving chaos replay's shape
+(single pseudo-member, 70/30 tight/loose gap mixture; see
+:func:`repro.serving.demo.run_replay`) re-expressed as a schedule; it
+consumes its RNG in exactly the order the old private generator did,
+so rebasing the replay kept every seeded outcome.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .personas import PersonaMember, PersonaPopulation
 
 __all__ = ["TrafficRequest", "ScheduleProfile", "TrafficSchedule"]
 
-#: Legacy serve-demo gap mixture (see ``repro.serving.demo``).
+#: The chaos replay's gap mixture (see ``repro.serving.demo``).
 LEGACY_SERVICE_TIME = 0.004
 LEGACY_BURST_GAP = 0.02
 
@@ -153,7 +154,7 @@ class TrafficSchedule:
     def bursty(
         cls, num_users: int, num_requests: int, seed: int = 0
     ) -> "TrafficSchedule":
-        """The legacy ``serve-demo`` replay stream as a schedule.
+        """The serving chaos replay's request stream as a schedule.
 
         RNG consumption matches the old private generator draw-for-draw
         (per event: one user draw, then one gap draw), so the event
@@ -274,12 +275,6 @@ class TrafficSchedule:
         span = self.horizon - self.start
         return len(self) / span if span > 0 else 0.0
 
-    def persona_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.materialize():
-            out[r.persona] = out.get(r.persona, 0) + 1
-        return dict(sorted(out.items()))
-
     def continuation(self) -> "TrafficSchedule":
         """The next window: same population/profile, epoch + 1, shifted.
 
@@ -294,13 +289,4 @@ class TrafficSchedule:
             seed=self.seed,
             epoch=self.epoch + 1,
             start=self.horizon,
-        )
-
-    def describe(self) -> str:
-        counts = self.persona_counts()
-        parts = ", ".join(f"{n}={c}" for n, c in counts.items())
-        return (
-            f"schedule[{self.seed}:{self.epoch}]: {len(self)} requests over "
-            f"{self.horizon - self.start:.3f}s "
-            f"({self.request_rate():.0f} rps) — {parts}"
         )

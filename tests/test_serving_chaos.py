@@ -256,11 +256,13 @@ def test_different_seeds_differ(dataset):
 
 
 # ---------------------------------------------------------------------- #
-# the CLI smoke path CI runs
+# the serving cell of the fault matrix CI runs
 # ---------------------------------------------------------------------- #
-def test_serve_demo_smoke_small():
-    from repro.serving.demo import run_smoke
+def test_serve_demo_smoke_small(tmp_path):
+    from repro.serving.demo import chaos_cells
 
-    report = run_smoke(seeds=(0,), num_requests=60)
-    assert report.startswith("chaos smoke OK")
-    assert "deterministic" in report
+    trace = tmp_path / "trace.jsonl"
+    (cell,) = chaos_cells(0, tmp_path, trace_out=str(trace))
+    assert cell.ok, cell.problems
+    assert set(cell.fired) == set(SERVING_FAULT_KINDS)
+    assert trace.stat().st_size > 0

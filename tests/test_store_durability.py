@@ -48,7 +48,7 @@ class TestCrashMatrix:
     def test_every_fault_kind_at_sampled_ops(self, tmp_path):
         """Old-or-new, never hybrid, at every sampled (op, kind) cell.
 
-        The full sweep runs in CI (``python -m repro durability-smoke``);
+        The full sweep runs in CI (``python -m repro fault-matrix``);
         here a stride keeps tier-1 fast while still crossing shard
         writes, manifest writes, and both rename sides.
         """
