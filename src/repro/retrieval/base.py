@@ -33,11 +33,17 @@ def pairwise_scores(
 def exact_topk(
     vectors: np.ndarray, query: np.ndarray, k: int, metric: str = "ip"
 ) -> np.ndarray:
-    """The true top-``k`` ids (descending score, stable ties) — ground truth."""
+    """The true top-``k`` ids (descending score, ties lowest id first).
+
+    ``argpartition`` alone would pick an arbitrary tied id at the ``k``
+    boundary, so every id scoring at least the ``k``-th best is kept and
+    a stable sort over them (ascending ids) breaks the ties.
+    """
     scores = pairwise_scores(vectors, query, metric)
     k = min(int(k), scores.size)
-    top = np.argpartition(-scores, k - 1)[:k]
-    return top[np.argsort(-scores[top], kind="stable")].astype(np.int64)
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    tied = np.flatnonzero(scores >= kth)
+    return tied[np.argsort(-scores[tied], kind="stable")[:k]].astype(np.int64)
 
 
 def recall_at_k(candidates: np.ndarray, truth: np.ndarray) -> float:

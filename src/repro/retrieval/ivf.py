@@ -32,19 +32,43 @@ Everything is vectorized NumPy and seed-deterministic:
   the table has distinct rows, so a degenerate table (many duplicates)
   can still leave cells empty; search skips them.
 
+**Recall-targeted probing.**  With ``nprobe=None`` (the default) a cold
+build picks its own probe count: the fewest cells, from ``PROBE_FLOOR``
+up to ``PROBE_BUDGET``, at which the index reaches a mean recall@10 of
+``RECALL_TARGET``.  Recall is measured on a seeded sample of the index's
+own rows, each used as a query with its own id excluded, in one pass:
+the exact top-10 of every sample row (item blocks scored against all
+sample rows at once, no score buffer above ``_BLOCK_SCORES``), the rank
+of each neighbour's cell in that row's probe order, and a cumulative
+histogram of those ranks, which is recall at every probe count at once.
+The estimate at the chosen count is :attr:`IvfIndex.estimated_recall`;
+when the budget cannot reach the target the count is the budget and the
+estimate says how far short it falls.  The floor is there because the
+sample cannot tell small counts apart.  One sample row that misses its
+neighbours costs 1/256 of the recall, most of the target's 0.005
+allowance, so below the floor the count follows one or two rows rather
+than the catalog: catalogs drawn from one generator calibrated anywhere
+from 3 to 16 cells, and their serving cost followed.  Self-queries also
+overrate the recall of fresh queries most at small counts.  An explicit
+``nprobe`` skips the calibration and builds bit for bit as before.
+
 A *successor* (:meth:`IvfIndex.successor`) is the rebuild path for a
 table that drifted a little since the last build (the online loop's
 promotions): its build starts k-means from the predecessor's centroids
 and refines them for ``_WARM_ROUNDS`` Lloyd rounds instead of drawing
 seeded centroids and running ``iters`` rounds.  A warm build changes the
 index, so it is judged by recall against a cold build, not by
-fingerprint.  When the start centroids do not fit (another resolved
-``num_lists`` or ``dim``) the build is cold, bit for bit.
+fingerprint.  It inherits its predecessor's probe count (and estimate)
+instead of calibrating again.  When the start centroids do not fit
+(another resolved ``num_lists`` or ``dim``) the build is cold, bit for
+bit, and a calibrating index calibrates.
 
 Two builds from the same seed and vectors are bitwise identical (equal
 :meth:`IvfIndex.fingerprint`).  ``save``/``load`` round-trip the full
 state through one ``.npz`` file, and a loaded index searches
-bitwise-identically to the one saved.  ``generation`` records which
+bitwise-identically to the one saved: the saved ``nprobe`` is the
+resolved count, so a loaded index probes that count and does not
+calibrate.  ``generation`` records which
 embedding-store generation (or model version) the index was built
 against; the two-stage rung compares it to its base recommender's
 generation on every request and refuses to serve from a stale index
@@ -78,6 +102,17 @@ _MIN_BLOCK_ROWS = 256
 #: better on the online loop).
 _WARM_ROUNDS = 1
 
+#: Recall-targeted probing (``nprobe=None``): the calibrated count never
+#: exceeds this many cells (the fixed default it replaces)...
+PROBE_BUDGET = 16
+#: ...never falls below this many (see the module docstring)...
+PROBE_FLOOR = PROBE_BUDGET // 2
+#: ...and is the fewest that reach this mean recall@10 on the sample.
+RECALL_TARGET = 0.995
+#: Sample rows the calibration queries with, and its recall depth.
+_CALIBRATION_SAMPLE = 256
+_CALIBRATION_K = 10
+
 #: Supported similarity metrics: ``"ip"`` ranks by descending inner
 #: product; ``"l2"`` by ascending squared euclidean distance (the TransE
 #: scoring geometry, where the query is ``u + r``).
@@ -85,6 +120,60 @@ METRICS: tuple[str, ...] = ("ip", "l2")
 
 #: Save-file schema version.
 FORMAT_VERSION = 1
+
+
+def _sample_topk(
+    vectors: np.ndarray, sample: np.ndarray, k: int, metric: str
+) -> np.ndarray:
+    """Exact top-``k`` ids of each ``sample`` row among the other rows.
+
+    Descending score, ties lowest id first (``exact_topk``'s rule).
+    Item blocks are scored against every sample row at once, each block's
+    scores fitting ``_BLOCK_SCORES``, and a running top-``k`` per row
+    admits only entries above its current ``k``-th best: blocks run in
+    id order, so a later tie never wins.
+    """
+    n, s = vectors.shape[0], sample.size
+    queries = vectors[sample]
+    width = max(1, _BLOCK_SCORES // s)
+    best = np.full((s, k), -np.inf, dtype=np.float32)
+    best_ids = np.full((s, k), n, dtype=np.int64)  # n sorts after every id
+    rows = np.arange(s)
+    score_buf = np.empty((s, min(width, n)), dtype=np.float32)
+    above_buf = np.empty(score_buf.shape, dtype=bool)
+    for start in range(0, n, width):
+        block = vectors[start : start + width]
+        scores = score_buf[:, : block.shape[0]]
+        above = above_buf[:, : block.shape[0]]
+        np.matmul(queries, block.T, out=scores)
+        if metric == "l2":
+            # -||q - x||^2 ranks as 2 q.x - ||x||^2: ||q||^2 is per row.
+            scores *= np.float32(2.0)
+            scores -= np.einsum("ij,ij->i", block, block)
+        own = (sample >= start) & (sample < start + block.shape[0])
+        scores[rows[own], sample[own] - start] = -np.inf
+        np.greater(scores, best[:, -1:], out=above)
+        hits = np.flatnonzero(above)
+        if hits.size > 8 * best.size:  # so the block is wider than 8k
+            # The first block (or an unlucky order): cut at the block's
+            # own k-th best, keeping its ties for the id rule below.
+            cut = block.shape[0] - k
+            kth = np.maximum(np.partition(scores, cut, axis=1)[:, cut], best[:, -1])
+            np.greater_equal(scores, kth[:, None], out=above)
+            hits = np.flatnonzero(above)
+        if not hits.size:
+            continue
+        hit_rows, hit_cols = np.divmod(hits, block.shape[0])
+        cand_rows = np.concatenate([np.repeat(rows, k), hit_rows])
+        cand = np.concatenate([best.ravel(), scores[hit_rows, hit_cols]])
+        cand_ids = np.concatenate([best_ids.ravel(), hit_cols + start])
+        order = np.lexsort((cand_ids, -cand, cand_rows))
+        per_row = k + np.bincount(hit_rows, minlength=s)
+        firsts = np.cumsum(per_row) - per_row
+        take = order[(firsts[:, None] + np.arange(k)).ravel()]
+        best = cand[take].reshape(s, k)
+        best_ids = cand_ids[take].reshape(s, k)
+    return best_ids
 
 
 class IvfIndex:
@@ -98,6 +187,9 @@ class IvfIndex:
         so probe cost grows as ``O(sqrt(n))`` instead of ``O(n)``.
     nprobe:
         Cells probed per query (clamped to ``num_lists`` at search time).
+        ``None`` (default) lets each cold build calibrate it: the fewest
+        cells, ``PROBE_FLOOR`` to ``PROBE_BUDGET``, reaching ``RECALL_TARGET``
+        recall@10 on a sample of the table (see the module docstring).
     iters:
         K-means refinement rounds of a cold build (a successor's warm
         build runs ``_WARM_ROUNDS``).
@@ -112,7 +204,7 @@ class IvfIndex:
     def __init__(
         self,
         num_lists: int | None = None,
-        nprobe: int = 16,
+        nprobe: int | None = None,
         iters: int = 8,
         train_size: int | None = 100_000,
         seed: int = 0,
@@ -122,12 +214,18 @@ class IvfIndex:
             raise RetrievalError(f"unknown metric {metric!r}; known: {METRICS}")
         if num_lists is not None and num_lists < 1:
             raise RetrievalError("num_lists must be >= 1")
-        if nprobe < 1:
+        if nprobe is not None and nprobe < 1:
             raise RetrievalError("nprobe must be >= 1")
         if iters < 1:
             raise RetrievalError("iters must be >= 1")
         self.num_lists = num_lists
-        self.nprobe = int(nprobe)
+        #: Cells probed per query; a calibrating index resolves it per build.
+        self.nprobe = None if nprobe is None else int(nprobe)
+        #: Whether cold builds calibrate ``nprobe``.
+        self.calibrates = nprobe is None
+        #: Mean recall@10 of the calibration sample at ``nprobe`` (``None``
+        #: when no build calibrated it: explicit ``nprobe`` or loaded).
+        self.estimated_recall: float | None = None
         self.iters = int(iters)
         self.train_size = train_size
         self.seed = int(seed)
@@ -155,15 +253,20 @@ class IvfIndex:
 
         Same constructor configuration; its :meth:`build` refines a copy
         of this index's centroids for ``_WARM_ROUNDS`` rounds instead of
-        running ``iters`` rounds from a seeded draw.  A build whose
-        resolved ``num_lists`` or ``dim`` differs from this index's is
-        cold, bit for bit what a fresh ``IvfIndex(...)`` builds.
+        running ``iters`` rounds from a seeded draw, and keeps this
+        index's probe count and recall estimate instead of calibrating.
+        A build whose resolved ``num_lists`` or ``dim`` differs from this
+        index's is cold, bit for bit what a fresh ``IvfIndex(...)``
+        builds.
         """
         self._require_built()
         nxt = type(self)(
-            num_lists=self.num_lists, nprobe=self.nprobe, iters=self.iters,
-            train_size=self.train_size, seed=self.seed, metric=self.metric,
+            num_lists=self.num_lists,
+            nprobe=None if self.calibrates else self.nprobe,
+            iters=self.iters, train_size=self.train_size, seed=self.seed,
+            metric=self.metric,
         )
+        nxt.nprobe, nxt.estimated_recall = self.nprobe, self.estimated_recall
         nxt._start = self._centroids
         return nxt
 
@@ -281,12 +384,59 @@ class IvfIndex:
         self._offsets = offsets
         self._members = order.astype(np.int64)
         self.num_vectors, self.dim = n, dim
+        if self.calibrates and not warm:
+            self.nprobe, self.estimated_recall = self._calibrate(vectors)
         self._start = None
         self.generation = int(generation) if generation is not None else None
         if span is not None:
             tel.counter("retrieval.index_builds", index=self.kind).inc()
-            tel.end(span, outcome="ok")
+            recall = self.estimated_recall
+            tel.end(
+                span, outcome="ok", probes=self.nprobe, estimated_recall=recall,
+                capped=None if recall is None else recall < RECALL_TARGET,
+            )
         return self
+
+    # ------------------------------------------------------------------ #
+    # probe calibration
+    # ------------------------------------------------------------------ #
+    def _calibration_sample(self, n: int) -> np.ndarray:
+        """The sorted, seeded rows a calibration queries with."""
+        # A seed stream apart from k-means's draws.
+        rng = np.random.default_rng([self.seed, 1])
+        size = min(_CALIBRATION_SAMPLE, n)
+        return np.sort(rng.choice(n, size=size, replace=False))
+
+    def _calibrate(self, vectors: np.ndarray) -> tuple[int, float]:
+        """``(probes, estimated recall)``: the fewest probes, from the
+        floor to the budget, whose mean recall@10 over the sample reaches
+        the target, or the budget when none does."""
+        n, num_lists = vectors.shape[0], self._centroids.shape[0]
+        budget = min(PROBE_BUDGET, num_lists)
+        k = min(_CALIBRATION_K, n - 1)
+        if k < 1:  # a one-row table has no neighbours to miss
+            return 1, 1.0
+        sample = self._calibration_sample(n)
+        neighbours = _sample_topk(vectors, sample, k, self.metric)
+        cell_of = np.empty(n, dtype=np.int64)
+        cell_of[self._members] = np.repeat(
+            np.arange(num_lists), np.diff(self._offsets)
+        )
+        # Where each neighbour's cell falls in its query's probe order.
+        rank = np.empty(num_lists, dtype=np.int64)
+        ranks = np.empty(neighbours.shape, dtype=np.int64)
+        positions = np.arange(num_lists)
+        for row, item in enumerate(sample):
+            rank[self._probe_order(vectors[item])] = positions
+            ranks[row] = rank[cell_of[neighbours[row]]]
+        # Every sample row has k neighbours, so the mean recall at p
+        # probes is the share of all neighbours ranked below p.
+        found = np.cumsum(np.bincount(ranks.ravel(), minlength=num_lists))
+        recall = found[:budget] / ranks.size
+        met = np.flatnonzero(recall >= RECALL_TARGET)
+        probes = int(met[0]) + 1 if met.size else budget
+        probes = max(probes, min(PROBE_FLOOR, budget))
+        return probes, float(recall[probes - 1])
 
     # ------------------------------------------------------------------ #
     # search

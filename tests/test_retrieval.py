@@ -41,10 +41,13 @@ from repro.retrieval import (
     exact_topk,
     recall_at_k,
 )
+from repro.retrieval.base import pairwise_scores
+from repro.retrieval.ivf import PROBE_BUDGET, PROBE_FLOOR, RECALL_TARGET
 from repro.runtime.faults import Fault, FaultInjector, FaultPlan
 from repro.runtime.guards import validate_scores
 from repro.serving import RecommenderService, ServeRequest
 from repro.store import MmapShardStore, StoredEmbeddingRecommender
+from repro.telemetry import Telemetry, activated
 
 KINDS = {"ivf": IvfIndex}
 
@@ -94,6 +97,10 @@ class TestIndexDeterminism:
         first = KINDS[kind](seed=3).build(items, generation=5)
         second = KINDS[kind](seed=3).build(items, generation=5)
         assert first.fingerprint() == second.fingerprint()
+        # The calibrated probe count and its estimate rebuild too.
+        assert (first.nprobe, first.estimated_recall) == (
+            second.nprobe, second.estimated_recall
+        )
         truth = [exact_topk(items, q, 10) for q in queries]
         recalls = []
         for q, true_ids in zip(queries, truth):
@@ -134,6 +141,8 @@ class TestIndexDeterminism:
         loaded = IvfIndex.load(path)
         assert loaded.generation == 9
         assert loaded.fingerprint() == index.fingerprint()
+        # The file records the calibrated count, which loads as explicit.
+        assert loaded.nprobe == index.nprobe and not loaded.calibrates
         for q in queries:
             assert np.array_equal(loaded.search(q, 32), index.search(q, 32))
 
@@ -149,7 +158,10 @@ class TestIndexDeterminism:
         loaded = IvfIndex.load(SAVED_V1)
         assert loaded.fingerprint() == SAVED_V1_FINGERPRINT
         assert loaded.generation == 3
-        fresh = IvfIndex(seed=5).build(clustered(37, 4, seed=7), generation=3)
+        # The file was saved when nprobe=16 was the default.
+        fresh = IvfIndex(seed=5, nprobe=16).build(
+            clustered(37, 4, seed=7), generation=3
+        )
         for q in clustered(6, 4, seed=8):
             for k in (1, 5, 37):
                 assert np.array_equal(loaded.search(q, k), fresh.search(q, k))
@@ -416,6 +428,256 @@ class TestIvfSuccessor:
             warm.append(recall(live.successor().build(moved)))
             cold.append(recall(IvfIndex(seed=seed, nprobe=4).build(moved)))
         assert np.mean(warm) >= np.mean(cold) - 0.02
+
+
+# ---------------------------------------------------------------------- #
+# recall-targeted probing (nprobe=None)
+# ---------------------------------------------------------------------- #
+class TestExactTopk:
+    @pytest.mark.parametrize("metric", ("ip", "l2"))
+    def test_ties_resolve_lowest_id_first(self, metric):
+        # Small integer vectors score exactly, so many ids tie bitwise.
+        rng = np.random.default_rng(0)
+        for __ in range(200):
+            n = int(rng.integers(12, 60))
+            vectors = rng.integers(-2, 3, size=(n, 4)).astype(np.float32)
+            query = rng.integers(-2, 3, size=4).astype(np.float32)
+            k = int(rng.integers(1, n + 1))
+            scores = pairwise_scores(vectors, query, metric)
+            expected = np.argsort(-scores, kind="stable")[:k]
+            assert np.array_equal(exact_topk(vectors, query, k, metric), expected)
+
+
+def oracle_calibration(index, vectors):
+    """The calibration by brute force: a full sort per sample row, then
+    ``p = floor .. budget`` cells probed through ``_probe_order``."""
+    n = vectors.shape[0]
+    k = min(10, n - 1)
+    if k < 1:
+        return 1, 1.0
+    offsets, members = index._offsets, index._members
+    budget = min(PROBE_BUDGET, offsets.size - 1)
+    sample = index._calibration_sample(n)
+    found = np.zeros(budget, dtype=np.int64)
+    exact = vectors.astype(np.float64)
+    for item in sample:
+        scores = pairwise_scores(exact, exact[item], index.metric)
+        scores[item] = -np.inf
+        truth = np.argsort(-scores, kind="stable")[:k]
+        order = index._probe_order(vectors[item])
+        for p in range(1, budget + 1):
+            cells = [members[offsets[c] : offsets[c + 1]] for c in order[:p]]
+            found[p - 1] += np.isin(truth, np.concatenate(cells)).sum()
+    recall = found / (sample.size * k)
+    floor = min(PROBE_FLOOR, budget)
+    met = [p for p in range(floor, budget + 1) if recall[p - 1] >= RECALL_TARGET]
+    probes = met[0] if met else budget
+    return probes, float(recall[probes - 1])
+
+
+def mixture_with_queries(num_rows, num_queries, dim, seed, num_centers):
+    """Catalog rows and fresh queries drawn from one Gaussian mixture."""
+    rows = clustered(num_rows + num_queries, dim, seed, num_centers=num_centers)
+    return rows[:num_rows], rows[num_rows:]
+
+
+class TestProbeCalibration:
+    ORACLE_CATALOGS = {
+        "clustered": lambda: clustered(3_000, 8, seed=11),
+        "gaussian": lambda: np.random.default_rng(12)
+        .standard_normal((3_000, 8)).astype(np.float32),
+        "n=1": lambda: clustered(1, 8, seed=13),
+        "n=5": lambda: clustered(5, 8, seed=14),
+        "n=10": lambda: clustered(10, 8, seed=15),
+        "n=11": lambda: clustered(11, 8, seed=16),
+    }
+
+    @pytest.mark.parametrize("metric", ("ip", "l2"))
+    @pytest.mark.parametrize("catalog", ORACLE_CATALOGS)
+    def test_histogram_picks_the_brute_force_count(self, catalog, metric):
+        items = self.ORACLE_CATALOGS[catalog]()
+        index = IvfIndex(seed=3, metric=metric).build(items)
+        assert (index.nprobe, index.estimated_recall) == oracle_calibration(
+            index, items
+        )
+
+    @pytest.mark.parametrize("metric", ("ip", "l2"))
+    def test_duplicated_catalog_with_empty_cells(self, metric):
+        items = duplicated(400, 5, 16, seed=3)
+        index = IvfIndex(seed=0, num_lists=20, metric=metric).build(items)
+        assert empty_cells(index) == 15
+        assert (index.nprobe, index.estimated_recall) == oracle_calibration(
+            index, items
+        )
+
+    def test_counts_span_the_budget(self):
+        # The oracle catalogs exercise an early stop and a capped count.
+        counts = {
+            name: IvfIndex(seed=3).build(make()).nprobe
+            for name, make in self.ORACLE_CATALOGS.items()
+        }
+        assert counts["clustered"] < PROBE_BUDGET
+        assert counts["gaussian"] == PROBE_BUDGET
+        assert counts["n=1"] == 1
+
+    def test_floor_bounds_the_count_from_below(self, monkeypatch):
+        import repro.retrieval.ivf as ivf
+
+        items = self.ORACLE_CATALOGS["clustered"]()
+        floored = IvfIndex(seed=3).build(items)
+        monkeypatch.setattr(ivf, "PROBE_FLOOR", 1)
+        unfloored = IvfIndex(seed=3).build(items)
+        # The target is met below the floor, and the floor still holds.
+        assert unfloored.nprobe < PROBE_FLOOR == floored.nprobe
+        assert floored.estimated_recall >= unfloored.estimated_recall >= RECALL_TARGET
+
+    # -- the recall contract: fresh queries meet the build's estimate ---- #
+    def assert_recall_contract(self, index, items, queries):
+        recall = np.mean([
+            recall_at_k(index.search(q, 10), exact_topk(items, q, 10, index.metric))
+            for q in queries
+        ])
+        assert recall >= min(RECALL_TARGET, index.estimated_recall) - 0.02
+
+    def test_clustered_1e5_ip(self):
+        items, queries = mixture_with_queries(100_000, 100, 32, 0, 256)
+        index = IvfIndex(seed=0).build(items)
+        self.assert_recall_contract(index, items, queries)
+
+    def test_clustered_translation_l2(self):
+        # TransE-style serving: the query is u + r, scored by distance.
+        rows, targets = mixture_with_queries(20_000, 200, 16, 1, 64)
+        relation = np.full(16, 0.5, dtype=np.float32)
+        queries = (targets - relation) + relation
+        index = IvfIndex(seed=1, metric="l2").build(rows)
+        assert index.nprobe < PROBE_BUDGET
+        assert index.estimated_recall >= RECALL_TARGET
+        self.assert_recall_contract(index, rows, queries)
+
+    def test_online_world_bootstrap_is_capped(self, tmp_path):
+        from repro.online.harness import ChurnConfig, build_world
+        from repro.online.stream import StreamConfig
+
+        config = ChurnConfig(
+            model_dim=32, rows_per_shard=1024, k_candidates=128,
+            stream=StreamConfig(
+                num_users=256, num_items=2_000, warm_users=192,
+                warm_items=1_600, session_size=16,
+            ),
+        )
+        world = build_world(tmp_path, 0, config=config)
+        live = world.service.registry.live
+        items = np.ascontiguousarray(live.base.item_vectors(), dtype=np.float32)
+        queries = [
+            np.asarray(live.base.query_vector(u), dtype=np.float32)
+            for u in range(config.stream.num_users)
+        ]
+        assert live.index.nprobe == PROBE_BUDGET
+        assert live.index.estimated_recall < RECALL_TARGET
+        self.assert_recall_contract(live.index, items, queries)
+        world.loop.close()
+
+    def test_unclustered_gaussian_is_capped(self):
+        rng = np.random.default_rng(2)
+        items = rng.standard_normal((20_000, 32)).astype(np.float32)
+        queries = rng.standard_normal((200, 32)).astype(np.float32)
+        index = IvfIndex(seed=2).build(items)
+        assert index.nprobe == PROBE_BUDGET
+        assert index.estimated_recall < RECALL_TARGET
+        self.assert_recall_contract(index, items, queries)
+
+    # -- everything else a count touches --------------------------------- #
+    def test_explicit_nprobe_never_calibrates(self, catalog, monkeypatch):
+        items, __ = catalog
+        calibrated = IvfIndex(seed=3).build(items, generation=2)
+
+        def refuse(self, vectors):
+            raise AssertionError("an explicit nprobe must not calibrate")
+
+        monkeypatch.setattr(IvfIndex, "_calibrate", refuse)
+        explicit = IvfIndex(seed=3, nprobe=calibrated.nprobe).build(
+            items, generation=2
+        )
+        assert explicit.estimated_recall is None
+        # Same arrays and the same recorded count: the same index.
+        assert explicit.fingerprint() == calibrated.fingerprint()
+
+    def test_successor_inherits_the_count(self, catalog, monkeypatch):
+        items, __ = catalog
+        live = IvfIndex(seed=2).build(items)
+        live.nprobe = 5  # a count the drifted table would not calibrate to
+        nxt = live.successor()
+
+        def refuse(self, vectors):
+            raise AssertionError("a warm build must not calibrate")
+
+        monkeypatch.setattr(IvfIndex, "_calibrate", refuse)
+        warm = nxt.build(drift(items, seed=0))
+        assert (warm.nprobe, warm.estimated_recall) == (5, live.estimated_recall)
+        assert warm.calibrates
+
+    def test_cold_successor_build_calibrates(self, catalog):
+        items, __ = catalog
+        live = IvfIndex(seed=1).build(items)
+        live.nprobe = 5
+        cold = live.successor().build(items[:400])  # 20 lists, not 24
+        fresh = IvfIndex(seed=1).build(items[:400])
+        assert (cold.nprobe, cold.estimated_recall) == (
+            fresh.nprobe, fresh.estimated_recall
+        )
+
+    def test_forced_sync_index_recalibrates(self):
+        dataset = generate_dataset(MOVIE_SCHEMA, num_users=12, num_items=3_000, seed=0)
+        rng = np.random.default_rng(4)
+        base = ArrayEmbeddingRecommender(
+            clustered(dataset.num_users, 8, seed=7),
+            rng.standard_normal((dataset.num_items, 8)),
+        )
+        model = TwoStageRecommender(base, IvfIndex(seed=0), k_candidates=64)
+        model.fit(dataset)
+        model.sync_index()
+        assert model.index.nprobe == PROBE_BUDGET
+        moved = clustered(dataset.num_items, 8, seed=11)
+        base.set_embeddings(item_vectors=moved, generation=base.generation)
+        model.sync_index(force=True)
+        fresh = IvfIndex(seed=0).build(moved)
+        assert model.index.nprobe == fresh.nprobe < PROBE_BUDGET
+
+    def test_build_span_reports_the_calibration(self, catalog):
+        items, __ = catalog
+        tel = Telemetry()
+        with activated(tel):
+            index = IvfIndex(seed=3).build(items)
+            IvfIndex(seed=3, nprobe=4).build(items)
+        calibrated, explicit = [
+            r.attrs for r in tel.tracer.records() if r.name == "retrieval/build"
+        ]
+        assert calibrated["probes"] == index.nprobe
+        assert calibrated["estimated_recall"] == index.estimated_recall
+        assert calibrated["capped"] == (index.estimated_recall < RECALL_TARGET)
+        assert (explicit["probes"], explicit["estimated_recall"]) == (4, None)
+        assert explicit["capped"] is None
+
+    def test_calibration_buffers_fit_the_block(self, monkeypatch):
+        import repro.retrieval.ivf as ivf
+
+        # A block far smaller than the table forces 47 item blocks.
+        block = 256 * 64
+        monkeypatch.setattr(ivf, "_BLOCK_SCORES", block)
+        items = clustered(3_000, 8, seed=11)
+        index = IvfIndex(seed=3, nprobe=1).build(items)
+        sizes = []
+        matmul = np.matmul
+
+        def spy(a, b, out=None):
+            sizes.append(out.size if out is not None else a.shape[0] * b.shape[1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        probes, recall = index._calibrate(items)
+        monkeypatch.undo()
+        assert len(sizes) == 47 and max(sizes) <= block
+        assert (probes, recall) == oracle_calibration(index, items)
 
 
 # ---------------------------------------------------------------------- #
