@@ -126,10 +126,6 @@ class Embedding(Module):
         return self.weight[idx]
 
     @property
-    def num_embeddings(self) -> int:
-        return self.weight.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.weight.shape[1]
 

@@ -22,7 +22,6 @@ __all__ = [
     "log_softmax",
     "concat",
     "stack",
-    "l2_norm_sq",
     "clip_probability",
 ]
 
@@ -154,11 +153,6 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(g)
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def l2_norm_sq(x: Tensor) -> Tensor:
-    """Squared Frobenius norm, the standard regularization term."""
-    return (x * x).sum()
 
 
 def clip_probability(p: Tensor, eps: float = 1e-9) -> Tensor:

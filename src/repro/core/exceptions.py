@@ -95,10 +95,6 @@ class Overloaded(ServingError):
     """The admission queue is full; the request was shed, not queued."""
 
 
-class CircuitOpenError(ServingError):
-    """A circuit breaker is open; calls to the protected model are refused."""
-
-
 class ModelUnavailableError(ServingError):
     """No live model is registered (or every fallback rung failed)."""
 

@@ -28,7 +28,8 @@ selection, faithful-link publication) are batched ``Generator`` draws and
 grouped ``argpartition`` calls; the default mode consumes the RNG stream
 in **exactly** the order the original per-item/per-user loop
 implementation did, so seeded datasets are bitwise-identical to the seed
-generator (asserted against :mod:`repro.data._reference` by
+generator (asserted against that loop, kept as the oracle
+``tests/generator_reference.py``, by
 ``tests/test_synthetic_vectorized.py``).  Two draws cannot be reordered
 without changing the stream and therefore stay loops in exact mode: the
 per-item attribute-link sampling (a ``choice`` interleaved with scalar

@@ -54,13 +54,6 @@ class Evaluator:
     max_users:
         Optional cap on evaluated users (speeds up large sweeps); users are
         subsampled deterministically from ``seed``.
-    assume_fresh:
-        Promise that ``model.score_all`` returns a *fresh* array per call
-        (true for every in-repo recommender).  The evaluator then masks
-        seen items in that array directly instead of taking a defensive
-        per-user copy — at catalog scale the copy is a measurable slice of
-        evaluation time.  Leave ``False`` for models that might hand back
-        a view of an internal buffer.
     """
 
     def __init__(
@@ -71,7 +64,6 @@ class Evaluator:
         num_negatives: int = 50,
         max_users: int | None = None,
         seed: int | np.random.Generator | None = 0,
-        assume_fresh: bool = False,
     ) -> None:
         if train.interactions.shape != test.interactions.shape:
             raise EvaluationError("train/test must share the matrix shape")
@@ -79,7 +71,6 @@ class Evaluator:
         self.test = test
         self.k_values = tuple(k_values)
         self.num_negatives = num_negatives
-        self.assume_fresh = bool(assume_fresh)
         rng = ensure_rng(seed)
 
         eligible = [
@@ -109,38 +100,42 @@ class Evaluator:
             self._negatives[u] = rng.choice(pool, size=take, replace=False)
 
     # ------------------------------------------------------------------ #
-    def evaluate(self, model: Recommender, name: str | None = None) -> EvalResult:
-        """Average metrics for a fitted model over all evaluated users."""
+    def _rank_users(self, model: Recommender):
+        """Yield ``(relevant, top order, AUC or None)`` per evaluated user.
+
+        One copy of each user's scores: AUC reads the raw scores, then the
+        copy is masked in place (training items to ``-inf``) and ranked.
+        """
         if not model.is_fitted:
             raise EvaluationError("model must be fitted before evaluation")
-        per_metric: dict[str, list[float]] = {}
-
-        def push(key: str, value: float) -> None:
-            per_metric.setdefault(key, []).append(value)
-
-        max_k = max(self.k_values)
+        depth = max(self.k_values) * 4
         for user in self.users:
             relevant = set(self.test.interactions.items_of(user).tolist())
-            scores = np.asarray(model.score_all(user), dtype=np.float64)
-            # AUC reads come before the seen-item masking so the fresh-array
-            # path can mask in place without a per-user defensive copy.
+            scores = np.array(model.score_all(user), dtype=np.float64)
             negatives = self._negatives.get(user)
             auc_value = (
                 metrics.auc(scores[list(relevant)], scores[negatives])
                 if negatives is not None and negatives.size
                 else None
             )
-            ranked_scores = scores if self.assume_fresh else scores.copy()
-            ranked_scores[self.train.interactions.items_of(user)] = -np.inf
-            order = np.argsort(-ranked_scores, kind="stable")[: max_k * 4]
+            scores[self.train.interactions.items_of(user)] = -np.inf
+            order = np.argsort(-scores, kind="stable")[:depth]
+            yield relevant, order, auc_value
 
+    def evaluate(self, model: Recommender, name: str | None = None) -> EvalResult:
+        """Average metrics for a fitted model over all evaluated users."""
+        per_metric: dict[str, list[float]] = {}
+
+        def push(key: str, value: float) -> None:
+            per_metric.setdefault(key, []).append(value)
+
+        for relevant, order, auc_value in self._rank_users(model):
             for k in self.k_values:
                 push(f"Precision@{k}", metrics.precision_at_k(order, relevant, k))
                 push(f"Recall@{k}", metrics.recall_at_k(order, relevant, k))
                 push(f"NDCG@{k}", metrics.ndcg_at_k(order, relevant, k))
                 push(f"HR@{k}", metrics.hit_ratio_at_k(order, relevant, k))
             push("MRR", metrics.reciprocal_rank(order, relevant))
-
             if auc_value is not None:
                 push("AUC", auc_value)
 
@@ -153,29 +148,18 @@ class Evaluator:
 
     def per_user_metric(self, model: Recommender, metric: str = "AUC") -> np.ndarray:
         """Per-user values of one metric (for significance testing)."""
-        rows: list[float] = []
-        max_k = max(self.k_values)
-        for user in self.users:
-            relevant = set(self.test.interactions.items_of(user).tolist())
-            scores = np.asarray(model.score_all(user), dtype=np.float64)
-            if metric == "AUC":
-                negatives = self._negatives.get(user)
-                if negatives is None or not negatives.size:
-                    continue
-                rows.append(metrics.auc(scores[list(relevant)], scores[negatives]))
-                continue
-            ranked = scores if self.assume_fresh else scores.copy()
-            ranked[self.train.interactions.items_of(user)] = -np.inf
-            order = np.argsort(-ranked, kind="stable")[: max_k * 4]
-            name, __, k_str = metric.partition("@")
-            k = int(k_str) if k_str else max_k
+        if metric == "AUC":
+            rows = [auc for __, ___, auc in self._rank_users(model) if auc is not None]
+        else:
+            label, __, k_str = metric.partition("@")
             fn = {
                 "Precision": metrics.precision_at_k,
                 "Recall": metrics.recall_at_k,
                 "NDCG": metrics.ndcg_at_k,
                 "HR": metrics.hit_ratio_at_k,
-            }[name]
-            rows.append(fn(order, relevant, k))
+            }[label]
+            k = int(k_str) if k_str else max(self.k_values)
+            rows = [fn(order, rel, k) for rel, order, __ in self._rank_users(model)]
         return np.asarray(rows, dtype=np.float64)
 
     def compare(

@@ -90,10 +90,6 @@ class PanelResult(list):
         self.failures: list[FailureRecord] = list(failures or [])
 
     @property
-    def failed_models(self) -> list[str]:
-        return [f.model for f in self.failures]
-
-    @property
     def ok(self) -> bool:
         return not self.failures
 

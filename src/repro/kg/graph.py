@@ -81,10 +81,6 @@ class KnowledgeGraph:
     def num_triples(self) -> int:
         return self.store.num_triples
 
-    @property
-    def is_typed(self) -> bool:
-        return self.entity_types is not None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"KnowledgeGraph(entities={self.num_entities}, "
@@ -212,23 +208,6 @@ class KnowledgeGraph:
             type_names=self.type_names,
         )
         return sub, mapping
-
-    # ------------------------------------------------------------------ #
-    # exports
-    # ------------------------------------------------------------------ #
-    def to_networkx(self):
-        """A ``networkx.MultiDiGraph`` view (for analysis and examples)."""
-        import networkx as nx
-
-        g = nx.MultiDiGraph()
-        for e in range(self.num_entities):
-            attrs = {"label": self.entity_label(e)}
-            if self.entity_types is not None:
-                attrs["type"] = self.type_name(self.type_of(e))
-            g.add_node(e, **attrs)
-        for h, r, t in self.triples():
-            g.add_edge(int(h), int(t), relation=self.relation_label(int(r)))
-        return g
 
     def describe(self) -> dict[str, float]:
         """Basic statistics used in dataset summaries."""

@@ -17,7 +17,7 @@ import numpy as np
 from repro.autograd import Adam, losses, nn, ops
 from repro.autograd.sparse import SparseGrad
 from repro.autograd.tensor import Tensor
-from repro.core.exceptions import ConfigError, NotFittedError
+from repro.core.exceptions import ConfigError
 from repro.core.rng import ensure_rng
 from repro.kg.sampling import corrupt_batch
 from repro.kg.triples import TripleStore
@@ -292,7 +292,3 @@ class KGEModel(nn.Module, abc.ABC):
             if changed.size:
                 self.store.mark_dirty("entity", changed)
         np.divide(w, np.maximum(norms, 1.0), out=w)
-
-    def require_fitted(self) -> None:
-        if not self._fitted:
-            raise NotFittedError(f"{type(self).__name__} has not been fitted")

@@ -28,7 +28,7 @@ faulted and clean replays step-for-step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,11 +214,3 @@ class InteractionStream:
             new_users=new_users,
             new_items=new_items,
         )
-
-    # ------------------------------------------------------------------ #
-    def true_top_items(self, user_id: int, k: int) -> np.ndarray:
-        """Ground-truth top-k for ``user_id`` over the visible catalog."""
-        scores = self.user_latent[int(user_id)] @ self.item_latent[: self.seen_items].T
-        k = min(int(k), self.seen_items)
-        top = np.argpartition(scores, -k)[-k:]
-        return top[np.argsort(-scores[top], kind="stable")].astype(np.int64)

@@ -183,13 +183,12 @@ class TwoStageRecommender(Recommender):
         Candidate-set floor per request.  The exact rerank pays per
         candidate, so this is the recall/latency dial; keep it comfortably
         above the largest ``k`` plus a typical user's seen-item count.
-    exact_fallback:
-        When ``True`` (default), :meth:`score_all` silently falls back to
-        the base's exact full scoring if the index is stale/missing
-        (standalone use, evaluation).  The serving path is unaffected:
-        :meth:`score_candidates` always raises
-        :class:`~repro.core.exceptions.IndexStaleError` on staleness so
-        the degradation ladder records a typed rung failure.
+
+    :meth:`score_all` falls back to the base's exact full scoring when the
+    index is stale or missing (standalone use, evaluation).  The serving
+    path is unaffected: :meth:`score_candidates` always raises
+    :class:`~repro.core.exceptions.IndexStaleError` on staleness so the
+    degradation ladder records a typed rung failure.
     """
 
     requires_kg = False
@@ -202,7 +201,6 @@ class TwoStageRecommender(Recommender):
         base: Recommender,
         index: IvfIndex,
         k_candidates: int = 128,
-        exact_fallback: bool = True,
     ) -> None:
         super().__init__()
         missing = [m for m in PROTOCOL_METHODS if not callable(getattr(base, m, None))]
@@ -217,7 +215,6 @@ class TwoStageRecommender(Recommender):
         self.base = base
         self.index = index
         self.k_candidates = int(k_candidates)
-        self.exact_fallback = bool(exact_fallback)
 
     # -------------------------------------------------------------- #
     @property
@@ -317,8 +314,6 @@ class TwoStageRecommender(Recommender):
         try:
             ids, scores = self.score_candidates(user_id)
         except (IndexStaleError, RetrievalError):
-            if not self.exact_fallback:
-                raise
             tel = get_active()
             if tel.enabled:
                 tel.counter("retrieval.exact_fallbacks").inc()

@@ -6,18 +6,14 @@ the same amounts, so retry behavior is reproducible and testable.  The
 clock and sleep functions are injectable, which lets the test suite drive
 a policy through "minutes" of backoff without a single real sleep.
 
-Three usage forms::
+Two usage forms::
 
     policy = RetryPolicy(max_attempts=3, base_delay=0.5, seed=0)
 
     # 1. direct call
     result = policy.call(flaky_fn, arg1, kw=2)
 
-    # 2. decorator
-    @policy
-    def fetch(): ...
-
-    # 3. attempt loop (tenacity-style), for code that is awkward as a closure
+    # 2. attempt loop (tenacity-style), for code that is awkward as a closure
     for attempt in policy:
         with attempt:
             result = flaky_fn()
@@ -35,7 +31,6 @@ retry guard).
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Callable
 
@@ -225,12 +220,3 @@ class RetryPolicy:
             with attempt:
                 result = fn(*args, **kwargs)
         return result
-
-    def __call__(self, fn: Callable) -> Callable:
-        """Decorator form: ``@policy`` wraps ``fn`` in :meth:`call`."""
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            return self.call(fn, *args, **kwargs)
-
-        return wrapper

@@ -25,7 +25,9 @@ class Deadline:
     """A wall-clock budget anchored at construction time.
 
     ``budget=None`` means unbounded: the deadline never expires and every
-    check passes, so callers can thread a deadline unconditionally.
+    check passes, so callers can thread a deadline unconditionally.  A NaN
+    budget is rejected: ``elapsed > nan`` is never true, so it would
+    silently never expire.
     """
 
     def __init__(
@@ -33,7 +35,7 @@ class Deadline:
         budget: float | None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if budget is not None and budget <= 0:
+        if budget is not None and not budget > 0:
             raise ConfigError("deadline budget must be positive")
         self.budget = budget
         self.clock = clock

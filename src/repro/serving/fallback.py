@@ -10,7 +10,7 @@ response records exactly how far it fell (``degraded`` /
 
 A chain rung is any fitted :class:`~repro.core.recommender.Recommender`.
 :class:`StaticTopK` is the designed last resort: a frozen global score
-vector (popularity by default) that involves no model call at all, cannot
+vector (item popularity) that involves no model call at all, cannot
 raise, and costs O(num_items) — so the final rung always answers.
 """
 
@@ -19,46 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.exceptions import DataError
 from repro.core.recommender import Recommender
 
 __all__ = ["StaticTopK"]
 
 
 class StaticTopK(Recommender):
-    """Non-personalized last-resort scorer over a frozen score vector.
+    """Non-personalized last-resort scorer over frozen popularity scores.
 
     Unlike :class:`~repro.models.baselines.nonpersonalized.MostPopular`
-    this is constructed *for serving*: the vector is validated (finite,
-    correct length) once at fit/construction time so ``score_all`` is an
-    infallible array return, and a copy is handed out to keep the frozen
-    ranking immune to downstream mutation.
+    this is constructed *for serving*: the item-degree vector is frozen
+    once at fit time so ``score_all`` is an infallible array return, and
+    a copy is handed out to keep the frozen ranking immune to downstream
+    mutation.
     """
 
-    def __init__(self, scores: np.ndarray | None = None) -> None:
-        super().__init__()
-        self._scores: np.ndarray | None = None
-        if scores is not None:
-            self._scores = self._validated(np.asarray(scores, dtype=np.float64))
-
-    @staticmethod
-    def _validated(scores: np.ndarray) -> np.ndarray:
-        if scores.ndim != 1 or scores.size == 0:
-            raise DataError("static scores must be a non-empty 1-d vector")
-        if not np.isfinite(scores).all():
-            raise DataError("static scores must be finite")
-        return scores
-
     def fit(self, dataset: Dataset) -> "StaticTopK":
-        if self._scores is None:
-            self._scores = self._validated(
-                dataset.interactions.item_degrees().astype(np.float64)
-            )
-        elif self._scores.shape != (dataset.num_items,):
-            raise DataError(
-                f"static scores have length {self._scores.size}, "
-                f"dataset has {dataset.num_items} items"
-            )
+        self._scores = dataset.interactions.item_degrees().astype(np.float64)
         self._mark_fitted(dataset)
         return self
 

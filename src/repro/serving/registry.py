@@ -36,11 +36,9 @@ __all__ = ["PromotionRecord", "ModelRegistry"]
 class PromotionRecord:
     """Outcome of one promotion attempt (or a recorded rollback).
 
-    ``canary_seed`` records how the canary batch was drawn (``None`` =
-    the deterministic lowest-id prefix); ``generation`` records the
-    embedding-store generation the candidate serves from, when it serves
-    from one — so an audit can tie a promotion to the exact on-disk
-    manifest it made live.
+    ``generation`` records the embedding-store generation the candidate
+    serves from, when it serves from one — so an audit can tie a
+    promotion to the exact on-disk manifest it made live.
 
     ``rejection`` is the *structured* cause when the attempt did not
     stick: ``"index_sync:<ExcType>"`` for a ``sync_index`` failure (e.g.
@@ -59,7 +57,6 @@ class PromotionRecord:
     canary_users: tuple[int, ...]
     reason: str = ""
     reports: tuple[ScoreReport, ...] = field(default=())
-    canary_seed: int | None = None
     generation: int | None = None
     kind: str = "promote"
     rejection: str | None = None
@@ -160,7 +157,6 @@ class ModelRegistry:
         name: str,
         model: Recommender,
         canary_users: Sequence[int],
-        canary_seed: int | None = None,
     ) -> PromotionRecord:
         """Validate ``model`` on the canary batch, then atomically swap it in.
 
@@ -187,8 +183,7 @@ class ModelRegistry:
         span = (
             tel.begin(
                 "serve/promote", model=name, canary_size=len(canary),
-                canary_seed=canary_seed, canary_users=list(canary),
-                generation=generation,
+                canary_users=list(canary), generation=generation,
             )
             if tel.enabled
             else None
@@ -203,8 +198,7 @@ class ModelRegistry:
                 record = PromotionRecord(
                     at=self.clock(), name=name, promoted=False,
                     canary_users=canary, reason=reason,
-                    canary_seed=canary_seed, generation=generation,
-                    rejection=rejection,
+                    generation=generation, rejection=rejection,
                 )
                 self.history.append(record)
                 if span is not None:
@@ -220,8 +214,7 @@ class ModelRegistry:
             record = PromotionRecord(
                 at=self.clock(), name=name, promoted=False,
                 canary_users=canary, reason=reason, reports=tuple(reports),
-                canary_seed=canary_seed, generation=generation,
-                rejection="canary",
+                generation=generation, rejection="canary",
             )
             self.history.append(record)
             if span is not None:
@@ -235,8 +228,7 @@ class ModelRegistry:
         self._live = (name, model)
         record = PromotionRecord(
             at=self.clock(), name=name, promoted=True,
-            canary_users=canary, reports=tuple(reports),
-            canary_seed=canary_seed, generation=generation,
+            canary_users=canary, reports=tuple(reports), generation=generation,
         )
         self.history.append(record)
         if span is not None:

@@ -24,6 +24,7 @@ every behavior here is deterministic under seed (see
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -100,9 +101,11 @@ class ServeResponse:
 def validate_request(request: ServeRequest, num_users: int, num_items: int) -> None:
     """Raise :class:`RequestError` unless ``request`` is servable.
 
-    Checks the catalog is non-empty, the user id is a known integer, and
-    ``k`` is a positive integer — the failure modes that would otherwise
-    surface as IndexErrors (or silent nonsense) deep inside ``score_all``.
+    Checks the catalog is non-empty, the user id is a known integer,
+    ``k`` is a positive integer, and a deadline is a positive real number
+    (not a bool, string or NaN) — the failure modes that would otherwise
+    surface as IndexErrors, TypeErrors or a never-expiring budget deep
+    inside the scoring chain.
     """
     if num_items < 1:
         raise RequestError("catalog is empty; nothing to recommend")
@@ -120,8 +123,15 @@ def validate_request(request: ServeRequest, num_users: int, num_items: int) -> N
         raise RequestError(f"k must be an integer, got {type(request.k).__name__}")
     if int(request.k) < 1:
         raise RequestError(f"k must be >= 1, got {int(request.k)}")
-    if request.deadline is not None and request.deadline <= 0:
-        raise RequestError(f"deadline must be positive, got {request.deadline}")
+    deadline = request.deadline
+    if deadline is not None and (
+        isinstance(deadline, bool)
+        or not isinstance(deadline, numbers.Real)
+        or not deadline > 0
+    ):
+        raise RequestError(
+            f"deadline must be a positive number of seconds, got {deadline!r}"
+        )
 
 
 class _RungFailed(Exception):
@@ -162,14 +172,7 @@ class RecommenderService:
         Optional :class:`~repro.runtime.retry.RetryPolicy` for live-rung
         scoring; give it a ``total_budget`` so retries respect the SLO.
     canary_size:
-        Number of users probed on promotion.
-    canary_seed:
-        ``None`` (default) keeps the legacy deterministic lowest-id
-        canary prefix.  An integer draws the canary batch once with a
-        seeded RNG (without replacement) — still fully reproducible, but
-        no longer biased to the lowest user ids — and is recorded on
-        every :class:`PromotionRecord` and ``serve/promote`` span so an
-        audit can regenerate the exact probe batch.
+        Number of users probed on promotion: the lowest user ids.
     clock:
         Injectable monotonic time source shared by every component.
     telemetry:
@@ -193,9 +196,7 @@ class RecommenderService:
         admission: AdmissionQueue | None = None,
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
-        static_scores: np.ndarray | None = None,
         canary_size: int = 8,
-        canary_seed: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         telemetry: Telemetry | NullTelemetry | None = None,
     ) -> None:
@@ -203,6 +204,8 @@ class RecommenderService:
             raise ConfigError("default_k must be >= 1")
         if canary_size < 1:
             raise ConfigError("canary_size must be >= 1")
+        if default_deadline is not None and not default_deadline > 0:
+            raise ConfigError("default_deadline must be positive")
         self.dataset = dataset
         self.clock = clock
         self.default_k = default_k
@@ -215,16 +218,7 @@ class RecommenderService:
             registry=self.telemetry.metrics if self.telemetry.enabled else None
         )
         self._breaker_config = dict(breaker_config or {})
-        self.canary_seed = canary_seed
-        size = min(canary_size, dataset.num_users)
-        if canary_seed is None:
-            self._canary = tuple(range(size))
-        else:
-            rng = np.random.default_rng(canary_seed)
-            self._canary = tuple(
-                int(u)
-                for u in rng.choice(dataset.num_users, size=size, replace=False)
-            )
+        self._canary = tuple(range(min(canary_size, dataset.num_users)))
         self._request_counter = 0
 
         self.registry = ModelRegistry(
@@ -239,7 +233,7 @@ class RecommenderService:
             self._fallbacks.append((name, model))
             self._breakers[name] = self._make_breaker()
 
-        self._static = StaticTopK(static_scores).fit(dataset)
+        self._static = StaticTopK().fit(dataset)
 
         name, model = primary
         self.promote(name, model)
@@ -261,9 +255,7 @@ class RecommenderService:
         the new model.
         """
         try:
-            record = self.registry.promote(
-                name, model, self._canary, canary_seed=self.canary_seed
-            )
+            record = self.registry.promote(name, model, self._canary)
         except ServingError:
             self.metrics.incr("promotion_failures")
             raise

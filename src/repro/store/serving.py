@@ -103,11 +103,15 @@ class StoredEmbeddingRecommender(Recommender):
         return self
 
     def score_all(self, user_id: int) -> np.ndarray:
+        return self._score(user_id, self.item_entities)
+
+    def _score(self, user_id: int, item_rows: np.ndarray) -> np.ndarray:
+        """Scores of ``user_id`` against the entity rows ``item_rows``."""
         self.fitted_dataset
         entities = self.store.table(self.entity_table)
         u = entities.gather([int(self.user_entities[int(user_id)])])[0]
         u = u.astype(np.float64)
-        items = entities.gather(self.item_entities).astype(np.float64)
+        items = entities.gather(item_rows).astype(np.float64)
         if self.relation_id is None:
             return items @ u
         delta = (u + self._relation())[None, :] - items
@@ -146,13 +150,5 @@ class StoredEmbeddingRecommender(Recommender):
 
     def score_items(self, user_id: int, item_ids) -> np.ndarray:
         """Exact scores for a candidate subset (gathers only those rows)."""
-        self.fitted_dataset
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        entities = self.store.table(self.entity_table)
-        u = entities.gather([int(self.user_entities[int(user_id)])])[0]
-        u = u.astype(np.float64)
-        items = entities.gather(self.item_entities[item_ids]).astype(np.float64)
-        if self.relation_id is None:
-            return items @ u
-        delta = (u + self._relation())[None, :] - items
-        return -(delta**2).sum(axis=1)
+        return self._score(user_id, self.item_entities[item_ids])

@@ -1,4 +1,4 @@
-"""repro.telemetry — tracing, metrics, and profiling across the stack.
+"""repro.telemetry — tracing and metrics across the stack.
 
 The observability layer the rest of the repo reports into (see
 ``docs/observability.md``):
@@ -8,8 +8,6 @@ The observability layer the rest of the repo reports into (see
 * :mod:`repro.telemetry.metrics` — :class:`MetricRegistry` of labeled
   counters, gauges, and fixed-bucket histograms with exact small-sample
   p50/p90/p99.
-* :mod:`repro.telemetry.profiler` — :func:`timed` decorators and
-  :class:`timed_block` regions.
 * :mod:`repro.telemetry.export` — deterministic JSONL capture files.
 * :mod:`repro.telemetry.report` — the ``python -m repro trace-report``
   renderer (span tree, hotspots, outcome reconciliation).
@@ -43,7 +41,6 @@ from .metrics import (
     MetricRegistry,
     exact_quantile,
 )
-from .profiler import timed, timed_block
 from .report import check_trace, render_trace_report, trace_report
 from .tracer import Span, SpanRecord, Tracer
 
@@ -63,8 +60,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_BUCKETS",
     "exact_quantile",
-    "timed",
-    "timed_block",
     "SCHEMA_VERSION",
     "TraceCapture",
     "export_records",

@@ -29,9 +29,7 @@ user ids are assigned so newcomer members occupy the top of the id range
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.exceptions import ConfigError
 from repro.core.rng import ensure_rng
@@ -345,18 +343,3 @@ class PersonaPopulation:
         for m in self.members:
             out[m.persona] = out.get(m.persona, 0) + 1
         return dict(sorted(out.items()))
-
-    def scaled(self, factor: float) -> "PersonaPopulation":
-        """The same members with every arrival rate multiplied.
-
-        The cheap way to push one population to a target requests/second
-        without resampling multipliers or reassigning user ids.
-        """
-        if factor <= 0:
-            raise ConfigError("rate factor must be positive")
-        members = tuple(
-            replace(m, rate=m.rate * float(factor)) for m in self.members
-        )
-        return PersonaPopulation(
-            self.scenario, members, self.num_users, self.warm_users, self.seed
-        )

@@ -102,22 +102,6 @@ class LoadReport:
         """Deterministic (sorted-key) JSON export."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoadReport":
-        personas = tuple(
-            PersonaStats(**p) for p in data.get("personas", ())
-        )
-        fields = {
-            k: data[k]
-            for k in (
-                "name", "seed", "requests", "sim_seconds", "throughput_rps",
-                "ok", "degraded", "shed", "rejected", "latency_p50",
-                "latency_p99", "latency_mean", "breaker_trips",
-                "faults_injected",
-            )
-        }
-        return cls(personas=personas, **fields)
-
     # -------------------------------------------------------------- #
     def render(self) -> str:
         """Human-readable report (``bench_serving.py`` prints it)."""

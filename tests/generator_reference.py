@@ -3,11 +3,10 @@
 This is the seed repo's ``generate_dataset`` verbatim (plus the
 ``links_per_item`` clamp fix that both implementations share), retained so
 the vectorized generator in :mod:`repro.data.synthetic` can be asserted
-**bitwise-identical** against it — the equivalence suite and the
-``bench_scenarios_panel --smoke`` CI job diff full datasets (interactions,
-ratings, triples, labels, latents, text) produced by the two paths from
-the same seed.  Nothing in the library should call this module except
-tests and benches; it is deliberately slow.
+**bitwise-identical** against it — ``tests/test_synthetic_vectorized.py``
+diffs full datasets (interactions, ratings, triples, labels, latents,
+text) produced by the two paths from the same seed.  It lives beside the
+tests because nothing else calls it; it is deliberately slow.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from repro.core.dataset import Dataset
 from repro.core.exceptions import ConfigError
 from repro.core.interactions import InteractionMatrix
 from repro.core.rng import ensure_rng
+from repro.data.synthetic import _validate_attribute_specs
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triples import TripleStore
 
@@ -38,8 +38,6 @@ def generate_dataset_reference(
     seed: int | np.random.Generator | None = None,
 ) -> Dataset:
     """Loop reference for :func:`repro.data.synthetic.generate_dataset`."""
-    from .synthetic import _validate_attribute_specs
-
     if not 0.0 <= kg_signal <= 1.0:
         raise ConfigError("kg_signal must be in [0, 1]")
     if num_users < 2 or num_items < 4:

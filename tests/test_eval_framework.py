@@ -71,9 +71,15 @@ class TestEvaluator:
     def test_per_user_metric(self, movie_split):
         train, test = movie_split
         evaluator = Evaluator(train, test, seed=0)
-        values = evaluator.per_user_metric(MostPopular().fit(train), "AUC")
+        model = MostPopular().fit(train)
+        values = evaluator.per_user_metric(model, "AUC")
         assert values.size > 0
         assert np.isfinite(values).all()
+        # Per-user values average to exactly what evaluate() reports.
+        result = evaluator.evaluate(model)
+        for metric in ("AUC", "NDCG@10", "Recall@5", "HR@5", "Precision@10"):
+            values = evaluator.per_user_metric(model, metric)
+            assert float(np.mean(values)) == result[metric], metric
 
     def test_shape_mismatch_rejected(self, movie_dataset, tiny_dataset):
         with pytest.raises(EvaluationError):

@@ -131,11 +131,6 @@ class TestKnowledgeGraph:
         assert tiny_kg.has_fact(0, 0, 2)
         assert not tiny_kg.has_fact(2, 0, 0)
 
-    def test_to_networkx(self, tiny_kg):
-        g = tiny_kg.to_networkx()
-        assert g.number_of_nodes() == 6
-        assert g.number_of_edges() == tiny_kg.num_triples
-
     def test_describe(self, tiny_kg):
         info = tiny_kg.describe()
         assert info["entities"] == 6

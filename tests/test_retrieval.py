@@ -31,7 +31,6 @@ from repro.core.exceptions import (
     RetrievalError,
 )
 from repro.data import MOVIE_SCHEMA, generate_dataset
-from repro.eval import Evaluator
 from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
 from repro.retrieval import (
@@ -727,14 +726,8 @@ class TestTwoStage:
         base.set_embeddings(item_vectors=base.item_vectors() * 1.01)
         with pytest.raises(IndexStaleError, match="generation"):
             model.score_candidates(0)
-        # score_all degrades to the exact path instead of raising...
+        # score_all degrades to the exact path instead of raising.
         np.testing.assert_array_equal(model.score_all(0), base.score_all(0))
-        # ...unless the owner opted out of the fallback.
-        strict = TwoStageRecommender(
-            base, model.index, k_candidates=64, exact_fallback=False
-        ).fit(dataset)
-        with pytest.raises(IndexStaleError):
-            strict.score_all(0)
 
     def test_unbuilt_index_refuses_typed(self, two_stage):
         dataset, base, __ = two_stage
@@ -918,29 +911,3 @@ class TestValidateScoresSubset:
     )
     def test_rejects(self, scores, indices, why):
         assert not validate_scores(scores, 100, expected_indices=indices).ok, why
-
-
-# ---------------------------------------------------------------------- #
-# satellite: evaluator assume_fresh
-# ---------------------------------------------------------------------- #
-class TestEvaluatorAssumeFresh:
-    def test_metrics_identical_with_and_without_copy(self):
-        train = generate_dataset(MOVIE_SCHEMA, num_users=16, num_items=40, seed=0)
-        test = generate_dataset(
-            MOVIE_SCHEMA, num_users=16, num_items=40, seed=1
-        )
-        base = ArrayEmbeddingRecommender(
-            clustered(16, 8, seed=3), clustered(40, 8, seed=4)
-        ).fit(train)
-        results = {}
-        for flag in (False, True):
-            ev = Evaluator(train, test, seed=0, assume_fresh=flag)
-            results[flag] = ev.evaluate(base)
-        assert results[False].values == results[True].values
-        per_user = {
-            flag: Evaluator(train, test, seed=0, assume_fresh=flag).per_user_metric(
-                base, "NDCG@10"
-            )
-            for flag in (False, True)
-        }
-        np.testing.assert_array_equal(per_user[False], per_user[True])

@@ -199,20 +199,6 @@ class TestRetryPolicy:
             policy.call(wrong_kind)
         assert len(calls) == 1
 
-    def test_decorator_form(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
-                             sleep=lambda s: None)
-        state = {"n": 0}
-
-        @policy
-        def sometimes():
-            state["n"] += 1
-            if state["n"] == 1:
-                raise RuntimeError("first time fails")
-            return state["n"]
-
-        assert sometimes() == 2
-
     def test_attempt_loop_form(self):
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0,
                              sleep=lambda s: None)

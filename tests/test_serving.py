@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.exceptions import (
     ConfigError,
-    DataError,
     DeadlineExceeded,
     ModelUnavailableError,
     Overloaded,
@@ -134,6 +133,8 @@ class TestDeadline:
     def test_config(self):
         with pytest.raises(ConfigError):
             Deadline(0.0)
+        with pytest.raises(ConfigError):
+            Deadline(float("nan"))  # would never expire: elapsed > nan is false
 
 
 # ---------------------------------------------------------------------- #
@@ -250,12 +251,6 @@ class TestStaticTopK:
         static.score_all(0)[:] = -1
         assert (static.score_all(0) >= 0).all()
 
-    def test_rejects_bad_vectors(self, dataset):
-        with pytest.raises(DataError):
-            StaticTopK(np.array([1.0, np.nan]))
-        with pytest.raises(DataError):
-            StaticTopK(np.ones(3)).fit(dataset)  # wrong length
-
 
 # ---------------------------------------------------------------------- #
 # registry / hot swap
@@ -327,6 +322,27 @@ class TestRequestValidation:
             validate_request(
                 ServeRequest(**request_kwargs), num_users=10, num_items=10
             )
+
+    @pytest.mark.parametrize(
+        "deadline",
+        ["0.1", True, float("nan"), np.float64("nan"), [0.1], 1j],
+        ids=["str", "bool", "nan", "np-nan", "list", "complex"],
+    )
+    def test_bad_deadline_rejected_typed(self, dataset, deadline):
+        """A non-real or NaN deadline is a typed rejection, never a raise."""
+        with pytest.raises(RequestError, match="deadline"):
+            validate_request(
+                ServeRequest(user_id=0, deadline=deadline),
+                num_users=10, num_items=10,
+            )
+        service, __ = make_service(dataset)
+        response = service.serve(ServeRequest(user_id=1, k=3, deadline=deadline))
+        assert response.status == "rejected"
+        assert "deadline" in response.error
+
+    def test_nan_default_deadline_rejected(self, dataset):
+        with pytest.raises(ConfigError, match="default_deadline"):
+            make_service(dataset, default_deadline=float("nan"))
 
     def test_serve_returns_rejected_not_raise(self, dataset):
         service, __ = make_service(dataset)

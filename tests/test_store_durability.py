@@ -305,6 +305,8 @@ class TestStoreVerifyCLI:
 
 
 class TestSeededCanary:
+    """The canary batch is the lowest-id prefix, recorded on every promotion."""
+
     def make(self, dataset, **kwargs):
         return RecommenderService(
             dataset,
@@ -318,35 +320,13 @@ class TestSeededCanary:
         service = self.make(dataset, canary_size=4)
         record = service.registry.history[-1]
         assert record.canary_users == (0, 1, 2, 3)
-        assert record.canary_seed is None
-
-    def test_seeded_canary_reproducible_and_recorded(self):
-        dataset = generate_dataset(MOVIE_SCHEMA, num_users=20, num_items=15, seed=0)
-        a = self.make(dataset, canary_size=6, canary_seed=7)
-        b = self.make(dataset, canary_size=6, canary_seed=7)
-        c = self.make(dataset, canary_size=6, canary_seed=8)
-        users_a = a.registry.history[-1].canary_users
-        assert users_a == b.registry.history[-1].canary_users
-        assert users_a != c.registry.history[-1].canary_users
-        assert users_a != tuple(range(6))  # not the legacy prefix
-        assert len(set(users_a)) == 6  # drawn without replacement
-        assert a.registry.history[-1].canary_seed == 7
-        # An audit can regenerate the batch from the recorded seed.
-        rng = np.random.default_rng(7)
-        regenerated = tuple(
-            int(u) for u in rng.choice(dataset.num_users, size=6, replace=False)
-        )
-        assert users_a == regenerated
 
     def test_canary_attributes_on_promote_span(self):
         dataset = generate_dataset(MOVIE_SCHEMA, num_users=12, num_items=9, seed=0)
         telemetry = Telemetry()
-        service = self.make(
-            dataset, canary_size=4, canary_seed=3, telemetry=telemetry
-        )
+        service = self.make(dataset, canary_size=4, telemetry=telemetry)
         spans = [s for s in telemetry.tracer.records() if s.name == "serve/promote"]
         assert spans, "promotion emitted no serve/promote span"
         attrs = spans[-1].attrs
-        assert attrs["canary_seed"] == 3
         assert tuple(attrs["canary_users"]) == service.registry.history[-1].canary_users
         assert attrs["outcome"] == "promoted"

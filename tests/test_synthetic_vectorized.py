@@ -1,9 +1,10 @@
 """Vectorized ``generate_dataset`` vs the loop reference, bit for bit.
 
 The default (exact) mode of the vectorized generator must consume the RNG
-stream in the same order as the original loop implementation (kept as
-:mod:`repro.data._reference`), so every artifact — interactions, ratings,
-triples, latents, text features — is bitwise-identical for the same seed.
+stream in the same order as the original loop implementation (kept in
+``generator_reference.py`` beside this file), so every artifact —
+interactions, ratings, triples, latents, text features — is
+bitwise-identical for the same seed.
 A hypothesis property test sweeps random schemas, sizes, seeds, and knobs;
 further tests pin the ``fast=True`` escape hatch (deterministic, same
 structure, different stream), the chunked large-world path, the Zipf
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import ConfigError, DataError
-from repro.data._reference import generate_dataset_reference
 from repro.data.scenarios import SCENARIO_SCHEMAS
 from repro.data.synthetic import AttributeSpec, ScenarioSchema, generate_dataset
+
+from .generator_reference import generate_dataset_reference
 
 
 def assert_datasets_equal(a, b):
@@ -104,11 +106,15 @@ class TestExactParity:
     @pytest.mark.parametrize("name", sorted(SCENARIO_SCHEMAS))
     def test_scenario_schemas_match_reference(self, name):
         schema = SCENARIO_SCHEMAS[name]
-        kwargs = dict(num_users=40, num_items=60, mean_interactions=8.0, seed=11)
-        assert_datasets_equal(
-            generate_dataset(schema, **kwargs),
-            generate_dataset_reference(schema, **kwargs),
+        worlds = (
+            dict(num_users=40, num_items=60, mean_interactions=8.0, seed=11),
+            dict(num_users=50, num_items=80, mean_interactions=9.0, seed=0),
         )
+        for kwargs in worlds:
+            assert_datasets_equal(
+                generate_dataset(schema, **kwargs),
+                generate_dataset_reference(schema, **kwargs),
+            )
 
 
 class TestFastMode:

@@ -36,8 +36,6 @@ from repro.telemetry import (
     get_active,
     read_jsonl,
     render_trace_report,
-    timed,
-    timed_block,
     validate_records,
     write_jsonl,
 )
@@ -317,53 +315,6 @@ class TestFacade:
             assert previous is tel
             activate(previous)
         assert get_active() is NULL
-
-    def test_timed_decorator_records_span_and_histogram(self):
-        clock = ManualClock()
-        tel = Telemetry(clock=clock)
-
-        @timed("work/step", stage="test")
-        def work():
-            clock.advance(0.125)
-            return 42
-
-        assert work() == 42  # telemetry off: plain call, nothing recorded
-        with activated(tel):
-            assert work() == 42
-        (record,) = tel.tracer.records()
-        assert record.name == "work/step"
-        assert record.attrs == {"stage": "test"}
-        assert record.duration == 0.125
-        assert tel.metrics.histogram("profile.work/step").count == 1
-
-    def test_timed_bare_uses_qualified_name(self):
-        calls = []
-
-        @timed
-        def helper():
-            calls.append(1)
-
-        tel = Telemetry(clock=ManualClock())
-        with activated(tel):
-            helper()
-        (record,) = tel.tracer.records()
-        assert record.name.endswith("helper")
-        assert calls == [1]
-
-    def test_timed_block(self):
-        clock = ManualClock()
-        tel = Telemetry(clock=clock)
-        with activated(tel):
-            with timed_block("phase/io", file="x") as span:
-                clock.advance(2.0)
-                span.set(rows=10)
-        (record,) = tel.tracer.records()
-        assert record.duration == 2.0
-        assert record.attrs == {"file": "x", "rows": 10}
-        assert tel.metrics.histogram("profile.phase/io").count == 1
-        # Disabled: yields None and records nothing.
-        with timed_block("phase/io") as span:
-            assert span is None
 
 
 # --------------------------------------------------------------------- #

@@ -20,7 +20,6 @@ from repro.telemetry.metrics import Histogram, MetricRegistry
 from repro.traffic import (
     ARCHETYPES,
     SCENARIO_MIXES,
-    LoadReport,
     PersonaArchetype,
     PersonaPopulation,
     ScheduleProfile,
@@ -71,13 +70,6 @@ class TestPersonaPopulation:
         pop = PersonaPopulation.from_scenario("movie", num_users=200, seed=2)
         warm = [m.user_id for m in pop.members if not m.archetype.newcomer]
         assert len(warm) == len(set(warm))
-
-    def test_scaled(self):
-        pop = PersonaPopulation.from_scenario("movie", num_users=60, seed=0)
-        double = pop.scaled(2.0)
-        for before, after in zip(pop.members, double.members):
-            assert after.rate == pytest.approx(2.0 * before.rate)
-            assert after.user_id == before.user_id
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
@@ -279,11 +271,6 @@ class TestLoadHarness:
         )
         with pytest.raises(ConfigError):
             harness.reconcile()
-
-    def test_report_round_trip(self):
-        harness, __ = _quick_run(7)
-        clone = LoadReport.from_dict(harness.report.to_dict())
-        assert clone.to_json() == harness.report.to_json()
 
     def test_bench_floor(self):
         harness, __ = _quick_run(8)
