@@ -178,7 +178,7 @@ def run_smoke(args) -> None:
     config = ChurnConfig(num_batches=40)
     with tempfile.TemporaryDirectory(prefix="bench-online-smoke-") as tmp:
         cell = run_churn_cell(Path(tmp) / "none", 0, "none", config)
-        assert cell.ok, f"churn cell failed: {cell.describe()}"
+        assert cell.ok, f"churn cell failed: {cell.summary}"
         row = bench_seed(Path(tmp) / "fresh", 0, config)
         again = bench_seed(Path(tmp) / "again", 0, config)
     assert row["promotions"] >= 2, "smoke replay promoted too few times"

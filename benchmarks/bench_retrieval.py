@@ -131,7 +131,7 @@ def make_catalog(
 # --------------------------------------------------------------------- #
 def exact_query(items: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
     """One full-catalog exact top-k (the baseline both stages replace)."""
-    scores = pairwise_scores(items, q, "ip")
+    scores = pairwise_scores(items, q)
     top = np.argpartition(-scores, k - 1)[:k]
     return top[np.argsort(-scores[top], kind="stable")]
 
@@ -139,7 +139,7 @@ def exact_query(items: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
 def ann_query(index, items: np.ndarray, q: np.ndarray, quota: int, k: int):
     """One two-stage query: ANN candidates + exact rerank of only those rows."""
     ids = index.search(q, quota)
-    scores = pairwise_scores(items[ids], q, "ip")
+    scores = pairwise_scores(items[ids], q)
     kk = min(k, scores.size)
     top = np.argpartition(-scores, kk - 1)[:kk]
     top = top[np.argsort(-scores[top], kind="stable")]

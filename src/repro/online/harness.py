@@ -30,6 +30,7 @@ and freshness checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,12 +56,10 @@ from repro.online.trainer import ENTITY_TABLE, ManifestCrashIO, ShadowTrainer
 
 __all__ = [
     "ChurnConfig",
-    "ChurnCell",
     "World",
     "build_world",
     "default_plan_for",
     "run_churn_cell",
-    "run_churn_matrix",
     "freshness_report",
     "churn_cells",
     "SERVE_STATUSES",
@@ -192,38 +191,6 @@ def default_plan_for(kind: str, config: ChurnConfig | None = None) -> FaultPlan:
     raise ValueError(f"unknown online fault kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ChurnCell:
-    """Verdict of one (seed, kind) replay."""
-
-    seed: int
-    kind: str
-    ok: bool
-    crashed: bool
-    served_generation: int | None
-    committed_generations: tuple[int, ...]
-    batches: int
-    quarantined: int
-    promoted: int
-    rejected: int
-    rolled_back: int
-    problems: tuple[str, ...] = ()
-    fired: tuple[str, ...] = ()  # the fault kinds the injector recorded
-
-    def describe(self) -> str:
-        out = (
-            f"gen={self.served_generation} "
-            f"committed={list(self.committed_generations)} "
-            f"batches={self.batches} q={self.quarantined} "
-            f"promoted={self.promoted} rejected={self.rejected} "
-            f"rolled_back={self.rolled_back}"
-            + (" CRASHED+RECOVERED" if self.crashed else "")
-        )
-        if self.problems:
-            out += " :: " + "; ".join(self.problems)
-        return out
-
-
 def _served_bytes(model) -> bytes:
     """The exact bytes the live model serves (unwraps chaos/two-stage)."""
     base = getattr(model, "inner", model)  # ChaosCandidate
@@ -238,8 +205,13 @@ def run_churn_cell(
     kind: str,
     config: ChurnConfig | None = None,
     stream_factory=None,
-) -> ChurnCell:
-    """Replay one (seed, kind) cell and check every contract."""
+) -> FaultCell:
+    """Replay one (seed, kind) cell and check every contract.
+
+    The summary reads ``gen=<served> committed=[...] batches=<n> q=<n>
+    promoted=<n> rejected=<n> rolled_back=<n>``, then ``CRASHED+RECOVERED``
+    after a crash and ``:: <problems>`` when a contract failed.
+    """
     config = config if config is not None else ChurnConfig()
     plan = default_plan_for(kind, config)
     world = build_world(
@@ -373,33 +345,20 @@ def run_churn_cell(
 
     if not crashed:
         loop.close()
-    cell = ChurnCell(
-        seed=seed,
-        kind=kind,
-        ok=not problems,
-        crashed=crashed,
-        served_generation=served_generation,
-        committed_generations=tuple(sorted(committed)),
-        batches=len(loop.batch_outcomes),
-        quarantined=len(quarantined),
-        promoted=sum(1 for c in loop.cycles if c.outcome == "promoted"),
-        rejected=sum(1 for c in loop.cycles if c.outcome == "rejected"),
-        rolled_back=sum(1 for c in loop.cycles if c.outcome == "rolled_back"),
-        problems=tuple(problems),
-        fired=tuple(sorted(set(injected_kinds))),
+    tally = Counter(c.outcome for c in loop.cycles)
+    summary = (
+        f"gen={served_generation} committed={sorted(committed)} "
+        f"batches={len(loop.batch_outcomes)} q={len(quarantined)} "
+        f"promoted={tally['promoted']} rejected={tally['rejected']} "
+        f"rolled_back={tally['rolled_back']}"
+        + (" CRASHED+RECOVERED" if crashed else "")
     )
-    return cell
-
-
-def run_churn_matrix(
-    workdir: str | Path, seed: int, config: ChurnConfig | None = None
-) -> list[ChurnCell]:
-    """Every fault kind once for ``seed``, each cell in its own directory."""
-    workdir = Path(workdir)
-    return [
-        run_churn_cell(workdir / kind, seed, kind, config)
-        for kind in ("none",) + ONLINE_FAULT_KINDS
-    ]
+    if problems:
+        summary += " :: " + "; ".join(problems)
+    return FaultCell(
+        "online", seed, kind, tuple(problems),
+        fired=tuple(sorted(set(injected_kinds))), summary=summary,
+    )
 
 
 def _replay_trace(world: World) -> list[str]:
@@ -449,7 +408,6 @@ def freshness_report(world: World, k: int = 10) -> dict:
         frozen_store,
         user_entities=live.user_entities,
         item_entities=live.item_entities,
-        relation_id=None,
         entity_table=ENTITY_TABLE,
     ).fit(world.dataset)
 
@@ -505,8 +463,8 @@ def churn_cells(seed: int, workdir: str | Path) -> list[FaultCell]:
     config = ChurnConfig()
     workdir = Path(workdir)
     cells = [
-        FaultCell("online", seed, c.kind, c.problems, c.fired, c.describe())
-        for c in run_churn_matrix(workdir, seed, config=config)
+        run_churn_cell(workdir / kind, seed, kind, config)
+        for kind in ("none",) + ONLINE_FAULT_KINDS
     ]
     traces = []
     for run in ("a", "b"):

@@ -140,7 +140,6 @@ def make_candidate(
         store,
         user_entities=np.arange(num_users, dtype=np.int64),
         item_entities=num_users + np.arange(num_items, dtype=np.int64),
-        relation_id=None,
         entity_table=ENTITY_TABLE,
     )
     if index is None:

@@ -19,6 +19,10 @@ an *exact rerank* of only the candidates (see ``docs/retrieval.md``):
   and index rebuilds hooked into ``ModelRegistry.promote``; plus
   :class:`ArrayEmbeddingRecommender`, the in-memory protocol adapter.
 
+Every score on this path is an inner product between a user's query
+vector and item vectors, the one geometry the index probes, calibrates
+and reranks in.
+
 Benchmarks (recall@k vs exact, p50/p99 latency at 10^5 and 10^6 items)
 live in ``benchmarks/bench_retrieval.py`` →
 ``benchmarks/BENCH_retrieval.json``; :mod:`repro.retrieval.demo` holds

@@ -14,32 +14,21 @@ import numpy as np
 __all__ = ["pairwise_scores", "exact_topk", "recall_at_k"]
 
 
-def pairwise_scores(
-    vectors: np.ndarray, query: np.ndarray, metric: str
-) -> np.ndarray:
-    """Exact scores of every row of ``vectors`` against one query.
-
-    Higher is better for both metrics (``l2`` returns negated squared
-    distances), matching the ``score_all`` convention.
-    """
+def pairwise_scores(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Exact inner-product scores of every row of ``vectors`` against one
+    query (higher is better, the ``score_all`` convention)."""
     vectors = np.asarray(vectors)
-    query = np.asarray(query, dtype=vectors.dtype).ravel()
-    if metric == "ip":
-        return vectors @ query
-    delta = vectors - query[None, :]
-    return -np.einsum("ij,ij->i", delta, delta)
+    return vectors @ np.asarray(query, dtype=vectors.dtype).ravel()
 
 
-def exact_topk(
-    vectors: np.ndarray, query: np.ndarray, k: int, metric: str = "ip"
-) -> np.ndarray:
+def exact_topk(vectors: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
     """The true top-``k`` ids (descending score, ties lowest id first).
 
     ``argpartition`` alone would pick an arbitrary tied id at the ``k``
     boundary, so every id scoring at least the ``k``-th best is kept and
     a stable sort over them (ascending ids) breaks the ties.
     """
-    scores = pairwise_scores(vectors, query, metric)
+    scores = pairwise_scores(vectors, query)
     k = min(int(k), scores.size)
     kth = np.partition(scores, scores.size - k)[scores.size - k]
     tied = np.flatnonzero(scores >= kth)

@@ -11,8 +11,9 @@ many candidates the second stage has to score.
 The layout is the classic production one: partition the item vectors
 into ``num_lists`` cells with a few rounds of seeded k-means, store each
 cell's member ids contiguously (CSR: offsets + one flat id array), and
-at query time score only the ``nprobe`` cells whose centroids sit
-closest to the query.  Probing more cells trades latency for recall;
+at query time score only the ``nprobe`` cells whose centroids have the
+largest inner product with the query (inner product is the serving
+rerank's geometry).  Probing more cells trades latency for recall;
 ``num_lists`` trades build cost and per-cell size.
 
 Everything is vectorized NumPy and seed-deterministic:
@@ -83,6 +84,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -113,18 +115,11 @@ RECALL_TARGET = 0.995
 _CALIBRATION_SAMPLE = 256
 _CALIBRATION_K = 10
 
-#: Supported similarity metrics: ``"ip"`` ranks by descending inner
-#: product; ``"l2"`` by ascending squared euclidean distance (the TransE
-#: scoring geometry, where the query is ``u + r``).
-METRICS: tuple[str, ...] = ("ip", "l2")
-
 #: Save-file schema version.
 FORMAT_VERSION = 1
 
 
-def _sample_topk(
-    vectors: np.ndarray, sample: np.ndarray, k: int, metric: str
-) -> np.ndarray:
+def _sample_topk(vectors: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
     """Exact top-``k`` ids of each ``sample`` row among the other rows.
 
     Descending score, ties lowest id first (``exact_topk``'s rule).
@@ -146,10 +141,6 @@ def _sample_topk(
         scores = score_buf[:, : block.shape[0]]
         above = above_buf[:, : block.shape[0]]
         np.matmul(queries, block.T, out=scores)
-        if metric == "l2":
-            # -||q - x||^2 ranks as 2 q.x - ||x||^2: ||q||^2 is per row.
-            scores *= np.float32(2.0)
-            scores -= np.einsum("ij,ij->i", block, block)
         own = (sample >= start) & (sample < start + block.shape[0])
         scores[rows[own], sample[own] - start] = -np.inf
         np.greater(scores, best[:, -1:], out=above)
@@ -208,10 +199,7 @@ class IvfIndex:
         iters: int = 8,
         train_size: int | None = 100_000,
         seed: int = 0,
-        metric: str = "ip",
     ) -> None:
-        if metric not in METRICS:
-            raise RetrievalError(f"unknown metric {metric!r}; known: {METRICS}")
         if num_lists is not None and num_lists < 1:
             raise RetrievalError("num_lists must be >= 1")
         if nprobe is not None and nprobe < 1:
@@ -229,7 +217,6 @@ class IvfIndex:
         self.iters = int(iters)
         self.train_size = train_size
         self.seed = int(seed)
-        self.metric = metric
         self.generation: int | None = None
         self.num_vectors = 0
         self.dim = 0
@@ -264,7 +251,6 @@ class IvfIndex:
             num_lists=self.num_lists,
             nprobe=None if self.calibrates else self.nprobe,
             iters=self.iters, train_size=self.train_size, seed=self.seed,
-            metric=self.metric,
         )
         nxt.nprobe, nxt.estimated_recall = self.nprobe, self.estimated_recall
         nxt._start = self._centroids
@@ -417,7 +403,7 @@ class IvfIndex:
         if k < 1:  # a one-row table has no neighbours to miss
             return 1, 1.0
         sample = self._calibration_sample(n)
-        neighbours = _sample_topk(vectors, sample, k, self.metric)
+        neighbours = _sample_topk(vectors, sample, k)
         cell_of = np.empty(n, dtype=np.int64)
         cell_of[self._members] = np.repeat(
             np.arange(num_lists), np.diff(self._offsets)
@@ -442,13 +428,8 @@ class IvfIndex:
     # search
     # ------------------------------------------------------------------ #
     def _probe_order(self, query: np.ndarray) -> np.ndarray:
-        """Cell indices by decreasing promise for ``query``."""
-        if self.metric == "ip":
-            promise = self._centroids @ query
-        else:
-            delta = self._centroids - query[None, :]
-            promise = -np.einsum("ij,ij->i", delta, delta)
-        return np.argsort(-promise, kind="stable")
+        """Cell indices by decreasing inner product with ``query``."""
+        return np.argsort(-(self._centroids @ query), kind="stable")
 
     def search(self, query: np.ndarray, k: int) -> np.ndarray:
         """Sorted unique candidate ids for one query.
@@ -504,7 +485,7 @@ class IvfIndex:
         return {
             "format": FORMAT_VERSION,
             "kind": self.kind,
-            "metric": self.metric,
+            "metric": "ip",
             "seed": self.seed,
             "generation": self.generation,
             "num_vectors": self.num_vectors,
@@ -560,8 +541,9 @@ class IvfIndex:
     def load(cls, path: str | Path) -> "IvfIndex":
         """Load an index saved by :meth:`save`.
 
-        Raises :class:`RetrievalError` for a missing or unreadable file,
-        another format version, or another index kind.
+        Raises :class:`RetrievalError` for a missing, truncated or
+        unreadable file, another format version, another index kind, or a
+        metric other than inner product.
         """
         path = Path(path)
         if not path.is_file():
@@ -574,7 +556,8 @@ class IvfIndex:
                     for name in bundle.files
                     if name.startswith("arr::")
                 }
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
+                json.JSONDecodeError) as exc:
             raise RetrievalError(f"{path} is not a readable index file: {exc}") from exc
         if meta.get("format") != FORMAT_VERSION:
             raise RetrievalError(
@@ -583,8 +566,10 @@ class IvfIndex:
             )
         if meta.get("kind") != cls.kind:
             raise RetrievalError(f"{path} holds unknown index kind {meta.get('kind')!r}")
+        if meta.get("metric") != "ip":
+            raise RetrievalError(f"{path} holds unknown metric {meta.get('metric')!r}")
         try:
-            index = cls(seed=meta["seed"], metric=meta["metric"], **meta["config"])
+            index = cls(seed=meta["seed"], **meta["config"])
             index.generation = meta["generation"]
             index.num_vectors = int(meta["num_vectors"])
             index.dim = int(meta["dim"])

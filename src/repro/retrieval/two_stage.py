@@ -1,8 +1,8 @@
 """Two-stage retrieval: ANN candidate generation + exact rerank.
 
 :class:`TwoStageRecommender` wraps any *embedding-backed* recommender —
-one whose scores are a similarity between a per-user query vector and
-per-item vectors — and replaces full-catalog scoring with:
+one whose scores are inner products between a per-user query vector
+and per-item vectors — and replaces full-catalog scoring with:
 
 1. **candidate generation**: an :class:`~repro.retrieval.ivf.IvfIndex`
    over the item vectors returns ``>= k_candidates`` candidate ids in
@@ -16,15 +16,17 @@ The wrapped model provides three methods (the *retrieval protocol*):
 ``item_vectors() -> (num_items, dim) array``
     the vectors the index is built over (read once per index build);
 ``query_vector(user_id) -> (dim,) array``
-    the query the index searches with (``u`` for dot-product models,
-    ``u + r`` for TransE-style translation scoring);
+    the user vector the index searches with;
 ``score_items(user_id, item_ids) -> (len(item_ids),) float64``
     exact scores for a candidate subset — must agree with
     ``score_all(user_id)[item_ids]``.
 
-plus ``retrieval_metric`` (``"ip"``/``"l2"``) and optionally
-``generation`` (an int that changes when the embeddings do — e.g. the
-:class:`~repro.store.mmap.MmapShardStore` generation).
+plus optionally ``generation`` (an int that changes when the embeddings
+do — e.g. the :class:`~repro.store.mmap.MmapShardStore` generation).
+Scores are inner products, ``item_vectors()[i] @ query_vector(u)``: the
+index probes and calibrates in that geometry, so a base scoring any
+other way would be reranked against candidates chosen for the wrong
+ranking.
 
 **Staleness is typed, never silent.**  Every candidate request first
 checks that the index matches the base model (built, same catalog size,
@@ -68,8 +70,7 @@ PROTOCOL_METHODS = ("item_vectors", "query_vector", "score_items")
 class ArrayEmbeddingRecommender(Recommender):
     """Embedding-backed recommender over plain arrays (protocol reference).
 
-    Scores are ``items @ u`` when ``relation_vector`` is ``None``,
-    otherwise TransE-style ``-||u + r - i||^2``.  ``generation`` is a
+    Scores are ``items @ u``.  ``generation`` is a
     plain int the owner bumps (via :meth:`set_embeddings`) whenever the
     tables are replaced — the staleness signal the two-stage wrapper
     watches, mirroring the store generation of
@@ -82,7 +83,6 @@ class ArrayEmbeddingRecommender(Recommender):
         self,
         user_vectors: np.ndarray,
         item_vectors: np.ndarray,
-        relation_vector: np.ndarray | None = None,
         generation: int = 0,
     ) -> None:
         super().__init__()
@@ -92,11 +92,6 @@ class ArrayEmbeddingRecommender(Recommender):
             raise DataError("user/item vectors must be 2-d arrays")
         if self._users.shape[1] != self._items.shape[1]:
             raise DataError("user and item vectors must share their dimension")
-        self._relation = (
-            None
-            if relation_vector is None
-            else np.ascontiguousarray(relation_vector, dtype=np.float64).ravel()
-        )
         self.generation = int(generation)
 
     def set_embeddings(
@@ -139,16 +134,11 @@ class ArrayEmbeddingRecommender(Recommender):
     # -------------------------------------------------------------- #
     # retrieval protocol
     # -------------------------------------------------------------- #
-    @property
-    def retrieval_metric(self) -> str:
-        return "ip" if self._relation is None else "l2"
-
     def item_vectors(self) -> np.ndarray:
         return self._items
 
     def query_vector(self, user_id: int) -> np.ndarray:
-        u = self._users[int(user_id)]
-        return u if self._relation is None else u + self._relation
+        return self._users[int(user_id)]
 
     def score_items(self, user_id: int, item_ids) -> np.ndarray:
         ids = np.asarray(item_ids, dtype=np.int64)
@@ -159,11 +149,7 @@ class ArrayEmbeddingRecommender(Recommender):
             items = self._items[ids]
         else:
             items = np.take(self._items, ids, axis=0)
-        q = self.query_vector(user_id)
-        if self._relation is None:
-            return items @ q
-        delta = q[None, :] - items
-        return -np.einsum("ij,ij->i", delta, delta)
+        return items @ self.query_vector(user_id)
 
 
 class TwoStageRecommender(Recommender):

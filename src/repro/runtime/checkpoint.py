@@ -18,15 +18,18 @@ checkpoint format — are identical whether a run uses sparse row updates
 or ``dense_updates=True``, and snapshots from either mode resume the
 other.
 
-:class:`Checkpointer` adds the policy layer: periodic saves, atomic
-writes (tmp file + rename), pruning to the newest ``keep`` snapshots, and
-resume-from-latest.  All failure modes raise
-:class:`~repro.core.exceptions.CheckpointError`.
+:func:`save_checkpoint` writes through a :class:`~repro.store.io.StoreIO`
+(the bound durable store's, so its fault plans and op log cover
+checkpoints too): a fsynced temp file, then an atomic rename and a
+directory fsync.  :class:`Checkpointer` adds the policy layer: periodic
+saves, pruning to the newest ``keep`` snapshots, and resume-from-latest.
+All failure modes raise :class:`~repro.core.exceptions.CheckpointError`.
 
-Format version 2 adds a CRC-32 *content checksum per stored array* to the
-``__meta__`` blob, verified on load — a snapshot whose bytes rotted on
-disk now fails loudly instead of resuming training from corrupt
-parameters.  Version-1 archives (no checksums) still load.
+Every archive (format version 2, the only one) carries a CRC-32
+*content checksum per stored array* in its ``__meta__`` blob, verified
+on load: a snapshot whose bytes rotted on disk, or whose checksum map
+omits an array, fails loudly instead of resuming training from
+unverified parameters.
 
 A checkpointer may also be bound to a *durable*
 :class:`~repro.store.base.EmbeddingStore` (``store=``).  Parameters whose
@@ -44,11 +47,11 @@ O(rows touched since the last commit), while small dense parameters
 from __future__ import annotations
 
 import json
-import os
 import re
 import zipfile
 import zlib
 from dataclasses import dataclass, field
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +61,6 @@ from repro.core.exceptions import CheckpointError, ConfigError, StoreError
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "Checkpointer"]
 
 _FORMAT_VERSION = 2
-_KNOWN_VERSIONS = (1, 2)
 _STEP_RE = re.compile(r"-(\d+)\.npz$")
 
 
@@ -203,11 +205,15 @@ def save_checkpoint(
         raise CheckpointError(f"checkpoint metadata is not JSON-safe: {exc}") from exc
     arrays["__meta__"] = np.frombuffer(blob.encode("utf-8"), dtype=np.uint8)
 
+    from repro.store.io import StoreIO  # the store imports this package
+
+    buffer = BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    io = store.io if durable else StoreIO()
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(tmp, path)
+        io.write_bytes(tmp, buffer.getvalue())
+        io.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise CheckpointError(f"failed to write checkpoint {path}: {exc}") from exc
@@ -222,11 +228,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             if "__meta__" not in archive:
                 raise CheckpointError(f"{path} is not a checkpoint archive")
             meta = json.loads(bytes(archive["__meta__"].tobytes()).decode("utf-8"))
-            if meta.get("version") not in _KNOWN_VERSIONS:
+            if meta.get("version") != _FORMAT_VERSION:
                 raise CheckpointError(
                     f"unsupported checkpoint version {meta.get('version')!r}"
                 )
-            for key, crc in meta.get("checksums", {}).items():
+            checksums = meta.get("checksums", {})
+            unchecked = set(archive.files) - set(checksums) - {"__meta__"}
+            if unchecked:
+                raise CheckpointError(
+                    f"{path.name}: no checksum for arrays {sorted(unchecked)}"
+                )
+            for key, crc in checksums.items():
                 if key not in archive:
                     raise CheckpointError(f"{path.name}: array {key!r} missing")
                 if _array_crc(archive[key]) != int(crc):
@@ -316,10 +328,6 @@ class Checkpointer:
                 found.append((int(m.group(1)), p))
         return [p for __, p in sorted(found)]
 
-    def latest_path(self) -> Path | None:
-        paths = self.paths()
-        return paths[-1] if paths else None
-
     # ------------------------------------------------------------------ #
     def save(self, step, params, optimizer=None, rng=None, extra=None) -> Path:
         path = save_checkpoint(
@@ -344,33 +352,6 @@ class Checkpointer:
                 pass
 
     # ------------------------------------------------------------------ #
-    def load_latest(self) -> Checkpoint | None:
-        """The newest *loadable* checkpoint, or ``None`` for an empty dir.
-
-        A truncated or corrupt file (e.g. the process died mid-write
-        outside the atomic-rename path, or the disk ate it) must not abort
-        resume: candidates are tried newest-first and unreadable ones are
-        skipped.  Only when every existing checkpoint fails to load does a
-        :class:`~repro.core.exceptions.CheckpointError` propagate, carrying
-        each file's failure.
-        """
-        paths = self.paths()
-        if not paths:
-            return None
-        failures: list[str] = []
-        for path in reversed(paths):
-            try:
-                checkpoint = load_checkpoint(path)
-                self._check_generation(checkpoint, path)
-                return checkpoint
-            except (CheckpointError, FileNotFoundError) as exc:
-                failures.append(f"{path.name}: {exc}")
-        raise CheckpointError(
-            "no loadable checkpoint in "
-            f"{self.directory} ({len(failures)} candidate(s) failed): "
-            + "; ".join(failures)
-        )
-
     def _check_generation(self, checkpoint: Checkpoint, path: Path) -> None:
         """A store-backed snapshot is loadable only if its generation is."""
         if not checkpoint.store_params:
@@ -387,11 +368,14 @@ class Checkpointer:
             )
 
     def restore_latest(self, params, optimizer=None, rng=None) -> Checkpoint | None:
-        """Load and apply the newest restorable checkpoint (or ``None``).
+        """Load and apply the newest restorable checkpoint (``None`` for an
+        empty directory).
 
-        Like :meth:`load_latest`, but a candidate that fails *at restore
-        time* (e.g. its store generation read back corrupt) is also
-        skipped in favor of the next-newest one.
+        A truncated or corrupt file, or one whose store generation is gone
+        or reads back corrupt, must not abort resume: candidates are tried
+        newest-first and failing ones skipped.  Only when every existing
+        checkpoint fails does a :class:`CheckpointError` propagate,
+        carrying each file's failure.
         """
         paths = self.paths()
         if not paths:

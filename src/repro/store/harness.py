@@ -10,18 +10,19 @@ never a hybrid.  This module turns that claim into an exhaustive check:
    TransE over a seeded toy graph, backed by a
    :class:`~repro.store.mmap.MmapShardStore` and an incremental
    :class:`~repro.runtime.checkpoint.Checkpointer` — through a pluggable
-   :class:`~repro.store.io.StoreIO`.
-2. :func:`run_crash_matrix` first runs the scenario clean to enumerate
-   its IO operations and record every committed generation's table bytes,
-   then replays it once per ``(operation, fault kind)`` pair with a
-   :class:`~repro.store.io.FaultingStoreIO`, "pulls the plug"
+   :class:`~repro.store.io.StoreIO`: store shards and manifests, and the
+   checkpoint archives, are all written by ``io``.
+2. :func:`crash_cells`, the store's cell function for
+   ``python -m repro fault-matrix``, first runs the scenario clean to
+   enumerate its IO operations and record every committed generation's
+   table bytes, then replays it once per ``(operation, fault kind)`` pair
+   with a :class:`~repro.store.io.FaultingStoreIO`, "pulls the plug"
    (:class:`~repro.runtime.faults.InjectedCrash` is caught only at the
-   very top), re-opens the store, and asserts the recovered state equals
-   one recorded generation exactly.
-3. :func:`crash_cells` is the store's cell function for
-   ``python -m repro fault-matrix`` (one verdict per fault kind per
-   seed); :func:`make_corrupted_store` leaves a deliberately corrupted
-   store behind for ``store-verify --repair`` to exercise.
+   very top), re-opens the store, and requires the recovered state to
+   equal one recorded generation exactly.  It returns one
+   :class:`~repro.runtime.faults.FaultCell` per fault kind.
+3. :func:`make_corrupted_store` leaves a deliberately corrupted store
+   behind for ``store-verify --repair`` to exercise.
 
 A cell may legitimately recover *nothing* only when the faulted operation
 is part of writing generation 0's manifest — the store was never created,
@@ -31,7 +32,7 @@ so there is no generation to fall back to; every other cell must recover.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +59,7 @@ from .mmap import MmapShardStore
 __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
-    "CrashCell",
-    "CrashMatrixResult",
     "run_scenario",
-    "run_crash_matrix",
     "crash_cells",
     "make_corrupted_store",
 ]
@@ -151,34 +149,6 @@ def run_scenario(
 # ---------------------------------------------------------------------- #
 # the crash matrix
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CrashCell:
-    """Outcome of one ``(io op, fault kind)`` replay."""
-
-    op: int
-    kind: str
-    op_path: str
-    crashed: bool  # the injected fault surfaced (crash or aborted commit)
-    fired: bool  # the injector recorded the fault (bitrot fires silently)
-    recovered_generation: int | None  # None = store unrecoverable
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class CrashMatrixResult:
-    """All cells plus the clean run they were compared against."""
-
-    seed: int
-    num_ops: int
-    reference_generations: tuple[int, ...]
-    cells: list[CrashCell] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[CrashCell]:
-        return [c for c in self.cells if not c.ok]
-
-
 def _table_state(store: MmapShardStore) -> dict[str, bytes]:
     """Bitwise fingerprint of every table at the store's open generation."""
     return {
@@ -200,55 +170,6 @@ def _reference_states(
         finally:
             store.close()
     return states
-
-
-def run_crash_matrix(
-    workdir: str | Path,
-    seed: int = 0,
-    ops: tuple[int, ...] | None = None,
-    config: ScenarioConfig = ScenarioConfig(),
-) -> CrashMatrixResult:
-    """Replay the scenario with every fault kind at every IO operation.
-
-    Each cell asserts the core invariant and records the outcome; use
-    :attr:`CrashMatrixResult.violations` (empty = pass).  ``ops`` narrows
-    the sweep to specific operation indices (default: all of them).
-    """
-    workdir = Path(workdir)
-    clean_io = StoreIO()
-    clean = run_scenario(workdir / "clean", seed=seed, io=clean_io, config=config)
-    references = _reference_states(clean.store_dir, clean.generations)
-    genesis = manifest_name(0)
-
-    result = CrashMatrixResult(
-        seed=seed, num_ops=clean.num_ops,
-        reference_generations=clean.generations,
-    )
-    sweep = ops if ops is not None else tuple(range(clean.num_ops))
-    for op in sweep:
-        op_path = clean_io.op_log[op].path
-        for kind in IO_FAULT_KINDS:
-            cell_dir = workdir / f"op{op:04d}-{kind}"
-            injector = FaultInjector(FaultPlan([Fault(step=op, kind=kind)]))
-            crashed = False
-            try:
-                run_scenario(
-                    cell_dir, seed=seed, io=FaultingStoreIO(injector),
-                    config=config,
-                )
-            except (InjectedCrash, StoreError, CheckpointError, OSError):
-                # The top of the "process": discard every live object and
-                # recover purely from what reached disk.
-                crashed = True
-            gen, detail = _recover(
-                cell_dir / "store", op_path, references, genesis
-            )
-            result.cells.append(CrashCell(
-                op=op, kind=kind, op_path=op_path, crashed=crashed,
-                fired=bool(injector.injected), recovered_generation=gen,
-                ok=not detail, detail=detail,
-            ))
-    return result
 
 
 def _recover(
@@ -320,23 +241,40 @@ def make_corrupted_store(
 
 
 def crash_cells(seed: int, workdir: str | Path) -> list[FaultCell]:
-    """The full crash matrix for ``seed``, one verdict per IO fault kind."""
-    result = run_crash_matrix(workdir, seed=seed)
+    """The full crash matrix for ``seed``, one verdict per IO fault kind
+    (see the module docstring)."""
+    workdir = Path(workdir)
+    clean_io = StoreIO()
+    clean = run_scenario(workdir / "clean", seed=seed, io=clean_io)
+    references = _reference_states(clean.store_dir, clean.generations)
+    genesis = manifest_name(0)
     cells = []
     for kind in IO_FAULT_KINDS:
-        mine = [c for c in result.cells if c.kind == kind]
-        recovered = Counter(c.recovered_generation for c in mine)
+        problems, fired, crashes = [], False, 0
+        recovered: Counter = Counter()
+        for op in range(clean.num_ops):
+            op_path = clean_io.op_log[op].path
+            cell_dir = workdir / f"op{op:04d}-{kind}"
+            injector = FaultInjector(FaultPlan([Fault(step=op, kind=kind)]))
+            try:
+                run_scenario(cell_dir, seed=seed, io=FaultingStoreIO(injector))
+            except (InjectedCrash, StoreError, CheckpointError, OSError):
+                # The top of the "process": discard every live object and
+                # recover purely from what reached disk.
+                crashes += 1
+            fired = fired or bool(injector.injected)
+            gen, detail = _recover(
+                cell_dir / "store", op_path, references, genesis
+            )
+            recovered[gen] += 1
+            if detail:
+                problems.append(f"op {op} ({op_path}): {detail}")
         cells.append(FaultCell(
-            "store", seed, kind,
-            problems=tuple(
-                f"op {c.op} ({c.op_path}): {c.detail}"
-                for c in mine if not c.ok
-            ),
-            fired=(kind,) if any(c.fired for c in mine) else (),
+            "store", seed, kind, tuple(problems),
+            fired=(kind,) if fired else (),
             summary=(
-                f"{len(mine)} io ops, {sum(c.crashed for c in mine)} "
-                "crashed, recovered generations "
-                f"{dict(sorted(recovered.items(), key=str))}"
+                f"{clean.num_ops} io ops, {crashes} crashed, recovered "
+                f"generations {dict(sorted(recovered.items(), key=str))}"
             ),
         ))
     return cells

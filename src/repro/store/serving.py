@@ -41,11 +41,7 @@ class StoredEmbeddingRecommender(Recommender):
     user_entities, item_entities:
         Row indices into ``entity_table`` for each user / item id — the
         same alignment the lifted user-item graph gives CFKG-style
-        models.
-    relation_id:
-        Row of ``relation_table`` used as the interaction translation.
-        When given, scores are TransE-style ``-||u + r - i||^2``;
-        when ``None``, plain dot products ``i @ u``.
+        models.  Scores are dot products ``i @ u``.
     """
 
     requires_kg = False
@@ -55,9 +51,7 @@ class StoredEmbeddingRecommender(Recommender):
         store: MmapShardStore,
         user_entities: np.ndarray,
         item_entities: np.ndarray,
-        relation_id: int | None = None,
         entity_table: str = "entity",
-        relation_table: str = "relation",
     ) -> None:
         super().__init__()
         if store.mode != "serve":
@@ -68,9 +62,7 @@ class StoredEmbeddingRecommender(Recommender):
         self.store = store
         self.user_entities = np.asarray(user_entities, dtype=np.int64)
         self.item_entities = np.asarray(item_entities, dtype=np.int64)
-        self.relation_id = relation_id
         self.entity_table = entity_table
-        self.relation_table = relation_table
 
     # ------------------------------------------------------------------ #
     @property
@@ -108,14 +100,9 @@ class StoredEmbeddingRecommender(Recommender):
     def _score(self, user_id: int, item_rows: np.ndarray) -> np.ndarray:
         """Scores of ``user_id`` against the entity rows ``item_rows``."""
         self.fitted_dataset
-        entities = self.store.table(self.entity_table)
-        u = entities.gather([int(self.user_entities[int(user_id)])])[0]
-        u = u.astype(np.float64)
-        items = entities.gather(item_rows).astype(np.float64)
-        if self.relation_id is None:
-            return items @ u
-        delta = (u + self._relation())[None, :] - items
-        return -(delta**2).sum(axis=1)
+        u = self.query_vector(user_id)
+        items = self.store.table(self.entity_table).gather(item_rows)
+        return items.astype(np.float64) @ u
 
     # ------------------------------------------------------------------ #
     # retrieval protocol (see repro.retrieval.two_stage): lets a
@@ -123,15 +110,6 @@ class StoredEmbeddingRecommender(Recommender):
     # vectors and exact-rerank them by gathering only the candidate rows
     # from the serve-mode mmap views — never the full table.
     # ------------------------------------------------------------------ #
-    def _relation(self) -> np.ndarray:
-        relations = self.store.table(self.relation_table)
-        return relations.gather([int(self.relation_id)])[0].astype(np.float64)
-
-    @property
-    def retrieval_metric(self) -> str:
-        """``"ip"`` for dot-product scoring, ``"l2"`` for TransE translation."""
-        return "ip" if self.relation_id is None else "l2"
-
     def item_vectors(self) -> np.ndarray:
         """The item rows an ANN index is built over (one materialized read).
 
@@ -142,11 +120,10 @@ class StoredEmbeddingRecommender(Recommender):
         return entities.gather(self.item_entities)
 
     def query_vector(self, user_id: int) -> np.ndarray:
-        """The per-user ANN query: ``u`` for dot scoring, ``u + r`` for TransE."""
+        """The per-user ANN query: the user's entity row."""
         entities = self.store.table(self.entity_table)
         u = entities.gather([int(self.user_entities[int(user_id)])])[0]
-        u = u.astype(np.float64)
-        return u if self.relation_id is None else u + self._relation()
+        return u.astype(np.float64)
 
     def score_items(self, user_id: int, item_ids) -> np.ndarray:
         """Exact scores for a candidate subset (gathers only those rows)."""

@@ -148,6 +148,6 @@ def load_cells(seed: int, workdir: str | Path) -> list[FaultCell]:
     )
     cells.append(FaultCell(
         "traffic", seed, "online_bridge", bridge.problems,
-        summary=bridge.describe(),
+        summary=bridge.summary,
     ))
     return cells

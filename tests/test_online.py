@@ -53,7 +53,6 @@ from repro.online.harness import (
     default_plan_for,
     freshness_report,
     run_churn_cell,
-    run_churn_matrix,
 )
 
 #: Small-but-real scenario: fast enough for unit tests, still crossing
@@ -476,16 +475,21 @@ class TestChaosCandidate:
 # ---------------------------------------------------------------------- #
 class TestChurnMatrix:
     def test_every_kind_passes_for_seed_zero(self, tmp_path):
-        cells = run_churn_matrix(tmp_path, seed=0, config=SMALL)
-        assert [c.kind for c in cells] == ["none", *ONLINE_FAULT_KINDS]
-        for cell in cells:
-            assert cell.ok, cell.describe()
-        by_kind = {c.kind: c for c in cells}
-        assert by_kind["poison_batch"].quarantined == 2
-        assert by_kind["commit_crash"].crashed
-        assert by_kind["sync_fail"].rejected >= 1
-        assert by_kind["canary_regress"].rejected >= 1
-        assert by_kind["late_regress"].rolled_back >= 1
+        summaries = {}
+        for kind in ("none", *ONLINE_FAULT_KINDS):
+            cell = run_churn_cell(tmp_path / kind, 0, kind, SMALL)
+            assert cell.ok, cell.summary
+            assert (cell.subsystem, cell.kind) == ("online", kind)
+            summaries[kind] = cell.summary
+
+        def count(kind, field):
+            return int(summaries[kind].split(f" {field}=")[1].split()[0])
+
+        assert count("poison_batch", "q") == 2
+        assert summaries["commit_crash"].endswith(" CRASHED+RECOVERED")
+        assert count("sync_fail", "rejected") >= 1
+        assert count("canary_regress", "rejected") >= 1
+        assert count("late_regress", "rolled_back") >= 1
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown online fault kind"):

@@ -377,8 +377,8 @@ class TestCheckpoint:
         # 0-based steps: saves fire at steps 1, 3, 5, 7
         assert [s is not None for s in saved] == [False, True] * 4
         assert len(ck.paths()) == 2  # pruned to the newest two
-        assert ck.latest_path().name.endswith("00000007.npz")
-        assert ck.load_latest().step == 7
+        assert ck.paths()[-1].name.endswith("00000007.npz")
+        assert ck.restore_latest(_params([0.0])).step == 7
 
     def test_restore_latest_empty_directory(self, tmp_path):
         ck = Checkpointer(tmp_path)
@@ -391,13 +391,12 @@ class TestCheckpoint:
             params[0].data[:] = float(step)
             ck.maybe_save(step, params)
         # truncate the newest file, as if the process died mid-write
-        newest = ck.latest_path()
+        newest = ck.paths()[-1]
         with open(newest, "r+b") as handle:
             handle.truncate(40)
-        restored = ck.load_latest()
-        assert restored.step == 1  # fell back to the newest *loadable* one
         target = _params([0.0])
-        ck.restore_latest(target)
+        restored = ck.restore_latest(target)
+        assert restored.step == 1  # fell back to the newest *loadable* one
         np.testing.assert_array_equal(target[0].data, [1.0])
 
     def test_resume_raises_when_every_checkpoint_is_corrupt(self, tmp_path):
@@ -407,8 +406,8 @@ class TestCheckpoint:
             ck.maybe_save(step, params)
         for path in ck.paths():
             path.write_bytes(b"garbage")
-        with pytest.raises(CheckpointError, match="no loadable checkpoint"):
-            ck.load_latest()
+        with pytest.raises(CheckpointError, match="2 candidate.s. failed"):
+            ck.restore_latest(params)
 
 
 # ---------------------------------------------------------------------- #

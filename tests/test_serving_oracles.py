@@ -130,43 +130,38 @@ class TestCandidateGuardOracle:
 # ---------------------------------------------------------------------- #
 # exact scoring and rerank
 # ---------------------------------------------------------------------- #
-@pytest.fixture(scope="module", params=[None, "relation"], ids=["ip", "transe"])
+@pytest.fixture(scope="module", params=["ip"])
 def array_model(request):
     rng = np.random.default_rng(4)
     users, items = rng.standard_normal((6, 12)), rng.standard_normal((257, 12))
-    relation = rng.standard_normal(12) if request.param else None
     dataset = Dataset(
         name="oracle",
         interactions=InteractionMatrix(
             np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64), 6, 257
         ),
     )
-    model = ArrayEmbeddingRecommender(users, items, relation_vector=relation)
-    return model.fit(dataset), items, relation
+    model = ArrayEmbeddingRecommender(users, items)
+    return model.fit(dataset), items
 
 
-def fancy_scores(items, q, relation, ids):
+def fancy_scores(items, q, ids):
     """Scores of ``items[ids]`` computed the straightforward way."""
-    rows = items[ids]
-    if relation is None:
-        return rows @ q
-    delta = q[None, :] - rows
-    return -np.einsum("ij,ij->i", delta, delta)
+    return items[ids] @ q
 
 
 class TestArrayScoringOracle:
     def test_score_all_is_bitwise_the_gathered_product(self, array_model):
-        model, items, relation = array_model
+        model, items = array_model
         for user in range(6):
             q = model.query_vector(user)
-            expected = fancy_scores(items, q, relation, np.arange(items.shape[0]))
+            expected = fancy_scores(items, q, np.arange(items.shape[0]))
             assert model.score_all(user).tobytes() == expected.tobytes()
 
     def test_score_items_over_a_whole_table_permutation(self, array_model):
         # As many ids as the table has rows takes the fancy-indexing gather.
-        model, items, relation = array_model
+        model, items = array_model
         ids = np.random.default_rng(9).permutation(items.shape[0])
-        expected = fancy_scores(items, model.query_vector(1), relation, ids)
+        expected = fancy_scores(items, model.query_vector(1), ids)
         assert model.score_items(1, ids).tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -176,9 +171,9 @@ class TestArrayScoringOracle:
         ordered=st.booleans(),
     )
     def test_score_items_is_bitwise_fancy_indexing(self, array_model, user, ids, ordered):
-        model, items, relation = array_model
+        model, items = array_model
         ids = np.asarray(sorted(set(ids)) if ordered else ids, dtype=np.int64)
-        expected = fancy_scores(items, model.query_vector(user), relation, ids)
+        expected = fancy_scores(items, model.query_vector(user), ids)
         assert model.score_items(user, ids).tobytes() == expected.tobytes()
         assert model.score_items(user, ids.tolist()).tobytes() == expected.tobytes()
 

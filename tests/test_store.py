@@ -378,26 +378,44 @@ class TestCheckpointChecksums:
         params[0].data[:] = 1.0
         newest = ckpt.save(1, params)
         newest.write_bytes(b"truncated")
-        loaded = ckpt.load_latest()
+        loaded = ckpt.restore_latest(params)
         assert loaded.step == 0
+        np.testing.assert_array_equal(params[0].data, np.zeros((2, 2)))
 
-    def test_version_1_archives_still_load(self, tmp_path):
-        """Backward compatibility: pre-checksum archives load unchanged."""
+    @staticmethod
+    def _rewrite_meta(path, edit):
         import json
 
-        path = tmp_path / "c.npz"
-        save_checkpoint(path, [FakeParam(np.ones((2, 2)))], step=3)
         with np.load(path) as archive:
             arrays = {k: archive[k].copy() for k in archive.files}
         meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
-        meta["version"] = 1
-        del meta["checksums"]
+        edit(meta)
         arrays["__meta__"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8
         )
         with open(path, "wb") as handle:
             np.savez_compressed(handle, **arrays)
-        assert load_checkpoint(path).step == 3
+
+    def test_version_1_archives_are_rejected(self, tmp_path):
+        """Pre-checksum archives would load unverified: refuse them."""
+        path = tmp_path / "c.npz"
+        save_checkpoint(path, [FakeParam(np.ones((2, 2)))], step=3)
+
+        def to_version_1(meta):
+            meta["version"] = 1
+            del meta["checksums"]
+
+        self._rewrite_meta(path, to_version_1)
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_array_without_checksum_rejected(self, tmp_path):
+        path = tmp_path / "c.npz"
+        params = [FakeParam(np.ones((2, 2))), FakeParam(np.zeros(3))]
+        save_checkpoint(path, params, step=3)
+        self._rewrite_meta(path, lambda meta: meta["checksums"].pop("param__0001"))
+        with pytest.raises(CheckpointError, match="no checksum.*param__0001"):
+            load_checkpoint(path)
 
 
 class TestStoreBackedCheckpoints:

@@ -22,12 +22,14 @@ from repro.kge.translational import TransE
 from repro.models.baselines import MostPopular
 from repro.serving import RecommenderService, ServeRequest
 from repro.store import MmapShardStore, StoredEmbeddingRecommender
+from repro.runtime.faults import IO_FAULT_KINDS
 from repro.store.harness import (
     ScenarioConfig,
+    crash_cells,
     make_corrupted_store,
-    run_crash_matrix,
     run_scenario,
 )
+from repro.store.io import StoreIO
 from repro.telemetry import Telemetry
 
 SMALL = ScenarioConfig(num_entities=6, num_triples=12, dim=3, epochs=2,
@@ -45,23 +47,25 @@ class TestCrashMatrix:
         assert a.generations == b.generations == (0, 1, 2)
         assert a.num_ops == b.num_ops > 0
 
-    def test_every_fault_kind_at_sampled_ops(self, tmp_path):
-        """Old-or-new, never hybrid, at every sampled (op, kind) cell.
+    def test_checkpoint_writes_go_through_the_store_io(self, tmp_path):
+        io = StoreIO()
+        run_scenario(tmp_path, seed=0, io=io, config=SMALL)
+        ckpt = [(op.kind, Path(op.path).name) for op in io.op_log if "ckpt-" in op.path]
+        assert ckpt == [
+            ("write", "ckpt-00000000.npz.tmp"), ("rename", "ckpt-00000000.npz"),
+            ("write", "ckpt-00000001.npz.tmp"), ("rename", "ckpt-00000001.npz"),
+        ]
 
-        The full sweep runs in CI (``python -m repro fault-matrix``);
-        here a stride keeps tier-1 fast while still crossing shard
-        writes, manifest writes, and both rename sides.
-        """
-        clean = run_scenario(tmp_path / "probe", seed=0, config=SMALL)
-        ops = tuple(range(0, clean.num_ops, 3)) + (clean.num_ops - 1,)
-        result = run_crash_matrix(
-            tmp_path / "matrix", seed=0, ops=ops, config=SMALL
-        )
-        assert result.reference_generations == (0, 1, 2)
-        assert len(result.cells) == len(set(ops)) * 5
-        assert result.violations == []
-        # Sanity: the faults actually fired (crashes or aborted commits).
-        assert any(c.crashed for c in result.cells)
+    def test_every_fault_kind_at_every_op(self, tmp_path):
+        """Old-or-new, never hybrid, at every (op, kind) cell of seed 0:
+        shard writes, manifest writes, checkpoint writes, both rename sides."""
+        cells = crash_cells(0, tmp_path)
+        assert [c.kind for c in cells] == list(IO_FAULT_KINDS)
+        for cell in cells:
+            assert cell.ok, cell.problems
+            assert cell.fired == (cell.kind,)
+        # Sanity: the faults actually surfaced (crashes or aborted commits).
+        assert any(", 0 crashed," not in c.summary for c in cells)
 
     def test_fsync_failure_is_retryable(self, tmp_path):
         """An aborted commit (fsync error) keeps dirty rows for retry."""
