@@ -12,7 +12,10 @@ reimplementation of the pre-sparse seed code path:
   update),
 * **end-to-end fit** — one TransE epoch over a fixed batch count while the
   entity-table size grows; with sparse updates the epoch time is sublinear
-  in ``num_entities``.
+  in ``num_entities``,
+* **LSTM step** — forward and backward through KPRN-shaped masked
+  ``nn.LSTMCell`` steps: the fused one-node step vs the op-by-op
+  composition it replaced (``tests/autograd_reference.py``).
 
 Run as a script:
 
@@ -23,8 +26,10 @@ The full run writes machine-readable results to ``--out`` (default
 ``benchmarks/BENCH_autograd.json``).  ``--smoke`` runs tiny sizes and
 asserts the correctness/bitwise invariants instead of reporting timings —
 the sparse gradient densifies to exactly the ``np.add.at`` scatter, lazy
-Adam's first step matches the dense step bitwise, and a ``fit`` with
-``dense_updates=True`` reproduces the seed's dense training path bitwise.
+Adam's first step matches the dense step bitwise, a ``fit`` with
+``dense_updates=True`` reproduces the seed's dense training path bitwise,
+``coalesce_rows`` equals the per-column ``bincount`` loop and the fused LSTM
+step equals its composition in outputs and every gradient.
 See ``docs/performance.md`` for recorded numbers.
 """
 
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -40,10 +46,18 @@ import numpy as np
 from repro.autograd import nn
 from repro.autograd import tensor as tensor_mod
 from repro.autograd.optim import Adam
-from repro.autograd.sparse import SparseGrad
+from repro.autograd.sparse import SparseGrad, coalesce_rows
 from repro.core.rng import ensure_rng
 from repro.kge import TransE
 from repro.kg.triples import TripleStore
+
+if __package__:  # imported as ``benchmarks.bench_autograd`` (pytest collection)
+    from .bench_retrieval import host_facts
+else:  # run as a script: this directory is on sys.path, the repository root not
+    from bench_retrieval import host_facts
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.autograd_reference import coalesce_rows_reference, lstm_step_reference
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_autograd.json"
 
@@ -136,6 +150,52 @@ def bench_fit_epoch(num_entities, dim, num_triples, batch, repeats, dense_update
     return best
 
 
+def lstm_chain(step, cell, xs, masks):
+    """KPRN's recurrence: masked steps from the zero state, loss on ``h``."""
+    h, c = cell.initial_state(xs[0].shape[0])
+    for x, mask in zip(xs, masks):
+        h, c = step(cell, x, (h, c), mask)
+    return h
+
+
+def lstm_inputs(paths, in_dim, steps, seed=0):
+    rng = ensure_rng(seed)
+    lengths = rng.integers(2, steps + 1, size=paths)
+    masks = [(t < lengths)[:, None].astype(np.float64) for t in range(steps)]
+    xs = [
+        tensor_mod.Tensor(rng.standard_normal((paths, in_dim)), requires_grad=True)
+        for __ in range(steps)
+    ]
+    return xs, masks
+
+
+def bench_lstm_step(paths, in_dim, hidden, steps, repeats):
+    """Seconds per fwd+bwd of one step, and tape tensors per step."""
+    xs, masks = lstm_inputs(paths, in_dim, steps)
+    cell = nn.LSTMCell(in_dim, hidden, seed=0)
+    out = {}
+    for name, step in (("composed", lstm_step_reference), ("fused", nn.LSTMCell.__call__)):
+        made = []
+        original = tensor_mod.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(None)
+            original(self, *args, **kwargs)
+
+        tensor_mod.Tensor.__init__ = counting
+        try:
+            lstm_chain(step, cell, xs, masks)
+        finally:
+            tensor_mod.Tensor.__init__ = original
+
+        def once():
+            cell.zero_grad()
+            lstm_chain(step, cell, xs, masks).sum().backward()
+
+        out[name] = (best_time(once, repeats) / steps, len(made) / steps)
+    return out
+
+
 # --------------------------------------------------------------------- #
 def run(args):
     results = {
@@ -148,6 +208,7 @@ def run(args):
         },
         "kernels": {},
         "fit_epoch_seconds": {},
+        "host": host_facts(),
     }
     header = f"{'kernel':<24} {'dense s':>10} {'sparse s':>10} {'speedup':>8}"
     print(
@@ -194,6 +255,25 @@ def run(args):
             "sparse_seconds": sparse,
             "speedup": dense / sparse,
         }
+
+    paths, in_dim, hidden, steps = 192, 32, 16, 4  # a KPRN batch: 64 pairs x 3 paths
+    lstm = bench_lstm_step(paths, in_dim, hidden, steps, max(args.repeats, 20))
+    composed, fused = lstm["composed"], lstm["fused"]
+    print()
+    print(
+        f"LSTM step fwd+bwd ({paths} paths, in {in_dim}, hidden {hidden}, "
+        f"{steps} masked steps): composed {composed[0] * 1e6:.0f} us "
+        f"({composed[1]:.0f} tensors), fused {fused[0] * 1e6:.0f} us "
+        f"({fused[1]:.0f} tensors), {composed[0] / fused[0]:.1f}x"
+    )
+    results["lstm_step"] = {
+        "config": {"paths": paths, "in_dim": in_dim, "hidden": hidden, "steps": steps},
+        "composed_seconds": composed[0],
+        "fused_seconds": fused[0],
+        "composed_tensors": composed[1],
+        "fused_tensors": fused[1],
+        "speedup": composed[0] / fused[0],
+    }
 
     out = Path(args.out)
     out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
@@ -257,6 +337,27 @@ def smoke():
     # moments are not decayed — so the sparse history only tracks the dense
     # one approximately.
     np.testing.assert_allclose(histories["sparse"], histories["seed"], rtol=0.05)
+
+    # The flattened coalesce (and, above its size limit, the per-column
+    # loop) is bitwise the per-column loop.
+    for n, dim in ((25, 6), (4000, 8)):
+        r = rng.integers(0, 40, size=n)
+        v = rng.standard_normal((n, dim))
+        got, want = coalesce_rows(r, v), coalesce_rows_reference(r, v)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), "coalesce"
+
+    # The fused LSTM step is bitwise its composition: outputs and gradients.
+    xs, masks = lstm_inputs(7, 5, 4, seed=3)
+    results = []
+    for step in (nn.LSTMCell.__call__, lstm_step_reference):
+        cell = nn.LSTMCell(5, 3, seed=4)
+        for x in xs:
+            x.zero_grad()
+        h = lstm_chain(step, cell, xs, masks)
+        (h * h).sum().backward()
+        grads = [x.grad for x in xs] + [p.grad for p in cell.parameters()]
+        results.append([h.data.tobytes()] + [g.tobytes() for g in grads])
+    assert results[0] == results[1], "fused LSTM step != composition"
     print("bench_autograd smoke: all kernels OK")
 
 

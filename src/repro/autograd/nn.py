@@ -185,7 +185,22 @@ class GRUCell(Module):
 
 
 class LSTMCell(Module):
-    """Long short-term memory cell with input/forget/output gates."""
+    """Long short-term memory cell with input/forget/output gates.
+
+    One call records a single fused tape node with a hand-written backward
+    pass instead of the ~30 nodes of its op-by-op composition (concat, four
+    ``Linear`` gates, activations, products).  An optional ``mask`` of shape
+    ``(batch, 1)`` holding 0/1 keeps the incoming state on rows whose mask is
+    0 (paths that already ended): ``h_next * mask + h * (1 - mask)``, and
+    the same for ``c``.
+
+    The backward pass replays the composition's float operations in its
+    tape's order, so every output and gradient is bitwise that of the
+    composition: the gradient reaching ``[x, h]`` sums the four gates as
+    ``((f + o) + i) + c``, the order in which the composed tape accumulates
+    them.  ``tests/autograd_reference.py`` keeps the composition as the
+    oracle (see ``docs/autograd.md``).
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int, seed=None) -> None:
         rng = ensure_rng(seed)
@@ -196,16 +211,91 @@ class LSTMCell(Module):
         self.w_o = Linear(d, hidden_dim, seed=rng)
         self.w_c = Linear(d, hidden_dim, seed=rng)
 
-    def __call__(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    def __call__(
+        self, x: Tensor, state: tuple[Tensor, Tensor], mask: np.ndarray | None = None
+    ) -> tuple[Tensor, Tensor]:
         h, c = state
-        xh = ops.concat([x, h], axis=-1)
-        i = ops.sigmoid(self.w_i(xh))
-        f = ops.sigmoid(self.w_f(xh))
-        o = ops.sigmoid(self.w_o(xh))
-        g = ops.tanh(self.w_c(xh))
-        c_next = f * c + i * g
-        h_next = o * ops.tanh(c_next)
-        return h_next, c_next
+        gates = (self.w_i, self.w_f, self.w_o, self.w_c)
+        xh = np.concatenate([x.data, h.data], axis=-1)
+        pre = [xh @ lin.weight.data + lin.bias.data for lin in gates]
+        i, f, o = (ops.sigmoid_array(a) for a in pre[:3])
+        g = np.tanh(pre[3])
+        c_prev = c.data
+        c_next = f * c_prev + i * g
+        tc = np.tanh(c_next)
+        h_next = o * tc
+        if mask is None:
+            h_new, c_new = h_next, c_next
+        else:
+            keep = 1.0 - mask
+            h_new = h_next * mask + h.data * keep
+            c_new = c_next * mask + c_prev * keep
+        params = tuple(t for lin in gates for t in (lin.weight, lin.bias))
+        # The step node's gradient slot collects (d h_new, d c_new) from the
+        # two output tensors, which are its only children; either may stay
+        # None when nothing downstream uses that output.
+        pending: list[np.ndarray | None] = [None, None]
+
+        def backward(__) -> None:
+            dh_out, dc_out = pending
+            dh_next = dc_next = None
+            if dh_out is not None:
+                dh_next = dh_out if mask is None else dh_out * mask
+            if dc_out is not None:
+                dc_next = dc_out if mask is None else dc_out * mask
+            dpre: list[np.ndarray | None] = [None, None, None, None]
+            if dh_next is not None:
+                dpre[2] = dh_next * tc * o * (1.0 - o)
+                dtc = dh_next * o * (1.0 - tc**2)
+                dc_next = dtc if dc_next is None else dc_next + dtc
+            if dc_next is not None:
+                dpre[0] = dc_next * g * i * (1.0 - i)
+                dpre[1] = dc_next * c_prev * f * (1.0 - f)
+                dpre[3] = dc_next * i * (1.0 - g**2)
+            dxh = None
+            for k in (1, 2, 0, 3):  # the composed tape's order: f, o, i, c
+                dp = dpre[k]
+                if dp is None:
+                    continue
+                lin = gates[k]
+                if lin.weight.requires_grad:
+                    lin.weight._accumulate(xh.T @ dp, owned=True)
+                if lin.bias.requires_grad:
+                    lin.bias._accumulate(dp.sum(axis=0), owned=True)
+                contribution = dp @ lin.weight.data.T
+                if dxh is None:
+                    dxh = contribution
+                else:
+                    dxh += contribution
+            split = x.data.shape[-1]
+            if dxh is not None:
+                if x.requires_grad:
+                    x._accumulate(dxh[:, :split])
+                if h.requires_grad:
+                    h._accumulate(dxh[:, split:])
+            if mask is not None:
+                if h.requires_grad and dh_out is not None:
+                    h._accumulate(dh_out * keep, owned=True)
+                if c.requires_grad and dc_out is not None:
+                    c._accumulate(dc_out * keep, owned=True)
+            if c.requires_grad and dc_next is not None:
+                c._accumulate(dc_next * f, owned=True)
+
+        node = Tensor._make(h_new, (x, h, c) + params, backward)
+        if not node.requires_grad:
+            return Tensor(h_new), Tensor(c_new)
+
+        def to_node(slot: int):
+            def backward(grad: np.ndarray) -> None:
+                pending[slot] = grad
+                node._grad = pending
+
+            return backward
+
+        return (
+            Tensor._make(h_new, (node,), to_node(0)),
+            Tensor._make(c_new, (node,), to_node(1)),
+        )
 
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
         zeros = np.zeros((batch, self.hidden_dim))

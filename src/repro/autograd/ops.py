@@ -48,9 +48,14 @@ def log(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def sigmoid_array(a: np.ndarray) -> np.ndarray:
+    """The logistic function on a plain array (clipped against overflow)."""
+    return 1.0 / (1.0 + np.exp(-np.clip(a, -500, 500)))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out_data = 1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500)))
+    out_data = sigmoid_array(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -86,7 +91,7 @@ def softplus(x: Tensor) -> Tensor:
     """Numerically stable ``log(1 + exp(x))``."""
     x = as_tensor(x)
     out_data = np.logaddexp(0.0, x.data)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500)))
+    sig = sigmoid_array(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:

@@ -42,6 +42,8 @@ so :mod:`repro.runtime.checkpoint` can snapshot and resume a run exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.exceptions import TrainingDivergedError
@@ -72,12 +74,20 @@ class Optimizer:
         skip_nonfinite: str = "off",
         dense_updates: bool = False,
     ) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive")
+        # NaN compares false both ways, so each check is written to pass only
+        # on a finite value inside the range.
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {weight_decay}"
+            )
+        if max_grad_norm is not None and not (
+            math.isfinite(max_grad_norm) and max_grad_norm > 0
+        ):
+            raise ValueError(
+                f"max_grad_norm must be positive and finite, got {max_grad_norm}"
+            )
         if skip_nonfinite not in NONFINITE_POLICIES:
             raise ValueError(
                 f"skip_nonfinite must be one of {NONFINITE_POLICIES}, "
@@ -202,6 +212,12 @@ class Optimizer:
             np.copyto(d, s)
 
 
+def _check_eps(eps: float) -> float:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    return eps
+
+
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum."""
 
@@ -266,7 +282,7 @@ class Adagrad(Optimizer):
         super().__init__(
             params, lr, weight_decay, max_grad_norm, skip_nonfinite, dense_updates
         )
-        self.eps = eps
+        self.eps = _check_eps(eps)
         self._accum = [np.zeros_like(p.data) for p in self.params]
 
     def _apply(self) -> None:
@@ -313,8 +329,11 @@ class Adam(Optimizer):
         super().__init__(
             params, lr, weight_decay, max_grad_norm, skip_nonfinite, dense_updates
         )
+        for beta in betas:
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"betas must lie in [0, 1), got {tuple(betas)}")
         self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.eps = _check_eps(eps)
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -330,13 +349,17 @@ class Adam(Optimizer):
             if sparse is not None:
                 rows, vals = sparse.rows, sparse.vals
                 # Same multiply-then-add sequence as the dense branch, so a
-                # first step from zero state matches it bitwise.
-                m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * vals
-                v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * vals**2
-                self._decay_rows(p, rows)
-                p.data[rows] -= (
-                    self.lr * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + self.eps)
-                )
+                # first step from zero state matches it bitwise.  Rows are
+                # unique, so each table is gathered and scattered once.
+                m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * vals
+                v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * vals**2
+                m[rows] = m_rows
+                v[rows] = v_rows
+                p_rows = p.data[rows]
+                if self.weight_decay:
+                    p_rows *= 1.0 - self.lr * self.weight_decay
+                p_rows -= self.lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + self.eps)
+                p.data[rows] = p_rows
                 continue
             grad = p.grad
             m *= self.beta1

@@ -15,12 +15,14 @@ rows).  Duplicate rows are allowed and are summed lazily by
 
 Bitwise compatibility
 ---------------------
-Coalescing sums duplicates with one ``np.bincount`` pass per column.
-``bincount`` accumulates weights sequentially in occurrence order — the
-exact summation ``np.add.at`` performs — so a densified :class:`SparseGrad`
-is *bitwise identical* to the historical dense scatter.  (``np.add.reduceat``
-is faster still but uses pairwise summation and breaks bitwise
-reproducibility; the equivalence tests pin this choice.)
+Coalescing sums duplicates with ``np.bincount``: one pass over flattened
+``(row, column)`` bins for small batches, one pass per column for large
+ones.  ``bincount`` accumulates weights sequentially in occurrence order —
+the exact summation ``np.add.at`` performs — so a densified
+:class:`SparseGrad` is *bitwise identical* to the historical dense
+scatter.  (``np.add.reduceat`` is faster still but uses pairwise summation
+and breaks bitwise reproducibility; the equivalence tests pin this
+choice.)
 
 When a parameter is gathered several times in one graph (e.g. a KGE
 entity table looked up for heads, tails, and negatives), the historical
@@ -40,20 +42,35 @@ import numpy as np
 __all__ = ["SparseGrad", "coalesce_rows"]
 
 
+#: Largest ``rows.size * dim`` summed by one flattened ``np.bincount``.  Its
+#: int64 bin array is then at most 128 KiB; above that, allocating and
+#: faulting in a fresh bin array cost more than the per-column calls saved
+#: (``docs/performance.md``, "Training critical path").
+_FLAT_COALESCE_LIMIT = 1 << 14
+
+
 def coalesce_rows(rows: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum duplicate rows: ``(unique_rows_ascending, per-row sums)``.
 
     ``vals`` must be 2-d with ``vals.shape[0] == rows.size``.  Summation
     order within a duplicate group is occurrence order (see module
-    docstring), matching ``np.add.at`` bitwise.
+    docstring), matching ``np.add.at`` bitwise.  Small inputs are summed
+    with one ``np.bincount`` over flattened ``(row, column)`` bins, larger
+    ones with one ``np.bincount`` per column; each bin adds its values in
+    occurrence order either way, so the two agree bitwise.
     """
     unique, inverse = np.unique(rows, return_inverse=True)
     if unique.size == rows.size:
         # No duplicates: reorder to ascending rows, skip the bincount passes.
         order = np.argsort(rows, kind="stable")
         return unique, vals[order]
-    summed = np.empty((unique.size, vals.shape[1]), dtype=vals.dtype)
-    for col in range(vals.shape[1]):
+    dim = vals.shape[1]
+    if vals.size <= _FLAT_COALESCE_LIMIT:
+        bins = (inverse[:, None] * dim + np.arange(dim)).ravel()
+        summed = np.bincount(bins, weights=vals.ravel(), minlength=unique.size * dim)
+        return unique, summed.reshape(unique.size, dim).astype(vals.dtype, copy=False)
+    summed = np.empty((unique.size, dim), dtype=vals.dtype)
+    for col in range(dim):
         summed[:, col] = np.bincount(
             inverse, weights=vals[:, col], minlength=unique.size
         )

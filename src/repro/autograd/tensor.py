@@ -22,17 +22,43 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .sparse import SparseGrad, coalesce_rows
 
-__all__ = ["Tensor", "as_tensor"]
+__all__ = ["Tensor", "as_tensor", "no_tape"]
 
 #: Escape hatch: set to False to force the historical dense scatter backward
 #: for embedding-style lookups (used by equivalence tests and benchmarks).
 SPARSE_LOOKUP_GRADS = True
+
+
+class _TapeState(threading.local):
+    recording = True
+
+
+_TAPE = _TapeState()
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Run the block without recording a tape (inference only).
+
+    Every op computes the same values but returns a constant tensor with
+    no parents and no backward closure, so nothing is kept alive for a
+    backward pass that will never run.  Per thread; restored on exit,
+    including when the block raises.
+    """
+    previous = _TAPE.recording
+    _TAPE.recording = False
+    try:
+        yield
+    finally:
+        _TAPE.recording = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -75,7 +101,9 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[np.ndarray], None] | None = None,
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self._grad: np.ndarray | SparseGrad | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -205,13 +233,12 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
-        return Tensor(
-            data,
-            requires_grad=requires,
-            _parents=tuple(p for p in parents if p.requires_grad),
-            _backward=backward if requires else None,
-        )
+        if not _TAPE.recording:
+            return Tensor(data)
+        kept = tuple([p for p in parents if p.requires_grad])
+        if not kept:
+            return Tensor(data)
+        return Tensor(data, True, kept, backward)
 
     # ------------------------------------------------------------------ #
     # arithmetic
@@ -355,8 +382,8 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
-        if not self.requires_grad:
-            return Tensor._make(out_data, (self,), None)
+        if not (self.requires_grad and _TAPE.recording):
+            return Tensor(out_data)
 
         rows = _as_row_index(index)
         if rows is not None:

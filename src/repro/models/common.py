@@ -15,7 +15,7 @@ import abc
 import numpy as np
 
 from repro.autograd import Adam, losses, nn
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_tape
 from repro.core.dataset import Dataset
 from repro.core.exceptions import ConfigError, DataError
 from repro.core.recommender import Recommender
@@ -147,13 +147,17 @@ class GradientRecommender(Recommender, nn.Module, abc.ABC):
 
     # ------------------------------------------------------------------ #
     def score_all(self, user_id: int) -> np.ndarray:
+        """Scores of every item, computed without recording a tape."""
         dataset = self.fitted_dataset
         n = dataset.num_items
         items = np.arange(n, dtype=np.int64)
         users = np.full(n, user_id, dtype=np.int64)
         chunks: list[np.ndarray] = []
         step = 512
-        for start in range(0, n, step):
-            chunk = self._score_batch(users[start : start + step], items[start : start + step])
-            chunks.append(np.atleast_1d(chunk.numpy()))
+        with no_tape():
+            for start in range(0, n, step):
+                chunk = self._score_batch(
+                    users[start : start + step], items[start : start + step]
+                )
+                chunks.append(np.atleast_1d(chunk.numpy()))
         return np.concatenate(chunks)

@@ -61,7 +61,6 @@ class KPRN(GradientRecommender):
         self.relation = nn.Embedding(kg.num_relations + 1, self.dim, seed=rng)
         self.lstm = nn.LSTMCell(2 * self.dim, self.dim, seed=rng)
         self.scorer = nn.MLP([self.dim, 8, 1], seed=rng)
-        self._pad_relation = kg.num_relations
         self._bank = PathBank(
             self._lifted,
             max_length=self.max_path_length,
@@ -74,46 +73,28 @@ class KPRN(GradientRecommender):
         return self._lifted
 
     # ------------------------------------------------------------------ #
-    def _path_scores(
-        self, users: np.ndarray, items: np.ndarray
-    ) -> tuple[Tensor, np.ndarray, list[tuple[int, int]]]:
-        """LSTM-encode all batch paths; returns (scores, assignment, meta)."""
-        seqs: list[tuple[int, list[int], list[int]]] = []
-        for row, (u, v) in enumerate(zip(users, items)):
-            for path in self._bank.paths(int(u), int(v)):
-                # Step t consumes entity_t and the relation leading out of
-                # it (padding relation on the final entity).
-                rels = list(path.relations) + [self._pad_relation]
-                seqs.append((row, list(path.entities), rels))
-        if not seqs:
-            return Tensor(np.zeros(0)), np.zeros((users.size, 0)), []
-
-        max_len = max(len(ents) for __, ents, __r in seqs)
-        num_paths = len(seqs)
-        ent_idx = np.zeros((num_paths, max_len), dtype=np.int64)
-        rel_idx = np.full((num_paths, max_len), self._pad_relation, dtype=np.int64)
-        mask = np.zeros((num_paths, max_len))
+    def _path_scores(self, users: np.ndarray, items: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """LSTM-encode all batch paths; returns (scores, assignment)."""
+        rows, entities, relations, lengths = self._bank.gather(users, items)
+        num_paths = rows.size
+        if not num_paths:
+            return Tensor(np.zeros(0)), np.zeros((users.size, 0))
+        # Step t consumes entity_t and the relation leading out of it (the
+        # bank's pad relation on the final entity and past the path's end).
+        max_len = int(lengths.max()) + 1
+        mask = (np.arange(max_len) <= lengths[:, None]).astype(np.float64)
         assign = np.zeros((users.size, num_paths))
-        meta: list[tuple[int, int]] = []
-        for p, (row, ents, rels) in enumerate(seqs):
-            ent_idx[p, : len(ents)] = ents
-            rel_idx[p, : len(rels)] = rels
-            mask[p, : len(ents)] = 1.0
-            assign[row, p] = 1.0
-            meta.append((row, p))
+        assign[rows, np.arange(num_paths)] = 1.0
 
         h, c = self.lstm.initial_state(num_paths)
         for step in range(max_len):
             x = ops.concat(
-                [self.entity(ent_idx[:, step]), self.relation(rel_idx[:, step])],
+                [self.entity(entities[:, step]), self.relation(relations[:, step])],
                 axis=1,
             )
-            h_next, c_next = self.lstm(x, (h, c))
-            gate = Tensor(mask[:, step : step + 1])
-            h = h_next * gate + h * (1.0 - gate)
-            c = c_next * gate + c * (1.0 - gate)
+            h, c = self.lstm(x, (h, c), mask[:, step : step + 1])
         scores = self.scorer(h).reshape(num_paths)
-        return scores, assign, meta
+        return scores, assign
 
     def _pool(self, scores: Tensor, assign: np.ndarray) -> Tensor:
         """Weighted pooling: gamma * log sum exp(s / gamma) per pair."""
@@ -128,8 +109,7 @@ class KPRN(GradientRecommender):
         return ops.log(safe) * gamma
 
     def _score_batch(self, users: np.ndarray, items: np.ndarray) -> Tensor:
-        scores, assign, __ = self._path_scores(users, items)
-        return self._pool(scores, assign)
+        return self._pool(*self._path_scores(users, items))
 
     # ------------------------------------------------------------------ #
     def explain(self, user_id: int, item_id: int) -> list[Explanation]:
@@ -138,7 +118,7 @@ class KPRN(GradientRecommender):
             return []
         users = np.full(len(paths), user_id)
         items = np.full(len(paths), item_id)
-        scores, __, __m = self._path_scores(users[:1], items[:1])
+        scores, __ = self._path_scores(users[:1], items[:1])
         per_path = scores.numpy()
         out = []
         for p, path in enumerate(paths[: per_path.size]):

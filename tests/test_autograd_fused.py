@@ -1,0 +1,310 @@
+"""Fast autograd paths against their unfused forms, bitwise.
+
+* the fused ``nn.LSTMCell`` step (one tape node) against the op-by-op
+  composition plus KPRN's step mask, in outputs and in every gradient, and
+  KPRN/EIUM fits through either, parameter for parameter;
+* ``coalesce_rows`` against the per-column ``np.bincount`` loop;
+* lazy Adam against the update that gathered ``m``, ``v`` and ``p`` three
+  times;
+* tape-off scoring against taped scoring;
+* optimizer constructors rejecting settings that would poison a step.
+
+The reference forms live in ``autograd_reference.py``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.models  # noqa: F401 - registers the model classes
+from repro.autograd import SGD, Adagrad, Adam, nn
+from repro.autograd.sparse import SparseGrad, coalesce_rows
+from repro.autograd.tensor import Tensor, no_tape
+from repro.core.registry import get_model_class
+from repro.data import make_movie_dataset
+
+from .autograd_reference import (
+    coalesce_rows_reference,
+    lstm_step_reference,
+    sparse_adam_rows_reference,
+)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+# --------------------------------------------------------------------- #
+# fused LSTM step
+# --------------------------------------------------------------------- #
+def _mask(kind: str, batch: int, rng: np.random.Generator):
+    if kind == "none":
+        return None
+    if kind == "zeros":
+        return np.zeros((batch, 1))
+    if kind == "ones":
+        return np.ones((batch, 1))
+    return (rng.random((batch, 1)) < 0.5).astype(np.float64)
+
+
+def _run(step, seed, batch, in_dim, hidden, mask_kinds, use_h=True, use_c=True):
+    """Chain ``len(mask_kinds)`` steps of ``step`` from leaf inputs; returns
+    the final outputs and every gradient."""
+    rng = np.random.default_rng(seed)
+    cell = nn.LSTMCell(in_dim, hidden, seed=seed)
+    xs = [Tensor(rng.normal(size=(batch, in_dim)), requires_grad=True) for __ in mask_kinds]
+    h0 = Tensor(rng.normal(size=(batch, hidden)), requires_grad=True)
+    c0 = Tensor(rng.normal(size=(batch, hidden)), requires_grad=True)
+    masks = [_mask(kind, batch, rng) for kind in mask_kinds]
+    w_h = rng.normal(size=(batch, hidden))
+    w_c = rng.normal(size=(batch, hidden))
+    h, c = h0, c0
+    for x, mask in zip(xs, masks):
+        h, c = step(cell, x, (h, c), mask)
+    loss = None
+    if use_h:
+        loss = (h * w_h).sum()
+    if use_c:
+        term = (c * w_c).sum()
+        loss = term if loss is None else loss + term
+    loss.backward()
+    grads = [t.grad for t in (*xs, h0, c0)] + [p.grad for p in cell.parameters()]
+    return [h.data, c.data], grads
+
+
+def _fused(cell, x, state, mask):
+    return cell(x, state, mask)
+
+
+def _assert_bitwise(fused, reference):
+    (f_out, f_grads), (r_out, r_grads) = fused, reference
+    for a, b in zip(f_out, r_out):
+        assert _bits(a) == _bits(b)
+    assert len(f_grads) == len(r_grads)
+    for a, b in zip(f_grads, r_grads):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert _bits(a) == _bits(b)
+
+
+class TestFusedLSTMStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        batch=st.integers(1, 9),
+        in_dim=st.integers(1, 7),
+        hidden=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from(["none", "zeros", "ones", "mixed"]), min_size=1, max_size=4),
+    )
+    def test_outputs_and_every_gradient(self, seed, batch, in_dim, hidden, kinds):
+        args = (seed, batch, in_dim, hidden, kinds)
+        _assert_bitwise(_run(_fused, *args), _run(lstm_step_reference, *args))
+
+    @pytest.mark.parametrize("use_h,use_c", [(True, False), (False, True)])
+    @pytest.mark.parametrize("kind", ["none", "mixed"])
+    def test_one_output_unused(self, use_h, use_c, kind):
+        args = (3, 5, 4, 3, [kind, kind, kind])
+        _assert_bitwise(
+            _run(_fused, *args, use_h=use_h, use_c=use_c),
+            _run(lstm_step_reference, *args, use_h=use_h, use_c=use_c),
+        )
+
+    def test_one_node_per_step(self):
+        cell = nn.LSTMCell(4, 3, seed=0)
+        h, c = cell.initial_state(2)
+        x = Tensor(np.ones((2, 4)), requires_grad=True)
+        h2, c2 = cell(x, (h, c), np.ones((2, 1)))
+        assert h2._parents == c2._parents and len(h2._parents) == 1
+        node = h2._parents[0]
+        params = cell.parameters()
+        assert node._parents[0] is x and set(map(id, node._parents[1:])) == set(map(id, params))
+
+    @pytest.mark.parametrize("name", ["KPRN", "EIUM"])
+    def test_fit_matches_composed_fit(self, name, monkeypatch):
+        dataset = make_movie_dataset(seed=2, num_users=30, num_items=40)
+        cls = get_model_class(name)
+        fused = cls(epochs=2, seed=1).fit(dataset)
+        monkeypatch.setattr(nn.LSTMCell, "__call__", lstm_step_reference)
+        composed = cls(epochs=2, seed=1).fit(dataset)
+        assert fused.loss_history == composed.loss_history
+        for a, b in zip(fused.parameters(), composed.parameters(), strict=True):
+            assert _bits(a.data) == _bits(b.data)
+
+
+# --------------------------------------------------------------------- #
+# coalesce_rows
+# --------------------------------------------------------------------- #
+@st.composite
+def _row_batches(draw):
+    n = draw(st.integers(0, 300))
+    dim = draw(st.integers(1, 70))
+    table = draw(st.integers(1, 400))
+    rows = np.asarray(draw(st.lists(st.integers(0, table - 1), min_size=n, max_size=n)), dtype=np.int64)
+    seed = draw(st.integers(0, 2**16))
+    wide = np.random.default_rng(seed).normal(size=(n, 2 * dim))
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran"]))
+    if layout == "strided":
+        vals = wide[:, ::2]
+    elif layout == "fortran":
+        vals = np.asfortranarray(wide[:, :dim])
+    else:
+        vals = np.ascontiguousarray(wide[:, :dim])
+    return rows, vals
+
+
+class TestCoalesceRows:
+    @settings(max_examples=150, deadline=None)
+    @given(_row_batches())
+    def test_matches_per_column_loop(self, batch):
+        rows, vals = batch
+        unique, summed = coalesce_rows(rows, vals)
+        ref_unique, ref_summed = coalesce_rows_reference(rows, vals)
+        assert _bits(unique) == _bits(ref_unique)
+        assert summed.shape == ref_summed.shape and summed.dtype == ref_summed.dtype
+        assert _bits(summed) == _bits(ref_summed)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros(0, dtype=np.int64),
+            np.array([4]),
+            np.full(50, 3),  # all duplicates
+            np.arange(40)[::-1].copy(),  # no duplicates
+            np.tile(np.arange(7), 400),  # above the flat-bincount limit
+        ],
+        ids=["empty", "one-row", "all-duplicates", "no-duplicates", "large"],
+    )
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_edge_shapes(self, rows, dim):
+        vals = np.random.default_rng(rows.size).normal(size=(rows.size, dim))
+        unique, summed = coalesce_rows(rows, vals)
+        ref_unique, ref_summed = coalesce_rows_reference(rows, vals)
+        assert _bits(unique) == _bits(ref_unique)
+        assert summed.shape == ref_summed.shape
+        assert _bits(summed) == _bits(ref_summed)
+
+
+# --------------------------------------------------------------------- #
+# lazy Adam
+# --------------------------------------------------------------------- #
+class TestSparseAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_matches_three_gather_update(self, weight_decay):
+        rng = np.random.default_rng(4)
+        table = rng.normal(size=(30, 5))
+        param = nn.Parameter(table.copy())
+        opt = Adam([param], lr=0.01, weight_decay=weight_decay)
+        p, m, v = table.copy(), np.zeros_like(table), np.zeros_like(table)
+        for t in range(1, 6):
+            rows = rng.integers(0, 30, size=12)  # with duplicates
+            vals = rng.normal(size=(12, 5))
+            param._grad = SparseGrad(param.shape, rows, vals.copy())
+            opt.step()
+            unique, summed = coalesce_rows_reference(rows, vals)
+            sparse_adam_rows_reference(
+                p,
+                m,
+                v,
+                unique,
+                summed,
+                lr=0.01,
+                beta1=0.9,
+                beta2=0.999,
+                eps=1e-8,
+                weight_decay=weight_decay,
+                bc1=1.0 - 0.9**t,
+                bc2=1.0 - 0.999**t,
+            )
+            assert _bits(param.data) == _bits(p)
+            state = opt.state_dict()
+            assert _bits(state["m"][0]) == _bits(m) and _bits(state["v"][0]) == _bits(v)
+
+
+# --------------------------------------------------------------------- #
+# tape-off scoring
+# --------------------------------------------------------------------- #
+class TestNoTape:
+    @pytest.fixture(scope="class")
+    def kprn(self):
+        dataset = make_movie_dataset(seed=1, num_users=20, num_items=25)
+        return get_model_class("KPRN")(epochs=1, seed=0).fit(dataset)
+
+    def test_scores_are_bitwise_the_taped_scores(self, kprn):
+        items = np.arange(kprn.fitted_dataset.num_items)
+        for user in range(4):
+            taped = kprn._score_batch(np.full(items.size, user), items)
+            assert taped.requires_grad
+            assert _bits(kprn.score_all(user)) == _bits(taped.data)
+
+    def test_records_no_tape_node(self, kprn, monkeypatch):
+        made = []
+        original = Tensor.__init__
+
+        def counting(self, data, requires_grad=False, _parents=(), _backward=None):
+            made.append((requires_grad, _parents, _backward))
+            original(self, data, requires_grad, _parents, _backward)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        kprn.score_all(0)
+        assert made
+        assert all(not r and not parents and b is None for r, parents, b in made)
+
+    def test_taping_resumes_after_an_exception(self):
+        w = nn.Parameter(np.ones(3))
+        with pytest.raises(RuntimeError):
+            with no_tape():
+                assert not (w * 2.0).requires_grad
+                assert not w[np.array([0, 1])].requires_grad
+                raise RuntimeError("boom")
+        out = (w * 2.0).sum()
+        assert out.requires_grad
+        out.backward()
+        assert _bits(w.grad) == _bits(np.full(3, 2.0))
+
+
+# --------------------------------------------------------------------- #
+# optimizer settings
+# --------------------------------------------------------------------- #
+_NAN, _INF = math.nan, math.inf
+_BAD_SETTINGS = {
+    "sgd-lr-nan": (SGD, {"lr": _NAN}),
+    "sgd-lr-inf": (SGD, {"lr": _INF}),
+    "adagrad-lr-nan": (Adagrad, {"lr": _NAN}),
+    "adam-lr-inf": (Adam, {"lr": _INF}),
+    "sgd-weight-decay-nan": (SGD, {"weight_decay": _NAN}),
+    "adam-weight-decay-nan": (Adam, {"weight_decay": _NAN}),
+    "adam-weight-decay-inf": (Adam, {"weight_decay": _INF}),
+    "sgd-max-grad-norm-nan": (SGD, {"max_grad_norm": _NAN}),
+    "adam-max-grad-norm-nan": (Adam, {"max_grad_norm": _NAN}),
+    "adam-max-grad-norm-inf": (Adam, {"max_grad_norm": _INF}),
+    "adam-beta1-one": (Adam, {"betas": (1.0, 0.999)}),
+    "adam-beta2-one": (Adam, {"betas": (0.9, 1.0)}),
+    "adam-beta-negative": (Adam, {"betas": (-0.1, 0.999)}),
+    "adam-beta-nan": (Adam, {"betas": (0.9, _NAN)}),
+    "adam-eps-zero": (Adam, {"eps": 0.0}),
+    "adam-eps-negative": (Adam, {"eps": -1e-8}),
+    "adam-eps-nan": (Adam, {"eps": _NAN}),
+    "adagrad-eps-zero": (Adagrad, {"eps": 0.0}),
+}
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("case", list(_BAD_SETTINGS), ids=list(_BAD_SETTINGS))
+    def test_rejects_setting_that_poisons_a_step(self, case):
+        cls, kwargs = _BAD_SETTINGS[case]
+        with pytest.raises(ValueError):
+            cls([nn.Parameter(np.ones(3))], **kwargs)
+
+    @pytest.mark.parametrize("cls", [SGD, Adagrad, Adam])
+    def test_valid_settings_still_step(self, cls):
+        kwargs = {"betas": (0.0, 0.0)} if cls is Adam else {}
+        p = nn.Parameter(np.ones(3))
+        opt = cls([p], lr=0.1, weight_decay=0.01, max_grad_norm=5.0, **kwargs)
+        (p * p).sum().backward()
+        opt.step()
+        assert np.isfinite(p.data).all() and (p.data < 1.0).all()
