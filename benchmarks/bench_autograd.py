@@ -7,15 +7,19 @@ reimplementation of the pre-sparse seed code path:
 * **embedding backward** — building the gradient of an embedding lookup:
   row-sparse :class:`~repro.autograd.sparse.SparseGrad` construction +
   coalescing vs the seed's ``np.zeros_like`` + ``np.add.at`` dense scatter,
-* **optimizer step** — lazy row-wise Adam vs ``dense_updates=True`` on the
-  same sparse gradient (the dense path pays densification + a full-table
-  update),
+* **optimizer step** — lazy row-wise Adam vs the same Adam stepping the
+  densified gradient (``densified`` in ``tests/autograd_reference.py``:
+  the dense path pays densification + a full-table update),
 * **end-to-end fit** — one TransE epoch over a fixed batch count while the
-  entity-table size grows; with sparse updates the epoch time is sublinear
-  in ``num_entities``,
+  entity-table size grows, with ``fit``'s Adam sparse or densified; with
+  sparse updates the epoch time is sublinear in ``num_entities``,
 * **LSTM step** — forward and backward through KPRN-shaped masked
   ``nn.LSTMCell`` steps: the fused one-node step vs the op-by-op
-  composition it replaced (``tests/autograd_reference.py``).
+  composition it replaced (``tests/autograd_reference.py``),
+* **training tape per step** — tensors made inside each ``train-panel``
+  model's ``fit`` per optimizer step.  The ledger's
+  ``autograd.tensors_per_step`` also counts the constants evaluation makes;
+  this figure counts training alone.
 
 Run as a script:
 
@@ -25,11 +29,13 @@ Run as a script:
 The full run writes machine-readable results to ``--out`` (default
 ``benchmarks/BENCH_autograd.json``).  ``--smoke`` runs tiny sizes and
 asserts the correctness/bitwise invariants instead of reporting timings —
-the sparse gradient densifies to exactly the ``np.add.at`` scatter, lazy
-Adam's first step matches the dense step bitwise, a ``fit`` with
-``dense_updates=True`` reproduces the seed's dense training path bitwise,
-``coalesce_rows`` equals the per-column ``bincount`` loop and the fused LSTM
-step equals its composition in outputs and every gradient.
+the embedding-lookup gradient equals the ``np.add.at`` scatter, lazy Adam's
+first step matches the densified step bitwise, a ``fit`` on densified
+gradients reproduces the seed's ``np.add.at`` training path bitwise and a
+sparse ``fit`` tracks it, ``coalesce_rows`` equals the per-column
+``bincount`` loop and the fused LSTM step equals its composition in outputs
+and every gradient.  The dense paths are reached only through the oracles
+in ``tests/autograd_reference.py``.
 See ``docs/performance.md`` for recorded numbers.
 """
 
@@ -45,10 +51,11 @@ import numpy as np
 
 from repro.autograd import nn
 from repro.autograd import tensor as tensor_mod
-from repro.autograd.optim import Adam
+from repro.autograd.optim import Adam, Optimizer
 from repro.autograd.sparse import SparseGrad, coalesce_rows
 from repro.core.rng import ensure_rng
 from repro.kge import TransE
+from repro.kge import base as kge_base
 from repro.kg.triples import TripleStore
 
 if __package__:  # imported as ``benchmarks.bench_autograd`` (pytest collection)
@@ -57,7 +64,12 @@ else:  # run as a script: this directory is on sys.path, the repository root not
     from bench_retrieval import host_facts
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from tests.autograd_reference import coalesce_rows_reference, lstm_step_reference
+from tests.autograd_reference import (
+    coalesce_rows_reference,
+    dense_lookup_reference,
+    densified,
+    lstm_step_reference,
+)
 
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_autograd.json"
 
@@ -119,9 +131,9 @@ def bench_adam_step(num_entities, dim, batch, repeats, seed=0):
     rows = rng.integers(0, num_entities, size=batch).astype(np.int64)
     upstream = rng.standard_normal((batch, dim))
 
-    def one_mode(dense_updates):
+    def one_mode(dense):
         w = nn.Parameter(rng.standard_normal((num_entities, dim)))
-        opt = Adam([w], lr=0.01, weight_decay=1e-5, dense_updates=dense_updates)
+        opt = (densified(Adam) if dense else Adam)([w], lr=0.01, weight_decay=1e-5)
 
         def step():
             w._grad = SparseGrad(w.shape, rows, upstream.copy())
@@ -132,20 +144,26 @@ def bench_adam_step(num_entities, dim, batch, repeats, seed=0):
     return one_mode(True), one_mode(False)
 
 
-def bench_fit_epoch(num_entities, dim, num_triples, batch, repeats, dense_updates):
+def fit_transe(model, store, dense, seed_lookups=False, **fit_kw):
+    """``model.fit`` with its Adam densified when ``dense``; with
+    ``seed_lookups`` every lookup's backward is a dense ``np.add.at``."""
+    saved = kge_base.Adam, tensor_mod.Tensor.__getitem__
+    kge_base.Adam = densified(Adam) if dense else Adam
+    if seed_lookups:
+        tensor_mod.Tensor.__getitem__ = dense_lookup_reference
+    try:
+        return model.fit(store, **fit_kw)
+    finally:
+        kge_base.Adam, tensor_mod.Tensor.__getitem__ = saved
+
+
+def bench_fit_epoch(num_entities, dim, num_triples, batch, repeats, dense):
     store = make_store(num_triples, num_entities, num_relations=8, seed=0)
     best = float("inf")
     for _ in range(repeats):
         model = TransE(num_entities, 8, dim=dim, seed=0)  # init outside the clock
         t0 = time.perf_counter()
-        model.fit(
-            store,
-            epochs=1,
-            batch_size=batch,
-            lr=0.01,
-            seed=1,
-            dense_updates=dense_updates,
-        )
+        fit_transe(model, store, dense, epochs=1, batch_size=batch, lr=0.01, seed=1)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -193,6 +211,53 @@ def bench_lstm_step(paths, in_dim, hidden, steps, repeats):
             lstm_chain(step, cell, xs, masks).sum().backward()
 
         out[name] = (best_time(once, repeats) / steps, len(made) / steps)
+    return out
+
+
+#: The ledger's ``train-panel`` models and world.
+PANEL_MODELS = ("CKE", "KGCN", "KPRN", "MKR", "CFKG")
+PANEL_WORLD = {"seed": 0, "num_users": 150, "num_items": 200}
+
+
+def train_tensors_per_step():
+    """Tensors made inside each panel model's ``fit``, per optimizer step.
+
+    Each model is built as ``run_panel`` builds it and fitted on the
+    panel's training split; tensors and optimizer steps are counted only
+    while ``fit`` runs, so evaluation's untaped constants are left out.
+    """
+    import repro.models  # noqa: F401 - registers the model classes
+    from repro.core.registry import get_model_class
+    from repro.core.splitter import random_split
+    from repro.data import make_movie_dataset
+
+    dataset = make_movie_dataset(**PANEL_WORLD)
+    train, __ = random_split(dataset, test_fraction=0.2, seed=PANEL_WORLD["seed"])
+    counts = {"tensors": 0, "steps": 0}
+    original_init, original_step = tensor_mod.Tensor.__init__, Optimizer.step
+
+    def counting_init(self, *args, **kwargs):
+        counts["tensors"] += 1
+        original_init(self, *args, **kwargs)
+
+    def counting_step(self):
+        counts["steps"] += 1
+        return original_step(self)
+
+    out = {}
+    for name in PANEL_MODELS:
+        model = get_model_class(name)()
+        counts.update(tensors=0, steps=0)
+        tensor_mod.Tensor.__init__, Optimizer.step = counting_init, counting_step
+        try:
+            model.fit(train)
+        finally:
+            tensor_mod.Tensor.__init__, Optimizer.step = original_init, original_step
+        out[name] = {
+            "tensors": counts["tensors"],
+            "steps": counts["steps"],
+            "tensors_per_step": counts["tensors"] / counts["steps"],
+        }
     return out
 
 
@@ -275,6 +340,16 @@ def run(args):
         "speedup": composed[0] / fused[0],
     }
 
+    per_model = train_tensors_per_step()
+    print()
+    print("training tape, tensors per optimizer step inside fit (train-panel world):")
+    for name, row in per_model.items():
+        print(
+            f"  {name:<6} {row['tensors_per_step']:>8.1f}  "
+            f"({row['tensors']} tensors / {row['steps']} steps)"
+        )
+    results["train_tensors_per_step"] = {"world": PANEL_WORLD, "models": per_model}
+
     out = Path(args.out)
     out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {out}")
@@ -293,50 +368,35 @@ def smoke():
     sparse = sparse_lookup_backward(weight.shape, rows, upstream)
     assert np.array_equal(sparse.to_dense(), ref), "sparse backward != add.at"
 
-    # The autograd lookup produces the same gradient through both paths.
-    for flag in (True, False):
-        emb = nn.Embedding(40, 6, seed=1)
-        old = tensor_mod.SPARSE_LOOKUP_GRADS
-        tensor_mod.SPARSE_LOOKUP_GRADS = flag
-        try:
-            (emb(rows) * upstream).sum().backward()
-        finally:
-            tensor_mod.SPARSE_LOOKUP_GRADS = old
-        expected = seed_lookup_backward(emb.weight.data, rows, upstream)
-        assert np.array_equal(emb.weight.grad, expected), f"lookup grad (flag={flag})"
+    # The autograd embedding lookup's gradient is the add.at scatter.
+    emb = nn.Embedding(40, 6, seed=1)
+    (emb(rows) * upstream).sum().backward()
+    expected = seed_lookup_backward(emb.weight.data, rows, upstream)
+    assert np.array_equal(emb.weight.grad, expected), "lookup grad != add.at"
 
-    # Lazy Adam's first step matches the dense step bitwise (zero decay).
+    # Lazy Adam's first step matches the densified step bitwise (zero decay).
     updated = {}
-    for dense_updates in (False, True):
+    for dense in (False, True):
         w = nn.Parameter(ensure_rng(2).standard_normal((40, 6)))
-        opt = Adam([w], lr=0.01, dense_updates=dense_updates)
+        opt = (densified(Adam) if dense else Adam)([w], lr=0.01)
         w._grad = SparseGrad(w.shape, rows, upstream.copy())
         opt.step()
-        updated[dense_updates] = w.data
+        updated[dense] = w.data
     assert np.array_equal(updated[False], updated[True]), "lazy Adam first step"
 
-    # dense_updates=True reproduces the seed's dense fit history bitwise.
+    # A fit on densified gradients is the seed's add.at fit, bitwise.
     store = make_store(120, 30, 4, seed=0)
     histories = {}
     for mode in ("seed", "dense", "sparse"):
-        old = tensor_mod.SPARSE_LOOKUP_GRADS
-        tensor_mod.SPARSE_LOOKUP_GRADS = mode != "seed"
-        try:
-            model = TransE(30, 4, dim=6, seed=3)
-            histories[mode] = model.fit(
-                store,
-                epochs=2,
-                batch_size=32,
-                seed=4,
-                dense_updates=mode != "sparse",
-            )
-        finally:
-            tensor_mod.SPARSE_LOOKUP_GRADS = old
-    assert histories["dense"] == histories["seed"], "dense_updates fit not bitwise"
+        histories[mode] = fit_transe(
+            TransE(30, 4, dim=6, seed=3), store, dense=mode != "sparse",
+            seed_lookups=mode == "seed", epochs=2, batch_size=32, seed=4,
+        )
+    assert histories["dense"] == histories["seed"], "densified fit not bitwise"
     # Lazy Adam is a different (standard) update rule — untouched rows'
     # moments are not decayed — so the sparse history only tracks the dense
     # one approximately.
-    np.testing.assert_allclose(histories["sparse"], histories["seed"], rtol=0.05)
+    np.testing.assert_allclose(histories["sparse"], histories["dense"], rtol=0.05)
 
     # The flattened coalesce (and, above its size limit, the per-column
     # loop) is bitwise the per-column loop.

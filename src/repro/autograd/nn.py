@@ -38,46 +38,23 @@ class Parameter(Tensor):
 class Module:
     """Base class tracking parameters of itself and registered sub-modules.
 
-    Parameter collection walks ``__dict__`` recursively; hot callers
-    (:meth:`zero_grad`, called once per optimizer step) go through a cached
-    list instead of re-walking the attribute tree.  The cache is invalidated
-    whenever an attribute is (re)assigned on this module; mutating a nested
-    container or a sub-module *in place* after training started is outside
-    the contract.
+    Parameter collection walks ``__dict__`` recursively, in attribute
+    order, each parameter once.
     """
-
-    _PARAM_CACHE_KEY = "_param_cache"
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []
         seen: set[int] = set()
-        for key, value in self.__dict__.items():
-            if key == Module._PARAM_CACHE_KEY:
-                continue
+        for value in self.__dict__.values():
             for p in _collect(value):
                 if id(p) not in seen:
                     seen.add(id(p))
                     params.append(p)
         return params
 
-    def cached_parameters(self) -> list[Parameter]:
-        """Like :meth:`parameters` but memoized until an attribute changes."""
-        cache = self.__dict__.get(Module._PARAM_CACHE_KEY)
-        if cache is None:
-            cache = self.parameters()
-            self.__dict__[Module._PARAM_CACHE_KEY] = cache
-        return cache
-
-    def __setattr__(self, name: str, value) -> None:
-        self.__dict__.pop(Module._PARAM_CACHE_KEY, None)
-        object.__setattr__(self, name, value)
-
     def zero_grad(self) -> None:
-        for p in self.cached_parameters():
+        for p in self.parameters():
             p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
 
 def _collect(value) -> list[Parameter]:

@@ -23,12 +23,12 @@ instead of O(table * dim).  Semantics notes:
 * **SGD with momentum** keeps a dense velocity and therefore densifies
   sparse gradients (the historical behavior).
 
-Constructing with ``dense_updates=True`` densifies every sparse gradient
-before the update, reproducing the historical dense path bitwise (the
-coalescing kernel matches ``np.add.at`` summation order exactly).  The
-optimizer state layout is identical in both modes, so
-``state_dict``/checkpoints are interchangeable and resume stays
-bitwise-reproducible either way.
+A dense gradient — including a sparse one densified by reading
+``p.grad`` before :meth:`step` — takes each optimizer's dense branch,
+which is the historical dense path bitwise (the coalescing kernel matches
+``np.add.at`` summation order exactly).  The optimizer state layout is the
+same for both branches, so ``state_dict``/checkpoints are interchangeable
+and resume stays bitwise-reproducible either way.
 
 Robustness (see :mod:`repro.runtime.guards` and ``docs/robustness.md``):
 ``max_grad_norm`` clips the *global* gradient norm before each update, and
@@ -72,7 +72,6 @@ class Optimizer:
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
         skip_nonfinite: str = "off",
-        dense_updates: bool = False,
     ) -> None:
         # NaN compares false both ways, so each check is written to pass only
         # on a finite value inside the range.
@@ -98,7 +97,6 @@ class Optimizer:
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
         self.skip_nonfinite = skip_nonfinite
-        self.dense_updates = bool(dense_updates)
         #: Number of steps on which a non-finite gradient was encountered.
         self.nonfinite_steps = 0
 
@@ -153,28 +151,22 @@ class Optimizer:
             # Mirrors _sparse_grad's routing (plus SGD's momentum
             # densification), so the counters reflect the path actually
             # taken rather than the gradient's storage format.
-            if (
-                isinstance(g, SparseGrad)
-                and not self.dense_updates
-                and not getattr(self, "momentum", 0.0)
-            ):
+            if isinstance(g, SparseGrad) and not getattr(self, "momentum", 0.0):
                 sparse_params += 1
                 sparse_rows += int(g.rows.size)
             else:
                 dense_params += 1
         if sparse_params:
-            tel.counter("optim.sparse_updates").inc(sparse_params)
+            tel.counter("optim.sparse_params").inc(sparse_params)
             tel.counter("optim.sparse_rows").inc(sparse_rows)
         if dense_params:
-            tel.counter("optim.dense_updates").inc(dense_params)
+            tel.counter("optim.dense_params").inc(dense_params)
 
     def _apply(self) -> None:
         raise NotImplementedError
 
     def _sparse_grad(self, p: Tensor) -> SparseGrad | None:
         """``p``'s coalesced sparse gradient, or ``None`` on the dense path."""
-        if self.dense_updates:
-            return None
         g = p.raw_grad
         if isinstance(g, SparseGrad):
             return g.coalesce()
@@ -229,11 +221,8 @@ class SGD(Optimizer):
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
         skip_nonfinite: str = "off",
-        dense_updates: bool = False,
     ) -> None:
-        super().__init__(
-            params, lr, weight_decay, max_grad_norm, skip_nonfinite, dense_updates
-        )
+        super().__init__(params, lr, weight_decay, max_grad_norm, skip_nonfinite)
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
@@ -277,11 +266,8 @@ class Adagrad(Optimizer):
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
         skip_nonfinite: str = "off",
-        dense_updates: bool = False,
     ) -> None:
-        super().__init__(
-            params, lr, weight_decay, max_grad_norm, skip_nonfinite, dense_updates
-        )
+        super().__init__(params, lr, weight_decay, max_grad_norm, skip_nonfinite)
         self.eps = _check_eps(eps)
         self._accum = [np.zeros_like(p.data) for p in self.params]
 
@@ -324,11 +310,8 @@ class Adam(Optimizer):
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
         skip_nonfinite: str = "off",
-        dense_updates: bool = False,
     ) -> None:
-        super().__init__(
-            params, lr, weight_decay, max_grad_norm, skip_nonfinite, dense_updates
-        )
+        super().__init__(params, lr, weight_decay, max_grad_norm, skip_nonfinite)
         for beta in betas:
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"betas must lie in [0, 1), got {tuple(betas)}")

@@ -102,13 +102,12 @@ class SparseGrad:
         shape: tuple[int, ...],
         rows: np.ndarray,
         vals: np.ndarray,
-        coalesced: bool = False,
         segments: tuple[int, ...] | None = None,
     ) -> None:
         self.shape = tuple(shape)
         self.rows = rows
         self.vals = vals
-        self._coalesced = bool(coalesced)
+        self._coalesced = False
         self._segments = segments
 
     # ------------------------------------------------------------------ #
@@ -116,10 +115,6 @@ class SparseGrad:
     def nnz(self) -> int:
         """Number of stored rows (after coalescing: number of unique rows)."""
         return int(self.rows.size)
-
-    @property
-    def is_coalesced(self) -> bool:
-        return self._coalesced
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = "coalesced" if self._coalesced else "raw"

@@ -32,10 +32,6 @@ from .sparse import SparseGrad, coalesce_rows
 
 __all__ = ["Tensor", "as_tensor", "no_tape"]
 
-#: Escape hatch: set to False to force the historical dense scatter backward
-#: for embedding-style lookups (used by equivalence tests and benchmarks).
-SPARSE_LOOKUP_GRADS = True
-
 
 class _TapeState(threading.local):
     recording = True
@@ -393,11 +389,8 @@ class Tensor:
             if (rows < 0).any():
                 rows = np.where(rows < 0, rows + num_rows, rows)
             flat_rows = rows.reshape(-1)
-            sparse_ok = (
-                SPARSE_LOOKUP_GRADS
-                and self.data.ndim == 2
-                and self._backward is None  # leaf: the grad feeds an optimizer
-            )
+            # A 2-d leaf is an embedding table whose grad feeds an optimizer.
+            sparse_ok = self.data.ndim == 2 and self._backward is None
 
             def backward(grad: np.ndarray) -> None:
                 vals = np.ascontiguousarray(grad).reshape(flat_rows.size, -1)
@@ -459,13 +452,6 @@ class Tensor:
             self._accumulate(mask * g, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
-
-    # ------------------------------------------------------------------ #
-    # misc
-    # ------------------------------------------------------------------ #
-    def detach(self) -> "Tensor":
-        """A view of the data cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
 
 def as_tensor(value) -> Tensor:

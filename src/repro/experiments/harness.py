@@ -26,7 +26,7 @@ import dataclasses
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.dataset import Dataset
 from repro.core.exceptions import ConfigError
@@ -35,12 +35,9 @@ from repro.core.registry import get_model_class
 from repro.core.splitter import random_split
 from repro.eval.evaluator import EvalResult, Evaluator
 from repro.runtime.retry import RetryPolicy
-from repro.telemetry.base import activate, get_active
+from repro.telemetry.base import get_active
 
 from .tables import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.telemetry import Telemetry
 
 __all__ = ["run_panel", "results_table", "PanelResult", "FailureRecord"]
 
@@ -230,11 +227,17 @@ def run_panel(
     time_budget: float | None = None,
     fallback: str | Callable[[], Recommender] | None = None,
     clock: Callable[[], float] = time.monotonic,
-    telemetry: "Telemetry | None" = None,
     executor: str = "sequential",
     max_workers: int | None = None,
 ) -> PanelResult:
     """Split ``dataset`` and evaluate every model on the identical split.
+
+    The active telemetry (installed with :func:`repro.telemetry.activated`,
+    as the CLI's ``--trace-out`` does) records a ``panel`` span wrapping one
+    ``panel/model`` span per entry — carrying outcome, phase, error type,
+    and attempt count, with the span id joined onto the matching
+    :class:`FailureRecord` — and model ``fit`` internals (optimizer steps,
+    negative sampling) nest underneath.
 
     Parameters
     ----------
@@ -261,15 +264,6 @@ def run_panel(
         and recorded on the corresponding :class:`FailureRecord`.
     clock:
         Injection point for the time source (tests use a fake clock).
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` (defaults to the
-        active one, so a CLI-level ``--trace-out`` covers panels run deep
-        inside a study).  Records a ``panel`` span wrapping one
-        ``panel/model`` span per entry — carrying outcome, phase,
-        error type, and attempt count, with the span id joined onto the
-        matching :class:`FailureRecord` — and is activated for the
-        duration, so model ``fit`` internals (optimizer steps, negative
-        sampling) nest underneath.
     executor:
         ``"sequential"`` (the default, in-process) or ``"process"``: every
         entry runs in a forked worker process so panel wall-clock is set by
@@ -291,8 +285,6 @@ def run_panel(
     )
     policy = _resolve_retry(retry)
     fallback_entry = _resolve_fallback(fallback)
-    tel = telemetry if telemetry is not None else get_active()
-    enabled = tel.enabled
 
     if executor == "process":
         if not isolate:
@@ -310,16 +302,15 @@ def run_panel(
             time_budget=time_budget,
             fallback_entry=fallback_entry,
             clock=clock,
-            telemetry=tel,
             max_workers=max_workers,
             seed=seed,
         )
 
     results: list[EvalResult] = []
     failures: list[FailureRecord] = []
-
+    tel = get_active()
+    enabled = tel.enabled
     if enabled:
-        previous_telemetry = activate(tel)
         panel_span = tel.begin(
             "panel", models=len(model_factories), seed=seed,
         )
@@ -335,7 +326,6 @@ def run_panel(
     finally:
         if enabled:
             tel.end(panel_span, ok=len(results), failed=len(failures))
-            activate(previous_telemetry)
 
     return PanelResult(results, failures)
 

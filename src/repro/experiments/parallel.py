@@ -51,7 +51,7 @@ from typing import Callable
 from repro.eval.evaluator import EvalResult, Evaluator
 from repro.runtime.retry import RetryPolicy
 from repro.telemetry import Telemetry
-from repro.telemetry.base import NULL, activate, activated
+from repro.telemetry.base import NULL, activated, get_active
 from repro.telemetry.tracer import SpanRecord
 
 from .harness import FailureRecord, PanelResult, _execute_entry
@@ -132,7 +132,7 @@ def _child_run(index: int) -> _EntryPayload:
         state.policy, derive_entry_seed(state.policy.seed, index)
     )
     tel = Telemetry() if state.traced else NULL
-    with activated(tel if state.traced else None):
+    with activated(tel):
         results, failure = _execute_entry(
             name, factory, state.train, state.evaluator, policy,
             state.time_budget, state.fallback_entry, state.clock, tel,
@@ -164,7 +164,6 @@ def run_panel_process(
     time_budget: float | None,
     fallback_entry: tuple[str, Callable] | None,
     clock: Callable[[], float],
-    telemetry,
     max_workers: int | None,
     seed: int,
 ) -> PanelResult:
@@ -177,7 +176,7 @@ def run_panel_process(
     """
     global _WORK
     entries = list(model_factories.items())
-    tel = telemetry
+    tel = get_active()
     enabled = tel.enabled
 
     if not entries:
@@ -187,7 +186,6 @@ def run_panel_process(
     workers = max(1, min(int(workers), len(entries)))
 
     if enabled:
-        previous_telemetry = activate(tel)
         panel_span = tel.begin(
             "panel", models=len(entries), seed=seed,
             executor="process", workers=workers,
@@ -277,6 +275,5 @@ def run_panel_process(
     finally:
         if enabled:
             tel.end(panel_span, ok=len(rows), failed=len(failures))
-            activate(previous_telemetry)
 
     return PanelResult(rows, failures)

@@ -23,11 +23,10 @@ from repro.kg.sampling import corrupt_batch
 from repro.kg.triples import TripleStore
 from repro.runtime.guards import grad_norm
 from repro.store.base import DenseStore, EmbeddingStore
-from repro.telemetry.base import activate, get_active
+from repro.telemetry.base import get_active
 
 if TYPE_CHECKING:  # pragma: no cover - import is type-only to avoid a cycle
     from repro.runtime import TrainingRuntime
-    from repro.telemetry import Telemetry
 
 __all__ = ["KGEModel"]
 
@@ -127,8 +126,6 @@ class KGEModel(nn.Module, abc.ABC):
         runtime: "TrainingRuntime | None" = None,
         max_grad_norm: float | None = None,
         skip_nonfinite: str = "off",
-        dense_updates: bool = False,
-        telemetry: "Telemetry | None" = None,
     ) -> list[float]:
         """Train on all facts in ``store``; returns per-epoch mean loss.
 
@@ -142,22 +139,19 @@ class KGEModel(nn.Module, abc.ABC):
         run converges to bitwise-identical parameters.
 
         ``max_grad_norm`` / ``skip_nonfinite`` are forwarded to the
-        optimizer (see :class:`repro.autograd.optim.Optimizer`).  By
-        default embedding gradients stay row-sparse and the optimizer
-        applies lazy row-wise updates, so a step costs O(batch * dim)
-        regardless of the table sizes; pass ``dense_updates=True`` to
-        densify every gradient and reproduce the historical dense
-        training path bitwise.
+        optimizer (see :class:`repro.autograd.optim.Optimizer`).
+        Embedding gradients stay row-sparse and the optimizer applies lazy
+        row-wise updates, so a step costs O(batch * dim) regardless of the
+        table sizes.
 
-        ``telemetry`` (directly or via ``runtime.telemetry``) records the
-        training run: a ``fit`` span wrapping ``fit/epoch`` and
-        ``fit/batch`` spans, per-batch loss and gradient-norm gauges, and
-        — because the telemetry is *activated* for the duration of the
-        call — nested spans from negative sampling and optimizer steps
-        (see ``docs/observability.md``).  Telemetry only observes: with it
-        on or off, the learned parameters and returned history are
-        bitwise identical, and the disabled path costs one boolean check
-        per batch.
+        The active telemetry (installed with
+        :func:`repro.telemetry.activated`) records the training run: a
+        ``fit`` span wrapping ``fit/epoch`` and ``fit/batch`` spans,
+        per-batch loss and gradient-norm gauges, and nested spans from
+        negative sampling and optimizer steps (see
+        ``docs/observability.md``).  Telemetry only observes: with it on or
+        off, the learned parameters and returned history are bitwise
+        identical, and the disabled path costs one boolean check per batch.
         """
         if store.num_triples == 0:
             raise ConfigError("cannot fit a KGE model on an empty triple store")
@@ -169,7 +163,6 @@ class KGEModel(nn.Module, abc.ABC):
             weight_decay=weight_decay,
             max_grad_norm=max_grad_norm,
             skip_nonfinite=skip_nonfinite,
-            dense_updates=dense_updates,
         )
         history: list[float] = []
         start_epoch = 0
@@ -178,23 +171,15 @@ class KGEModel(nn.Module, abc.ABC):
             if snapshot is not None:
                 start_epoch = snapshot.step + 1
                 history = [float(v) for v in snapshot.extra.get("history", [])]
-        tel = telemetry
-        if tel is None and runtime is not None:
-            tel = runtime.telemetry
-        if tel is None:
-            # Fall back to the active telemetry so a fit deep inside a
-            # traced study/panel still contributes its spans.
-            tel = get_active()
+        tel = get_active()
         enabled = tel.enabled
         n = store.num_triples
         batches_per_epoch = (n + batch_size - 1) // batch_size
         step = start_epoch * batches_per_epoch
         if enabled:
-            previous_telemetry = activate(tel)
             fit_span = tel.begin(
                 "fit", model=type(self).__name__, epochs=epochs,
                 start_epoch=start_epoch, triples=n, batch_size=batch_size,
-                dense_updates=dense_updates,
             )
             loss_gauge = tel.gauge("fit.loss", model=type(self).__name__)
             grad_gauge = tel.gauge("fit.grad_norm", model=type(self).__name__)
@@ -241,7 +226,6 @@ class KGEModel(nn.Module, abc.ABC):
         finally:
             if enabled:
                 tel.end(fit_span, epochs_run=len(history) - start_epoch)
-                activate(previous_telemetry)
         self._fitted = True
         return history
 
@@ -266,11 +250,11 @@ class KGEModel(nn.Module, abc.ABC):
     def _mark_store_dirty(self) -> None:
         """Feed this step's touched rows to the store's dirty tracking.
 
-        The sparse row gradients of PR 3 are exactly the dirty-tracking
+        The sparse row gradients are exactly the dirty-tracking
         wire format: after ``optimizer.step()`` the raw gradient of each
         embedding table still lists every row the step updated.  A dense
-        gradient (``dense_updates=True``, or a densifying op in the score
-        function) falls back to marking the whole table.
+        gradient (a densifying op in the score function, or a ``p.grad``
+        read before the step) falls back to marking the whole table.
         """
         for name, weight in (("entity", self.entity.weight),
                              ("relation", self.relation.weight)):

@@ -2,8 +2,9 @@
 
 One randomized bounded DFS from the user's entity collects up to K paths to
 *every* item simultaneously, so both training (specific pairs) and full
-ranking (all items) reuse a single per-user traversal.  :class:`PathBank`
-keeps each user's result packed into index arrays.
+ranking (all items) reuse a single per-user traversal.  The search records
+each path as an ``(entities, relations)`` pair of tuples; :class:`PathBank`
+packs them into index arrays and rebuilds :class:`Path` objects on demand.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from repro.kg.metapath import Path
 
 __all__ = ["paths_to_targets", "PathBank"]
 
+#: One recorded path: its entity ids and the relation ids between them.
+RawPath = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 def paths_to_targets(
     kg: KnowledgeGraph,
@@ -26,10 +30,11 @@ def paths_to_targets(
     max_expansions: int = 8000,
     min_length: int = 2,
     seed: int | np.random.Generator | None = None,
-) -> dict[int, list[Path]]:
+) -> dict[int, list[RawPath]]:
     """Collect paths from ``source`` to each target entity.
 
-    ``targets`` maps entity id -> anything (only keys are used).  Traversal
+    ``targets`` maps entity id -> anything (only keys are used); each path
+    comes back as an ``(entities, relations)`` pair.  Traversal
     is undirected, simple (no entity revisits within a path), randomized in
     neighbor order, and stops after ``max_expansions`` node expansions.
 
@@ -46,7 +51,7 @@ def paths_to_targets(
     pushes and pops the leaves one by one.
     """
     rng = ensure_rng(seed)
-    found: dict[int, list[Path]] = {t: [] for t in targets}
+    found: dict[int, list[RawPath]] = {t: [] for t in targets}
     adjacency: dict[int, list[tuple[int, int]]] = {}
     stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [
         (source, (source,), ())
@@ -73,7 +78,7 @@ def paths_to_targets(
                 if record:
                     bucket = found.get(neighbor)
                     if bucket is not None and len(bucket) < max_paths_per_target:
-                        bucket.append(Path(new_ents, new_rels))
+                        bucket.append((new_ents, new_rels))
                 stack.append((neighbor, new_ents, new_rels))
             continue
         leaves = 0
@@ -85,7 +90,7 @@ def paths_to_targets(
             if record:
                 bucket = found.get(neighbor)
                 if bucket is not None and len(bucket) < max_paths_per_target:
-                    bucket.append(Path(ent_path + (neighbor,), rel_path + (relation,)))
+                    bucket.append((ent_path + (neighbor,), rel_path + (relation,)))
         expansions += leaves
     return found
 
@@ -103,7 +108,7 @@ class _PackedPaths:
 
     def __init__(
         self,
-        found: dict[int, list[Path]],
+        found: dict[int, list[RawPath]],
         item_entities: np.ndarray,
         width: int,
         pad_relation: int,
@@ -115,9 +120,9 @@ class _PackedPaths:
         for entity in item_entities.tolist():
             paths = found.get(entity, ())
             offsets.append(offsets[-1] + len(paths))
-            for path in paths:
-                n = len(path.relations)
-                rows.append(path.entities + ent_pad[n] + path.relations + rel_pad[n] + (n,))
+            for ents, rels in paths:
+                n = len(rels)
+                rows.append(ents + ent_pad[n] + rels + rel_pad[n] + (n,))
         self.offsets = offsets
         self.table = np.array(rows, dtype=np.int64).reshape(-1, 2 * width + 1)
 

@@ -15,17 +15,15 @@ experiment harness runs through:
 
 :class:`TrainingRuntime` bundles the pieces into a single object that
 iterative ``fit`` loops accept (see :meth:`repro.kge.base.KGEModel.fit`).
+Telemetry is not one of them: a fit reports to the active telemetry,
+installed with :func:`repro.telemetry.activated`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - type-only; telemetry imports nothing here
-    from repro.telemetry import Telemetry
 
 from .checkpoint import Checkpoint, Checkpointer, load_checkpoint, save_checkpoint
 from .faults import (
@@ -94,10 +92,6 @@ class TrainingRuntime:
     divergence: DivergenceDetector | None = None
     checkpointer: Checkpointer | None = None
     faults: FaultInjector | None = None
-    #: Optional :class:`~repro.telemetry.Telemetry` threaded into the fit
-    #: loop (spans per epoch/batch, loss + grad-norm gauges; see
-    #: ``docs/observability.md``).  ``None`` keeps telemetry off.
-    telemetry: "Telemetry | None" = None
 
     def before_step(self, step: int, params=()) -> None:
         """Fault-injection hook: call after ``backward``, before ``step``."""

@@ -14,8 +14,8 @@ loop needs to resume *bitwise identically*:
 Sparse-gradient training changes nothing here: the lazy optimizers in
 :mod:`repro.autograd.optim` keep full-size dense state arrays (velocity,
 accumulators, moments), so ``state_dict`` layouts — and therefore the
-checkpoint format — are identical whether a run uses sparse row updates
-or ``dense_updates=True``, and snapshots from either mode resume the
+checkpoint format — are identical whether a step took the sparse row
+update or the dense one, and a snapshot taken after either resumes the
 other.
 
 :func:`save_checkpoint` writes through a :class:`~repro.store.io.StoreIO`

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core.clock import ManualClock
+from repro.core.rng import ensure_rng
 from repro.data import make_movie_dataset
 from repro.models.baselines import ItemKNN, MostPopular
 from repro.runtime.faults import (
@@ -48,13 +49,15 @@ __all__ = [
 ]
 
 #: Replay shape: deadline tight enough that a latency fault blows it.
-#: The burst gap mixture itself lives in
-#: :meth:`repro.traffic.schedule.TrafficSchedule.bursty`.
 DEADLINE = 0.05
 LATENCY_FAULT_SECONDS = 0.12
 #: Requests per chaos replay and the share of them that fault.
 NUM_REQUESTS = 200
 FAULT_RATE = 0.10
+#: The replay's gap mixture: 70% of requests land one service time behind
+#: the previous one, the rest after a gap that lets the queue drain.
+SERVICE_GAP = 0.004
+BURST_GAP = 0.02
 
 
 def build_demo_service(
@@ -111,22 +114,17 @@ def run_replay(
 ) -> list[str]:
     """Drive a bursty seeded request stream; returns the response traces.
 
-    The stream is :meth:`TrafficSchedule.bursty` — the demo's original
-    private generator re-expressed as a schedule, draw-for-draw RNG
-    compatible — driven with the schedule's exact per-event gaps: ~70%
-    of requests land instantly behind the previous one, the rest after a
-    gap that lets the queue drain.
+    Per request, one generator seeded ``seed + 1`` draws the user, then
+    whether the clock advances :data:`SERVICE_GAP` (with probability 0.7)
+    or :data:`BURST_GAP` before the next one.
     """
-    from repro.traffic.schedule import TrafficSchedule
-
-    schedule = TrafficSchedule.bursty(
-        service.dataset.num_users, num_requests, seed
-    )
+    rng = ensure_rng(seed + 1)
     traces: list[str] = []
-    for request, gap in zip(schedule, schedule.gaps()):
-        response = service.serve(ServeRequest(user_id=request.user_id, k=request.k))
+    for __ in range(num_requests):
+        user = int(rng.integers(service.dataset.num_users))
+        response = service.serve(ServeRequest(user_id=user, k=10))
         traces.append(response.trace())
-        clock.advance(gap)
+        clock.advance(SERVICE_GAP if rng.random() < 0.7 else BURST_GAP)
     return traces
 
 

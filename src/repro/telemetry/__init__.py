@@ -13,10 +13,11 @@ The observability layer the rest of the repo reports into (see
   renderer (span tree, hotspots, outcome reconciliation).
 
 Everything is **off by default**: components hold :data:`NULL` (a
-:class:`NullTelemetry`) unless a :class:`Telemetry` is threaded in via
-``TrainingRuntime(telemetry=...)``, ``RecommenderService(telemetry=...)``,
-``run_panel(telemetry=...)``, or activated for deep call sites with
-:func:`activated`.  Instrumented hot loops guard on the single
+:class:`NullTelemetry`) unless a :class:`Telemetry` is handed to a
+serving component (``RecommenderService(telemetry=...)``) or activated
+with :func:`activated`.  Training — ``KGEModel.fit``, ``run_panel`` and
+everything beneath them — has that one entry: it reports to the active
+telemetry.  Instrumented hot loops guard on the single
 ``telemetry.enabled`` attribute, so the disabled path stays at
 no-measurable-overhead and every bitwise-determinism guarantee in the
 repo is unaffected by turning telemetry on or off.

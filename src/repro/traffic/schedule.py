@@ -16,12 +16,6 @@ reproducible per seed, is independent of member iteration order, and can
 be extended window-by-window (``epoch``) without replaying earlier
 windows — :class:`~repro.traffic.stream.PersonaInteractionStream` relies
 on that to feed the online loop indefinitely.
-
-:meth:`TrafficSchedule.bursty` is the serving chaos replay's shape
-(single pseudo-member, 70/30 tight/loose gap mixture; see
-:func:`repro.serving.demo.run_replay`) re-expressed as a schedule; it
-consumes its RNG in exactly the order the old private generator did,
-so rebasing the replay kept every seeded outcome.
 """
 
 from __future__ import annotations
@@ -32,15 +26,10 @@ from math import sin, tau
 import numpy as np
 
 from repro.core.exceptions import ConfigError
-from repro.core.rng import ensure_rng
 
 from .personas import PersonaMember, PersonaPopulation
 
 __all__ = ["TrafficRequest", "ScheduleProfile", "TrafficSchedule"]
-
-#: The chaos replay's gap mixture (see ``repro.serving.demo``).
-LEGACY_SERVICE_TIME = 0.004
-LEGACY_BURST_GAP = 0.02
 
 
 @dataclass(frozen=True)
@@ -147,52 +136,6 @@ class TrafficSchedule:
         self.start = float(start)
         self.horizon = self.start + self.profile.horizon
         self._requests: list[TrafficRequest] | None = None
-        self._gaps: list[float] | None = None
-
-    # -------------------------------------------------------------- #
-    @classmethod
-    def bursty(
-        cls, num_users: int, num_requests: int, seed: int = 0
-    ) -> "TrafficSchedule":
-        """The serving chaos replay's request stream as a schedule.
-
-        RNG consumption matches the old private generator draw-for-draw
-        (per event: one user draw, then one gap draw), so the event
-        sequence — and therefore every downstream seeded outcome — is
-        identical to what ``run_replay`` produced before the rebase.
-        The per-event gaps are stored exactly so :meth:`gaps` returns
-        the drawn values, not timestamp differences.
-        """
-        if num_users < 1 or num_requests < 1:
-            raise ConfigError("bursty schedule needs users and requests")
-        rng = ensure_rng(seed + 1)
-        requests: list[TrafficRequest] = []
-        gaps: list[float] = []
-        t = 0.0
-        for __ in range(num_requests):
-            user = int(rng.integers(num_users))
-            requests.append(
-                TrafficRequest(
-                    at=t, persona="bursty_replay", member=0, user_id=user, k=10
-                )
-            )
-            gap = (
-                LEGACY_SERVICE_TIME
-                if rng.random() < 0.7
-                else LEGACY_BURST_GAP
-            )
-            gaps.append(gap)
-            t += gap
-        schedule = cls.__new__(cls)
-        schedule.population = None
-        schedule.profile = None
-        schedule.seed = int(seed)
-        schedule.epoch = 0
-        schedule.start = 0.0
-        schedule.horizon = t
-        schedule._requests = requests
-        schedule._gaps = gaps
-        return schedule
 
     # -------------------------------------------------------------- #
     def _member_arrivals(self, member: PersonaMember) -> list[TrafficRequest]:
@@ -256,11 +199,8 @@ class TrafficSchedule:
         """Per-request clock advance for closed-style replay drivers.
 
         ``gaps()[i]`` is the simulated time between serving request ``i``
-        and request ``i + 1`` (the last gap runs to the horizon).  Legacy
-        bursty schedules return the exact drawn gap values.
+        and request ``i + 1`` (the last gap runs to the horizon).
         """
-        if self._gaps is not None:
-            return list(self._gaps)
         requests = self.materialize()
         out = []
         for i, r in enumerate(requests):
@@ -281,8 +221,6 @@ class TrafficSchedule:
         Arrival RNG streams are keyed by epoch, so extending a run never
         replays or perturbs earlier windows.
         """
-        if self.population is None:
-            raise ConfigError("legacy bursty schedules do not extend")
         return TrafficSchedule(
             self.population,
             self.profile,

@@ -8,10 +8,16 @@ Each function here is the composition or loop a fast path in
   KPRN's per-row step mask ``h_next * gate + h * (1 - gate)``;
 * :func:`coalesce_rows_reference` — the per-column ``np.bincount`` loop;
 * :func:`sparse_adam_rows_reference` — the lazy Adam row update that
-  gathers ``m``, ``v`` and ``p`` three times.
+  gathers ``m``, ``v`` and ``p`` three times;
+* :func:`dense_lookup_reference` — ``Tensor.__getitem__`` before sparse
+  lookup gradients: every gather scatters into a dense zeros table with
+  ``np.add.at``;
+* :func:`densified` — an optimizer that reads every ``p.grad`` before
+  stepping, which densifies sparse gradients in place and so sends each
+  parameter down the optimizer's dense branch (the pre-sparse update).
 
-The tests assert the fast paths bitwise against them.  They live beside
-the tests because nothing else calls them.
+The tests assert the fast paths against them.  They live beside the
+tests because nothing else calls them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ __all__ = [
     "lstm_step_reference",
     "coalesce_rows_reference",
     "sparse_adam_rows_reference",
+    "dense_lookup_reference",
+    "densified",
 ]
 
 
@@ -83,3 +91,34 @@ def sparse_adam_rows_reference(
     if weight_decay:
         p[rows] *= 1.0 - lr * weight_decay
     p[rows] -= lr * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + eps)
+
+
+def dense_lookup_reference(self: Tensor, index) -> Tensor:
+    """``self[index]`` whose backward is a dense ``np.add.at`` scatter.
+
+    Patch it in as ``Tensor.__getitem__`` to train on the pre-sparse
+    lookup path."""
+    out_data = self.data[index]
+
+    def backward(grad: np.ndarray) -> None:
+        full = np.zeros_like(self.data)
+        np.add.at(full, index, grad)
+        self._accumulate(full, owned=True)
+
+    return Tensor._make(out_data, (self,), backward)
+
+
+def densified(optim_cls):
+    """``optim_cls`` reading every ``p.grad`` before each step.
+
+    The read replaces a :class:`~repro.autograd.sparse.SparseGrad` by its
+    dense form in place, so every parameter takes the dense branch."""
+
+    class Densified(optim_cls):
+        def step(self) -> bool:
+            for p in self.params:
+                p.grad
+            return super().step()
+
+    Densified.__name__ = Densified.__qualname__ = f"Densified{optim_cls.__name__}"
+    return Densified

@@ -95,7 +95,7 @@ class TestLayers:
         mlp = nn.MLP([4, 8, 2], seed=0)
         out = mlp(Tensor(np.ones((3, 4))))
         assert out.shape == (3, 2)
-        assert mlp.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
+        assert sum(p.size for p in mlp.parameters()) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_mlp_requires_two_dims(self):
         with pytest.raises(ValueError):

@@ -3,22 +3,23 @@
 Covers the row-sparse embedding gradient (:mod:`repro.autograd.sparse`),
 its production in ``Tensor.__getitem__`` / ``nn.Embedding``, accumulation
 semantics, the lazy row-wise optimizers, sparse-aware runtime guards, and
-the end-to-end bitwise guarantees (``dense_updates=True`` reproduces the
-historical dense path; checkpoint/resume stays bitwise with sparse
-updates on).
+the end-to-end bitwise guarantees (a fit with densified gradients
+reproduces the historical ``np.add.at`` dense path; checkpoint/resume stays
+bitwise with sparse updates on).  The dense paths are reached through the
+oracles in ``autograd_reference.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import nn, ops
-from repro.autograd import tensor as tensor_mod
 from repro.autograd.nn import Parameter
 from repro.autograd.optim import SGD, Adagrad, Adam
 from repro.autograd.sparse import SparseGrad, coalesce_rows
 from repro.autograd.tensor import Tensor
 from repro.kg.triples import TripleStore
 from repro.kge import DistMult, TransE
+from repro.kge import base as kge_base
 from repro.runtime import (
     Checkpointer,
     Fault,
@@ -32,6 +33,8 @@ from repro.runtime import (
     raw_grad,
     zero_nonfinite_grads,
 )
+
+from .autograd_reference import dense_lookup_reference, densified
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -54,14 +57,6 @@ def add_at_reference(shape, rows, vals):
     out = np.zeros(shape)
     np.add.at(out, rows, vals)
     return out
-
-
-@pytest.fixture
-def dense_lookup_grads():
-    """Force the historical dense scatter backward for the test body."""
-    tensor_mod.SPARSE_LOOKUP_GRADS = False
-    yield
-    tensor_mod.SPARSE_LOOKUP_GRADS = True
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +109,12 @@ class TestSparseGrad:
         vals = np.ones((2, 3))
         g = SparseGrad((4, 3), rows, vals)
         g.coalesce()
-        assert g.is_coalesced and g.nnz == 1
+        assert g.nnz == 1
         assert g.rows is not rows and g.vals is not vals
         assert np.array_equal(vals, np.ones((2, 3)))  # producer's view intact
         before = (g.rows, g.vals)
         g.coalesce()
-        assert (g.rows, g.vals) == before
+        assert g.rows is before[0] and g.vals is before[1]
 
     def test_merge_preserves_accumulation_order(self):
         a = SparseGrad((4, 1), np.array([1], dtype=np.int64), np.array([[1.0]]))
@@ -190,29 +185,22 @@ class TestLookupBackward:
         x = rng.standard_normal((8, 4))
         upstream = rng.standard_normal(np.asarray(x[index]).shape)
 
-        grads = {}
-        for flag in (True, False):
-            tensor_mod.SPARSE_LOOKUP_GRADS = flag
-            try:
-                w = Parameter(x.copy())
-                (w[index] * upstream).sum().backward()
-            finally:
-                tensor_mod.SPARSE_LOOKUP_GRADS = True
-            grads[flag] = w.grad
-        assert np.array_equal(grads[True], grads[False])
+        w = Parameter(x.copy())
+        (w[index] * upstream).sum().backward()
         rows = np.asarray(index).reshape(-1) % 8
         ref = add_at_reference((8, 4), rows, upstream.reshape(rows.size, -1))
-        assert np.array_equal(grads[False], ref)
+        assert np.array_equal(w.grad, ref)
 
-    def test_dense_int_kernel_bitwise_equals_add_at(self, dense_lookup_grads):
-        # The satellite: the rewritten dense scatter (coalesce + assign)
-        # must match the seed's np.add.at bitwise, duplicates included.
+    def test_dense_int_kernel_bitwise_equals_add_at(self):
+        # A lookup on an interior node takes the dense scatter (coalesce +
+        # assign), which must match np.add.at bitwise, duplicates included.
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 5))
         idx = rng.integers(0, 12, size=64)
         upstream = rng.standard_normal((64, 5))
         w = Parameter(x)
-        (w[idx] * upstream).sum().backward()
+        ((w * 1.0)[idx] * upstream).sum().backward()
+        assert isinstance(w.raw_grad, np.ndarray)
         assert np.array_equal(w.grad, add_at_reference((12, 5), idx, upstream))
 
     def test_non_leaf_lookup_stays_dense(self):
@@ -295,6 +283,7 @@ def _lookup_step(w, opt, idx, coeff):
 
 
 def _paired(optim_cls, seed=0, rows=10, dim=3, **kwargs):
+    """The lazy optimizer and the same optimizer on densified gradients."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((rows, dim))
     w_sparse = Parameter(data.copy())
@@ -303,7 +292,7 @@ def _paired(optim_cls, seed=0, rows=10, dim=3, **kwargs):
         w_sparse,
         optim_cls([w_sparse], **kwargs),
         w_dense,
-        optim_cls([w_dense], dense_updates=True, **kwargs),
+        densified(optim_cls)([w_dense], **kwargs),
     )
 
 
@@ -353,7 +342,7 @@ class TestLazyOptimizers:
 
     def test_dense_weight_decay_shrinks_every_row(self):
         w = Parameter(np.ones((6, 2)))
-        opt = SGD([w], lr=0.5, weight_decay=0.1, dense_updates=True)
+        opt = densified(SGD)([w], lr=0.5, weight_decay=0.1)
         opt.zero_grad()
         w[np.array([2])].sum().backward()
         opt.step()
@@ -374,7 +363,8 @@ class TestLazyOptimizers:
         idx = np.array([0, 3])
         coeff = np.ones((2, 3))
         _lookup_step(w_s, opt_s, idx, coeff)
-        # Sparse-mode state loads into a dense-mode optimizer and vice versa.
+        # State left by sparse steps loads into an optimizer stepping dense
+        # gradients, and the two then take the same step.
         opt_d.load_state_dict(opt_s.state_dict())
         w_d.data[:] = w_s.data
         _lookup_step(w_s, opt_s, idx, coeff)
@@ -429,48 +419,18 @@ class TestSparseGuards:
 
 
 # ---------------------------------------------------------------------- #
-# Module parameter caching
-# ---------------------------------------------------------------------- #
-class TestModuleParamCache:
-    def test_zero_grad_uses_cache_and_invalidates_on_setattr(self):
-        class Net(nn.Module):
-            def __init__(self):
-                self.emb = nn.Embedding(4, 2, seed=0)
-
-        net = Net()
-        first = net.cached_parameters()
-        assert net.cached_parameters() is first  # memoized
-        assert [id(p) for p in first] == [id(p) for p in net.parameters()]
-
-        net.extra = Parameter(np.zeros(3))
-        second = net.cached_parameters()
-        assert second is not first
-        assert any(p is net.extra for p in second)
-
-        for p in second:
-            p.grad = np.ones_like(p.data)
-        net.zero_grad()
-        assert all(p.raw_grad is None for p in net.parameters())
-
-    def test_parameters_does_not_collect_the_cache(self):
-        emb = nn.Embedding(3, 2, seed=0)
-        emb.cached_parameters()
-        assert len(emb.parameters()) == 1
-
-
-# ---------------------------------------------------------------------- #
 # end-to-end fit guarantees
 # ---------------------------------------------------------------------- #
-def _fit_history(model_cls, store, seed, dense_updates, sparse_lookups, **fit_kw):
-    tensor_mod.SPARSE_LOOKUP_GRADS = sparse_lookups
-    try:
+def _fit_history(model_cls, store, seed, dense=False, seed_lookups=False):
+    """Fit a small model; ``dense`` steps Adam on densified gradients and
+    ``seed_lookups`` makes every lookup's backward a dense ``np.add.at``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if dense:
+            patch.setattr(kge_base, "Adam", densified(Adam))
+        if seed_lookups:
+            patch.setattr(Tensor, "__getitem__", dense_lookup_reference)
         model = model_cls(15, 3, dim=4, seed=seed)
-        history = model.fit(
-            store, epochs=2, batch_size=16, seed=seed + 1,
-            dense_updates=dense_updates, **fit_kw,
-        )
-    finally:
-        tensor_mod.SPARSE_LOOKUP_GRADS = True
+        history = model.fit(store, epochs=2, batch_size=16, seed=seed + 1)
     return model, history
 
 
@@ -479,11 +439,9 @@ class TestFitEquivalence:
     @pytest.mark.parametrize("model_cls", [TransE, DistMult])
     def test_dense_updates_reproduce_seed_path_bitwise(self, model_cls, small_store):
         seed_model, seed_hist = _fit_history(
-            model_cls, small_store, 0, dense_updates=True, sparse_lookups=False
+            model_cls, small_store, 0, dense=True, seed_lookups=True
         )
-        dense_model, dense_hist = _fit_history(
-            model_cls, small_store, 0, dense_updates=True, sparse_lookups=True
-        )
+        dense_model, dense_hist = _fit_history(model_cls, small_store, 0, dense=True)
         assert dense_hist == seed_hist
         np.testing.assert_array_equal(
             dense_model.entity.weight.data, seed_model.entity.weight.data
@@ -494,32 +452,20 @@ class TestFitEquivalence:
 
     @pytest.mark.parametrize("model_cls", [TransE, DistMult])
     def test_sparse_fit_tracks_dense_fit(self, model_cls, small_store):
-        __, seed_hist = _fit_history(
-            model_cls, small_store, 0, dense_updates=True, sparse_lookups=False
-        )
-        __, sparse_hist = _fit_history(
-            model_cls, small_store, 0, dense_updates=False, sparse_lookups=True
-        )
+        __, dense_hist = _fit_history(model_cls, small_store, 0, dense=True)
+        __, sparse_hist = _fit_history(model_cls, small_store, 0)
         # Lazy Adam is a (documented) semantic variant, so the histories
         # agree approximately, not bitwise.
-        np.testing.assert_allclose(sparse_hist, seed_hist, rtol=0.05)
+        np.testing.assert_allclose(sparse_hist, dense_hist, rtol=0.05)
 
     def test_sparse_fit_is_deterministic(self, small_store):
-        __, hist_a = _fit_history(
-            TransE, small_store, 0, dense_updates=False, sparse_lookups=True
-        )
-        __, hist_b = _fit_history(
-            TransE, small_store, 0, dense_updates=False, sparse_lookups=True
-        )
+        __, hist_a = _fit_history(TransE, small_store, 0)
+        __, hist_b = _fit_history(TransE, small_store, 0)
         assert hist_a == hist_b
 
     def test_dense_updates_fit_is_deterministic(self, small_store):
-        model_a, hist_a = _fit_history(
-            TransE, small_store, 0, dense_updates=True, sparse_lookups=True
-        )
-        model_b, hist_b = _fit_history(
-            TransE, small_store, 0, dense_updates=True, sparse_lookups=True
-        )
+        model_a, hist_a = _fit_history(TransE, small_store, 0, dense=True)
+        model_b, hist_b = _fit_history(TransE, small_store, 0, dense=True)
         assert hist_a == hist_b
         np.testing.assert_array_equal(
             model_a.entity.weight.data, model_b.entity.weight.data

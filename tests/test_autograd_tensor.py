@@ -259,11 +259,6 @@ class TestEngine:
         (a * b).backward()  # d(2t(t+1))/dt = 4t + 2
         np.testing.assert_allclose(t.grad, 14.0)
 
-    def test_detach_blocks_grad(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        out = (t.detach() * 2.0).sum()
-        assert not out.requires_grad
-
     def test_no_grad_for_constants(self):
         a = as_tensor(np.ones(3))
         out = (a * 2.0).sum()

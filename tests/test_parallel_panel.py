@@ -20,7 +20,7 @@ from repro.experiments.harness import run_panel, results_table
 from repro.experiments.parallel import derive_entry_seed, fork_available
 from repro.models.baselines import BPRMF, MostPopular, Random
 from repro.runtime import RetryPolicy
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, activated
 from repro.telemetry.export import export_records, validate_records
 
 pytestmark = pytest.mark.skipif(
@@ -205,8 +205,9 @@ class TestTelemetryMerge:
             "bpr": lambda: BPRMF(epochs=4, seed=1),
         }
         tel = Telemetry()
-        panel = run_panel(movie_dataset, factories, max_users=10, seed=0,
-                          executor="process", max_workers=2, telemetry=tel)
+        with activated(tel):
+            panel = run_panel(movie_dataset, factories, max_users=10, seed=0,
+                              executor="process", max_workers=2)
         records = tel.tracer.records()
         assert validate_records(export_records(tel)) == []
 

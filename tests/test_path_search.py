@@ -3,8 +3,9 @@
 ``paths_to_targets`` counts the children at ``max_length`` as one run
 instead of pushing and popping them one by one; ``PathBank`` keeps each
 user's paths packed into index arrays.  Both must reproduce the original
-DFS (``path_search_reference.py``) exactly: the same ``Path`` lists per
-target, the same generator state afterwards, and — through the bank — the
+DFS (``path_search_reference.py``) exactly: the same paths per target (the
+search records ``(entities, relations)`` pairs, the oracle ``Path`` objects),
+the same generator state afterwards, and — through the bank — the
 same paths for every (user, item) pair in the same order.
 """
 
@@ -39,7 +40,10 @@ def _both(lifted, source, seed, **kwargs):
 
 
 def _assert_same(new, ref, rng_new, rng_ref):
-    assert new == ref  # dict of target -> list[Path], order included
+    # dict of target -> list of paths, order included
+    assert new == {
+        t: [(p.entities, p.relations) for p in paths] for t, paths in ref.items()
+    }
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 

@@ -327,8 +327,8 @@ class TestInstrumentation:
         def train(telemetry):
             model = TransE(store.num_entities, store.num_relations,
                            dim=4, seed=0)
-            history = model.fit(store, epochs=2, batch_size=16, seed=1,
-                                telemetry=telemetry)
+            with activated(telemetry):
+                history = model.fit(store, epochs=2, batch_size=16, seed=1)
             return history, model.entity_embeddings().copy()
 
         hist_off, emb_off = train(None)
@@ -459,12 +459,10 @@ class TestPanelAndServiceIntegration:
 
         dataset = make_movie_dataset(seed=0)
         tel = Telemetry(clock=ManualClock())
-        result = run_panel(
-            dataset,
-            {"Good": MostPopular, "Broken": broken},
-            seed=0,
-            telemetry=tel,
-        )
+        with activated(tel):
+            result = run_panel(
+                dataset, {"Good": MostPopular, "Broken": broken}, seed=0
+            )
         assert len(result) == 1 and len(result.failures) == 1
         (failure,) = result.failures
         spans = {r.span_id: r for r in tel.tracer.records()}

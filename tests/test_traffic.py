@@ -2,12 +2,13 @@
 
 Covers the determinism contract (same seed -> byte-identical LoadReport
 export and identical per-request outcome sequence, clean and faulted),
-exact telemetry reconciliation, the legacy-compatible bursty schedule,
+exact telemetry reconciliation, the chaos replay's bursty request stream,
 the exact-arithmetic admission queue regression, reservoir histograms,
 and the persona-driven online stream bridge.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.core.clock import ManualClock
 from repro.core.exceptions import ConfigError, Overloaded
 from repro.core.rng import ensure_rng
 from repro.serving.admission import AdmissionQueue
+from repro.serving.demo import run_replay
 from repro.telemetry.metrics import Histogram, MetricRegistry
 from repro.traffic import (
     ARCHETYPES,
@@ -140,7 +142,7 @@ class TestTrafficSchedule:
 
 
 class TestBurstySchedule:
-    """`TrafficSchedule.bursty` must be draw-for-draw the old demo loop."""
+    """`run_replay`'s request stream must be draw-for-draw the old demo loop."""
 
     def _legacy(self, num_users, num_requests, seed):
         rng = ensure_rng(seed + 1)
@@ -153,15 +155,22 @@ class TestBurstySchedule:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_matches_legacy_generator(self, seed):
         users, gaps = self._legacy(40, 120, seed)
-        sched = TrafficSchedule.bursty(40, 120, seed)
-        assert [r.user_id for r in sched] == users
-        assert sched.gaps() == gaps
-        assert sched.materialize()[0].at == 0.0
+        clock = ManualClock()
+        served = []
 
-    def test_no_continuation_for_legacy(self):
-        sched = TrafficSchedule.bursty(10, 20, 0)
-        with pytest.raises(ConfigError):
-            sched.continuation()
+        def serve(request):
+            served.append((request.user_id, request.k, clock()))
+            return SimpleNamespace(trace=lambda: "")
+
+        service = SimpleNamespace(dataset=SimpleNamespace(num_users=40), serve=serve)
+        run_replay(service, clock, seed, 120)
+        assert [u for u, __, ___ in served] == users
+        assert {k for __, k, ___ in served} == {10}
+        # Request i is served after the first i gaps have elapsed.
+        at = [0.0]
+        for gap in gaps[:-1]:
+            at.append(at[-1] + gap)
+        assert [t for __, ___, t in served] == at
 
 
 # --------------------------------------------------------------------- #
