@@ -29,13 +29,16 @@ Run as a script:
 The full run writes machine-readable results to ``--out`` (default
 ``benchmarks/BENCH_autograd.json``).  ``--smoke`` runs tiny sizes and
 asserts the correctness/bitwise invariants instead of reporting timings —
-the embedding-lookup gradient equals the ``np.add.at`` scatter, lazy Adam's
-first step matches the densified step bitwise, a ``fit`` on densified
-gradients reproduces the seed's ``np.add.at`` training path bitwise and a
-sparse ``fit`` tracks it, ``coalesce_rows`` equals the per-column
-``bincount`` loop and the fused LSTM step equals its composition in outputs
-and every gradient.  The dense paths are reached only through the oracles
-in ``tests/autograd_reference.py``.
+the embedding-lookup gradient equals the ``np.add.at`` scatter, a table
+looked up twice densifies to the two lookups' scatters summed in order,
+lazy Adam's first step matches the densified step bitwise, a ``fit`` on
+densified gradients reproduces the seed's ``np.add.at`` training path
+bitwise and a sparse ``fit`` tracks it, ``coalesce_rows`` (unique-row and
+table-sized paths) equals the per-column ``bincount`` loop, the fused LSTM
+step and KGCN's fused attention pool equal their compositions in outputs
+and every gradient, and MKR's rank-one cross & compress unit equals the
+cross-matrix composition to rounding.  The dense and composed paths are
+reached only through the oracles in ``tests/autograd_reference.py``.
 See ``docs/performance.md`` for recorded numbers.
 """
 
@@ -57,6 +60,8 @@ from repro.core.rng import ensure_rng
 from repro.kge import TransE
 from repro.kge import base as kge_base
 from repro.kg.triples import TripleStore
+from repro.models.embedding_based.mkr import CrossCompress
+from repro.models.unified.kgcn import attention_pool
 
 if __package__:  # imported as ``benchmarks.bench_autograd`` (pytest collection)
     from .bench_retrieval import host_facts
@@ -65,7 +70,9 @@ else:  # run as a script: this directory is on sys.path, the repository root not
 
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.autograd_reference import (
+    attention_pool_reference,
     coalesce_rows_reference,
+    cross_compress_reference,
     dense_lookup_reference,
     densified,
     lstm_step_reference,
@@ -374,6 +381,18 @@ def smoke():
     expected = seed_lookup_backward(emb.weight.data, rows, upstream)
     assert np.array_equal(emb.weight.grad, expected), "lookup grad != add.at"
 
+    # A table looked up twice densifies segment by segment: each lookup's
+    # add.at scatter, then the scatters summed in order.  Rows recur three
+    # times per lookup with values of mixed magnitude, so coalescing both
+    # lookups at once rounds differently.
+    emb = nn.Embedding(5, 2, seed=1)
+    seg_rows = np.array([0, 2, 0, 2, 0, 2, 4])
+    seg_vals = np.array([1e16, -1e16, 1.0, 3.0, 1.0, 3.0, 7.0])[:, None].repeat(2, axis=1)
+    lookups = [(seg_rows, seg_vals), (seg_rows[::-1].copy(), -seg_vals)]
+    sum((emb(r) * v).sum() for r, v in lookups).backward()
+    expected = sum(seed_lookup_backward(emb.weight.data, r, v) for r, v in lookups)
+    assert emb.weight.grad.tobytes() == expected.tobytes(), "densify segment order"
+
     # Lazy Adam's first step matches the densified step bitwise (zero decay).
     updated = {}
     for dense in (False, True):
@@ -399,12 +418,42 @@ def smoke():
     np.testing.assert_allclose(histories["sparse"], histories["dense"], rtol=0.05)
 
     # The flattened coalesce (and, above its size limit, the per-column
-    # loop) is bitwise the per-column loop.
+    # loop) is bitwise the per-column loop, and so is the table-sized path
+    # (a 40 x dim table here).
     for n, dim in ((25, 6), (4000, 8)):
         r = rng.integers(0, 40, size=n)
         v = rng.standard_normal((n, dim))
-        got, want = coalesce_rows(r, v), coalesce_rows_reference(r, v)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), "coalesce"
+        want = coalesce_rows_reference(r, v)
+        for got in (coalesce_rows(r, v), coalesce_rows(r, v, 40)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), "coalesce"
+
+    # KGCN's fused attention pool is bitwise its composition (two hops'
+    # width, so the user gradient sums over two broadcast axes).
+    pooled = []
+    for pool in (attention_pool, attention_pool_reference):
+        prng = ensure_rng(5)
+        u, r, nbr = (
+            tensor_mod.Tensor(prng.standard_normal(shape), requires_grad=True)
+            for shape in ((3, 4), (3, 2, 5, 4), (3, 10, 4))
+        )
+        out = pool(u, r, nbr, 5)
+        (out * prng.standard_normal(out.shape)).sum().backward()
+        pooled.append([t.tobytes() for t in (out.data, u.grad, r.grad, nbr.grad)])
+    assert pooled[0] == pooled[1], "fused attention pool != composition"
+
+    # MKR's rank-one cross & compress equals the cross-matrix composition.
+    ranked = []
+    for call in (CrossCompress.__call__, cross_compress_reference):
+        crng = ensure_rng(6)
+        unit = CrossCompress(4, seed=7)
+        v, e = (tensor_mod.Tensor(crng.standard_normal((5, 4)), requires_grad=True)
+                for __ in range(2))
+        v_out, e_out = call(unit, v, e)
+        ((v_out * crng.standard_normal((5, 4))).sum() + (e_out * e_out).sum()).backward()
+        ranked.append([v_out.data, e_out.data, v.grad, e.grad]
+                      + [p.grad for p in unit.parameters()])
+    for a, b in zip(*ranked):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg="cross & compress")
 
     # The fused LSTM step is bitwise its composition: outputs and gradients.
     xs, masks = lstm_inputs(7, 5, 4, seed=3)

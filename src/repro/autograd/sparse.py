@@ -16,9 +16,9 @@ rows).  Duplicate rows are allowed and are summed lazily by
 Bitwise compatibility
 ---------------------
 Coalescing sums duplicates with ``np.bincount``: one pass over flattened
-``(row, column)`` bins for small batches, one pass per column for large
-ones.  ``bincount`` accumulates weights sequentially in occurrence order —
-the exact summation ``np.add.at`` performs — so a densified
+``(row, column)`` bins for small tables or small batches, one pass per
+column for large ones.  ``bincount`` accumulates weights sequentially in
+occurrence order — the exact summation ``np.add.at`` performs — so a densified
 :class:`SparseGrad` is *bitwise identical* to the historical dense
 scatter.  (``np.add.reduceat`` is faster still but uses pairwise summation
 and breaks bitwise reproducibility; the equivalence tests pin this
@@ -42,29 +42,43 @@ import numpy as np
 __all__ = ["SparseGrad", "coalesce_rows"]
 
 
-#: Largest ``rows.size * dim`` summed by one flattened ``np.bincount``.  Its
-#: int64 bin array is then at most 128 KiB; above that, allocating and
+#: Largest number of ``(row, column)`` bins summed by one flattened
+#: ``np.bincount``: the table's when it is small enough, else the batch's.
+#: The bin array is then at most 128 KiB; above that, allocating and
 #: faulting in a fresh bin array cost more than the per-column calls saved
-#: (``docs/performance.md``, "Training critical path").
+#: (``docs/performance.md``, "Training critical path" and "Training pass 2").
 _FLAT_COALESCE_LIMIT = 1 << 14
 
 
-def coalesce_rows(rows: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def coalesce_rows(
+    rows: np.ndarray, vals: np.ndarray, num_rows: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Sum duplicate rows: ``(unique_rows_ascending, per-row sums)``.
 
-    ``vals`` must be 2-d with ``vals.shape[0] == rows.size``.  Summation
-    order within a duplicate group is occurrence order (see module
-    docstring), matching ``np.add.at`` bitwise.  Small inputs are summed
-    with one ``np.bincount`` over flattened ``(row, column)`` bins, larger
-    ones with one ``np.bincount`` per column; each bin adds its values in
-    occurrence order either way, so the two agree bitwise.
+    ``vals`` must be 2-d with ``vals.shape[0] == rows.size``; ``num_rows``,
+    when given, bounds ``rows`` (the table size).  Summation order within a
+    duplicate group is occurrence order (see module docstring), matching
+    ``np.add.at`` bitwise.  A table of at most ``_FLAT_COALESCE_LIMIT``
+    bins is summed with one ``np.bincount`` over its own flattened
+    ``(row, column)`` bins, and its present rows are read off a row
+    ``bincount`` instead of sorting with ``np.unique``.  Otherwise small
+    inputs are summed over flattened bins of their unique rows, larger ones
+    with one ``np.bincount`` per column.  Each bin adds its values in
+    occurrence order on every path, so all three agree bitwise.
     """
+    dim = vals.shape[1]
+    if num_rows is not None and num_rows * dim <= _FLAT_COALESCE_LIMIT:
+        unique = np.flatnonzero(np.bincount(rows, minlength=num_rows))
+        if unique.size == rows.size:
+            return unique, vals[np.argsort(rows, kind="stable")]
+        bins = (rows[:, None] * dim + np.arange(dim)).ravel()
+        summed = np.bincount(bins, weights=vals.ravel(), minlength=num_rows * dim)
+        return unique, summed.reshape(num_rows, dim)[unique].astype(vals.dtype, copy=False)
     unique, inverse = np.unique(rows, return_inverse=True)
     if unique.size == rows.size:
         # No duplicates: reorder to ascending rows, skip the bincount passes.
         order = np.argsort(rows, kind="stable")
         return unique, vals[order]
-    dim = vals.shape[1]
     if vals.size <= _FLAT_COALESCE_LIMIT:
         bins = (inverse[:, None] * dim + np.arange(dim)).ravel()
         summed = np.bincount(bins, weights=vals.ravel(), minlength=unique.size * dim)
@@ -128,7 +142,7 @@ class SparseGrad:
         producer handed in is left untouched.
         """
         if not self._coalesced:
-            self.rows, self.vals = coalesce_rows(self.rows, self.vals)
+            self.rows, self.vals = coalesce_rows(self.rows, self.vals, self.shape[0])
             self._coalesced = True
             self._segments = None
         return self
@@ -163,6 +177,7 @@ class SparseGrad:
             yield coalesce_rows(
                 self.rows[start : start + length],
                 self.vals[start : start + length],
+                self.shape[0],
             )
             start += length
 

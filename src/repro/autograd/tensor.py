@@ -336,7 +336,9 @@ class Tensor:
             if other.requires_grad:
                 gb = np.swapaxes(a2, -1, -2) @ g
                 if b.ndim == 1:
-                    gb = gb.reshape(b.shape[0], -1).sum(axis=1)
+                    # (..., K, 1): drop the promoted column; _unbroadcast
+                    # then sums any batch axes down to (K,).
+                    gb = gb[..., 0]
                 other._accumulate(_unbroadcast(gb, other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
@@ -400,7 +402,7 @@ class Tensor:
                 # Dense scatter via the coalescing kernel: bitwise identical
                 # to np.add.at on zeros, without its per-element cost.
                 full = np.zeros_like(self.data)
-                unique, summed = coalesce_rows(flat_rows, vals)
+                unique, summed = coalesce_rows(flat_rows, vals, num_rows)
                 full.reshape(num_rows, -1)[unique] = summed
                 self._accumulate(full, owned=True)
 

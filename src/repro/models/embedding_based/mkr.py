@@ -28,6 +28,11 @@ class CrossCompress(nn.Module):
     For item vector ``v`` and entity vector ``e`` (both ``(B, d)``), forms
     the cross matrix ``C = v e^T`` and compresses it back:
     ``v' = C w_vv + C^T w_ev + b_v`` and ``e' = C w_ve + C^T w_ee + b_e``.
+
+    ``C`` is rank one, so ``C w = v (e . w)`` and ``C^T w = e (v . w)``: the
+    unit never builds the ``(B, d, d)`` cross matrix, only ``(B, d)``
+    products and ``(B,)`` dot products.  ``tests/autograd_reference.py``
+    keeps the cross-matrix composition as the oracle.
     """
 
     def __init__(self, dim: int, seed=None) -> None:
@@ -43,12 +48,13 @@ class CrossCompress(nn.Module):
         self.b_e = nn.Parameter(np.zeros(dim))
 
     def __call__(self, v: Tensor, e: Tensor) -> tuple[Tensor, Tensor]:
-        batch, dim = v.shape
-        cross = v.reshape(batch, dim, 1) * e.reshape(batch, 1, dim)
-        cross_t = cross.transpose(0, 2, 1)
-        v_next = cross @ self.w_vv + cross_t @ self.w_ev + self.b_v
-        e_next = cross @ self.w_ve + cross_t @ self.w_ee + self.b_e
-        return v_next, e_next
+        batch = v.shape[0]
+
+        def compress(w: Tensor, w_t: Tensor) -> Tensor:
+            """``C w + C^T w_t`` as ``v (e . w) + e (v . w_t)``."""
+            return v * (e @ w).reshape(batch, 1) + e * (v @ w_t).reshape(batch, 1)
+
+        return compress(self.w_vv, self.w_ev) + self.b_v, compress(self.w_ve, self.w_ee) + self.b_e
 
 
 @register_model("MKR")

@@ -29,6 +29,53 @@ __all__ = ["KGCN", "KGCNLS", "AGGREGATORS"]
 AGGREGATORS = ("sum", "concat", "neighbor", "bi-interaction")
 
 
+def attention_pool(u: Tensor, r: Tensor, nbr: Tensor, num_neighbors: int) -> Tensor:
+    """``sum_s softmax_s(u . r_s) nbr_s`` as one tape node: ``(B, W, d)``.
+
+    ``u`` is the ``(B, d)`` user vector, ``r`` the ``(B, W, S, d)``
+    relation vectors of each sampled edge and ``nbr`` the ``B * W * S``
+    neighbour vectors in any shape (``S = num_neighbors``).  The
+    hand-written backward replays the float operations of the op-by-op
+    composition (``attention_pool_reference`` in
+    ``tests/autograd_reference.py``), so outputs and gradients are bitwise
+    the composition's: the user gradient sums ``(B, W, S, d)`` products over
+    ``W`` first and then over ``S``, skipping an axis of length one, as the
+    composition's broadcast reduction does.
+    """
+    batch, width, __, dim = r.shape
+    u4 = u.data.reshape(batch, 1, 1, dim)
+    r_data = r.data
+    nbr4 = nbr.data.reshape(batch, width, num_neighbors, dim)
+    logits = (u4 * r_data).sum(axis=3)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    att = e / e.sum(axis=2, keepdims=True)  # (B, W, S)
+    att4 = att.reshape(batch, width, num_neighbors, 1)
+    pooled = (att4 * nbr4).sum(axis=2)
+
+    def backward(grad: np.ndarray) -> None:
+        g = np.expand_dims(grad, 2)  # broadcast over the S neighbours
+        if nbr.requires_grad:
+            nbr._accumulate((g * att4).reshape(nbr.shape), owned=True)
+        if not (u.requires_grad or r.requires_grad):
+            return
+        g_att = (g * nbr4).sum(axis=3)
+        dot = (g_att * att).sum(axis=2, keepdims=True)
+        g_logits = np.expand_dims(att * (g_att - dot), 3)
+        if u.requires_grad:
+            g_u = g_logits * r_data
+            if width > 1:
+                g_u = g_u.sum(axis=1, keepdims=True)
+            if num_neighbors > 1:
+                g_u = g_u.sum(axis=2, keepdims=True)
+            u._accumulate(g_u.reshape(batch, dim), owned=True)
+        if r.requires_grad:
+            r._accumulate(g_logits * u4, owned=True)
+
+    # Parent order (u, r, nbr) keeps the tape's topological order, and with
+    # it every later accumulation, the composition's.
+    return Tensor._make(pooled, (u, r, nbr), backward)
+
+
 @register_model("KGCN")
 class KGCN(GradientRecommender):
     """GNN over the item KG with user-relation attention sampling."""
@@ -85,8 +132,10 @@ class KGCN(GradientRecommender):
             self._rel_hops.append(rels.reshape(n_items, -1))
 
     def _attention(self, u: Tensor, rels: np.ndarray) -> Tensor:
-        """User-relation scores pi = softmax_neighbors(u . r) (B, W, S)."""
-        batch, width = rels.shape[0], rels.shape[1]
+        """User-relation scores pi = softmax_neighbors(u . r) (B, W, S): the
+        weights :func:`attention_pool` applies inside its node, as a tape
+        tensor (KGCN-LS propagates labels with them)."""
+        batch = rels.shape[0]
         r = self.relation(rels.reshape(batch, -1, self.num_neighbors))
         logits = (u.reshape(batch, 1, 1, self.dim) * r).sum(axis=3)
         return ops.softmax(logits, axis=2)  # (B, W/S, S)
@@ -111,12 +160,9 @@ class KGCN(GradientRecommender):
         ]
         for depth in reversed(range(self.hops)):
             rels = self._rel_hops[depth][items]  # (B, W*S)
-            att = self._attention(u, rels)  # (B, W, S)
-            width = att.shape[1]
-            nbr = vectors[depth + 1].reshape(batch, width, self.num_neighbors, self.dim)
-            pooled = (att.reshape(batch, width, self.num_neighbors, 1) * nbr).sum(axis=2)
-            self_vec = vectors[depth]  # (B, W, d)
-            vectors[depth] = self._aggregate(depth, self_vec, pooled)
+            r = self.relation(rels.reshape(batch, -1, self.num_neighbors))  # (B, W, S, d)
+            pooled = attention_pool(u, r, vectors[depth + 1], self.num_neighbors)
+            vectors[depth] = self._aggregate(depth, vectors[depth], pooled)  # (B, W, d)
         return vectors[0].reshape(batch, self.dim)
 
     def _score_batch(self, users: np.ndarray, items: np.ndarray) -> Tensor:

@@ -9,12 +9,14 @@ layers —
   with cold-start newcomers and new catalog items (churn);
 * :mod:`repro.online.trainer` — a shadow trainer applying validated
   sparse-row BPR updates to a train-mode
-  :class:`~repro.store.mmap.MmapShardStore` (PR 3's coalesced row
-  gradients, PR 6's dirty-row commits);
+  :class:`~repro.store.mmap.MmapShardStore` (coalesced
+  :class:`~repro.autograd.sparse.SparseGrad` row gradients, committed as
+  dirty rows only);
 * :mod:`repro.online.loop` — the deployment loop: commit a generation,
   open a pinned serve view, canary-validate and atomically promote
-  through the :class:`~repro.serving.registry.ModelRegistry` (PR 7's
-  ``sync_index`` promotion), watch, and roll back regressions;
+  through the :class:`~repro.serving.registry.ModelRegistry` (which
+  rebuilds the retrieval index through ``sync_index`` before the swap),
+  watch, and roll back regressions;
 * :mod:`repro.online.harness` — the churn matrix replaying seeded
   stream x fault scenarios with bitwise old-or-new assertions: the
   online cells of ``python -m repro fault-matrix``.

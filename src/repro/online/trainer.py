@@ -196,8 +196,9 @@ class ShadowTrainer:
 
         Runs ``epochs`` passes over the batch, each pairing every
         (user, item) positive with one fresh seeded negative; each
-        pass's row gradient is coalesced (PR 3's sparse path,
-        bitwise-equal to ``np.add.at``) and applied in one fancy
+        pass's row gradient is coalesced (``coalesce_rows``, the
+        sparse-gradient kernel, bitwise-equal to ``np.add.at``) and
+        applied in one fancy
         assignment, and exactly those rows are marked dirty in the
         store.  A batch that fails validation raises
         :class:`OnlineUpdateError` with the arrays untouched.

@@ -12,7 +12,8 @@ sit behind an :class:`EmbeddingStore`.  Two implementations exist:
 
 The interface is deliberately small: a trainer *registers* its live
 working arrays, *marks rows dirty* as optimizer steps touch them (the
-row indices of PR 3's sparse gradients are exactly this wire format),
+row indices of a coalesced :class:`~repro.autograd.sparse.SparseGrad` are
+exactly this wire format),
 and *commits* — which for the dense store is a no-op and for the mmap
 store persists only the dirtied shards under a new manifest generation.
 """

@@ -1,8 +1,9 @@
 """Persona-driven interaction stream: the traffic → online-loop bridge.
 
-PR 9 left one explicit gap: :class:`~repro.online.loop.OnlineLoop` ran
-from a purpose-built arrival process instead of the traffic simulator's
-persona streams.  :class:`PersonaInteractionStream` closes it by
+:class:`~repro.online.loop.OnlineLoop`'s own
+:class:`~repro.online.stream.InteractionStream` draws arrivals from a
+purpose-built process, not from the traffic simulator's persona streams.
+:class:`PersonaInteractionStream` feeds it persona traffic by
 subclassing :class:`~repro.online.stream.InteractionStream` and
 overriding only the two arrival hooks:
 

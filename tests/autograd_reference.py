@@ -1,11 +1,15 @@
 """Unfused forms of the autograd fast paths, kept as oracles.
 
 Each function here is the composition or loop a fast path in
-:mod:`repro.autograd` replaced, verbatim:
+:mod:`repro.autograd` or in a model's training step replaced, verbatim:
 
 * :func:`lstm_step_reference` — ``nn.LSTMCell`` as a chain of tape ops
   (concat, four ``Linear`` gates, sigmoid/tanh, products) followed by
   KPRN's per-row step mask ``h_next * gate + h * (1 - gate)``;
+* :func:`attention_pool_reference` — KGCN's user-relation attention pool
+  as a chain of tape ops (``softmax(u . r)`` times the neighbours, summed);
+* :func:`cross_compress_reference` — MKR's cross & compress unit through
+  the ``(B, d, d)`` cross matrix ``C = v e^T``;
 * :func:`coalesce_rows_reference` — the per-column ``np.bincount`` loop;
 * :func:`sparse_adam_rows_reference` — the lazy Adam row update that
   gathers ``m``, ``v`` and ``p`` three times;
@@ -29,6 +33,8 @@ from repro.autograd.tensor import Tensor
 
 __all__ = [
     "lstm_step_reference",
+    "attention_pool_reference",
+    "cross_compress_reference",
     "coalesce_rows_reference",
     "sparse_adam_rows_reference",
     "dense_lookup_reference",
@@ -52,6 +58,28 @@ def lstm_step_reference(cell, x: Tensor, state, mask=None):
     h_new = h_next * gate + h * (1.0 - gate)
     c_new = c_next * gate + c * (1.0 - gate)
     return h_new, c_new
+
+
+def attention_pool_reference(u: Tensor, r: Tensor, nbr: Tensor, num_neighbors: int) -> Tensor:
+    """``sum_s softmax_s(u . r_s) nbr_s`` through the tape: ``(B, W, d)``.
+
+    ``u`` is ``(B, d)``; ``r`` is ``(B, W, S, d)``; ``nbr`` holds the same
+    ``B * W * S`` neighbour vectors in any shape."""
+    batch, width, dim = r.shape[0], r.shape[1], r.shape[3]
+    logits = (u.reshape(batch, 1, 1, dim) * r).sum(axis=3)
+    att = ops.softmax(logits, axis=2)
+    nbr = nbr.reshape(batch, width, num_neighbors, dim)
+    return (att.reshape(batch, width, num_neighbors, 1) * nbr).sum(axis=2)
+
+
+def cross_compress_reference(unit, v: Tensor, e: Tensor) -> tuple[Tensor, Tensor]:
+    """``unit(v, e)`` through the ``(B, d, d)`` cross matrix."""
+    batch, dim = v.shape
+    cross = v.reshape(batch, dim, 1) * e.reshape(batch, 1, dim)
+    cross_t = cross.transpose(0, 2, 1)
+    v_next = cross @ unit.w_vv + cross_t @ unit.w_ev + unit.b_v
+    e_next = cross @ unit.w_ve + cross_t @ unit.w_ee + unit.b_e
+    return v_next, e_next
 
 
 def coalesce_rows_reference(

@@ -3,7 +3,13 @@
 * the fused ``nn.LSTMCell`` step (one tape node) against the op-by-op
   composition plus KPRN's step mask, in outputs and in every gradient, and
   KPRN/EIUM fits through either, parameter for parameter;
-* ``coalesce_rows`` against the per-column ``np.bincount`` loop;
+* KGCN's fused attention-pool node against its composition, in outputs
+  and every gradient, and KGCN fits through either, for every aggregator
+  at one and two hops;
+* MKR's rank-one cross & compress unit against the ``(B, d, d)``
+  cross-matrix composition (to rounding) and against finite differences;
+* ``coalesce_rows`` against the per-column ``np.bincount`` loop, on the
+  unique-row paths and on the table-sized path;
 * lazy Adam against the update that gathered ``m``, ``v`` and ``p`` three
   times;
 * tape-off scoring against taped scoring;
@@ -23,16 +29,22 @@ from hypothesis import strategies as st
 
 import repro.models  # noqa: F401 - registers the model classes
 from repro.autograd import SGD, Adagrad, Adam, nn
+from repro.autograd import sparse as sparse_mod
 from repro.autograd.sparse import SparseGrad, coalesce_rows
 from repro.autograd.tensor import Tensor, no_tape
 from repro.core.registry import get_model_class
 from repro.data import make_movie_dataset
+from repro.models.embedding_based.mkr import CrossCompress
+from repro.models.unified import kgcn
 
 from .autograd_reference import (
+    attention_pool_reference,
     coalesce_rows_reference,
+    cross_compress_reference,
     lstm_step_reference,
     sparse_adam_rows_reference,
 )
+from .test_autograd_tensor import numeric_grad
 
 
 def _bits(a) -> bytes:
@@ -137,6 +149,133 @@ class TestFusedLSTMStep:
 
 
 # --------------------------------------------------------------------- #
+# KGCN attention pool
+# --------------------------------------------------------------------- #
+def _pool_run(pool, seed, batch, width, neighbors, dim, needs=(True, True, True)):
+    """``pool`` on leaf inputs under a non-uniform loss; returns the output
+    and every input's gradient.  ``nbr`` is given flat, as KGCN gives it."""
+    rng = np.random.default_rng(seed)
+    u = Tensor(rng.normal(size=(batch, dim)), requires_grad=needs[0])
+    r = Tensor(rng.normal(size=(batch, width, neighbors, dim)), requires_grad=needs[1])
+    nbr = Tensor(rng.normal(size=(batch, width * neighbors, dim)), requires_grad=needs[2])
+    w = rng.normal(size=(batch, width, dim))
+    out = pool(u, r, nbr, neighbors)
+    (out * w).sum().backward()
+    return [out.data], [t.grad for t in (u, r, nbr)]
+
+
+class TestAttentionPool:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        batch=st.integers(1, 6),
+        width=st.sampled_from([1, 2, 4]),
+        neighbors=st.integers(1, 5),
+        dim=st.integers(1, 6),
+    )
+    def test_outputs_and_every_gradient(self, seed, batch, width, neighbors, dim):
+        args = (seed, batch, width, neighbors, dim)
+        _assert_bitwise(
+            _pool_run(kgcn.attention_pool, *args), _pool_run(attention_pool_reference, *args)
+        )
+
+    @pytest.mark.parametrize(
+        "needs", [(True, False, False), (False, True, False), (False, False, True)]
+    )
+    def test_one_input_trained(self, needs):
+        args = (5, 3, 2, 4, 3)
+        _assert_bitwise(
+            _pool_run(kgcn.attention_pool, *args, needs=needs),
+            _pool_run(attention_pool_reference, *args, needs=needs),
+        )
+
+    def test_one_node(self):
+        rng = np.random.default_rng(0)
+        u, r, nbr = (
+            Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((2, 3), (2, 1, 4, 3), (2, 4, 3))
+        )
+        out = kgcn.attention_pool(u, r, nbr, 4)
+        assert out._parents == (u, r, nbr)
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("aggregator", kgcn.AGGREGATORS)
+    def test_fit_matches_composed_fit(self, aggregator, hops, monkeypatch):
+        dataset = make_movie_dataset(seed=2, num_users=30, num_items=40)
+
+        def fit():
+            model = kgcn.KGCN(aggregator=aggregator, hops=hops, num_neighbors=4, epochs=2, seed=1)
+            return model.fit(dataset)
+
+        fused = fit()
+        monkeypatch.setattr(kgcn, "attention_pool", attention_pool_reference)
+        composed = fit()
+        assert fused.loss_history == composed.loss_history
+        for a, b in zip(fused.parameters(), composed.parameters(), strict=True):
+            assert _bits(a.data) == _bits(b.data)
+
+
+# --------------------------------------------------------------------- #
+# MKR cross & compress
+# --------------------------------------------------------------------- #
+def _cc_run(unit_call, units, v0, e0, w_v, w_e):
+    """``units`` chained through ``unit_call`` under a non-uniform loss;
+    returns the outputs and every gradient."""
+    for unit in units:
+        unit.zero_grad()
+    v = Tensor(v0, requires_grad=True)
+    e = Tensor(e0, requires_grad=True)
+    v_out, e_out = v, e
+    for unit in units:
+        v_out, e_out = unit_call(unit, v_out, e_out)
+    ((v_out * w_v).sum() + (e_out * w_e).sum()).backward()
+    grads = [v.grad, e.grad] + [p.grad for unit in units for p in unit.parameters()]
+    return [v_out.data, e_out.data], grads
+
+
+class TestCrossCompress:
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_matches_cross_matrix_composition(self, num_layers):
+        rng = np.random.default_rng(num_layers)
+        units = [CrossCompress(6, seed=rng) for __ in range(num_layers)]
+        args = [rng.normal(size=(9, 6)) for __ in range(4)]
+        (f_out, f_grads), (r_out, r_grads) = (
+            _cc_run(CrossCompress.__call__, units, *args),
+            _cc_run(cross_compress_reference, units, *args),
+        )
+        for a, b in zip(f_out + f_grads, r_out + r_grads, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_gradients_match_finite_differences(self, num_layers):
+        rng = np.random.default_rng(10 + num_layers)
+        units = [CrossCompress(4, seed=rng) for __ in range(num_layers)]
+        v0, e0, w_v, w_e = (rng.normal(size=(5, 4)) for __ in range(4))
+        __, grads = _cc_run(CrossCompress.__call__, units, v0, e0, w_v, w_e)
+
+        def loss(v_arr, e_arr):
+            v, e = Tensor(v_arr), Tensor(e_arr)
+            for unit in units:
+                v, e = unit(v, e)
+            return float((v.data * w_v).sum() + (e.data * w_e).sum())
+
+        np.testing.assert_allclose(grads[0], numeric_grad(lambda x: loss(x, e0), v0), rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(grads[1], numeric_grad(lambda x: loss(v0, x), e0), rtol=1e-5, atol=1e-8)
+        params = [p for unit in units for p in unit.parameters()]
+        for param, grad in zip(params, grads[2:], strict=True):
+            saved = param.data
+
+            def at(x, param=param):
+                param.data = x
+                try:
+                    return loss(v0, e0)
+                finally:
+                    param.data = saved
+
+            np.testing.assert_allclose(grad, numeric_grad(at, saved), rtol=1e-5, atol=1e-8)
+
+
+# --------------------------------------------------------------------- #
 # coalesce_rows
 # --------------------------------------------------------------------- #
 @st.composite
@@ -187,6 +326,58 @@ class TestCoalesceRows:
         assert _bits(unique) == _bits(ref_unique)
         assert summed.shape == ref_summed.shape
         assert _bits(summed) == _bits(ref_summed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_row_batches())
+    def test_table_sized_matches_per_column_loop(self, batch):
+        rows, vals = batch
+        num_rows = int(rows.max()) + 1 if rows.size else 1
+        unique, summed = coalesce_rows(rows, vals, num_rows)
+        ref_unique, ref_summed = coalesce_rows_reference(rows, vals)
+        assert _bits(unique) == _bits(ref_unique) and unique.dtype == ref_unique.dtype
+        assert summed.shape == ref_summed.shape and summed.dtype == ref_summed.dtype
+        assert _bits(summed) == _bits(ref_summed)
+
+    @pytest.mark.parametrize(
+        "num_rows,dim,rows",
+        [
+            (20, 4, np.zeros(0, dtype=np.int64)),
+            (20, 4, np.random.default_rng(1).permutation(20)),  # no duplicates
+            (20, 4, np.random.default_rng(2).permutation(np.repeat(np.arange(20), 3))),  # all present
+            (20, 4, np.full(9, 19)),  # the last row only
+            # The train-panel shapes: KGCN's entity and relation tables,
+            # the user table, and the largest panel table.
+            (305, 16, np.random.default_rng(3).integers(0, 305, 4352)),
+            (6, 16, np.random.default_rng(4).integers(0, 6, 4096)),
+            (150, 16, np.random.default_rng(5).integers(0, 150, 256)),
+            (455, 16, np.random.default_rng(6).integers(0, 455, 1536)),
+        ],
+        ids=["empty", "no-duplicates", "all-present", "last-row", "305x16", "6x16", "150x16", "455x16"],
+    )
+    def test_table_sized_edge_and_panel_shapes(self, num_rows, dim, rows):
+        assert num_rows * dim <= sparse_mod._FLAT_COALESCE_LIMIT
+        vals = np.random.default_rng(rows.size).normal(size=(rows.size, dim))
+        vals[::7] *= -0.0  # signed zeros survive only on the no-duplicate path
+        unique, summed = coalesce_rows(rows, vals, num_rows)
+        ref_unique, ref_summed = coalesce_rows_reference(rows, vals)
+        assert _bits(unique) == _bits(ref_unique) and unique.dtype == ref_unique.dtype
+        assert summed.shape == ref_summed.shape
+        assert _bits(summed) == _bits(ref_summed)
+
+    def test_sparse_grad_passes_its_table_size(self, monkeypatch):
+        seen = []
+
+        def spy(rows, vals, num_rows=None):
+            seen.append(num_rows)
+            return coalesce_rows(rows, vals, num_rows)
+
+        monkeypatch.setattr(sparse_mod, "coalesce_rows", spy)
+        grad = SparseGrad((5, 2), np.array([3, 1, 3, 0]), np.arange(8.0).reshape(4, 2))
+        grad.to_dense()
+        grad.coalesce()
+        assert seen == [5, 5]
+        assert grad.rows.tolist() == [0, 1, 3]
+        assert grad.vals.tolist() == [[6.0, 7.0], [2.0, 3.0], [4.0, 6.0]]
 
 
 # --------------------------------------------------------------------- #

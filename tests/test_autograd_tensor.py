@@ -162,6 +162,39 @@ class TestMatmulGrads:
             tb.grad, numeric_grad(lambda x: (a @ x).sum(), b), rtol=1e-5
         )
 
+    # A 1-d operand against a batched one.  The upstream gradient ``w`` is
+    # non-uniform so that summing the wrong entries cannot pass by symmetry.
+    @pytest.mark.parametrize("a_shape", [(3, 5, 4), (2, 3, 5, 4)], ids=["3d", "4d"])
+    def test_batched_by_1d(self, a_shape):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=4)
+        w = rng.normal(size=a_shape[:-1])
+        ta = Tensor(a, requires_grad=True)
+        tb = Tensor(b, requires_grad=True)
+        ((ta @ tb) * w).sum().backward()
+        np.testing.assert_allclose(
+            ta.grad, numeric_grad(lambda x: ((x @ b) * w).sum(), a), rtol=1e-5
+        )
+        np.testing.assert_allclose(
+            tb.grad, numeric_grad(lambda x: ((a @ x) * w).sum(), b), rtol=1e-5
+        )
+
+    def test_1d_by_batched(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=4)
+        b = rng.normal(size=(3, 4, 2))
+        w = rng.normal(size=(3, 2))
+        ta = Tensor(a, requires_grad=True)
+        tb = Tensor(b, requires_grad=True)
+        ((ta @ tb) * w).sum().backward()
+        np.testing.assert_allclose(
+            ta.grad, numeric_grad(lambda x: ((x @ b) * w).sum(), a), rtol=1e-5
+        )
+        np.testing.assert_allclose(
+            tb.grad, numeric_grad(lambda x: ((a @ x) * w).sum(), b), rtol=1e-5
+        )
+
 
 class TestShapeGrads:
     def test_reshape(self):
