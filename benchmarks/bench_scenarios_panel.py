@@ -30,9 +30,9 @@ test (``tests/test_synthetic_vectorized.py``).  Recorded numbers are
 discussed in ``docs/performance.md`` and
 ``docs/synthetic_worlds.md``.
 
-The pytest entry (``test_all_scenarios``) keeps the original quality
-gate: every run finishes, every KG model is personalized, and KGCN stays
-competitive with BPR-MF on average across scenarios.
+The scenario quality gate (every KG model personalized, KGCN competitive
+with BPR-MF on average) is the ``scenarios`` entry of
+``python -m repro claims``.
 """
 
 import argparse
@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.recommender import Recommender
 from repro.data import SCENARIO_SCHEMAS
 from repro.data.synthetic import generate_dataset
+from repro.experiments.comparative import SCENARIO_DATA
 from repro.experiments.harness import run_panel
 from repro.models.baselines import BPRMF, MostPopular
 from repro.models.embedding_based import CKE
@@ -57,7 +58,6 @@ DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_scenarios.json"
 #: per-entry fit cost dominates fork/pool overhead, small enough that the
 #: full bench stays under two minutes.
 PANEL_DATA = dict(num_users=200, num_items=200, mean_interactions=12.0)
-SMOKE_DATA = dict(num_users=50, num_items=80, mean_interactions=9.0)
 
 #: Epochs calibrated to roughly equal per-entry cost (~2 s each at
 #: PANEL_DATA), so a 4-worker pool genuinely runs the panel at
@@ -235,10 +235,10 @@ def run_smoke(seed: int = 0) -> str:
 
     # 1. Fast mode is deterministic per seed.
     fa = generate_dataset(
-        SCENARIO_SCHEMAS["movie"], fast=True, seed=seed, **SMOKE_DATA
+        SCENARIO_SCHEMAS["movie"], fast=True, seed=seed, **SCENARIO_DATA
     )
     fb = generate_dataset(
-        SCENARIO_SCHEMAS["movie"], fast=True, seed=seed, **SMOKE_DATA
+        SCENARIO_SCHEMAS["movie"], fast=True, seed=seed, **SCENARIO_DATA
     )
     assert np.array_equal(
         fa.interactions.to_csr().indices, fb.interactions.to_csr().indices
@@ -248,7 +248,7 @@ def run_smoke(seed: int = 0) -> str:
 
     # 2. Process-pool rows identical to sequential on every scenario.
     for name in sorted(SCENARIO_SCHEMAS):
-        data = generate_dataset(SCENARIO_SCHEMAS[name], seed=seed, **SMOKE_DATA)
+        data = generate_dataset(SCENARIO_SCHEMAS[name], seed=seed, **SCENARIO_DATA)
         seq = run_panel(
             data, _factories(SMOKE_MODELS, seed), max_users=20, seed=seed
         )
@@ -269,58 +269,6 @@ def run_smoke(seed: int = 0) -> str:
 
     lines.append("scenarios smoke OK")
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------------- #
-# pytest entry: the original scenario-agnosticism quality gate
-# --------------------------------------------------------------------- #
-def _quality_panel(seed: int = 0):
-    rows = []
-    for name in sorted(SCENARIO_SCHEMAS):
-        data = generate_dataset(SCENARIO_SCHEMAS[name], seed=seed, **SMOKE_DATA)
-        panel = run_panel(
-            data,
-            {
-                "BPR-MF": lambda: BPRMF(epochs=20, seed=seed),
-                "KGCN": lambda: KGCN(epochs=20, num_negatives=2, seed=seed),
-            },
-            max_users=30,
-            seed=seed,
-        )
-        assert panel.ok, (name, panel.failures)
-        by_model = {r.model: r for r in panel}
-        rows.append(
-            {
-                "scenario": name,
-                "BPR-MF": by_model["BPR-MF"]["AUC"],
-                "KGCN": by_model["KGCN"]["AUC"],
-                "delta": by_model["KGCN"]["AUC"] - by_model["BPR-MF"]["AUC"],
-            }
-        )
-    return rows
-
-
-def test_all_scenarios(benchmark):
-    from ._util import run_once
-
-    rows = run_once(benchmark, _quality_panel)
-    print("\nAll seven Table 4 scenarios: AUC (BPR-MF vs KGCN)")
-    print(f"  {'scenario':9s} {'BPR-MF':>8s} {'KGCN':>8s} {'delta':>8s}")
-    for row in rows:
-        print(
-            f"  {row['scenario']:9s} {row['BPR-MF']:8.4f} {row['KGCN']:8.4f} "
-            f"{row['delta']:+8.4f}"
-        )
-    assert len(rows) == 7
-    for row in rows:
-        # The KG model must be personalized in every scenario; the CF
-        # baseline may sit at chance where interactions are too sparse —
-        # which is exactly the KG side information's selling point.
-        assert row["KGCN"] > 0.5, row["scenario"]
-    # On average across scenarios the KG model is at least competitive.
-    mean_delta = float(np.mean([r["delta"] for r in rows]))
-    print(f"\nmean KGCN-vs-BPR delta: {mean_delta:+.4f}")
-    assert mean_delta > -0.02
 
 
 # --------------------------------------------------------------------- #

@@ -4,8 +4,9 @@ Usage::
 
     python -m repro table 1            # print Table 1 (likewise 2, 3, 4)
     python -m repro figure1            # run and print Figure 1
-    python -m repro study e1           # run a comparative study (e1..e8)
+    python -m repro study e1           # one claims-table study + its verdicts
     python -m repro study e3 --parallel --workers 4   # same rows, pool speed
+    python -m repro claims --seeds 0,1 # every asserted claim at every seed
     python -m repro scenarios          # list dataset generators
     python -m repro models             # list implemented models by family
     python -m repro fault-matrix       # every subsystem x seed x fault kind
@@ -51,33 +52,19 @@ def _cmd_study(
 ) -> str:
     import inspect
 
-    from repro.experiments import comparative
-    from repro.experiments.harness import results_table
+    from repro.experiments.claims import STUDIES, judge, render
 
-    runners = {
-        "e1": comparative.study_embedding_methods,
-        "e1b": comparative.study_kg_signal_sweep,
-        "e2": comparative.study_path_methods,
-        "e2b": comparative.study_metapath_count,
-        "e3": comparative.study_unified_methods,
-        "e3b": comparative.study_hop_depth,
-        "e4": comparative.study_cold_start,
-        "e4b": comparative.study_sparsity,
-        "e5": comparative.study_kge_link_prediction,
-        "e5b": comparative.study_kge_downstream,
-        "e6": comparative.study_aggregators,
-        "e7": comparative.study_explainability,
-        "e8": comparative.study_multitask,
-    }
-    if name not in runners:
-        raise SystemExit(f"unknown study {name!r}; choose from {sorted(runners)}")
-    runner = runners[name]
+    claim = next((c for c in STUDIES if c.id == name), None)
+    if claim is None:
+        raise SystemExit(
+            f"unknown study {name!r}; choose from {[c.id for c in STUDIES]}"
+        )
     kwargs: dict = {"seed": seed}
     if parallel:
         # Panel-based studies expose executor/max_workers; the others
         # (cold-start, link prediction, explainability) have no panel to
         # parallelise, so --parallel is a clear error there, not a no-op.
-        if "executor" not in inspect.signature(runner).parameters:
+        if "executor" not in inspect.signature(claim.study).parameters:
             raise SystemExit(f"study {name!r} does not support --parallel")
         kwargs.update(executor="process", max_workers=workers)
     trace_note = ""
@@ -88,19 +75,45 @@ def _cmd_study(
 
         tel = Telemetry()
         with activated(tel):
-            result = runner(**kwargs)
+            result = claim.study(**kwargs)
         trace_note = f"\ntrace capture written to {tel.export_jsonl(trace_out)}"
     else:
-        result = runner(**kwargs)
-    if result and hasattr(result[0], "model") and hasattr(result[0], "values"):
-        return results_table(result, title=f"Study {name.upper()}") + trace_note
-    lines = [f"Study {name.upper()}"]
-    for row in result:
-        lines.append(
-            "  " + "  ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
-                             for k, v in row.items())
-        )
+        result = claim.study(**kwargs)
+    lines = [f"Study {name}: {claim.survey}", render(result)]
+    lines += [v.line() for v in judge(claim, seed, result)]
     return "\n".join(lines) + trace_note
+
+
+def _seeds(command: str, text: str) -> tuple[int, ...]:
+    """``--seeds`` of a seed-sweeping command, parsed and checked."""
+    from repro.core.exceptions import ConfigError
+    from repro.core.rng import check_seeds
+
+    try:
+        return check_seeds(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise SystemExit(
+            f"{command}: --seeds must be comma-separated integers, got {text!r}"
+        )
+    except ConfigError as exc:
+        raise SystemExit(f"{command}: {exc}")
+
+
+def _cmd_claims(args) -> None:
+    from pathlib import Path
+
+    from repro.experiments.claims import run_claims
+
+    report, verdicts = run_claims(_seeds("claims", args.seeds))
+    summary = report.splitlines()[-1]
+    if args.output:
+        Path(args.output).write_text(report + "\n", encoding="utf-8")
+        print(f"claims report written to {args.output}\n{summary}")
+    else:
+        print(report)
+    failed = [v.line() for v in verdicts if not v.ok]
+    if failed:
+        raise SystemExit("\n".join(failed + [summary]))
 
 
 def _cmd_scenarios() -> str:
@@ -200,13 +213,7 @@ def _cmd_fault_matrix(args) -> str:
         raise SystemExit(
             "fault-matrix: --trace-out needs the serving subsystem"
         )
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    except ValueError:
-        raise SystemExit(
-            f"fault-matrix: --seeds must be comma-separated integers, "
-            f"got {args.seeds!r}"
-        )
+    seeds = _seeds("fault-matrix", args.seeds)
     cell_fns = {
         "store": (IO_FAULT_KINDS, crash_cells),
         "online": (ONLINE_FAULT_KINDS, churn_cells),
@@ -247,8 +254,13 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("figure1", help="run the Figure 1 reproduction")
 
-    p_study = sub.add_parser("study", help="run a comparative study")
-    p_study.add_argument("name", help="e1, e1b, e2, ..., e8")
+    p_study = sub.add_parser(
+        "study", help="run one entry of the claims table and print its verdicts"
+    )
+    p_study.add_argument(
+        "name", help="a claims-table study: e1, e1b, e2, ..., e11, dkn, scaling, "
+        "scenarios",
+    )
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -318,10 +330,19 @@ def main(argv: list[str] | None = None) -> int:
         "consistent generation",
     )
 
-    p_report = sub.add_parser("report", help="build the full reproduction report")
-    p_report.add_argument("--output", "-o", default=None, help="write to file")
-    p_report.add_argument("--full", action="store_true", help="full-size studies")
-    p_report.add_argument("--seed", type=int, default=0)
+    p_claims = sub.add_parser(
+        "claims",
+        help="regenerate the tables and Figure 1 and run every asserted "
+        "study at every seed; reports every failing check, then fails",
+    )
+    p_claims.add_argument(
+        "--seeds", default="0",
+        help="comma-separated distinct non-negative seeds",
+    )
+    p_claims.add_argument(
+        "--output", "-o", default=None, metavar="FILE",
+        help="write the report to FILE instead of stdout",
+    )
 
     args = parser.parse_args(argv)
     if args.command == "table":
@@ -341,14 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         print(_cmd_trace_report(args))
     elif args.command == "store-verify":
         print(_cmd_store_verify(args))
-    elif args.command == "report":
-        from repro.experiments.report import build_report, write_report
-
-        if args.output:
-            path = write_report(args.output, fast=not args.full, seed=args.seed)
-            print(f"report written to {path}")
-        else:
-            print(build_report(fast=not args.full, seed=args.seed))
+    elif args.command == "claims":
+        _cmd_claims(args)
     return 0
 
 

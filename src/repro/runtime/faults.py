@@ -94,7 +94,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from repro.core.exceptions import ConfigError, IndexStaleError
-from repro.core.rng import ensure_rng
+from repro.core.rng import check_seeds, ensure_rng
 from repro.runtime.guards import raw_grad
 
 __all__ = [
@@ -388,14 +388,7 @@ def run_matrix(
     and non-negative and ``workdir`` empty or absent, else
     :class:`ConfigError`.
     """
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ConfigError("the fault matrix needs at least one seed")
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise ConfigError(f"seeds must be distinct, got {repeated} twice")
+    seeds = check_seeds(seeds)
     if workdir is not None:
         root = Path(workdir)
         if root.exists() and (not root.is_dir() or any(root.iterdir())):

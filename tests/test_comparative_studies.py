@@ -1,8 +1,9 @@
-"""Smoke tests for every comparative study (E1-E8, E5b) at reduced scale.
+"""Smoke tests for the comparative studies (E1-E8, E5b) at reduced scale.
 
-The benches run the studies at full size with claim assertions; here each
-study runs on a tiny world to cover its code path, row schema, and
-determinism inside the normal test budget.
+``python -m repro claims`` runs every study at full size and judges its
+checks (``tests/test_claims.py`` tests those checks on recorded rows);
+here each study runs on a tiny world to cover its code path and row
+schema inside the normal test budget.
 """
 
 import numpy as np

@@ -87,8 +87,10 @@ class TestFaultMatrixCli:
         ],
     )
     def test_bad_seeds_exit_with_a_message(self, seeds, match):
-        with pytest.raises(SystemExit, match=match):
-            main(["fault-matrix", "retrieval", f"--seeds={seeds}"])
+        """Both seed-sweeping commands share one parser and one message."""
+        for command in (["fault-matrix", "retrieval"], ["claims"]):
+            with pytest.raises(SystemExit, match=f"^{command[0]}: .*{match}"):
+                main(command + [f"--seeds={seeds}"])
 
     def test_reusing_a_workdir_is_refused_by_name(self, tmp_path, capsys):
         workdir = tmp_path / "matrix"
