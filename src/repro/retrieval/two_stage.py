@@ -171,7 +171,8 @@ class TwoStageRecommender(Recommender):
         above the largest ``k`` plus a typical user's seen-item count.
 
     :meth:`score_all` falls back to the base's exact full scoring when the
-    index is stale or missing (standalone use, evaluation).  The serving
+    index is stale or missing (standalone use, evaluation), and counts
+    each such answer in ``exact_fallbacks``.  The serving
     path is unaffected: :meth:`score_candidates` always raises
     :class:`~repro.core.exceptions.IndexStaleError` on staleness so the
     degradation ladder records a typed rung failure.
@@ -201,6 +202,10 @@ class TwoStageRecommender(Recommender):
         self.base = base
         self.index = index
         self.k_candidates = int(k_candidates)
+        #: Requests :meth:`score_all` answered by the base's exact scoring
+        #: because the index was stale or empty; counted with telemetry on
+        #: or off.
+        self.exact_fallbacks = 0
 
     # -------------------------------------------------------------- #
     @property
@@ -262,7 +267,7 @@ class TwoStageRecommender(Recommender):
         candidates at all — both surface as typed rung failures in the
         serving ladder, never as silent wrong answers.
         """
-        dataset = self.fitted_dataset
+        self.fitted_dataset
         reason = self.index_report()
         if reason is not None:
             tel = get_active()
@@ -270,16 +275,13 @@ class TwoStageRecommender(Recommender):
                 tel.counter("retrieval.stale_refusals", index=self.index.kind
                             if self.index is not None else "none").inc()
             raise IndexStaleError(reason)
+        user_id = int(user_id)
         quota = max(self.k_candidates, int(k) if k is not None else 1)
-        query = np.asarray(self.base.query_vector(int(user_id)), dtype=np.float32)
+        query = np.asarray(self.base.query_vector(user_id), dtype=np.float32)
         ids = self.index.search(query, quota)
         if ids.size == 0:
-            raise RetrievalError(
-                f"index returned no candidates for user {int(user_id)}"
-            )
-        scores = np.asarray(
-            self.base.score_items(int(user_id), ids), dtype=np.float64
-        )
+            raise RetrievalError(f"index returned no candidates for user {user_id}")
+        scores = np.asarray(self.base.score_items(user_id, ids), dtype=np.float64)
         tel = get_active()
         if tel.enabled:
             tel.counter("retrieval.requests", index=self.index.kind).inc()
@@ -300,6 +302,7 @@ class TwoStageRecommender(Recommender):
         try:
             ids, scores = self.score_candidates(user_id)
         except (IndexStaleError, RetrievalError):
+            self.exact_fallbacks += 1
             tel = get_active()
             if tel.enabled:
                 tel.counter("retrieval.exact_fallbacks").inc()

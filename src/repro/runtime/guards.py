@@ -157,6 +157,13 @@ class ScoreReport:
         return f"ok ({self.expected_items} finite scores)"
 
 
+#: ``dtype.kind`` codes of ``np.integer`` and ``np.number`` — the same
+#: verdicts as ``np.issubdtype`` without its cost.  ``np.timedelta64``
+#: subclasses ``np.signedinteger`` (kind ``m``); ``np.bool_`` is neither.
+_INTEGER_KINDS = "ium"
+_NUMBER_KINDS = "iufcm"
+
+
 def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreReport:
     """Check a ``score_all`` output: 1-d, ``num_items`` long, all finite.
 
@@ -187,7 +194,7 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
                 reason=f"expected a non-empty 1-d candidate set, got shape "
                 f"{tuple(int(s) for s in idx.shape)}",
             )
-        if not np.issubdtype(idx.dtype, np.integer):
+        if idx.dtype.kind not in _INTEGER_KINDS:
             return ScoreReport(
                 ok=False, expected_items=num_items, actual_shape=shape,
                 reason=f"candidate indices must be integers, got dtype {idx.dtype}",
@@ -217,7 +224,7 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
             ok=False, expected_items=num_items, actual_shape=shape,
             reason=f"expected shape {expected_shape}, got {shape}",
         )
-    if not np.issubdtype(arr.dtype, np.number):
+    if arr.dtype.kind not in _NUMBER_KINDS:
         return ScoreReport(
             ok=False, expected_items=num_items, actual_shape=shape,
             reason=f"expected numeric scores, got dtype {arr.dtype}",

@@ -14,25 +14,43 @@ The model is exact for the replay harness (arrivals and service times
 both advance the same :class:`~repro.core.clock.ManualClock`) and a
 reasonable token-bucket approximation under a real clock.
 
-Backlog accounting is carried in :class:`fractions.Fraction`, not float:
-``Fraction(float)`` is an exact conversion, so the drain arithmetic is
-free of accumulation drift.  The old incremental float subtraction could
-leave the backlog a few ULPs above its true value after long chains of
-tiny drains, which made ``backlog >= capacity`` over-trigger sheds when
-many requests landed at the same :class:`ManualClock` timestamp — the
-exact representation makes same-instant bursts admit exactly the
-remaining headroom before the first shed.
+Backlog accounting is exact integer arithmetic, not float.  Every
+finite double is an integer multiple of ``2**-1074``, so the clock and the
+drain rate are carried as integers at that scale, and the backlog (whose
+drain terms are products of the two) at twice that scale.  Python's
+``int / int`` is correctly rounded, so the float ``wait`` and ``depth``
+are the correctly rounded values of the exact backlog — what a
+``fractions.Fraction`` backlog gives, bit for bit, at a fraction of its
+cost.  Incremental float subtraction could leave the backlog a few ULPs
+above its true value after long chains of tiny drains, which made
+``backlog >= capacity`` over-trigger sheds when many requests landed at
+the same :class:`ManualClock` timestamp; the exact representation makes
+same-instant bursts admit exactly the remaining headroom before the
+first shed.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from fractions import Fraction
 from typing import Callable
 
 from repro.core.exceptions import ConfigError, Overloaded
 
 __all__ = ["AdmissionQueue"]
+
+#: Every finite double is an integer multiple of ``2**-SCALE``.
+SCALE = 1074
+#: One request of backlog: the backlog is kept at scale ``2**(2 * SCALE)``.
+_ONE = 1 << (2 * SCALE)
+
+
+def _ticks(value: float) -> int:
+    """``value * 2**SCALE`` as an exact integer (``value`` a finite double)."""
+    num, den = value.as_integer_ratio()
+    # ``den`` is a power of two no larger than 2**SCALE.
+    return num << (SCALE + 1 - den.bit_length())
 
 
 class AdmissionQueue:
@@ -63,33 +81,37 @@ class AdmissionQueue:
         self.capacity = capacity
         self.drain_rate = drain_rate
         self.clock = clock
-        # Exact accounting: Fraction(float) converts without rounding, so
-        # backlog -= elapsed * rate never drifts the way repeated float
-        # subtraction does.
-        self._rate = Fraction(float(drain_rate))
-        self._backlog = Fraction(0)
-        self._last = Fraction(float(clock()))
+        # Exact accounting (see the module docstring): the clock and the
+        # rate in ticks of 2**-SCALE, the backlog in ticks of 2**-(2*SCALE).
+        if isinstance(capacity, numbers.Integral):
+            self._full: int | float = int(capacity) * _ONE
+        elif math.isfinite(capacity):
+            self._full = _ticks(float(capacity)) << SCALE
+        else:  # an infinite capacity never sheds
+            self._full = float(capacity)
+        # The rate's ticks are ``_rate_num << _rate_shift``: multiplying by
+        # the (short) numerator and then shifting is the cheap exact product.
+        self._rate_num, den = float(drain_rate).as_integer_ratio()
+        self._rate_shift = SCALE + 1 - den.bit_length()
+        # The rate at the backlog's scale: ``backlog / _rate_wide`` is a wait.
+        self._rate_wide = self._rate_num << (self._rate_shift + SCALE)
+        self._backlog = 0
+        self._last = _ticks(float(clock()))
         self.admitted = 0
         self.shed = 0
 
     def _drain(self) -> None:
-        now = Fraction(float(self.clock()))
+        now = _ticks(float(self.clock()))
         if now > self._last:
-            self._backlog = max(
-                Fraction(0), self._backlog - (now - self._last) * self._rate
-            )
+            drained = ((now - self._last) * self._rate_num) << self._rate_shift
+            self._backlog = max(0, self._backlog - drained)
             self._last = now
 
     @property
     def depth(self) -> float:
         """Current backlog after draining for elapsed clock time."""
         self._drain()
-        return float(self._backlog)
-
-    def estimated_wait(self) -> float:
-        """Seconds a newly admitted request would wait behind the backlog."""
-        self._drain()
-        return float(self._backlog / self._rate)
+        return self._backlog / _ONE
 
     def admit(self) -> float:
         """Admit one request or raise :class:`Overloaded`.
@@ -98,15 +120,15 @@ class AdmissionQueue:
         which the service records as a metric.
         """
         self._drain()
-        if self._backlog >= self.capacity:
+        if self._backlog >= self._full:
             self.shed += 1
             raise Overloaded(
-                f"admission queue full ({float(self._backlog):.1f}/"
+                f"admission queue full ({self._backlog / _ONE:.1f}/"
                 f"{self.capacity} pending at drain rate "
                 f"{self.drain_rate:g}/s); request shed"
             )
-        wait = float(self._backlog / self._rate)
-        self._backlog += 1
+        wait = self._backlog / self._rate_wide
+        self._backlog += _ONE
         self.admitted += 1
         return wait
 

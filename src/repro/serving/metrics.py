@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.telemetry.metrics import Counter, Histogram, MetricRegistry
 
-__all__ = ["ServiceMetrics"]
+__all__ = ["CounterFamily", "ServiceMetrics"]
 
 #: Registry prefix for every serving counter, so service metrics are
 #: recognizable inside a shared registry.
@@ -63,6 +63,15 @@ class ServiceMetrics:
             counter = self._counters[name] = self.registry.counter(PREFIX + name)
         return counter
 
+    def counters(self, prefix: str) -> "CounterFamily":
+        """Handles of the counters ``<prefix><key>``, each bound on first use.
+
+        ``family[key].inc()`` writes the same series as
+        ``incr(prefix + key)`` without building the name per call; a series
+        still appears in the registry only when first written.
+        """
+        return CounterFamily(self, prefix)
+
     def count(self, name: str) -> int:
         """The value of counter ``name``; 0, creating no series, if unwritten."""
         counter = self.registry.find("counter", PREFIX + name)
@@ -94,3 +103,16 @@ class ServiceMetrics:
         out["latency_p99"] = self.latency_percentile(99.0)
         out["latency_observations"] = self.num_observations
         return out
+
+
+class CounterFamily(dict):
+    """Counter handles by key under one name prefix (see ``counters``)."""
+
+    def __init__(self, metrics: ServiceMetrics, prefix: str) -> None:
+        super().__init__()
+        self._metrics = metrics
+        self._prefix = prefix
+
+    def __missing__(self, key: str) -> Counter:
+        counter = self[key] = self._metrics.counter(self._prefix + key)
+        return counter

@@ -217,6 +217,8 @@ class RecommenderService:
         self.metrics = ServiceMetrics(
             registry=self.telemetry.metrics if self.telemetry.enabled else None
         )
+        self._by_status = self.metrics.counters("status::")
+        self._served_by = self.metrics.counters("served_by::")
         self._breaker_config = dict(breaker_config or {})
         self._canary = tuple(range(min(canary_size, dataset.num_users)))
         self._request_counter = 0
@@ -303,7 +305,7 @@ class RecommenderService:
                 latency=self.clock() - start,
                 **kwargs,
             )
-            self.metrics.incr(f"status::{response.status}")
+            self._by_status[response.status].inc()
             self.metrics.observe_latency(response.latency)
             if span is not None:
                 live = self.registry.live_name if self.registry.has_live else None
@@ -341,11 +343,11 @@ class RecommenderService:
         degraded = rung != self.registry.live_name
         if degraded:
             self.metrics.incr("fallback_activations")
-        self.metrics.incr(f"served_by::{rung}")
+        self._served_by[rung].inc()
         return finish(
             status="degraded" if degraded else "ok",
-            items=tuple(int(i) for i in items),
-            scores=tuple(float(s) for s in scores),
+            items=tuple(items.tolist()),
+            scores=tuple(scores.tolist()),
             model=rung,
             degraded=degraded,
             fallback_used=rung if degraded else None,
@@ -386,8 +388,10 @@ class RecommenderService:
         than no answer.
         """
         user_id = int(request.user_id)
+        k = int(request.k)
         budget = request.deadline if request.deadline is not None else self.default_deadline
-        deadline = Deadline(budget, clock=self.clock)
+        # An unbounded deadline never expires, so it has nothing to check.
+        deadline = Deadline(budget, clock=self.clock) if budget is not None else None
         live_name = self.registry.live_name
         tel = self.telemetry
 
@@ -399,26 +403,21 @@ class RecommenderService:
             # (ids, scores) subset instead of a full score vector; it is
             # validated and ranked against exactly that subset.
             candidate_rung = bool(getattr(model, "supports_candidates", False))
+            checked = deadline is not None and name != STATIC_RUNG
             rung_span = tel.begin("serve/rung", rung=name) if tel.enabled else None
             try:
-                if name != STATIC_RUNG:
+                if checked:
                     deadline.check(f"before rung {name!r}")
-                result = self._call_rung(request_id, name, model, user_id,
-                                         primary=name == live_name,
-                                         k=int(request.k),
-                                         candidates=candidate_rung)
-                if candidate_rung:
-                    ids, scores = result
-                    report = validate_scores(
-                        scores, self.dataset.num_items, expected_indices=ids
-                    )
-                else:
-                    ids, scores = None, result
-                    report = validate_scores(scores, self.dataset.num_items)
+                ids, scores = self._call_rung(request_id, model, user_id,
+                                              primary=name == live_name, k=k,
+                                              candidates=candidate_rung)
+                report = validate_scores(
+                    scores, self.dataset.num_items, expected_indices=ids
+                )
                 if not report.ok:
                     self.metrics.incr(f"invalid_scores::{name}")
                     raise _RungFailed(f"invalid scores: {report.describe()}")
-                if name != STATIC_RUNG:
+                if checked:
                     deadline.check(f"after rung {name!r}")
             except DeadlineExceeded as exc:
                 if breaker is not None:
@@ -442,7 +441,7 @@ class RecommenderService:
                     rung_span.set(candidates=int(np.asarray(ids).size))
                 tel.end(rung_span, outcome="ok")
             items, top_scores = self._rank(
-                scores, user_id, int(request.k), request.exclude_seen, ids=ids
+                scores, user_id, k, request.exclude_seen, ids=ids
             )
             return name, items, top_scores
         # The static rung cannot fail, so this line requires a programming
@@ -450,27 +449,29 @@ class RecommenderService:
         raise ServingError("degradation ladder exhausted without a response")
 
     def _call_rung(
-        self, request_id: int, name: str, model: Recommender, user_id: int,
+        self, request_id: int, model: Recommender, user_id: int,
         primary: bool, k: int = 1, candidates: bool = False,
-    ):
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         """One rung's scoring call, with faults/retries on the live rung.
 
-        Returns a full score vector, or ``(ids, scores)`` when
-        ``candidates`` is set (the rung exposes ``score_candidates``).
-        Faults and retries apply identically on both shapes, so a
-        candidate rung degrades through exactly the same machinery.
+        Returns ``(ids, scores)``: the rung's candidate subset when
+        ``candidates`` is set (the rung exposes ``score_candidates``), else
+        ``(None, full score vector)``.  Faults and retries apply
+        identically on both shapes, so a candidate rung degrades through
+        exactly the same machinery.
         """
+        faults = self.faults if primary else None
 
         def attempt():
-            if primary and self.faults is not None:
-                self.faults.on_request(request_id)
+            if faults is not None:
+                faults.on_request(request_id)
             if candidates:
                 ids, scores = model.score_candidates(user_id, k)
             else:
                 ids, scores = None, model.score_all(user_id)
-            if primary and self.faults is not None:
-                scores = self.faults.corrupt_scores(request_id, scores)
-            return scores if ids is None else (ids, scores)
+            if faults is not None:
+                scores = faults.corrupt_scores(request_id, scores)
+            return ids, scores
 
         if primary and self.retry is not None:
             return self.retry.call(attempt)
@@ -482,10 +483,19 @@ class RecommenderService:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k over a full score vector, or over an ``ids``-aligned subset."""
         scores = np.array(scores, dtype=np.float64, copy=True)
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.int64)
         if exclude_seen:
             seen = self.dataset.interactions.items_of(user_id)
             if ids is None:
                 scores[seen] = -np.inf
+            elif (ids[1:] > ids[:-1]).all():
+                # Strictly increasing ids (what IvfIndex.search returns):
+                # binary-search each seen item instead of passing np.isin
+                # over every candidate.  The guard has proven ``ids``
+                # non-empty.
+                slot = np.minimum(np.searchsorted(ids, seen), ids.size - 1)
+                scores[slot[ids[slot] == seen]] = -np.inf
             else:
                 scores[np.isin(ids, seen)] = -np.inf
         k = min(k, scores.size)
@@ -494,10 +504,11 @@ class RecommenderService:
         # When k exceeds the user's unseen catalog, the tail of the top-k is
         # masked seen items at -inf; a serving response must not pad with
         # them, so the list is truncated instead.
-        keep = np.isfinite(scores[top])
-        top, top_scores = top[keep], scores[top][keep]
+        top_scores = scores[top]
+        keep = np.isfinite(top_scores)
+        top, top_scores = top[keep], top_scores[keep]
         if ids is not None:
-            return np.asarray(ids, dtype=np.int64)[top], top_scores
+            return ids[top], top_scores
         return top.astype(np.int64), top_scores
 
     # ------------------------------------------------------------------ #

@@ -24,10 +24,11 @@ Two modes:
     win.
 
 ``serve``
-    Tables are :class:`ShardedTable` views over read-only ``np.memmap``
-    shards — opening or swapping a generation moves **no** embedding
-    bytes.  :meth:`MmapShardStore.remap` re-points the same view objects
-    at another generation's files, which is what makes
+    Tables are :class:`ShardedTable` views over read-only memory-mapped
+    shards (plain ``ndarray`` views of ``np.memmap`` objects) — opening
+    or swapping a generation moves **no** embedding bytes.
+    :meth:`MmapShardStore.remap` re-points the same view objects at
+    another generation's files, which is what makes
     ``ModelRegistry.promote`` a manifest swap and rollback a re-point.
 
 Crash safety (the full protocol is specified in ``docs/storage.md``):
@@ -108,17 +109,33 @@ class ShardedTable:
         """Copy of the requested rows, shape ``(len(rows), dim)``, float32."""
         shards = self._require()
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
+        if not rows.size:
+            return np.empty((0, self.dim), dtype=np.float32)
+        # Rows in ascending order make each shard's rows one contiguous
+        # run, found by one binary search over the shard boundaries.  Any
+        # sorting permutation serves: equal rows copy equal bytes.
+        order = None
+        if not (rows[1:] >= rows[:-1]).all():
+            order = np.argsort(rows)
+            rows = rows[order]
+        if rows[0] < 0 or rows[-1] >= self.rows:
             raise StoreError(
                 f"row index out of range for table {self.name!r} "
                 f"({self.rows} rows)"
             )
-        out = np.empty((rows.size, self.dim), dtype=np.float32)
-        shard_of = rows // self.rows_per_shard
-        local = rows - shard_of * self.rows_per_shard
-        for s in np.unique(shard_of):
-            mask = shard_of == s
-            out[mask] = shards[int(s)][local[mask]]
+        rps = self.rows_per_shard
+        first, last = int(rows[0]) // rps, int(rows[-1]) // rps
+        edges = np.searchsorted(rows, np.arange(first + 1, last + 1) * rps).tolist()
+        blocks = [
+            shards[s].take(rows[lo:hi] - s * rps, axis=0)
+            for s, lo, hi in zip(range(first, last + 1), [0, *edges], [*edges, rows.size])
+            if lo < hi
+        ]
+        ordered = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if order is None:
+            return ordered
+        out = np.empty_like(ordered)
+        out[order] = ordered
         return out
 
     def __getitem__(self, index):

@@ -234,13 +234,15 @@ def load_shard(path: str | Path, verify: bool = True) -> tuple[dict, np.ndarray]
 
 
 def map_shard(path: str | Path) -> tuple[dict, np.ndarray]:
-    """Memory-map a shard's payload read-only; returns ``(header, memmap)``.
+    """Memory-map a shard's payload read-only; returns ``(header, rows)``.
 
-    No checksum pass — callers verify first (recovery does, on open) so
-    the map itself moves zero payload bytes.
+    ``rows`` is a plain ``ndarray`` view of the ``np.memmap`` (its
+    ``base``), so indexing it builds no ``memmap`` subclass objects.  No
+    checksum pass — callers verify first (recovery does, on open) so the
+    map itself moves zero payload bytes.
     """
     path = Path(path)
     header, offset = read_shard_header(path)
     rows, dim = int(header["rows"]), int(header["dim"])
     mapped = np.memmap(path, dtype=_DTYPE, mode="r", offset=offset, shape=(rows, dim))
-    return header, mapped
+    return header, mapped.view(np.ndarray)

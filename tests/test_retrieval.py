@@ -729,6 +729,20 @@ class TestTwoStage:
         # score_all degrades to the exact path instead of raising.
         np.testing.assert_array_equal(model.score_all(0), base.score_all(0))
 
+    def test_exact_fallback_is_counted_with_telemetry_off(self, two_stage):
+        dataset, base, model = two_stage
+        model.score_all(0)
+        assert model.exact_fallbacks == 0
+        base.set_embeddings(item_vectors=base.item_vectors() * 1.01)
+        model.score_all(0)
+        model.score_all(1)
+        assert model.exact_fallbacks == 2
+        tel = Telemetry()
+        with activated(tel):
+            model.score_all(2)
+        assert model.exact_fallbacks == 3
+        assert tel.metrics.find("counter", "retrieval.exact_fallbacks").value == 1
+
     def test_unbuilt_index_refuses_typed(self, two_stage):
         dataset, base, __ = two_stage
         model = TwoStageRecommender(base, IvfIndex(seed=0)).fit(dataset)

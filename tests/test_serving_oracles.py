@@ -4,7 +4,10 @@ Each fast path is checked against the straightforward code it replaces:
 
 * the candidate-subset score guard (strictly increasing ids proven
   distinct in one comparison, anything else sorted once) against the
-  ``np.unique`` guard;
+  ``np.unique`` guard, and its ``dtype.kind`` tests against
+  ``np.issubdtype``;
+* the service's seen-item mask (binary search over strictly increasing
+  candidate ids) against ``np.isin``;
 * ``ArrayEmbeddingRecommender`` scoring through ``np.take`` against
   fancy-indexed gathers, bitwise;
 * ``ServiceMetrics`` counter handles against the registry series;
@@ -125,6 +128,139 @@ class TestCandidateGuardOracle:
         assert validate_scores(scores, 10, expected_indices=ids) == unique_guard(
             scores, 10, ids
         )
+
+
+#: Every dtype kind numpy has, with a representative of each.
+ALL_DTYPES = (
+    np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+    np.uint32, np.uint64, np.float16, np.float32, np.float64, np.longdouble,
+    np.complex64, np.complex128, np.object_, np.str_, np.bytes_,
+    "datetime64[s]", "timedelta64[s]", "V8", [("a", "<i4")],
+)
+
+
+class TestScoreGuardVerdicts:
+    @pytest.mark.parametrize("dtype", ALL_DTYPES, ids=str)
+    def test_kind_tests_match_issubdtype(self, dtype):
+        """The guard's ``dtype.kind`` sets give ``np.issubdtype``'s verdicts."""
+        from repro.runtime.guards import _INTEGER_KINDS, _NUMBER_KINDS
+
+        dtype = np.dtype(dtype)
+        assert (dtype.kind in _INTEGER_KINDS) == np.issubdtype(dtype, np.integer)
+        assert (dtype.kind in _NUMBER_KINDS) == np.issubdtype(dtype, np.number)
+
+    @pytest.mark.parametrize(
+        "scores, ids, reason",
+        [
+            (np.ones(3, dtype=bool), None, "expected numeric scores, got dtype bool"),
+            (np.ones(3, dtype=bool), np.array([0, 1, 2]),
+             "expected numeric scores, got dtype bool"),
+            (np.array([1.0, 2.0, 3.0], dtype=object), None,
+             "expected numeric scores, got dtype object"),
+            (np.array(["a", "b", "c"]), None, "expected numeric scores, got dtype <U1"),
+            (np.ones(2), np.array([0.0, 1.0]),
+             "candidate indices must be integers, got dtype float64"),
+            (np.ones(2), np.array([True, False]),
+             "candidate indices must be integers, got dtype bool"),
+            (np.ones(2), np.array([1, 0], dtype=object),
+             "candidate indices must be integers, got dtype object"),
+            (np.ones(3), np.array([2, 0, 1]), None),
+            (np.ones(3), np.array([0, 2, 2]), "candidate indices contain duplicates"),
+            (np.ones(3), np.array([2, 0, 2]), "candidate indices contain duplicates"),
+            (np.array([1.0, np.nan, 2.0]), None, "non-finite scores: 1 NaN, 0 Inf"),
+            (np.array([np.nan, np.inf]), np.array([0, 1]),
+             "non-finite scores: 1 NaN, 1 Inf"),
+            (np.ones(3, dtype=np.int32), None, None),
+            (np.ones(3, dtype=np.complex64), None, None),
+            (np.ones(3, dtype=np.float16), np.array([0, 1, 2], dtype=np.uint8), None),
+        ],
+    )
+    def test_verdict_table(self, scores, ids, reason):
+        report = validate_scores(scores, 3, expected_indices=ids)
+        assert report.ok == (reason is None)
+        if reason is not None:
+            assert report.reason == reason
+        if ids is not None:
+            assert report == unique_guard(scores, 3, ids)
+
+
+# ---------------------------------------------------------------------- #
+# the seen-item mask
+# ---------------------------------------------------------------------- #
+def isin_rank(scores, seen, ids, k):
+    """``RecommenderService._rank`` over a candidate subset as it was,
+    masking seen items with ``np.isin``."""
+    scores = np.array(scores, dtype=np.float64, copy=True)
+    scores[np.isin(ids, seen)] = -np.inf
+    k = min(k, scores.size)
+    top = np.argpartition(-scores, k - 1)[:k]
+    top = top[np.argsort(-scores[top], kind="stable")]
+    keep = np.isfinite(scores[top])
+    return np.asarray(ids, dtype=np.int64)[top[keep]], scores[top][keep]
+
+
+@st.composite
+def seen_mask_cases(draw):
+    num_items = draw(st.integers(1, 60))
+    ids = draw(st.lists(st.integers(0, num_items - 1), min_size=1,
+                        max_size=num_items, unique=True))
+    if draw(st.booleans()):
+        ids = sorted(ids)
+    seen = draw(st.lists(st.integers(0, num_items - 1), max_size=num_items, unique=True))
+    scores = draw(st.lists(st.floats(-4, 4, width=16), min_size=len(ids),
+                           max_size=len(ids)))
+    k = draw(st.integers(1, num_items + 3))
+    return num_items, np.asarray(ids, dtype=np.int64), sorted(seen), scores, k
+
+
+def seen_service(num_users, num_items, seen):
+    """A static-only service whose user 0 has seen exactly ``seen``."""
+    users = np.zeros(len(seen), dtype=np.int64)
+    dataset = Dataset(
+        name="seen-mask",
+        interactions=InteractionMatrix(
+            users, np.asarray(seen, dtype=np.int64), num_users, num_items
+        ),
+    )
+    base = ArrayEmbeddingRecommender(np.ones((num_users, 2)), np.ones((num_items, 2)))
+    return RecommenderService(dataset, primary=("m", base.fit(dataset)),
+                              clock=ManualClock())
+
+
+class TestSeenMaskOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(seen_mask_cases())
+    def test_rank_equals_the_isin_mask(self, case):
+        """Sorted or unsorted ids, empty ``seen``, seen items outside the
+        candidate set, and k past the unseen count all rank as ``np.isin``
+        masks them."""
+        num_items, ids, seen, scores, k = case
+        service = seen_service(1, num_items, seen)
+        items, top = service._rank(np.asarray(scores), 0, k, True, ids=ids)
+        want_items, want_top = isin_rank(scores, seen, ids, k)
+        assert items.dtype == np.int64
+        assert items.tobytes() == want_items.tobytes()
+        assert top.tobytes() == want_top.tobytes()
+
+    @pytest.mark.parametrize(
+        "ids, seen, k",
+        [
+            ([0, 2, 4, 6], [], 3),  # empty seen
+            ([0, 2, 4, 6], [1, 3, 7, 9], 4),  # seen items all outside the ids
+            ([0, 2, 4, 6], [0, 6], 4),  # both ends seen
+            ([6, 0, 4, 2], [0, 6], 4),  # unsorted ids take np.isin
+            ([3], [3], 5),  # one candidate, seen: nothing to serve
+            ([1, 5, 8], [1, 2, 5, 8, 9], 10),  # k past the unseen count
+        ],
+    )
+    def test_named_cases(self, ids, seen, k):
+        ids = np.asarray(ids, dtype=np.int64)
+        scores = np.linspace(1.0, 0.0, ids.size)
+        service = seen_service(1, 10, seen)
+        items, top = service._rank(scores, 0, k, True, ids=ids)
+        want_items, want_top = isin_rank(scores, seen, ids, k)
+        assert items.tolist() == want_items.tolist()
+        assert top.tobytes() == want_top.tobytes()
 
 
 # ---------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exceptions import (
     CheckpointError,
@@ -267,7 +269,7 @@ class TestMmapStoreServing:
         assert store.remap(1) == 1
         # Same view object; its internal maps re-pointed, nothing copied.
         assert store.table("t") is table
-        assert all(isinstance(s, np.memmap) for s in table._shards)
+        assert all(isinstance(s.base, np.memmap) for s in table._shards)
         assert [id(s) for s in table._shards] != before
         assert not np.array_equal(table[0], v2_row0)
         assert store.remap() == 2  # back to newest
@@ -299,6 +301,61 @@ class TestMmapStoreServing:
         with pytest.raises(StoreError, match="out of range"):
             store.table("t").gather([99])
         store.close()
+
+
+def mask_loop_gather(table, rows) -> np.ndarray:
+    """``ShardedTable.gather`` as it was: one boolean mask per shard."""
+    shards = table._shards
+    rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+    out = np.empty((rows.size, table.dim), dtype=np.float32)
+    shard_of = rows // table.rows_per_shard
+    local = rows - shard_of * table.rows_per_shard
+    for s in np.unique(shard_of):
+        mask = shard_of == s
+        out[mask] = shards[int(s)][local[mask]]
+    return out
+
+
+@pytest.fixture(scope="module")
+def gather_table(tmp_path_factory):
+    """An 11-row table over four shards of three rows (the last one short)."""
+    directory = tmp_path_factory.mktemp("gather")
+    store = MmapShardStore.create(directory, rows_per_shard=3)
+    rng = np.random.default_rng(3)
+    store.register("t", rng.standard_normal((11, 4)))
+    store.commit()
+    store.close()
+    store = MmapShardStore.open(directory, mode="serve")
+    yield store.table("t")
+    store.close()
+
+
+class TestGatherOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.integers(0, 10), max_size=30),
+        ordered=st.booleans(),
+    )
+    def test_gather_is_bitwise_the_mask_loop(self, gather_table, rows, ordered):
+        """Unsorted rows, duplicates, empty, one row, and runs that
+        straddle shard boundaries all copy exactly the mask loop's bytes."""
+        rows = sorted(rows) if ordered else rows
+        got = gather_table.gather(rows)
+        assert got.dtype == np.float32 and got.shape == (len(rows), 4)
+        assert got.tobytes() == mask_loop_gather(gather_table, rows).tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [5], [2, 3], [10, 0, 10, 0], [8, 9, 10], [10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0]],
+    )
+    def test_named_rows(self, gather_table, rows):
+        got = gather_table.gather(rows)
+        assert got.tobytes() == mask_loop_gather(gather_table, rows).tobytes()
+
+    @pytest.mark.parametrize("rows", [[-1], [11], [3, 11, 0], [0, -5]])
+    def test_out_of_range_raises(self, gather_table, rows):
+        with pytest.raises(StoreError, match="out of range"):
+            gather_table.gather(rows)
 
 
 class TestRecovery:

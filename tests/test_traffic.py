@@ -7,11 +7,14 @@ the exact-arithmetic admission queue regression, reservoir histograms,
 and the persona-driven online stream bridge.
 """
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.clock import ManualClock
 from repro.core.exceptions import ConfigError, Overloaded
@@ -299,26 +302,75 @@ def _try_admit(queue: AdmissionQueue) -> bool:
         return False
 
 
+def _outcome(queue: AdmissionQueue) -> tuple[str, str]:
+    """``("wait", float.hex())`` for an admit, ``("shed", message)`` for a shed."""
+    try:
+        return "wait", queue.admit().hex()
+    except Overloaded as exc:
+        return "shed", str(exc)
+
+
 class _ExactReference:
     """Fraction-arithmetic oracle for the fluid admission queue."""
 
     def __init__(self, capacity, drain_rate, clock):
         self.capacity = capacity
+        self.drain_rate = drain_rate
         self.rate = Fraction(float(drain_rate))
         self.clock = clock
         self.backlog = Fraction(0)
         self.last = Fraction(float(clock()))
 
-    def admit(self) -> bool:
+    def _drain(self) -> None:
         now = Fraction(float(self.clock()))
         if now > self.last:
             drained = (now - self.last) * self.rate
             self.backlog = max(Fraction(0), self.backlog - drained)
             self.last = now
+
+    @property
+    def depth(self) -> float:
+        self._drain()
+        return float(self.backlog)
+
+    def outcome(self) -> tuple[str, str]:
+        """What :func:`_outcome` must read for the same arrival."""
+        self._drain()
         if self.backlog >= self.capacity:
-            return False
+            return "shed", (
+                f"admission queue full ({float(self.backlog):.1f}/"
+                f"{self.capacity} pending at drain rate "
+                f"{self.drain_rate:g}/s); request shed"
+            )
+        wait = float(self.backlog / self.rate)
         self.backlog += 1
-        return True
+        return "wait", wait.hex()
+
+    def admit(self) -> bool:
+        return self.outcome()[0] == "wait"
+
+
+#: Drain rates with and without an exact binary expansion.
+ORACLE_RATES = (0.1, 3.0, 4000.0, 1e-3, 30.0, 1 / 3)
+
+
+@st.composite
+def arrival_plans(draw):
+    """A start time, then arrivals after gaps: zero (same instant), below
+    one ULP of the current time, short, or long; some steps read depth."""
+    start = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False),
+    ))
+    steps = draw(st.lists(
+        st.tuples(
+            st.sampled_from(("same", "sub_ulp", "short", "long")),
+            st.floats(0.0, 1.0, allow_nan=False),
+            st.booleans(),
+        ),
+        min_size=1, max_size=120,
+    ))
+    return start, steps
 
 
 class TestAdmissionExactness:
@@ -358,9 +410,41 @@ class TestAdmissionExactness:
                 gap = float(rng.exponential(0.02))
             clock_q.advance(gap)
             clock_r.advance(gap)
-            assert _try_admit(queue) == ref.admit(), (
+            assert _outcome(queue) == ref.outcome(), (
                 f"seed {seed} diverged at step {step}"
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        plan=arrival_plans(),
+        rate=st.sampled_from(ORACLE_RATES),
+        capacity=st.integers(1, 6),
+    )
+    def test_every_float_and_message_is_the_fraction_oracles(self, plan, rate, capacity):
+        """Each wait, depth and shed message equals the Fraction oracle's,
+        bit for bit, from clock 0 to ~1e9 s and at gaps below one ULP."""
+        start, steps = plan
+        clock = ManualClock(start)
+        queue = AdmissionQueue(capacity=capacity, drain_rate=rate, clock=clock)
+        ref = _ExactReference(capacity, rate, clock)
+        # Long gaps drain about a capacity's worth, short ones a fraction.
+        scale = {"same": 0.0, "short": 0.2 * capacity / rate, "long": 2.0 * capacity / rate}
+        for step, (kind, u, read_depth) in enumerate(steps):
+            gap = u * math.ulp(clock()) if kind == "sub_ulp" else u * scale[kind]
+            clock.advance(gap)
+            if read_depth:
+                assert queue.depth.hex() == ref.depth.hex(), f"depth at step {step}"
+            assert _outcome(queue) == ref.outcome(), f"arrival at step {step}"
+        assert queue.snapshot()["depth"] == round(ref.depth, 6)
+
+    @pytest.mark.parametrize("capacity", [2.5, 3, np.int64(3), float("inf")])
+    def test_capacity_types_match_the_oracle(self, capacity):
+        clock = ManualClock(7.0)
+        queue = AdmissionQueue(capacity=capacity, drain_rate=0.1, clock=clock)
+        ref = _ExactReference(capacity, 0.1, clock)
+        for __ in range(6):
+            assert _outcome(queue) == ref.outcome()
+            clock.advance(1.5)
 
     def test_float_facing_api_unchanged(self):
         clock = ManualClock()
@@ -368,7 +452,6 @@ class TestAdmissionExactness:
         wait = queue.admit()
         assert isinstance(wait, float) and wait == 0.0
         assert isinstance(queue.depth, float)
-        assert isinstance(queue.estimated_wait(), float)
         snap = queue.snapshot()
         assert isinstance(snap["depth"], float)
 
