@@ -26,8 +26,8 @@ Run as a script:
 The full run writes machine-readable results to ``--out`` (default
 ``benchmarks/BENCH_online.json``).  ``--smoke`` runs small replays and
 asserts the invariants (bitwise old-or-new serving, positive freshness
-uplift, warm promotion builds, trace-identical replays) without
-recording timings.
+uplift, warm promotion builds, trace-identical replays, 64-byte-aligned
+shard views, group-commit op order) without recording timings.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.online import ENTITY_TABLE
 from repro.online.harness import (
     ChurnConfig,
     _replay_trace,
@@ -82,14 +83,56 @@ def bench_seed(workdir: Path, seed: int, config: ChurnConfig) -> dict:
         "build_starts": [r.attrs["start"] for r in builds],
         "build_wall_times_s": [r.duration for r in builds[1:]],
         "trace": _replay_trace(world),
+        "views_aligned": views_aligned(world.service.registry.live),
+        "commits_grouped": [
+            grouped(ops) for ops in commits(loop.trainer.store.io.op_log)
+        ],
     }
     loop.close()
     return out
 
 
+def views_aligned(model) -> bool:
+    """Whether every shard view the live model serves from starts on a
+    64-byte boundary, as the shard format lays payloads out (NumPy's fast
+    gather path needs them aligned)."""
+    shards = model.base.store.table(ENTITY_TABLE)._require()
+    return all(s.flags.aligned and s.ctypes.data % 64 == 0 for s in shards)
+
+
+def commits(op_log) -> list[list]:
+    """The store's IO ops, one list per commit (each ends at a manifest
+    rename); the first, the store's creation, is dropped."""
+    out, current = [], []
+    for op in op_log:
+        current.append(op)
+        if op.kind == "rename" and Path(op.path).name.startswith("manifest-"):
+            out.append(current)
+            current = []
+    return out[1:]
+
+
+def grouped(ops) -> bool:
+    """Whether one commit's ops are its shard writes, then the same shards'
+    renames in the same order, then the manifest's write and rename."""
+    k = (len(ops) - 2) // 2
+    writes, renames, manifest = ops[:k], ops[k : 2 * k], ops[2 * k :]
+    return (
+        k >= 1
+        and len(ops) == 2 * k + 2
+        and all(op.kind == "write" for op in writes)
+        and [op.path for op in writes] == [op.path + ".tmp" for op in renames]
+        and all(op.kind == "rename" for op in renames)
+        and [op.kind for op in manifest] == ["write", "rename"]
+    )
+
+
 #: Per-seed rows drop these: the samples are summarized above them, and
-#: the trace is for the smoke's determinism check.
-_RAW_KEYS = ("promote_wall_times_s", "build_wall_times_s", "build_starts", "trace")
+#: the rest are for the smoke's checks.
+_RAW_KEYS = (
+    "promote_wall_times_s", "build_wall_times_s", "build_starts", "trace",
+    "views_aligned", "commits_grouped",
+)
 
 
 def percentiles(samples: list[float]) -> dict:
@@ -191,11 +234,18 @@ def run_smoke(args) -> None:
         f"expected a cold bootstrap build, then warm builds: {starts}"
     )
     assert row["trace"] == again["trace"], "warm-build replay is not deterministic"
+    assert row["views_aligned"], "a live shard view is not 64-byte aligned"
+    grouped_commits = row["commits_grouped"]
+    assert len(grouped_commits) == row["promotions"] + 1 and all(grouped_commits), (
+        "expected the bootstrap and every cycle to commit as a group "
+        f"(shard writes, shard renames, manifest): {grouped_commits}"
+    )
     print(
         "online bench smoke OK: bitwise old-or-new held, "
         f"{row['promotions']} promotions built warm, trace-identical "
         f"replay ({len(row['trace'])} lines), freshness uplift "
-        f"{row['freshness_uplift']:+.3f}"
+        f"{row['freshness_uplift']:+.3f}, aligned shard views, "
+        f"{len(grouped_commits)} grouped commits"
     )
 
 

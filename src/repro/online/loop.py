@@ -27,7 +27,9 @@
    through :meth:`RecommenderService.rollback` with a structured cause;
 5. close every serve-mode store that neither the live model nor the
    rollback target holds, so a long-running loop keeps at most two
-   generations mapped.
+   generations mapped, and drop the reference bytes of every generation
+   that is neither servable nor the newest (:attr:`OnlineLoop.committed`
+   keeps listing it).
 
 Every served model holds its own serve-mode store pinned at its own
 generation, so the live model and the rollback target never share a
@@ -254,10 +256,14 @@ class OnlineLoop:
         self.dataset = service.dataset
         self.telemetry = service.telemetry
 
-        #: Bitwise ``<f4`` table bytes of every committed generation —
-        #: the reference set the churn harness compares served models
-        #: against.  Seeded with the bootstrap generation.
-        self.committed: dict[int, bytes] = {
+        #: Every committed generation, mapped to its bitwise ``<f4``
+        #: table bytes — the reference the churn harness compares served
+        #: models against.  Only the live generation, the rollback target
+        #: and the newest (what serving or crash recovery can land on)
+        #: keep their bytes; every other generation maps to ``None``, so
+        #: at most three tables are held however long the loop runs.
+        #: Seeded with the bootstrap generation.
+        self.committed: dict[int, bytes | None] = {
             trainer.store.generation: trainer.table_bytes()
         }
         self.batch_outcomes: list[BatchOutcome] = []
@@ -288,7 +294,7 @@ class OnlineLoop:
             if self._applied_since_commit >= self.commit_every:
                 self._applied_since_commit = 0
                 self.cycles.append(self._promote_cycle(batch.step))
-                self._release_serve_stores()
+                self._release_unservable()
 
     def _process_batch(self, batch) -> None:
         tel = self.telemetry
@@ -443,11 +449,14 @@ class OnlineLoop:
             return live.index.successor()
         return None
 
-    def _release_serve_stores(self) -> None:
-        """Close the serve stores no servable model holds.
+    def _release_unservable(self) -> None:
+        """Close the serve stores no servable model holds, and drop the
+        committed bytes of generations nothing can land on again.
 
         Only the live model and the registry's rollback target can serve
-        again; rejected candidates and demoted generations cannot.
+        again; rejected candidates and demoted generations cannot.  Crash
+        recovery lands on the newest committed generation, so its bytes
+        stay too.
         """
         registry = self.service.registry
         held = [registry.live] if registry.has_live else []
@@ -461,6 +470,11 @@ class OnlineLoop:
             else:
                 store.close()
         self._serve_stores = kept
+        keep = {getattr(model, "generation", None) for model in held}
+        keep.add(max(self.committed))
+        for generation in self.committed:
+            if generation not in keep:
+                self.committed[generation] = None
 
     def _watch(self) -> int:
         """Seeded post-promotion probe traffic; returns non-ok count.

@@ -119,6 +119,18 @@ _CALIBRATION_K = 10
 FORMAT_VERSION = 1
 
 
+def _cell_order(assign: np.ndarray, num_lists: int) -> np.ndarray:
+    """Row ids grouped by cell, ascending id within a cell: the stable
+    argsort of ``assign``.
+
+    Keys below 2**15 sort as int16, where NumPy's stable sort is a radix
+    sort (~10x faster at 20,000 rows); the permutation is the same.
+    """
+    if num_lists <= np.iinfo(np.int16).max:
+        assign = assign.astype(np.int16)
+    return np.argsort(assign, kind="stable")
+
+
 def _sample_topk(vectors: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
     """Exact top-``k`` ids of each ``sample`` row among the other rows.
 
@@ -362,7 +374,7 @@ class IvfIndex:
         )
         centroids = self._kmeans(vectors, num_lists)
         assign = self._assign(vectors, centroids)
-        order = np.argsort(assign, kind="stable")
+        order = _cell_order(assign, num_lists)
         counts = np.bincount(assign, minlength=num_lists)
         offsets = np.zeros(num_lists + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])

@@ -30,7 +30,7 @@ from .io import FaultingStoreIO, IOOp, StoreIO
 from .manifest import load_manifest, scan_manifests
 from .mmap import MmapShardStore, ShardedTable
 from .serving import StoredEmbeddingRecommender
-from .shard import ShardInfo, load_shard, map_shard, verify_shard, write_shard
+from .shard import ShardInfo, load_shard, map_payload, verify_shard, write_shard
 from .verify import (
     GenerationStatus,
     ShardStatus,
@@ -54,7 +54,7 @@ __all__ = [
     "write_shard",
     "verify_shard",
     "load_shard",
-    "map_shard",
+    "map_payload",
     "load_manifest",
     "scan_manifests",
     "inspect_store",

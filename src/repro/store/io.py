@@ -3,10 +3,19 @@
 Every durable mutation the embedding store performs reduces to exactly
 two primitives:
 
-* :meth:`StoreIO.write_bytes` — create/overwrite a *temporary* file with
-  the full payload, flush, and fsync it;
-* :meth:`StoreIO.replace` — atomically rename the temporary file over its
-  final name (``os.replace``) and fsync the containing directory.
+* :meth:`StoreIO.write_all` — create/overwrite each *temporary* file
+  with its full payload, then fsync each (:meth:`StoreIO.write_bytes` is
+  the one-file case);
+* :meth:`StoreIO.replace_all` — atomically rename each temporary file
+  over its final name (``os.replace``), then fsync each containing
+  directory once (:meth:`StoreIO.replace` is the one-file case).
+
+A commit writes its shard files as one *group*: every temp file is
+written, then every one is fsync'd, then every one is renamed, then
+``shards/`` is fsync'd once.  Writing the group before its first fsync
+lets the filesystem flush it in fewer journal commits (measurably faster
+than file by file on ext4), and the group pays one directory fsync
+instead of one per file.
 
 Each primitive call advances a global **IO-operation index** and is
 recorded in :attr:`StoreIO.op_log`, so a fault plan can deterministically
@@ -38,6 +47,7 @@ SIGKILL.  Recovery is exercised by *re-opening* the store afterwards.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,16 +86,43 @@ class StoreIO:
     # ------------------------------------------------------------------ #
     def write_bytes(self, path: str | Path, data: bytes) -> None:
         """Write ``data`` to ``path`` (a temp file) and fsync it."""
-        path = Path(path)
-        step = self._advance("write", path)
-        self._do_write(step, path, bytes(data))
+        self.write_all([(path, data)])
+
+    def write_all(self, files: Iterable[tuple[str | Path, bytes]]) -> None:
+        """Write each ``(path, data)`` temp file in order (one ``write`` op
+        each, its fsync included), then fsync each in the same order.
+
+        ``files`` is read lazily, so a caller can encode one file at a time.
+        """
+        written: list[tuple[int, Path]] = []
+        for path, data in files:
+            path = Path(path)
+            step = self._advance("write", path)
+            self._do_write(step, path, bytes(data))
+            written.append((step, path))
+        for step, path in written:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                self._fsync_file(step, fd)
+            finally:
+                os.close(fd)
 
     def replace(self, tmp: str | Path, final: str | Path) -> None:
         """Atomically rename ``tmp`` over ``final``; fsync the directory."""
-        tmp, final = Path(tmp), Path(final)
-        step = self._advance("rename", final)
-        self._do_replace(step, tmp, final)
-        self._fsync_dir(final.parent)
+        self.replace_all([(tmp, final)])
+
+    def replace_all(self, pairs: Iterable[tuple[str | Path, str | Path]]) -> None:
+        """Rename each ``(tmp, final)`` pair in order (one ``rename`` op
+        each), then fsync every directory they landed in, once each."""
+        directories: list[Path] = []
+        for tmp, final in pairs:
+            tmp, final = Path(tmp), Path(final)
+            step = self._advance("rename", final)
+            self._do_replace(step, tmp, final)
+            if final.parent not in directories:
+                directories.append(final.parent)
+        for directory in directories:
+            self._fsync_dir(directory)
 
     # ------------------------------------------------------------------ #
     # overridable internals (the fault-injection seams)
@@ -93,8 +130,6 @@ class StoreIO:
     def _do_write(self, step: int, path: Path, data: bytes) -> None:
         with open(path, "wb") as handle:
             handle.write(data)
-            handle.flush()
-            self._fsync_file(step, handle.fileno())
 
     def _fsync_file(self, step: int, fd: int) -> None:
         os.fsync(fd)
@@ -128,6 +163,7 @@ class FaultingStoreIO(StoreIO):
     def __init__(self, injector: FaultInjector) -> None:
         super().__init__()
         self.injector = injector
+        self._failing_fsyncs: set[int] = set()
 
     def _do_write(self, step: int, path: Path, data: bytes) -> None:
         kinds = {f.kind for f in self.injector.io_faults(step)}
@@ -138,14 +174,17 @@ class FaultingStoreIO(StoreIO):
             rotted = bytearray(data)
             rotted[step % len(rotted)] ^= 0xFF
             data = bytes(rotted)
-        with open(path, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if "fsync_fail" in kinds:
-                raise OSError(f"injected fsync failure at io op {step}")
-            os.fsync(handle.fileno())
+        if "fsync_fail" in kinds:
+            self._failing_fsyncs.add(step)
+        super()._do_write(step, path, data)
         if torn:
             raise InjectedCrash(f"torn write crash at io op {step} ({path.name})")
+
+    def _fsync_file(self, step: int, fd: int) -> None:
+        if step in self._failing_fsyncs:
+            self._failing_fsyncs.discard(step)
+            raise OSError(f"injected fsync failure at io op {step}")
+        super()._fsync_file(step, fd)
 
     def _do_replace(self, step: int, tmp: Path, final: Path) -> None:
         kinds = {f.kind for f in self.injector.io_faults(step)}

@@ -32,12 +32,14 @@ Two modes:
     ``ModelRegistry.promote`` a manifest swap and rollback a re-point.
 
 Crash safety (the full protocol is specified in ``docs/storage.md``):
-every file is written temp + fsync + atomic rename, and the manifest
-rename is the single commit point.  :meth:`MmapShardStore.open` verifies
-checksums newest-generation-first, quarantines debris, and falls back to
-the last consistent generation — so a crash at *any* byte of a write
-leaves the store recoverable to exactly an old or a new generation,
-never a hybrid (enforced by :mod:`repro.store.harness`).
+every file is written temp + fsync + atomic rename — a commit writes all
+its shard temps, fsyncs each, renames each and fsyncs ``shards/`` once —
+and the manifest rename is the single commit point.
+:meth:`MmapShardStore.open` verifies checksums newest-generation-first,
+quarantines debris, and falls back to the last consistent generation —
+so a crash at *any* byte of a write leaves the store recoverable to
+exactly an old or a new generation, never a hybrid (enforced by
+:mod:`repro.store.harness`).
 """
 
 from __future__ import annotations
@@ -59,12 +61,16 @@ from .manifest import (
     scan_manifests,
     write_manifest,
 )
-from .shard import ShardInfo, load_shard, map_shard, verify_shard, write_shard
+from .shard import ShardInfo, encode_shard, load_shard, map_payload, verify_shard
 from .verify import SHARDS_DIR, check_generation, quarantine_debris
 
 __all__ = ["ShardedTable", "MmapShardStore"]
 
 _TABLE_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+
+
+def _temp(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
 
 
 class ShardedTable:
@@ -138,6 +144,18 @@ class ShardedTable:
         out[order] = ordered
         return out
 
+    def row(self, index: int) -> np.ndarray:
+        """Row ``index`` as a read-only view into its shard's map (no copy)."""
+        shards = self._require()
+        index = int(index)
+        if not 0 <= index < self.rows:
+            raise StoreError(
+                f"row index out of range for table {self.name!r} "
+                f"({self.rows} rows)"
+            )
+        rps = self.rows_per_shard
+        return shards[index // rps][index % rps]
+
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             return self.gather([int(index)])[0]
@@ -180,10 +198,8 @@ class MmapShardStore(EmbeddingStore):
         self._arrays: dict[str, np.ndarray] = {}
         self._dirty: dict[str, np.ndarray] = {}
         self._rows_per_shard: dict[str, int] = {}
-        # serve mode: persistent sharded views
+        # serve mode: persistent sharded views (built by open())
         self._views: dict[str, ShardedTable] = {}
-        if mode == "serve":
-            self._build_views()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -238,7 +254,7 @@ class MmapShardStore(EmbeddingStore):
         if not entries:
             raise StoreError(f"{directory} is not an embedding store (no manifests)")
         tel = get_active()
-        manifest, broken = cls._recover(directory, entries, generation, tel)
+        manifest, offsets, broken = cls._recover(directory, entries, generation, tel)
         if quarantine and generation is None:
             debris = quarantine_debris(directory) if broken or cls._has_debris(
                 directory
@@ -250,6 +266,8 @@ class MmapShardStore(EmbeddingStore):
             tel.counter("store.generations.broken").inc(len(broken))
         store = cls(directory, mode, io, manifest, manifest.get("seed"))
         store.default_rows_per_shard = 4096
+        if mode == "serve":
+            store._build_views(offsets)
         return store
 
     @staticmethod
@@ -265,8 +283,11 @@ class MmapShardStore(EmbeddingStore):
         entries: list[tuple[int, Path]],
         generation: int | None,
         tel,
-    ) -> tuple[dict, list[int]]:
-        """Newest-first verified walk; returns ``(manifest, broken gens)``."""
+    ) -> tuple[dict, dict[str, int], list[int]]:
+        """Newest-first verified walk.
+
+        Returns ``(manifest, payload offsets by shard file, broken gens)``.
+        """
         broken: list[int] = []
         for gen, path in reversed(entries):
             if generation is not None and gen != generation:
@@ -284,7 +305,7 @@ class MmapShardStore(EmbeddingStore):
             if tel.enabled:
                 tel.counter("store.shards.verified").inc(len(status.shards))
             if status.ok:
-                return manifest, broken
+                return manifest, status.payload_offsets, broken
             if tel.enabled:
                 tel.counter("store.shards.corrupt").inc(len(status.bad_shards))
             if generation is not None:
@@ -448,42 +469,46 @@ class MmapShardStore(EmbeddingStore):
         shards_dir = self.directory / SHARDS_DIR
         prev_tables = self._manifest.get("tables", {})
         tables: dict[str, dict] = {}
-        shards_written = 0
-        try:
-            for name in sorted(self._arrays):
-                array = self._arrays[name]
-                mask = self._dirty[name]
-                rows, dim = array.shape
+        rewrite: list[tuple[str, int, Path]] = []  # (table, shard, final path)
+        for name in sorted(self._arrays):
+            rows, dim = self._arrays[name].shape
+            rps = self._rows_per_shard[name]
+            prev = prev_tables.get(name)
+            dirty_shards = set(
+                np.unique(np.nonzero(self._dirty[name])[0] // rps).tolist()
+            )
+            infos: list[ShardInfo | None] = []
+            for s in range(-(-rows // rps)):
+                if prev is None or s in dirty_shards:
+                    rewrite.append(
+                        (name, s, shards_dir / f"{name}-g{new_gen:08d}-s{s:05d}.shard")
+                    )
+                    infos.append(None)  # filled in as the shard is encoded
+                else:
+                    infos.append(ShardInfo.from_json(prev["shards"][s]))
+            tables[name] = {
+                "rows": rows,
+                "dim": dim,
+                "dtype": "<f4",
+                "rows_per_shard": rps,
+                "shards": infos,
+            }
+
+        def encoded():
+            for name, s, path in rewrite:
                 rps = self._rows_per_shard[name]
-                num_shards = -(-rows // rps)
-                prev = prev_tables.get(name)
-                dirty_shards = set(
-                    np.unique(np.nonzero(mask)[0] // rps).tolist()
+                info, data = encode_shard(
+                    path.name, name, s * rps,
+                    self._arrays[name][s * rps : (s + 1) * rps], seed=self.seed,
                 )
-                infos: list[ShardInfo] = []
-                for s in range(num_shards):
-                    if prev is None or s in dirty_shards:
-                        start = s * rps
-                        stop = min(start + rps, rows)
-                        info = write_shard(
-                            self.io,
-                            shards_dir / f"{name}-g{new_gen:08d}-s{s:05d}.shard",
-                            name,
-                            start,
-                            array[start:stop],
-                            seed=self.seed,
-                        )
-                        shards_written += 1
-                    else:
-                        info = ShardInfo.from_json(prev["shards"][s])
-                    infos.append(info)
-                tables[name] = {
-                    "rows": rows,
-                    "dim": dim,
-                    "dtype": "<f4",
-                    "rows_per_shard": rps,
-                    "shards": infos,
-                }
+                tables[name]["shards"][s] = info
+                yield _temp(path), data
+
+        try:
+            # Group commit: write every shard temp, fsync each, rename each
+            # and fsync shards/ once; only then the manifest.
+            self.io.write_all(encoded())
+            self.io.replace_all((_temp(path), path) for __, __, path in rewrite)
             manifest = build_manifest(
                 new_gen, tables, parent=self.generation, tag=tag, seed=self.seed
             )
@@ -499,23 +524,32 @@ class MmapShardStore(EmbeddingStore):
             mask[:] = False
         if span is not None:
             tel.counter("store.commits").inc()
-            tel.counter("store.shards.written").inc(shards_written)
-            tel.end(span, outcome="ok", shards_written=shards_written)
+            tel.counter("store.shards.written").inc(len(rewrite))
+            tel.end(span, outcome="ok", shards_written=len(rewrite))
         return new_gen
 
     # ------------------------------------------------------------------ #
     # serve mode
     # ------------------------------------------------------------------ #
-    def _build_views(self) -> None:
-        """(Re)build the per-table memmap lists for the current manifest."""
+    def _build_views(self, offsets: dict[str, int]) -> None:
+        """(Re)build the per-table memmap lists for the current manifest.
+
+        ``offsets`` are the payload offsets the recovery walk verified
+        (:attr:`GenerationStatus.payload_offsets`), so no header is read
+        again; each shard's shape is the manifest's, which verification
+        cross-checked against the header.
+        """
         alive: set[str] = set()
+        shards_dir = self.directory / SHARDS_DIR
         for name, spec in self._manifest.get("tables", {}).items():
             rows, dim = int(spec["rows"]), int(spec["dim"])
-            maps: list[np.ndarray] = []
-            for shard in spec["shards"]:
-                info = ShardInfo.from_json(shard)
-                __, mapped = map_shard(self.directory / SHARDS_DIR / info.file)
-                maps.append(mapped)
+            maps = [
+                map_payload(
+                    shards_dir / shard["file"], offsets[shard["file"]],
+                    int(shard["rows"]), dim,
+                )
+                for shard in spec["shards"]
+            ]
             view = self._views.get(name)
             if view is None:
                 view = ShardedTable(name, rows, dim, int(spec["rows_per_shard"]))
@@ -545,9 +579,11 @@ class MmapShardStore(EmbeddingStore):
         if not entries:
             raise StoreError(f"{self.directory} has no manifests")
         tel = get_active()
-        manifest, __ = self._recover(self.directory, entries, generation, tel)
+        manifest, offsets, __ = self._recover(
+            self.directory, entries, generation, tel
+        )
         self._manifest = manifest
-        self._build_views()
+        self._build_views(offsets)
         if tel.enabled:
             tel.counter("store.remaps").inc()
         return self.generation

@@ -122,8 +122,7 @@ class StoredEmbeddingRecommender(Recommender):
     def query_vector(self, user_id: int) -> np.ndarray:
         """The per-user ANN query: the user's entity row."""
         entities = self.store.table(self.entity_table)
-        u = entities.gather([int(self.user_entities[int(user_id)])])[0]
-        return u.astype(np.float64)
+        return entities.row(self.user_entities[int(user_id)]).astype(np.float64)
 
     def score_items(self, user_id: int, item_ids) -> np.ndarray:
         """Exact scores for a candidate subset (gathers only those rows)."""

@@ -4,9 +4,15 @@ A shard holds a contiguous row range of one embedding table::
 
     offset 0   magic            b"KGSHARD1"              (8 bytes)
     offset 8   header length    uint32 little-endian     (4 bytes)
-    offset 12  header           UTF-8 JSON               (header_len bytes)
+    offset 12  header           UTF-8 JSON, then spaces  (header_len bytes)
     offset 12+header_len        payload: rows * dim float32, little-endian,
                                 row-major
+
+The writer pads the JSON with trailing spaces (which JSON ignores and
+``header_len`` counts) so the payload starts on a 64-byte boundary: a
+memory-mapped shard is then an aligned float32 array, which NumPy
+gathers from on its fast path.  Files from the unpadded writer parse,
+verify and map exactly as before — their maps are merely unaligned.
 
 The JSON header carries ``version`` (format schema), ``table``,
 ``row_start`` / ``rows`` / ``dim`` (the slice this shard covers),
@@ -24,6 +30,7 @@ callers decide whether that quarantines a shard or fails a generation.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -39,11 +46,11 @@ __all__ = [
     "SHARD_MAGIC",
     "SHARD_VERSION",
     "ShardInfo",
+    "encode_shard",
     "write_shard",
-    "read_shard_header",
     "verify_shard",
     "load_shard",
-    "map_shard",
+    "map_payload",
 ]
 
 SHARD_MAGIC = b"KGSHARD1"
@@ -79,21 +86,15 @@ class ShardInfo:
         )
 
 
-def write_shard(
-    io: StoreIO,
-    path: str | Path,
+def encode_shard(
+    file: str,
     table: str,
     row_start: int,
     values: np.ndarray,
     seed: int | None = None,
-) -> ShardInfo:
-    """Write ``values`` (2-d, cast to float32) as the shard at ``path``.
-
-    The write is crash-safe: the full blob goes to ``<path>.tmp`` (written
-    + fsync'd through ``io``), then is atomically renamed over ``path``.
-    Returns the :class:`ShardInfo` the manifest should record.
-    """
-    path = Path(path)
+) -> tuple[ShardInfo, bytes]:
+    """The bytes of ``values`` (2-d, cast to float32) as shard ``file``,
+    and the :class:`ShardInfo` the manifest should record for it."""
     values = np.ascontiguousarray(values, dtype=_DTYPE)
     if values.ndim != 2:
         raise StoreCorruptionError(f"shard values must be 2-d, got {values.ndim}-d")
@@ -110,95 +111,108 @@ def write_shard(
         "crc32": crc,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    data = SHARD_MAGIC + _LEN_STRUCT.pack(len(blob)) + blob + payload
+    # Trailing spaces put the payload on a 64-byte (cache-line) boundary.
+    prefix = len(SHARD_MAGIC) + _LEN_STRUCT.size
+    blob += b" " * (-(prefix + len(blob)) % 64)
+    info = ShardInfo(
+        file=file, row_start=int(row_start), rows=int(values.shape[0]), crc32=crc
+    )
+    return info, SHARD_MAGIC + _LEN_STRUCT.pack(len(blob)) + blob + payload
+
+
+def write_shard(
+    io: StoreIO,
+    path: str | Path,
+    table: str,
+    row_start: int,
+    values: np.ndarray,
+    seed: int | None = None,
+) -> ShardInfo:
+    """Write ``values`` (2-d, cast to float32) as the shard at ``path``.
+
+    The write is crash-safe: the full blob goes to ``<path>.tmp`` (written
+    + fsync'd through ``io``), then is atomically renamed over ``path``.
+    Returns the :class:`ShardInfo` the manifest should record.
+    """
+    path = Path(path)
+    info, data = encode_shard(path.name, table, row_start, values, seed=seed)
     tmp = path.with_name(path.name + ".tmp")
     io.write_bytes(tmp, data)
     io.replace(tmp, path)
-    return ShardInfo(
-        file=path.name, row_start=int(row_start), rows=int(values.shape[0]), crc32=crc
-    )
+    return info
 
 
-def read_shard_header(path: str | Path) -> tuple[dict, int]:
-    """Parse and sanity-check the header; returns ``(header, payload_offset)``."""
-    path = Path(path)
+def _parse_header(name: str, data: bytes) -> tuple[dict, int]:
+    """Parse and sanity-check the header at the front of ``data`` (a whole
+    shard file); returns ``(header, payload_offset)``."""
+    prefix = len(SHARD_MAGIC) + _LEN_STRUCT.size
+    if len(data) < prefix:
+        raise StoreCorruptionError(f"{name}: truncated before header")
+    if data[: len(SHARD_MAGIC)] != SHARD_MAGIC:
+        raise StoreCorruptionError(f"{name}: bad magic")
+    (header_len,) = _LEN_STRUCT.unpack_from(data, len(SHARD_MAGIC))
+    if header_len > 1 << 20:
+        raise StoreCorruptionError(f"{name}: implausible header length")
+    offset = prefix + header_len
+    if len(data) < offset:
+        raise StoreCorruptionError(f"{name}: truncated header")
     try:
-        with open(path, "rb") as handle:
-            prefix = handle.read(len(SHARD_MAGIC) + _LEN_STRUCT.size)
-            if len(prefix) < len(SHARD_MAGIC) + _LEN_STRUCT.size:
-                raise StoreCorruptionError(f"{path.name}: truncated before header")
-            if prefix[: len(SHARD_MAGIC)] != SHARD_MAGIC:
-                raise StoreCorruptionError(f"{path.name}: bad magic")
-            (header_len,) = _LEN_STRUCT.unpack(prefix[len(SHARD_MAGIC) :])
-            if header_len > 1 << 20:
-                raise StoreCorruptionError(f"{path.name}: implausible header length")
-            blob = handle.read(header_len)
-            if len(blob) < header_len:
-                raise StoreCorruptionError(f"{path.name}: truncated header")
-    except OSError as exc:
-        raise StoreCorruptionError(f"{path.name}: unreadable ({exc})") from exc
-    try:
-        header = json.loads(blob.decode("utf-8"))
+        header = json.loads(data[prefix:offset].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StoreCorruptionError(f"{path.name}: corrupt header ({exc})") from exc
+        raise StoreCorruptionError(f"{name}: corrupt header ({exc})") from exc
     if header.get("version") != SHARD_VERSION:
         raise StoreCorruptionError(
-            f"{path.name}: unsupported shard version {header.get('version')!r}"
+            f"{name}: unsupported shard version {header.get('version')!r}"
         )
     if header.get("dtype") != _DTYPE:
         raise StoreCorruptionError(
-            f"{path.name}: unsupported dtype {header.get('dtype')!r}"
+            f"{name}: unsupported dtype {header.get('dtype')!r}"
         )
     # A flipped byte inside the JSON can mutate a key or value while still
     # parsing — a header is only trusted once every required field is
     # present with a sane value.
     for key in ("table", "row_start", "rows", "dim", "crc32"):
         if key not in header:
-            raise StoreCorruptionError(f"{path.name}: header missing {key!r}")
+            raise StoreCorruptionError(f"{name}: header missing {key!r}")
     try:
         bounds = [int(header[k]) for k in ("row_start", "rows", "dim", "crc32")]
     except (TypeError, ValueError) as exc:
         raise StoreCorruptionError(
-            f"{path.name}: non-numeric header field ({exc})"
+            f"{name}: non-numeric header field ({exc})"
         ) from exc
     if bounds[0] < 0 or bounds[1] < 1 or bounds[2] < 1:
         raise StoreCorruptionError(
-            f"{path.name}: implausible shard bounds "
+            f"{name}: implausible shard bounds "
             f"row_start={bounds[0]} rows={bounds[1]} dim={bounds[2]}"
         )
-    return header, len(SHARD_MAGIC) + _LEN_STRUCT.size + header_len
+    return header, offset
 
 
-def verify_shard(
-    path: str | Path,
-    expected: ShardInfo | None = None,
-    dim: int | None = None,
-) -> dict:
-    """Full verification: header, payload length, and content CRC-32.
-
-    ``expected`` cross-checks the manifest's view of the shard (row range
-    and CRC); ``dim`` cross-checks the table's width.  Returns the parsed
-    header on success, raises :class:`StoreCorruptionError` otherwise.
-    """
-    path = Path(path)
-    header, offset = read_shard_header(path)
-    rows, width = int(header["rows"]), int(header["dim"])
-    expected_bytes = rows * width * 4
+def _read_file(path: Path) -> bytes:
     try:
         with open(path, "rb") as handle:
-            handle.seek(offset)
-            payload = handle.read(expected_bytes + 1)
+            return handle.read()
     except OSError as exc:
-        raise StoreCorruptionError(f"{path.name}: unreadable payload ({exc})") from exc
+        raise StoreCorruptionError(f"{path.name}: unreadable ({exc})") from exc
+
+
+def _verify_bytes(
+    name: str, data: bytes, expected: ShardInfo | None, dim: int | None
+) -> tuple[dict, int]:
+    """:func:`verify_shard` over a whole file's bytes."""
+    header, offset = _parse_header(name, data)
+    rows, width = int(header["rows"]), int(header["dim"])
+    expected_bytes = rows * width * 4
+    payload = memoryview(data)[offset:]
     if len(payload) != expected_bytes:
         raise StoreCorruptionError(
-            f"{path.name}: payload is {len(payload)} bytes, "
+            f"{name}: payload is {len(payload)} bytes, "
             f"expected {expected_bytes} (torn write?)"
         )
     crc = zlib.crc32(payload)
     if crc != int(header["crc32"]):
         raise StoreCorruptionError(
-            f"{path.name}: payload checksum {crc} != header checksum "
+            f"{name}: payload checksum {crc} != header checksum "
             f"{header['crc32']} (bitrot?)"
         )
     if expected is not None:
@@ -208,41 +222,57 @@ def verify_shard(
             or crc != expected.crc32
         ):
             raise StoreCorruptionError(
-                f"{path.name}: header disagrees with manifest "
+                f"{name}: header disagrees with manifest "
                 f"(rows {header['row_start']}+{rows} crc {crc} vs manifest "
                 f"rows {expected.row_start}+{expected.rows} crc {expected.crc32})"
             )
     if dim is not None and width != dim:
         raise StoreCorruptionError(
-            f"{path.name}: shard dim {width} != table dim {dim}"
+            f"{name}: shard dim {width} != table dim {dim}"
         )
-    return header
+    return header, offset
+
+
+def verify_shard(
+    path: str | Path,
+    expected: ShardInfo | None = None,
+    dim: int | None = None,
+) -> tuple[dict, int]:
+    """Full verification: header, payload length, and content CRC-32.
+
+    Reads the file once.  ``expected`` cross-checks the manifest's view of
+    the shard (row range and CRC); ``dim`` cross-checks the table's width.
+    Returns ``(header, payload_offset)`` on success, raises
+    :class:`StoreCorruptionError` otherwise.
+    """
+    path = Path(path)
+    return _verify_bytes(path.name, _read_file(path), expected, dim)
 
 
 def load_shard(path: str | Path, verify: bool = True) -> tuple[dict, np.ndarray]:
     """Read a shard into memory; returns ``(header, float32 rows array)``."""
     path = Path(path)
+    data = _read_file(path)
     if verify:
-        verify_shard(path)
-    header, offset = read_shard_header(path)
+        header, offset = _verify_bytes(path.name, data, None, None)
+    else:
+        header, offset = _parse_header(path.name, data)
     rows, dim = int(header["rows"]), int(header["dim"])
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        payload = handle.read(rows * dim * 4)
-    values = np.frombuffer(payload, dtype=_DTYPE).reshape(rows, dim)
-    return header, values.copy()
+    values = np.frombuffer(data, dtype=_DTYPE, count=rows * dim, offset=offset)
+    return header, values.reshape(rows, dim).copy()
 
 
-def map_shard(path: str | Path) -> tuple[dict, np.ndarray]:
-    """Memory-map a shard's payload read-only; returns ``(header, rows)``.
+def map_payload(path: str | Path, offset: int, rows: int, dim: int) -> np.ndarray:
+    """Memory-map ``rows x dim`` float32 rows at byte ``offset``, read-only.
 
-    ``rows`` is a plain ``ndarray`` view of the ``np.memmap`` (its
+    The result is a plain ``ndarray`` view of the ``np.memmap`` (its
     ``base``), so indexing it builds no ``memmap`` subclass objects.  No
-    checksum pass — callers verify first (recovery does, on open) so the
-    map itself moves zero payload bytes.
+    header read and no checksum pass: ``offset`` comes from a
+    :func:`verify_shard` of the same file.
     """
-    path = Path(path)
-    header, offset = read_shard_header(path)
-    rows, dim = int(header["rows"]), int(header["dim"])
-    mapped = np.memmap(path, dtype=_DTYPE, mode="r", offset=offset, shape=(rows, dim))
-    return header, mapped.view(np.ndarray)
+    # A str, not a Path: np.memmap resolves a Path through the filesystem
+    # (an lstat per path component) only to record its name.
+    mapped = np.memmap(
+        os.fspath(path), dtype=_DTYPE, mode="r", offset=offset, shape=(rows, dim)
+    )
+    return mapped.view(np.ndarray)

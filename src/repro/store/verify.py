@@ -49,11 +49,17 @@ QUARANTINE_DIR = "quarantine"
 
 @dataclass(frozen=True)
 class ShardStatus:
-    """Verification outcome for one shard referenced by one generation."""
+    """Verification outcome for one shard referenced by one generation.
+
+    ``payload_offset`` is where the verified payload starts in the file
+    (``None`` when verification failed), so a caller can map the rows
+    without reading the header again.
+    """
 
     file: str
     ok: bool
     reason: str = ""
+    payload_offset: int | None = None
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,11 @@ class GenerationStatus:
     def bad_shards(self) -> tuple[ShardStatus, ...]:
         return tuple(s for s in self.shards if not s.ok)
 
+    @property
+    def payload_offsets(self) -> dict[str, int]:
+        """Verified payload offset of every healthy shard, by file name."""
+        return {s.file: s.payload_offset for s in self.shards if s.ok}
+
 
 @dataclass(frozen=True)
 class StoreReport:
@@ -84,22 +95,28 @@ class StoreReport:
 
 
 def check_generation(directory: str | Path, manifest: dict) -> GenerationStatus:
-    """Verify every shard a (parsed) manifest references, checksums included."""
-    directory = Path(directory)
+    """Verify every shard a (parsed) manifest references, checksums included.
+
+    Each shard file is read once; its status records the payload offset
+    the read verified.
+    """
+    shards_dir = Path(directory) / SHARDS_DIR
     statuses: list[ShardStatus] = []
     for name, spec in sorted(manifest.get("tables", {}).items()):
         dim = int(spec["dim"])
         for shard in spec["shards"]:
             info = ShardInfo.from_json(shard)
-            path = directory / SHARDS_DIR / info.file
+            path = shards_dir / info.file
             try:
                 if not path.is_file():
                     raise StoreCorruptionError(f"{info.file}: missing")
-                verify_shard(path, expected=info, dim=dim)
+                __, offset = verify_shard(path, expected=info, dim=dim)
             except StoreCorruptionError as exc:
                 statuses.append(ShardStatus(file=info.file, ok=False, reason=str(exc)))
             else:
-                statuses.append(ShardStatus(file=info.file, ok=True))
+                statuses.append(
+                    ShardStatus(file=info.file, ok=True, payload_offset=offset)
+                )
     bad = [s for s in statuses if not s.ok]
     gen = int(manifest["generation"])
     return GenerationStatus(

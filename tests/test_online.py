@@ -578,6 +578,33 @@ class TestChurnMatrix:
         loop.close()
         assert all(s._closed for s in opened)
 
+    def test_committed_lists_every_generation_but_holds_three(self, tmp_path):
+        """Bytes stay only for the live generation, the rollback target
+        and the newest; every committed generation stays listed."""
+        plan = FaultPlan(
+            [Fault(step=15, kind="sync_fail"), Fault(step=31, kind="late_regress")]
+        )
+        config = ChurnConfig(num_batches=72)
+        world = build_world(tmp_path, seed=0, plan=plan, config=config)
+        loop, registry = world.loop, world.service.registry
+        listed = set(loop.committed)
+        for __ in range(config.num_batches):
+            cycles = len(loop.cycles)
+            loop.run(1)
+            if len(loop.cycles) == cycles:
+                continue
+            listed.add(loop.cycles[-1].generation)
+            assert set(loop.committed) == listed
+            held = {g for g, data in loop.committed.items() if data is not None}
+            live = loop.live_generation()
+            servable = {live, max(loop.committed)}
+            if registry._previous is not None:
+                servable.add(registry._previous[1].generation)
+            assert held == servable and len(held) <= 3
+            assert _served_bytes(registry.live) == loop.committed[live]
+        assert len(loop.cycles) == 9 and len(listed) == 10
+        loop.close()
+
 
 # ---------------------------------------------------------------------- #
 # warm index builds on promotion

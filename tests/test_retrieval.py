@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.clock import ManualClock
 from repro.core.exceptions import (
@@ -41,7 +43,12 @@ from repro.retrieval import (
     recall_at_k,
 )
 from repro.retrieval.base import pairwise_scores
-from repro.retrieval.ivf import PROBE_BUDGET, PROBE_FLOOR, RECALL_TARGET
+from repro.retrieval.ivf import (
+    PROBE_BUDGET,
+    PROBE_FLOOR,
+    RECALL_TARGET,
+    _cell_order,
+)
 from repro.runtime.faults import Fault, FaultInjector, FaultPlan
 from repro.runtime.guards import validate_scores
 from repro.serving import RecommenderService, ServeRequest
@@ -321,6 +328,33 @@ class TestIvfBuildOracle:
             index = IvfIndex(seed=0, num_lists=20, nprobe=nprobe).build(items)
             assert empty_cells(index) == 15
             assert_search_contract(index, queries, n, (1, 5, n))
+
+
+class TestCellOrder:
+    """The members order: keys cast to int16 when they fit, int64 above."""
+
+    @given(
+        num_lists=st.integers(1, 40_000)
+        | st.sampled_from([32_766, 32_767, 32_768, 32_769, 65_536]),
+        n=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_is_the_stable_int64_argsort(self, num_lists, n, seed):
+        assign = np.random.default_rng(seed).integers(num_lists, size=n)
+        assign[: min(n, 3)] = num_lists - 1  # the largest key always present
+        order = _cell_order(assign, num_lists)
+        assert order.dtype == np.int64
+        np.testing.assert_array_equal(order, np.argsort(assign, kind="stable"))
+
+    @pytest.mark.parametrize("n", (1, 600, 5_000))
+    def test_build_members_are_the_assignment_argsort(self, n):
+        items = clustered(n, 16, seed=n)
+        index = IvfIndex(seed=0).build(items)
+        assign = index._assign(items, index._centroids)
+        np.testing.assert_array_equal(
+            index._members, np.argsort(assign, kind="stable")
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,10 @@
 """Unit tests for the sharded embedding store (format, stores, checkpoints)."""
 
+import builtins
+import json
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,12 +23,15 @@ from repro.store import (
     DenseStore,
     MmapShardStore,
     ShardInfo,
+    StoredEmbeddingRecommender,
     StoreIO,
     inspect_store,
     load_shard,
+    map_payload,
     verify_shard,
     write_shard,
 )
+from repro.store import shard as shard_module
 from repro.store.manifest import (
     build_manifest,
     load_manifest,
@@ -88,6 +96,105 @@ class TestShardFormat:
         wrong = ShardInfo(file=info.file, row_start=4, rows=4, crc32=info.crc32)
         with pytest.raises(StoreCorruptionError, match="disagrees"):
             verify_shard(path, expected=wrong)
+
+
+#: A shard the unpadded writer (payload at byte ``12 + len(JSON)``) wrote:
+#: table "entity", rows 10-14, dim 3, seed 7, payload at byte 131.
+UNPADDED_SHARD = Path(__file__).parent / "fixtures" / "shard_unpadded_v1.shard"
+UNPADDED_VALUES = np.arange(15, dtype=np.float32).reshape(5, 3) * 0.25 - 1.0
+
+
+class TestAlignedPayload:
+    @given(
+        rows=st.integers(1, 9),
+        dim=st.integers(1, 9),
+        row_start=st.integers(0, 10**9),
+        table=st.text("abcdefgh_.-0123456789", min_size=1, max_size=40),
+        seed=st.none() | st.integers(-(10**12), 10**12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_payload_starts_on_a_64_byte_boundary(
+        self, tmp_path_factory, rows, dim, row_start, table, seed
+    ):
+        path = tmp_path_factory.mktemp("aligned") / "t.shard"
+        values = np.arange(rows * dim, dtype=np.float32).reshape(rows, dim)
+        info = write_shard(StoreIO(), path, table, row_start, values, seed=seed)
+        header, offset = verify_shard(path, expected=info, dim=dim)
+        assert offset % 64 == 0
+        # The padding is trailing spaces inside the counted header: a
+        # plain JSON parse of the declared header bytes reads it.
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:12], "little")
+        assert 12 + header_len == offset
+        assert json.loads(blob[12:offset]) == header
+        assert blob[offset:] == values.tobytes()
+        mapped = map_payload(path, offset, rows, dim)
+        assert mapped.flags.aligned and mapped.ctypes.data % 64 == 0
+        assert mapped.tobytes() == values.tobytes()
+
+    def test_serve_views_are_aligned(self, tmp_path):
+        store = MmapShardStore.create(tmp_path, rows_per_shard=3)
+        store.register("t", np.arange(33, dtype=np.float64).reshape(11, 3))
+        store.commit()
+        store.close()
+        served = MmapShardStore.open(tmp_path, mode="serve")
+        shards = served.table("t")._require()
+        assert len(shards) == 4
+        assert all(s.flags.aligned and s.ctypes.data % 64 == 0 for s in shards)
+        served.close()
+
+    def test_padding_leaves_payload_crc_and_header_fields_alone(self, tmp_path):
+        """Only the header's trailing spaces differ from the unpadded file."""
+        old = UNPADDED_SHARD.read_bytes()
+        old_header, old_offset = verify_shard(UNPADDED_SHARD)
+        path = tmp_path / UNPADDED_SHARD.name
+        info = write_shard(StoreIO(), path, "entity", 10, UNPADDED_VALUES, seed=7)
+        new = path.read_bytes()
+        header, offset = verify_shard(path)
+        assert header == old_header and info.crc32 == old_header["crc32"]
+        assert new[offset:] == old[old_offset:]
+        assert new[12:offset] == old[12:old_offset] + b" " * (offset - old_offset)
+
+    def test_unpadded_shard_verifies_loads_and_maps_bitwise(self):
+        header, offset = verify_shard(
+            UNPADDED_SHARD,
+            expected=ShardInfo(
+                file=UNPADDED_SHARD.name, row_start=10, rows=5, crc32=2719079516
+            ),
+            dim=3,
+        )
+        assert offset == 131  # the old layout: unaligned
+        __, loaded = load_shard(UNPADDED_SHARD)
+        mapped = map_payload(UNPADDED_SHARD, offset, 5, 3)
+        assert loaded.tobytes() == UNPADDED_VALUES.tobytes()
+        assert mapped.tobytes() == UNPADDED_VALUES.tobytes()
+        assert not mapped.flags.aligned
+
+    def test_store_mixing_unpadded_and_padded_shards(self, tmp_path):
+        """A generation whose last shard predates the padding opens in
+        serve mode and serves exactly its bytes beside padded shards."""
+        values = np.arange(45, dtype=np.float32).reshape(15, 3)
+        values[10:] = UNPADDED_VALUES
+        store = MmapShardStore.create(tmp_path, rows_per_shard=5, seed=7)
+        store.register("entity", values.astype(np.float64))
+        assert store.commit() == 1
+        store.close()
+        # Same rows, same payload, same CRC: only the header layout differs.
+        shards = tmp_path / "shards"
+        shutil.copy(UNPADDED_SHARD, shards / "entity-g00000001-s00002.shard")
+        served = MmapShardStore.open(tmp_path, mode="serve")
+        assert served.generation == 1
+        view = served.table("entity")
+        assert [s.flags.aligned for s in view._require()] == [True, True, False]
+        assert view.to_array().tobytes() == values.tobytes()
+        rows = [14, 0, 10, 7, 12]
+        assert view.gather(rows).tobytes() == values[rows].tobytes()
+        assert view.row(11).tobytes() == values[11].tobytes()
+        served.close()
+        trained = MmapShardStore.open(tmp_path, mode="train")
+        loaded = trained.load_table("entity").astype(np.float32)
+        assert loaded.tobytes() == values.tobytes()
+        trained.close()
 
 
 class TestManifest:
@@ -300,6 +407,67 @@ class TestMmapStoreServing:
         store = MmapShardStore.open(tmp_path, mode="serve")
         with pytest.raises(StoreError, match="out of range"):
             store.table("t").gather([99])
+        store.close()
+
+    def test_open_reads_each_shard_once_then_maps_it(self, tmp_path, monkeypatch):
+        """A pinned serve-mode open parses every shard header once: one
+        verifying read per shard, then one map at the verified offset."""
+        self.make_store(tmp_path)
+        opened, parsed = [], []
+        real_open, real_parse = builtins.open, shard_module._parse_header
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).endswith(".shard"):
+                opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        def counting_parse(name, data):
+            parsed.append(name)
+            return real_parse(name, data)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(shard_module, "_parse_header", counting_parse)
+        store = MmapShardStore.open(tmp_path, mode="serve", generation=2)
+        monkeypatch.undo()
+        files = [s["file"] for s in store._manifest["tables"]["t"]["shards"]]
+        assert len(files) == 3
+        assert sorted(parsed) == sorted(files)
+        assert sorted(opened) == sorted(files * 2)
+        np.testing.assert_array_equal(
+            store.table("t").to_array(), store.load_table("t").astype(np.float32)
+        )
+        store.close()
+
+    def test_row_is_bitwise_the_gathered_row(self, tmp_path):
+        self.make_store(tmp_path, rows=7, rows_per_shard=3)
+        store = MmapShardStore.open(tmp_path, mode="serve")
+        table = store.table("t")
+        for i in range(7):
+            assert table.row(i).tobytes() == table.gather([i])[0].tobytes()
+        for bad in (-1, 7):
+            with pytest.raises(StoreError, match="out of range"):
+                table.row(bad)
+        store.close()
+
+    def test_query_vector_is_bitwise_the_gathered_row(self, tmp_path):
+        self.make_store(tmp_path, rows=7, rows_per_shard=3)
+        store = MmapShardStore.open(tmp_path, mode="serve")
+        users = np.array([6, 0, 3, 4])
+        model = StoredEmbeddingRecommender(
+            store, user_entities=users, item_entities=np.array([1, 2, 5]),
+            entity_table="t",
+        )
+        for user, row in enumerate(users):
+            query = model.query_vector(user)
+            expected = store.table("t").gather([row])[0].astype(np.float64)
+            assert query.dtype == np.float64
+            assert query.tobytes() == expected.tobytes()
+        broken = StoredEmbeddingRecommender(
+            store, user_entities=np.array([7]), item_entities=np.array([1]),
+            entity_table="t",
+        )
+        with pytest.raises(StoreError, match="out of range"):
+            broken.query_vector(0)
         store.close()
 
 

@@ -22,14 +22,14 @@ from repro.kge.translational import TransE
 from repro.models.baselines import MostPopular
 from repro.serving import RecommenderService, ServeRequest
 from repro.store import MmapShardStore, StoredEmbeddingRecommender
-from repro.runtime.faults import IO_FAULT_KINDS
+from repro.runtime.faults import IO_FAULT_KINDS, Fault, FaultInjector, FaultPlan
 from repro.store.harness import (
     ScenarioConfig,
     crash_cells,
     make_corrupted_store,
     run_scenario,
 )
-from repro.store.io import StoreIO
+from repro.store.io import FaultingStoreIO, StoreIO
 from repro.telemetry import Telemetry
 
 SMALL = ScenarioConfig(num_entities=6, num_triples=12, dim=3, epochs=2,
@@ -93,6 +93,115 @@ class TestCrashMatrix:
         assert by_gen[2] is False
         assert by_gen[1] is True
         assert report.current == 1
+
+
+# ---------------------------------------------------------------------- #
+# group commit: every shard temp, then every rename, then the manifest
+# ---------------------------------------------------------------------- #
+#: The four shards of :func:`two_tables`' first commit, in write order.
+GROUP = [
+    "a-g00000001-s00000.shard", "a-g00000001-s00001.shard",
+    "b-g00000001-s00000.shard", "b-g00000001-s00001.shard",
+]
+
+
+def two_tables(directory, io):
+    """A train-mode store over tables ``a`` (4x2) and ``b`` (3x2), two
+    rows per shard; its creation takes IO ops 0 and 1."""
+    store = MmapShardStore.create(directory, rows_per_shard=2, io=io)
+    a = store.register("a", np.arange(8.0).reshape(4, 2))
+    b = store.register("b", -np.arange(6.0).reshape(3, 2))
+    return store, a, b
+
+
+class TestGroupCommit:
+    def test_op_log_is_writes_then_renames_then_manifest(self, tmp_path):
+        io = StoreIO()
+        store, a, __ = two_tables(tmp_path, io)
+        start = io.num_ops
+        assert store.commit() == 1
+        ops = [(op.kind, Path(op.path).name) for op in io.op_log[start:]]
+        assert ops == (
+            [("write", f + ".tmp") for f in GROUP]
+            + [("rename", f) for f in GROUP]
+            + [("write", "manifest-g00000001.json.tmp"),
+               ("rename", "manifest-g00000001.json")]
+        )
+        # An incremental commit is a group of one.
+        a[3] = 9.0
+        store.mark_dirty("a", [3])
+        start = io.num_ops
+        assert store.commit() == 2
+        assert [(op.kind, Path(op.path).name) for op in io.op_log[start:]] == [
+            ("write", "a-g00000002-s00001.shard.tmp"),
+            ("rename", "a-g00000002-s00001.shard"),
+            ("write", "manifest-g00000002.json.tmp"),
+            ("rename", "manifest-g00000002.json"),
+        ]
+        store.close()
+
+    def test_writes_then_fsyncs_then_renames_then_one_directory_fsync(
+        self, tmp_path
+    ):
+        class Recording(StoreIO):
+            def __init__(self):
+                super().__init__()
+                self.events = []
+
+            def _do_write(self, step, path, data):
+                self.events.append(("write", path.name))
+                super()._do_write(step, path, data)
+
+            def _fsync_file(self, step, fd):
+                self.events.append(("fsync", Path(self.op_log[step].path).name))
+                super()._fsync_file(step, fd)
+
+            def _do_replace(self, step, tmp, final):
+                self.events.append(("rename", final.name))
+                super()._do_replace(step, tmp, final)
+
+            def _fsync_dir(self, directory):
+                self.events.append(("fsync_dir", directory.name))
+                super()._fsync_dir(directory)
+
+        io = Recording()
+        store, __, __ = two_tables(tmp_path, io)
+        io.events.clear()
+        store.commit()
+        manifest = "manifest-g00000001.json"
+        assert io.events == (
+            [("write", f + ".tmp") for f in GROUP]
+            + [("fsync", f + ".tmp") for f in GROUP]
+            + [("rename", f) for f in GROUP]
+            + [("fsync_dir", "shards")]
+            + [("write", manifest + ".tmp"), ("fsync", manifest + ".tmp"),
+               ("rename", manifest), ("fsync_dir", tmp_path.name)]
+        )
+        store.close()
+
+    @pytest.mark.parametrize("shard", range(len(GROUP)))
+    def test_fsync_fail_at_any_shard_of_a_group_aborts(self, tmp_path, shard):
+        injector = FaultInjector(FaultPlan([Fault(step=2 + shard, kind="fsync_fail")]))
+        store, a, b = two_tables(tmp_path, FaultingStoreIO(injector))
+        with pytest.raises(StoreError, match="fsync"):
+            store.commit()
+        assert [f.kind for f in injector.injected] == ["fsync_fail"]
+        assert store.generation == 0
+        assert store.dirty_row_count("a") == 4 and store.dirty_row_count("b") == 3
+        # Every temp was written before the first fsync, and no rename was
+        # issued: the aborted group left temp files only.
+        shards_dir = tmp_path / "shards"
+        assert not list(shards_dir.glob("*.shard"))
+        assert sorted(p.name for p in shards_dir.glob("*.tmp")) == [
+            f + ".tmp" for f in GROUP
+        ]
+        reopened = MmapShardStore.open(tmp_path, mode="serve")
+        assert reopened.generation == 0
+        reopened.close()
+        assert store.commit() == 1  # the retry succeeds past the planned fault
+        np.testing.assert_array_equal(store.load_table("a"), a)
+        np.testing.assert_array_equal(store.load_table("b"), b)
+        store.close()
 
 
 # ---------------------------------------------------------------------- #
