@@ -48,7 +48,9 @@ from repro.online.harness import (
     freshness_report,
     run_churn_cell,
 )
+from repro.online.trainer import ManifestCrashIO
 from repro.runtime.faults import FaultPlan
+from repro.store.io import RecordingStoreIO
 from repro.telemetry import Telemetry, activated
 
 if __package__:  # imported as ``benchmarks.bench_online`` (pytest collection)
@@ -59,11 +61,17 @@ else:  # run as a script: this directory is on sys.path
 DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_online.json"
 
 
+class RecordingCrashIO(RecordingStoreIO, ManifestCrashIO):
+    """The online world's store IO, also keeping every op for
+    :func:`commits`."""
+
+
 def bench_seed(workdir: Path, seed: int, config: ChurnConfig) -> dict:
     """One fault-free replay: freshness, per-cycle promote and build times."""
     tel = Telemetry(clock=time.perf_counter)
     with activated(tel):
-        world = build_world(workdir, seed, plan=FaultPlan(), config=config)
+        world = build_world(workdir, seed, plan=FaultPlan(), config=config,
+                            io=RecordingCrashIO())
         world.loop.run(config.num_batches)
     builds = [r for r in tel.tracer.records() if r.name == "retrieval/build"]
     loop = world.loop

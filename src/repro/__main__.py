@@ -102,15 +102,18 @@ def _seeds(command: str, text: str) -> tuple[int, ...]:
 def _cmd_claims(args) -> None:
     from pathlib import Path
 
-    from repro.experiments.claims import run_claims
+    from repro.experiments.claims import run_claims, wall_table
 
-    report, verdicts = run_claims(_seeds("claims", args.seeds))
+    report, verdicts, seconds = run_claims(_seeds("claims", args.seeds))
     summary = report.splitlines()[-1]
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         print(f"claims report written to {args.output}\n{summary}")
     else:
         print(report)
+    # Costs go to stderr, after the report: stdout stays byte-identical.
+    sys.stdout.flush()
+    print(wall_table(seconds), file=sys.stderr, flush=True)
     failed = [v.line() for v in verdicts if not v.ok]
     if failed:
         raise SystemExit("\n".join(failed + [summary]))

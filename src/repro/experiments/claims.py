@@ -20,6 +20,7 @@ of :data:`STUDIES` (the tables and Figure 1 print through ``table N`` and
 from __future__ import annotations
 
 import operator
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -37,7 +38,7 @@ from .figure1 import render_figure1, run_figure1
 from .harness import PanelResult, results_table
 
 __all__ = ["ARTIFACTS", "CLAIMS", "STUDIES", "Check", "Claim", "Verdict", "judge",
-           "render", "run_claims"]
+           "render", "run_claims", "wall_table"]
 
 OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
        "<=": operator.le, "==": operator.eq}
@@ -347,19 +348,23 @@ STUDIES: tuple[Claim, ...] = (
 CLAIMS = ARTIFACTS + STUDIES
 
 
-def run_claims(seeds: Iterable[int]) -> tuple[str, list[Verdict]]:
+def run_claims(seeds: Iterable[int]) -> tuple[str, list[Verdict], dict]:
     """Run every claim of :data:`CLAIMS` at every seed.
 
-    Returns ``(report, verdicts)``: each study's rows per seed, then the
-    verdict table (one row per check, one column per seed) and a summary
-    line.  Seeds must pass :func:`~repro.core.rng.check_seeds`.
+    Returns ``(report, verdicts, seconds)``: the report is each study's
+    rows per seed, then the verdict table (one row per check, one column
+    per seed) and a summary line; ``seconds`` maps ``(claim id, seed)``
+    to the study's wall seconds (see :func:`wall_table`).  Seeds must
+    pass :func:`~repro.core.rng.check_seeds`.
     """
     seeds, claims = check_seeds(seeds), CLAIMS
     lines = [f"# Survey claims: {len(claims)} entries, seeds {list(seeds)}"]
     verdicts: list[Verdict] = []
+    seconds: dict[tuple[str, int], float] = {}
     for seed in seeds:
         for claim in claims:
             lines += ["", f"## {claim.id} seed={seed}: {claim.survey}"]
+            start = time.perf_counter()
             try:
                 result = claim.study(seed=seed)
             except Exception as exc:  # judged with the rest, not fatal
@@ -369,6 +374,8 @@ def run_claims(seeds: Iterable[int]) -> tuple[str, list[Verdict]]:
             else:
                 lines.append(render(result))
                 verdicts += judge(claim, seed, result)
+            finally:
+                seconds[claim.id, seed] = time.perf_counter() - start
     per_seed = len(verdicts) // len(seeds)
     lines += ["", "## Verdicts", "", "| claim | check | "
               + " | ".join(f"seed {s}" for s in seeds) + " |",
@@ -379,4 +386,24 @@ def run_claims(seeds: Iterable[int]) -> tuple[str, list[Verdict]]:
     failed = sum(not v.ok for v in verdicts)
     lines += ["", f"claims FAILED: {failed} of {len(verdicts)} check(s)" if failed
               else f"claims OK: {per_seed} checks x {len(seeds)} seed(s)"]
-    return "\n".join(lines), verdicts
+    return "\n".join(lines), verdicts, seconds
+
+
+def wall_table(seconds: dict[tuple[str, int], float]) -> str:
+    """Wall seconds per entry (rows, in run order) and seed (columns), with
+    each entry's total and a total row: what each study costs a run."""
+    claims = list(dict.fromkeys(claim for claim, __ in seconds))
+    seeds = list(dict.fromkeys(seed for __, seed in seconds))
+    width = max(len(c) for c in claims + ["wall s"])
+
+    def row(name, values):
+        return f"{name:<{width}} " + "".join(f"{v:>9.2f}" for v in values)
+
+    lines = [f"{'wall s':<{width}} " + "".join(f"{'seed ' + str(s):>9}" for s in seeds)
+             + f"{'total':>9}"]
+    for claim in claims:
+        values = [seconds[claim, s] for s in seeds]
+        lines.append(row(claim, values + [sum(values)]))
+    totals = [sum(seconds[c, s] for c in claims) for s in seeds]
+    lines.append(row("total", totals + [sum(totals)]))
+    return "\n".join(lines)

@@ -105,23 +105,16 @@ def _filtered_rank(
 ) -> int:
     n = candidates.size
     if side == "tail":
-        scores = score_fn(np.full(n, h), np.full(n, r), candidates)
+        heads, rels, tails = np.full(n, h), np.full(n, r), candidates
         true_id = t
-        mask = np.fromiter(
-            ((h, r, int(c)) in known and int(c) != t for c in candidates),
-            dtype=bool,
-            count=n,
-        )
     else:
-        scores = score_fn(candidates, np.full(n, r), np.full(n, t))
+        heads, rels, tails = candidates, np.full(n, r), np.full(n, t)
         true_id = h
-        mask = np.fromiter(
-            ((int(c), r, t) in known and int(c) != h for c in candidates),
-            dtype=bool,
-            count=n,
-        )
-    scores = np.asarray(scores, dtype=np.float64).copy()
-    scores[mask] = -np.inf  # filter competing true facts
+    scores = np.asarray(score_fn(heads, rels, tails), dtype=np.float64).copy()
+    # Filter competing true facts: every known candidate but the true one.
+    mask = known.contains_batch(heads, rels, tails)
+    mask[true_id] = False
+    scores[mask] = -np.inf
     true_score = scores[true_id]
     # Rank = 1 + number of strictly better candidates; ties broken
     # optimistically-pessimistically averaged to keep the metric stable.

@@ -105,6 +105,7 @@ def build_world(
     config: ChurnConfig | None = None,
     telemetry=None,
     stream_factory=None,
+    io: ManifestCrashIO | None = None,
 ) -> World:
     """Build a complete online world rooted at ``workdir``.
 
@@ -112,7 +113,9 @@ def build_world(
     interaction stream is built — the hook the traffic simulator uses to
     drive the loop from persona streams
     (:func:`repro.traffic.stream.persona_stream_factory`) instead of the
-    default :class:`InteractionStream`.
+    default :class:`InteractionStream`.  ``io`` is the store's IO layer
+    (a fresh :class:`ManifestCrashIO` by default); pass a subclass that
+    also records ops to read back the store's commits.
     """
     config = config if config is not None else ChurnConfig()
     c = config.stream
@@ -127,7 +130,7 @@ def build_world(
     trainer, generation = ShadowTrainer.bootstrap(
         store_dir, c.num_users, c.num_items, dim=config.model_dim,
         seed=seed, rows_per_shard=config.rows_per_shard,
-        io=ManifestCrashIO(),
+        io=io if io is not None else ManifestCrashIO(),
     )
     users, items = stream.warm_interactions()
     dataset = Dataset(

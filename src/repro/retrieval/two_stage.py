@@ -129,7 +129,7 @@ class ArrayEmbeddingRecommender(Recommender):
 
     def score_all(self, user_id: int) -> np.ndarray:
         self.fitted_dataset
-        return self.score_items(user_id, np.arange(self._items.shape[0]))
+        return self._items @ self.query_vector(user_id)
 
     # -------------------------------------------------------------- #
     # retrieval protocol
@@ -142,14 +142,7 @@ class ArrayEmbeddingRecommender(Recommender):
 
     def score_items(self, user_id: int, item_ids) -> np.ndarray:
         ids = np.asarray(item_ids, dtype=np.int64)
-        # Both gathers give the same rows. Over as many rows as the table
-        # holds fancy indexing is the faster one; over a candidate subset
-        # ``take`` is.
-        if ids.size == self._items.shape[0]:
-            items = self._items[ids]
-        else:
-            items = np.take(self._items, ids, axis=0)
-        return items @ self.query_vector(user_id)
+        return np.take(self._items, ids, axis=0) @ self.query_vector(user_id)
 
 
 class TwoStageRecommender(Recommender):

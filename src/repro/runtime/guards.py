@@ -22,7 +22,7 @@ layers of protection:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,7 +135,10 @@ class ScoreReport:
     produced a few NaNs from one that returned garbage wholesale.
     ``num_scored`` is the vector length actually validated: ``None`` for a
     full-catalog vector, the candidate count for a candidate-subset
-    validation (the ANN serving rung).
+    validation (the ANN serving rung).  ``increasing`` passes on what an
+    ok candidate-subset check found on the way: the ids were strictly
+    increasing (so a caller can binary-search them without checking
+    again).  It takes no part in report equality.
     """
 
     ok: bool
@@ -145,6 +148,7 @@ class ScoreReport:
     num_inf: int = 0
     reason: str = ""
     num_scored: int | None = None
+    increasing: bool = field(default=False, compare=False, repr=False)
 
     def describe(self) -> str:
         if not self.ok:
@@ -199,7 +203,8 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
                 ok=False, expected_items=num_items, actual_shape=shape,
                 reason=f"candidate indices must be integers, got dtype {idx.dtype}",
             )
-        if (idx[1:] > idx[:-1]).all():
+        increasing = bool((idx[1:] > idx[:-1]).all())
+        if increasing:
             ordered, distinct = idx, True
         else:
             ordered = np.sort(idx)
@@ -218,7 +223,7 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
             )
         expected_shape = (int(idx.size),)
     else:
-        expected_shape = (num_items,)
+        expected_shape, increasing = (num_items,), False
     if arr.ndim != 1 or shape != expected_shape:
         return ScoreReport(
             ok=False, expected_items=num_items, actual_shape=shape,
@@ -241,6 +246,7 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
     return ScoreReport(
         ok=True, expected_items=num_items, actual_shape=shape,
         num_scored=None if expected_indices is None else int(arr.size),
+        increasing=increasing,
     )
 
 

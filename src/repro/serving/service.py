@@ -441,7 +441,8 @@ class RecommenderService:
                     rung_span.set(candidates=int(np.asarray(ids).size))
                 tel.end(rung_span, outcome="ok")
             items, top_scores = self._rank(
-                scores, user_id, k, request.exclude_seen, ids=ids
+                scores, user_id, k, request.exclude_seen, ids=ids,
+                increasing=report.increasing,
             )
             return name, items, top_scores
         # The static rung cannot fail, so this line requires a programming
@@ -479,9 +480,14 @@ class RecommenderService:
 
     def _rank(
         self, scores: np.ndarray, user_id: int, k: int, exclude_seen: bool,
-        ids: np.ndarray | None = None,
+        ids: np.ndarray | None = None, increasing: bool = False,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k over a full score vector, or over an ``ids``-aligned subset."""
+        """Top-k over a full score vector, or over an ``ids``-aligned subset.
+
+        ``increasing`` says the score guard found ``ids`` strictly
+        increasing (:attr:`ScoreReport.increasing
+        <repro.runtime.guards.ScoreReport.increasing>`).
+        """
         scores = np.array(scores, dtype=np.float64, copy=True)
         if ids is not None:
             ids = np.asarray(ids, dtype=np.int64)
@@ -489,7 +495,7 @@ class RecommenderService:
             seen = self.dataset.interactions.items_of(user_id)
             if ids is None:
                 scores[seen] = -np.inf
-            elif (ids[1:] > ids[:-1]).all():
+            elif increasing:
                 # Strictly increasing ids (what IvfIndex.search returns):
                 # binary-search each seen item instead of passing np.isin
                 # over every candidate.  The guard has proven ``ids``

@@ -26,7 +26,7 @@ The format and protocol are specified in ``docs/storage.md``.
 from __future__ import annotations
 
 from .base import DenseStore, EmbeddingStore
-from .io import FaultingStoreIO, IOOp, StoreIO
+from .io import FaultingStoreIO, IOOp, RecordingStoreIO, StoreIO
 from .manifest import load_manifest, scan_manifests
 from .mmap import MmapShardStore, ShardedTable
 from .serving import StoredEmbeddingRecommender
@@ -48,6 +48,7 @@ __all__ = [
     "ShardedTable",
     "StoredEmbeddingRecommender",
     "StoreIO",
+    "RecordingStoreIO",
     "FaultingStoreIO",
     "IOOp",
     "ShardInfo",

@@ -13,8 +13,9 @@ never a hybrid.  This module turns that claim into an exhaustive check:
    :class:`~repro.store.io.StoreIO`: store shards and manifests, and the
    checkpoint archives, are all written by ``io``.
 2. :func:`crash_cells`, the store's cell function for
-   ``python -m repro fault-matrix``, first runs the scenario clean to
-   enumerate its IO operations and record every committed generation's
+   ``python -m repro fault-matrix``, first runs the scenario clean
+   through a :class:`~repro.store.io.RecordingStoreIO` to enumerate its
+   IO operations and record every committed generation's
    table bytes, then replays it once per ``(operation, fault kind)`` pair
    with a :class:`~repro.store.io.FaultingStoreIO`, "pulls the plug"
    (:class:`~repro.runtime.faults.InjectedCrash` is caught only at the
@@ -52,7 +53,7 @@ from repro.runtime.faults import (
     InjectedCrash,
 )
 
-from .io import FaultingStoreIO, StoreIO
+from .io import FaultingStoreIO, RecordingStoreIO, StoreIO
 from .manifest import manifest_name
 from .mmap import MmapShardStore
 
@@ -244,7 +245,7 @@ def crash_cells(seed: int, workdir: str | Path) -> list[FaultCell]:
     """The full crash matrix for ``seed``, one verdict per IO fault kind
     (see the module docstring)."""
     workdir = Path(workdir)
-    clean_io = StoreIO()
+    clean_io = RecordingStoreIO()
     clean = run_scenario(workdir / "clean", seed=seed, io=clean_io)
     references = _reference_states(clean.store_dir, clean.generations)
     genesis = manifest_name(0)

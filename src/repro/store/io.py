@@ -17,12 +17,14 @@ lets the filesystem flush it in fewer journal commits (measurably faster
 than file by file on ext4), and the group pays one directory fsync
 instead of one per file.
 
-Each primitive call advances a global **IO-operation index** and is
-recorded in :attr:`StoreIO.op_log`, so a fault plan can deterministically
-address "the k-th IO operation of this scenario".  The crash-matrix
-harness (:mod:`repro.store.harness`) first runs a scenario with a plain
-:class:`StoreIO` to enumerate the ops, then replays it once per
-``(op, fault kind)`` pair with a :class:`FaultingStoreIO`.
+Each primitive call advances a global **IO-operation index**, so a
+fault plan can deterministically address "the k-th IO operation of this
+scenario".  A :class:`RecordingStoreIO` also keeps every op in its
+:attr:`~RecordingStoreIO.op_log`; the plain :class:`StoreIO` keeps only
+the count, so a long-running store holds no per-op state.  The
+crash-matrix harness (:mod:`repro.store.harness`) first runs a scenario
+with a :class:`RecordingStoreIO` to enumerate the ops, then replays it
+once per ``(op, fault kind)`` pair with a :class:`FaultingStoreIO`.
 
 :class:`FaultingStoreIO` implements the IO fault kinds declared in
 :mod:`repro.runtime.faults`:
@@ -53,7 +55,7 @@ from pathlib import Path
 
 from repro.runtime.faults import FaultInjector, InjectedCrash
 
-__all__ = ["IOOp", "StoreIO", "FaultingStoreIO"]
+__all__ = ["IOOp", "StoreIO", "RecordingStoreIO", "FaultingStoreIO"]
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,11 @@ class StoreIO:
 
     def __init__(self) -> None:
         self._next_index = 0
-        self.op_log: list[IOOp] = []
 
     # ------------------------------------------------------------------ #
     def _advance(self, kind: str, path: Path) -> int:
         index = self._next_index
         self._next_index += 1
-        self.op_log.append(IOOp(index=index, kind=kind, path=str(path)))
         return index
 
     @property
@@ -149,6 +149,20 @@ class StoreIO:
             pass
         finally:
             os.close(fd)
+
+
+class RecordingStoreIO(StoreIO):
+    """A :class:`StoreIO` that keeps an :class:`IOOp` for every write and
+    rename in :attr:`op_log` (what the crash matrix enumerates)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.op_log: list[IOOp] = []
+
+    def _advance(self, kind: str, path: Path) -> int:
+        index = super()._advance(kind, path)
+        self.op_log.append(IOOp(index=index, kind=kind, path=str(path)))
+        return index
 
 
 class FaultingStoreIO(StoreIO):

@@ -61,7 +61,7 @@ from .manifest import (
     scan_manifests,
     write_manifest,
 )
-from .shard import ShardInfo, encode_shard, load_shard, map_payload, verify_shard
+from .shard import ShardInfo, encode_shard, load_shard, map_payload
 from .verify import SHARDS_DIR, check_generation, quarantine_debris
 
 __all__ = ["ShardedTable", "MmapShardStore"]
@@ -364,8 +364,7 @@ class MmapShardStore(EmbeddingStore):
         for shard in spec["shards"]:
             info = ShardInfo.from_json(shard)
             path = self.directory / SHARDS_DIR / info.file
-            verify_shard(path, expected=info, dim=dim)
-            __, values = load_shard(path, verify=False)
+            __, values = load_shard(path, expected=info, dim=dim)
             out[info.row_start : info.row_start + info.rows] = values
         return out
 

@@ -249,14 +249,19 @@ def verify_shard(
     return _verify_bytes(path.name, _read_file(path), expected, dim)
 
 
-def load_shard(path: str | Path, verify: bool = True) -> tuple[dict, np.ndarray]:
-    """Read a shard into memory; returns ``(header, float32 rows array)``."""
+def load_shard(
+    path: str | Path,
+    expected: ShardInfo | None = None,
+    dim: int | None = None,
+) -> tuple[dict, np.ndarray]:
+    """Read a shard into memory; returns ``(header, float32 rows array)``.
+
+    One read of the file: the values are decoded from the bytes
+    :func:`verify_shard`'s checks (``expected``, ``dim`` as there) ran on.
+    """
     path = Path(path)
     data = _read_file(path)
-    if verify:
-        header, offset = _verify_bytes(path.name, data, None, None)
-    else:
-        header, offset = _parse_header(path.name, data)
+    header, offset = _verify_bytes(path.name, data, expected, dim)
     rows, dim = int(header["rows"]), int(header["dim"])
     values = np.frombuffer(data, dtype=_DTYPE, count=rows * dim, offset=offset)
     return header, values.reshape(rows, dim).copy()

@@ -199,8 +199,10 @@ def test_every_study_runs_before_anything_is_judged(monkeypatch):
         Claim("ok", "counts", study, (Check("small", "<", lambda r: (r[0]["x"], 3)),
                                       Check("zero", "==", lambda r: (r[0]["x"], 0)))),
     ))
-    report, verdicts = claims.run_claims((0, 4))
+    report, verdicts, seconds = claims.run_claims((0, 4))
     assert ran == [0, 4]
+    assert list(seconds) == [("boom", 0), ("ok", 0), ("boom", 4), ("ok", 4)]
+    assert all(s >= 0 for s in seconds.values())
     assert [v.line() for v in verdicts if not v.ok] == [
         "FAIL boom.a seed=0: study raised RuntimeError: exploded at 0",
         "FAIL boom.a seed=4: study raised RuntimeError: exploded at 4",
@@ -211,3 +213,14 @@ def test_every_study_runs_before_anything_is_judged(monkeypatch):
     assert report.endswith("claims FAILED: 4 of 6 check(s)")
     with pytest.raises(ConfigError, match="distinct"):
         claims.run_claims((2, 2))
+
+
+def test_wall_table_has_a_row_per_entry_and_a_total():
+    table = claims.wall_table({("e1", 0): 1.0, ("e5", 0): 2.5,
+                               ("e1", 3): 0.5, ("e5", 3): 4.0})
+    assert table.splitlines() == [
+        "wall s    seed 0   seed 3    total",
+        "e1          1.00     0.50     1.50",
+        "e5          2.50     4.00     6.50",
+        "total       3.50     4.50     8.00",
+    ]

@@ -6,10 +6,11 @@ Each fast path is checked against the straightforward code it replaces:
   distinct in one comparison, anything else sorted once) against the
   ``np.unique`` guard, and its ``dtype.kind`` tests against
   ``np.issubdtype``;
-* the service's seen-item mask (binary search over strictly increasing
-  candidate ids) against ``np.isin``;
-* ``ArrayEmbeddingRecommender`` scoring through ``np.take`` against
-  fancy-indexed gathers, bitwise;
+* the service's seen-item mask (binary search over candidate ids the
+  guard found strictly increasing) against ``np.isin``;
+* ``ArrayEmbeddingRecommender.score_all``'s in-place product against the
+  gathered copy it replaced, and its candidate scoring through
+  ``np.take`` against fancy-indexed gathers, bitwise;
 * ``ServiceMetrics`` counter handles against the registry series;
 * the two-stage rung's served response against the exact rung's,
   whenever the exact top-k lies inside the IVF candidate set.
@@ -233,14 +234,28 @@ class TestSeenMaskOracle:
     def test_rank_equals_the_isin_mask(self, case):
         """Sorted or unsorted ids, empty ``seen``, seen items outside the
         candidate set, and k past the unseen count all rank as ``np.isin``
-        masks them."""
+        masks them, whether ``_rank`` takes the guard's order verdict
+        (what ``serve`` passes) or is told nothing of the order."""
         num_items, ids, seen, scores, k = case
         service = seen_service(1, num_items, seen)
-        items, top = service._rank(np.asarray(scores), 0, k, True, ids=ids)
+        report = validate_scores(np.asarray(scores), num_items, expected_indices=ids)
+        assert report.ok
+        assert report.increasing == bool((ids[1:] > ids[:-1]).all())
         want_items, want_top = isin_rank(scores, seen, ids, k)
-        assert items.dtype == np.int64
-        assert items.tobytes() == want_items.tobytes()
-        assert top.tobytes() == want_top.tobytes()
+        for increasing in {report.increasing, False}:
+            items, top = service._rank(np.asarray(scores), 0, k, True, ids=ids,
+                                       increasing=increasing)
+            assert items.dtype == np.int64
+            assert items.tobytes() == want_items.tobytes()
+            assert top.tobytes() == want_top.tobytes()
+
+    def test_the_order_verdict_takes_no_part_in_report_equality(self):
+        scores = np.zeros(3)
+        ordered = validate_scores(scores, 9, expected_indices=np.array([1, 4, 7]))
+        shuffled = validate_scores(scores, 9, expected_indices=np.array([4, 1, 7]))
+        assert (ordered.increasing, shuffled.increasing) == (True, False)
+        assert ordered == shuffled
+        assert not validate_scores(np.zeros(9), 9).increasing
 
     @pytest.mark.parametrize(
         "ids, seen, k",
@@ -257,7 +272,8 @@ class TestSeenMaskOracle:
         ids = np.asarray(ids, dtype=np.int64)
         scores = np.linspace(1.0, 0.0, ids.size)
         service = seen_service(1, 10, seen)
-        items, top = service._rank(scores, 0, k, True, ids=ids)
+        increasing = validate_scores(scores, 10, expected_indices=ids).increasing
+        items, top = service._rank(scores, 0, k, True, ids=ids, increasing=increasing)
         want_items, want_top = isin_rank(scores, seen, ids, k)
         assert items.tolist() == want_items.tolist()
         assert top.tobytes() == want_top.tobytes()
@@ -294,7 +310,6 @@ class TestArrayScoringOracle:
             assert model.score_all(user).tobytes() == expected.tobytes()
 
     def test_score_items_over_a_whole_table_permutation(self, array_model):
-        # As many ids as the table has rows takes the fancy-indexing gather.
         model, items = array_model
         ids = np.random.default_rng(9).permutation(items.shape[0])
         expected = fancy_scores(items, model.query_vector(1), ids)
@@ -312,6 +327,65 @@ class TestArrayScoringOracle:
         expected = fancy_scores(items, model.query_vector(user), ids)
         assert model.score_items(user, ids).tobytes() == expected.tobytes()
         assert model.score_items(user, ids.tolist()).tobytes() == expected.tobytes()
+
+
+@st.composite
+def in_place_cases(draw):
+    """A table of any row count (``n mod 4`` covers each ``gemv`` tail),
+    handed in as an offset view or not, then maybe swapped by
+    ``set_embeddings``."""
+    rows = draw(st.integers(1, 70) | st.sampled_from((257, 1_001, 4_099)))
+    dim = draw(st.sampled_from((1, 2, 3, 5, 8, 16, 31, 32, 33)))
+    offset = draw(st.integers(0, 3))
+    swap = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    return rows, dim, offset, swap, seed
+
+
+def in_place_model(rows, dim, offset, swap, seed):
+    rng = np.random.default_rng(seed)
+    users = rng.standard_normal((3, dim))
+    big = rng.standard_normal((rows + offset, dim))
+    model = ArrayEmbeddingRecommender(users, big[offset:])
+    if swap:
+        big = rng.standard_normal((rows + offset + 1, dim))
+        model.set_embeddings(rng.standard_normal((3, dim)), big[offset + 1:])
+    dataset = Dataset(
+        name="in-place",
+        interactions=InteractionMatrix(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 3, rows
+        ),
+    )
+    return model.fit(dataset)
+
+
+class TestInPlaceScoreAllOracle:
+    """``score_all`` scores the table in place; the code it replaced
+    gathered a copy first (``items[np.arange(n)] @ q``).  Same bits."""
+
+    @staticmethod
+    def assert_gathered_bits(model):
+        items = model.item_vectors()
+        gathered = items[np.arange(items.shape[0])]
+        for user in range(3):
+            scores = model.score_all(user)
+            assert scores.dtype == np.float64 and scores.flags.owndata
+            assert scores.tobytes() == (gathered @ model.query_vector(user)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(in_place_cases())
+    def test_in_place_product_is_bitwise_the_gathered_one(self, case):
+        self.assert_gathered_bits(in_place_model(*case))
+
+    @pytest.mark.parametrize("rows", (20_000, 20_003))
+    @pytest.mark.parametrize("offset", (0, 1))
+    def test_at_the_ledger_catalog_size(self, rows, offset):
+        """The ``serve-exact-2e4`` shape (dim 32), whole and as ``big[1:]``
+        (which ``np.ascontiguousarray`` does not copy)."""
+        model = in_place_model(rows, 32, offset, False, seed=rows + offset)
+        if offset:
+            assert not model.item_vectors().flags.owndata
+        self.assert_gathered_bits(model)
 
 
 # ---------------------------------------------------------------------- #

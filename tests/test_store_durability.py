@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.clock import ManualClock
-from repro.core.exceptions import StoreError
+from repro.core.exceptions import StoreCorruptionError, StoreError
 from repro.data import MOVIE_SCHEMA, generate_dataset
 from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
@@ -29,7 +29,7 @@ from repro.store.harness import (
     make_corrupted_store,
     run_scenario,
 )
-from repro.store.io import FaultingStoreIO, StoreIO
+from repro.store.io import FaultingStoreIO, RecordingStoreIO, StoreIO
 from repro.telemetry import Telemetry
 
 SMALL = ScenarioConfig(num_entities=6, num_triples=12, dim=3, epochs=2,
@@ -48,7 +48,7 @@ class TestCrashMatrix:
         assert a.num_ops == b.num_ops > 0
 
     def test_checkpoint_writes_go_through_the_store_io(self, tmp_path):
-        io = StoreIO()
+        io = RecordingStoreIO()
         run_scenario(tmp_path, seed=0, io=io, config=SMALL)
         ckpt = [(op.kind, Path(op.path).name) for op in io.op_log if "ckpt-" in op.path]
         assert ckpt == [
@@ -116,7 +116,7 @@ def two_tables(directory, io):
 
 class TestGroupCommit:
     def test_op_log_is_writes_then_renames_then_manifest(self, tmp_path):
-        io = StoreIO()
+        io = RecordingStoreIO()
         store, a, __ = two_tables(tmp_path, io)
         start = io.num_ops
         assert store.commit() == 1
@@ -143,7 +143,7 @@ class TestGroupCommit:
     def test_writes_then_fsyncs_then_renames_then_one_directory_fsync(
         self, tmp_path
     ):
-        class Recording(StoreIO):
+        class Recording(RecordingStoreIO):
             def __init__(self):
                 super().__init__()
                 self.events = []
@@ -201,6 +201,56 @@ class TestGroupCommit:
         assert store.commit() == 1  # the retry succeeds past the planned fault
         np.testing.assert_array_equal(store.load_table("a"), a)
         np.testing.assert_array_equal(store.load_table("b"), b)
+        store.close()
+
+
+# ---------------------------------------------------------------------- #
+# bookkeeping: the plain IO counts ops only; a table load reads each shard once
+# ---------------------------------------------------------------------- #
+class TestStoreBookkeeping:
+    def test_plain_io_counts_ops_and_keeps_no_log(self, tmp_path):
+        plain, recording = StoreIO(), RecordingStoreIO()
+        for directory, io in ((tmp_path / "plain", plain), (tmp_path / "rec", recording)):
+            store, a, __ = two_tables(directory, io)
+            store.commit()
+            a[0] = 5.0
+            store.mark_dirty("a", [0])
+            store.commit()
+            store.close()
+        assert plain.num_ops == recording.num_ops == len(recording.op_log) == 16
+        assert [op.index for op in recording.op_log] == list(range(16))
+        assert vars(plain) == {"_next_index": 16}  # no per-op state
+
+    def test_load_table_opens_each_shard_once(self, tmp_path, monkeypatch):
+        import builtins
+
+        import repro.store.shard as shard_module
+
+        store = MmapShardStore.create(tmp_path, rows_per_shard=2, io=StoreIO())
+        values = np.random.default_rng(3).standard_normal((8, 3))
+        store.register("t", values)
+        store.commit()
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "open", counting_open, raising=False)
+        loaded = store.load_table("t")
+        assert sorted(opened) == [f"t-g00000001-s{i:05d}.shard" for i in range(4)]
+        expected = values.astype(np.float32).astype(np.float64)
+        assert loaded.tobytes() == expected.tobytes()
+        store.close()
+
+    def test_load_table_still_refuses_a_shard_the_manifest_disowns(self, tmp_path):
+        store = MmapShardStore.create(tmp_path, rows_per_shard=2, io=StoreIO())
+        store.register("t", np.ones((4, 2)))
+        store.commit()
+        shards = sorted((tmp_path / "shards").glob("t-*.shard"))
+        shards[1].write_bytes(shards[0].read_bytes())  # valid file, wrong rows
+        with pytest.raises(StoreCorruptionError, match="disagrees with manifest"):
+            store.load_table("t")
         store.close()
 
 
