@@ -1,7 +1,7 @@
 """Reverse-mode autograd engine and neural building blocks (pure NumPy)."""
 
 from . import losses, nn, ops
-from .optim import SGD, Adagrad, Adam, Optimizer
+from .optim import Adam, Optimizer
 from .sparse import SparseGrad
 from .tensor import Tensor, as_tensor
 
@@ -13,7 +13,5 @@ __all__ = [
     "nn",
     "losses",
     "Optimizer",
-    "SGD",
-    "Adagrad",
     "Adam",
 ]

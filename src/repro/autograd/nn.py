@@ -1,9 +1,8 @@
 """Neural-network layers on top of the autograd engine.
 
 Provides the building blocks used across the surveyed architectures: dense
-layers and MLPs, embedding tables, recurrent cells (GRU for KSR/RKGE, LSTM
-for KPRN), additive attention, and a 1-d convolution used by the Kim-CNN
-text encoder inside DKN/MCRec.
+layers and MLPs, embedding tables, and recurrent cells (GRU for KSR/RKGE,
+LSTM for KPRN).
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "MLP",
     "GRUCell",
     "LSTMCell",
-    "AdditiveAttention",
-    "Conv1d",
 ]
 
 
@@ -277,53 +274,3 @@ class LSTMCell(Module):
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
         zeros = np.zeros((batch, self.hidden_dim))
         return Tensor(zeros), Tensor(zeros.copy())
-
-
-class AdditiveAttention(Module):
-    """Bahdanau-style attention scoring ``v^T tanh(W [key; query])``.
-
-    ``__call__`` takes keys ``(n, d_k)`` and a query ``(d_q,)`` and returns
-    ``(weights, pooled)`` where weights sum to one over the ``n`` keys.
-    """
-
-    def __init__(self, key_dim: int, query_dim: int, hidden_dim: int = 16, seed=None) -> None:
-        rng = ensure_rng(seed)
-        self.proj = Linear(key_dim + query_dim, hidden_dim, seed=rng)
-        self.score = Linear(hidden_dim, 1, bias=False, seed=rng)
-
-    def __call__(self, keys: Tensor, query: Tensor) -> tuple[Tensor, Tensor]:
-        n = keys.shape[0]
-        tiled = ops.stack([query] * n, axis=0)
-        hidden = ops.tanh(self.proj(ops.concat([keys, tiled], axis=-1)))
-        logits = self.score(hidden).reshape(n)
-        weights = ops.softmax(logits, axis=-1)
-        pooled = weights.reshape(1, n) @ keys
-        return weights, pooled.reshape(keys.shape[1])
-
-
-class Conv1d(Module):
-    """Valid 1-d convolution over a sequence of vectors (Kim CNN block).
-
-    Input ``(seq_len, in_dim)``; output ``(seq_len - kernel + 1, out_dim)``.
-    Implemented by unfolding windows and a single matmul, so the backward
-    pass reuses the engine's matmul gradient.
-    """
-
-    def __init__(self, in_dim: int, out_dim: int, kernel_size: int, seed=None) -> None:
-        rng = ensure_rng(seed)
-        self.kernel_size = kernel_size
-        self.weight = Parameter(
-            _glorot(rng, kernel_size * in_dim, out_dim, (kernel_size * in_dim, out_dim))
-        )
-        self.bias = Parameter(np.zeros(out_dim))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        seq_len, in_dim = x.shape
-        k = self.kernel_size
-        if seq_len < k:
-            raise ValueError(f"sequence length {seq_len} < kernel size {k}")
-        windows = [
-            x[i : i + k].reshape(1, k * in_dim) for i in range(seq_len - k + 1)
-        ]
-        unfolded = ops.concat(windows, axis=0)
-        return unfolded @ self.weight + self.bias

@@ -19,7 +19,6 @@ __all__ = [
     "relu",
     "softplus",
     "softmax",
-    "log_softmax",
     "concat",
     "stack",
     "clip_probability",
@@ -111,20 +110,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         if x.requires_grad:
             dot = (grad * out_data).sum(axis=axis, keepdims=True)
             x._accumulate(out_data * (grad - dot))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - logsum
-    soft = np.exp(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -1,31 +1,23 @@
-"""First-order optimizers for autograd parameters.
+"""First-order optimization of autograd parameters: :class:`Adam`.
 
-All optimizers share the same contract: construct with the parameter list,
-call :meth:`step` after gradients were produced by ``backward``, then
+Every model trains with Adam.  The contract: construct with the parameter
+list, call :meth:`step` after gradients were produced by ``backward``, then
 :meth:`zero_grad`.  ``weight_decay`` applies decoupled L2 shrinkage.
 
 Sparse row gradients
 --------------------
 Embedding lookups produce :class:`~repro.autograd.sparse.SparseGrad`
-gradients (row indices + rows).  By default every optimizer applies *lazy
-row-wise updates* to such parameters: only the rows touched by the batch
-are read, updated, and written, so the per-step cost is O(batch * dim)
-instead of O(table * dim).  Semantics notes:
-
-* **SGD** (no momentum) and **Adagrad** row updates are *exactly* the
-  update the dense path would apply — zero-gradient rows are fixed points
-  of both rules (when ``weight_decay == 0``).
-* **Adam** becomes *lazy Adam*: the first/second moment estimates of
-  untouched rows are not decayed, matching the standard sparse-Adam
-  behavior in mainstream frameworks.  The bias-correction step counter
-  still advances globally.
-* Decoupled ``weight_decay`` shrinks only the touched rows (lazy decay).
-* **SGD with momentum** keeps a dense velocity and therefore densifies
-  sparse gradients (the historical behavior).
+gradients (row indices + rows).  Adam applies *lazy row-wise updates* to
+such parameters: only the rows touched by the batch are read, updated,
+and written, so the per-step cost is O(batch * dim) instead of
+O(table * dim).  The first/second moment estimates of untouched rows are
+not decayed, matching the standard sparse-Adam behavior in mainstream
+frameworks; the bias-correction step counter still advances globally, and
+decoupled ``weight_decay`` shrinks only the touched rows (lazy decay).
 
 A dense gradient — including a sparse one densified by reading
-``p.grad`` before :meth:`step` — takes each optimizer's dense branch,
-which is the historical dense path bitwise (the coalescing kernel matches
+``p.grad`` before :meth:`step` — takes the dense branch, which is the
+historical dense path bitwise (the coalescing kernel matches
 ``np.add.at`` summation order exactly).  The optimizer state layout is the
 same for both branches, so ``state_dict``/checkpoints are interchangeable
 and resume stays bitwise-reproducible either way.
@@ -36,7 +28,7 @@ Robustness (see :mod:`repro.runtime.guards` and ``docs/robustness.md``):
 :meth:`step` — ``"off"`` applies it as-is (the historical behavior),
 ``"skip"`` drops the whole update, ``"zero"`` repairs the bad entries, and
 ``"raise"`` raises :class:`~repro.core.exceptions.TrainingDivergedError`.
-Every optimizer also exposes :meth:`state_dict`/:meth:`load_state_dict`
+The optimizer also exposes :meth:`state_dict`/:meth:`load_state_dict`
 so :mod:`repro.runtime.checkpoint` can snapshot and resume a run exactly.
 """
 
@@ -59,7 +51,7 @@ from repro.telemetry.base import get_active
 from .sparse import SparseGrad
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adagrad", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -148,10 +140,9 @@ class Optimizer:
             g = p.raw_grad
             if g is None:
                 continue
-            # Mirrors _sparse_grad's routing (plus SGD's momentum
-            # densification), so the counters reflect the path actually
-            # taken rather than the gradient's storage format.
-            if isinstance(g, SparseGrad) and not getattr(self, "momentum", 0.0):
+            # Mirrors _sparse_grad's routing, so the counters reflect the
+            # path actually taken.
+            if isinstance(g, SparseGrad):
                 sparse_params += 1
                 sparse_rows += int(g.rows.size)
             else:
@@ -175,10 +166,6 @@ class Optimizer:
     def _decay(self, p: Tensor) -> None:
         if self.weight_decay:
             p.data *= 1.0 - self.lr * self.weight_decay
-
-    def _decay_rows(self, p: Tensor, rows: np.ndarray) -> None:
-        if self.weight_decay:
-            p.data[rows] *= 1.0 - self.lr * self.weight_decay
 
     # ------------------------------------------------------------------ #
     # checkpointing
@@ -208,90 +195,6 @@ def _check_eps(eps: float) -> float:
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     return eps
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        params,
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        max_grad_norm: float | None = None,
-        skip_nonfinite: str = "off",
-    ) -> None:
-        super().__init__(params, lr, weight_decay, max_grad_norm, skip_nonfinite)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def _apply(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.raw_grad is None:
-                continue
-            if not self.momentum:
-                sparse = self._sparse_grad(p)
-                if sparse is not None:
-                    rows = sparse.rows
-                    self._decay_rows(p, rows)
-                    p.data[rows] -= self.lr * sparse.vals
-                    continue
-            # Momentum keeps a dense velocity, so sparse grads densify here.
-            grad = p.grad
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                update = v
-            else:
-                update = grad
-            self._decay(p)
-            p.data -= self.lr * update
-
-    def state_dict(self) -> dict:
-        return {"velocity": [v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._copy_arrays(self._velocity, state["velocity"], "velocity")
-
-
-class Adagrad(Optimizer):
-    """Adagrad: per-coordinate learning rates from accumulated squares."""
-
-    def __init__(
-        self,
-        params,
-        lr: float = 0.05,
-        eps: float = 1e-10,
-        weight_decay: float = 0.0,
-        max_grad_norm: float | None = None,
-        skip_nonfinite: str = "off",
-    ) -> None:
-        super().__init__(params, lr, weight_decay, max_grad_norm, skip_nonfinite)
-        self.eps = _check_eps(eps)
-        self._accum = [np.zeros_like(p.data) for p in self.params]
-
-    def _apply(self) -> None:
-        for p, acc in zip(self.params, self._accum):
-            if p.raw_grad is None:
-                continue
-            sparse = self._sparse_grad(p)
-            if sparse is not None:
-                rows, vals = sparse.rows, sparse.vals
-                acc[rows] += vals**2
-                self._decay_rows(p, rows)
-                p.data[rows] -= self.lr * vals / (np.sqrt(acc[rows]) + self.eps)
-                continue
-            grad = p.grad
-            acc += grad**2
-            self._decay(p)
-            p.data -= self.lr * grad / (np.sqrt(acc) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {"accum": [a.copy() for a in self._accum]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._copy_arrays(self._accum, state["accum"], "accum")
 
 
 class Adam(Optimizer):

@@ -12,9 +12,7 @@ from .exceptions import (
     NotFittedError,
     TrainingDivergedError,
 )
-from .config import GridResult, grid_search
 from .interactions import InteractionMatrix
-from .io import load_dataset, save_dataset
 from .recommender import Explanation, Recommender
 from .registry import (
     SURVEY_TABLE3,
@@ -27,8 +25,8 @@ from .registry import (
     list_registered,
     register_model,
 )
-from .rng import ensure_rng, spawn
-from .splitter import cold_start_item_split, leave_one_out_split, random_split
+from .rng import ensure_rng
+from .splitter import cold_start_item_split, random_split
 
 __all__ = [
     "Clock",
@@ -36,10 +34,6 @@ __all__ = [
     "system_clock",
     "Dataset",
     "InteractionMatrix",
-    "save_dataset",
-    "load_dataset",
-    "grid_search",
-    "GridResult",
     "Recommender",
     "Explanation",
     "KgrecError",
@@ -51,9 +45,7 @@ __all__ = [
     "TrainingDivergedError",
     "CheckpointError",
     "ensure_rng",
-    "spawn",
     "random_split",
-    "leave_one_out_split",
     "cold_start_item_split",
     "Usage",
     "TECHNIQUES",

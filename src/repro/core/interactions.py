@@ -9,8 +9,6 @@ ratings, and negative-sampling utilities used by ranking losses (BPR etc.).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 from scipy import sparse
 
@@ -124,14 +122,10 @@ class InteractionMatrix:
         """Fraction of the matrix that is observed."""
         return self.nnz / (self._num_users * self._num_items)
 
-    @property
-    def has_ratings(self) -> bool:
-        return self._has_ratings
-
     def __len__(self) -> int:
         return self.nnz
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         kind = "explicit" if self._has_ratings else "implicit"
         return (
             f"InteractionMatrix({self._num_users}x{self._num_items}, "
@@ -146,18 +140,6 @@ class InteractionMatrix:
         self._check_user(user_id)
         start, end = self._csr.indptr[user_id], self._csr.indptr[user_id + 1]
         return self._csr.indices[start:end].astype(np.int64)
-
-    def users_of(self, item_id: int) -> np.ndarray:
-        """User ids that interacted with ``item_id`` (sorted ascending)."""
-        self._check_item(item_id)
-        start, end = self._csc.indptr[item_id], self._csc.indptr[item_id + 1]
-        return self._csc.indices[start:end].astype(np.int64)
-
-    def ratings_of(self, user_id: int) -> np.ndarray:
-        """Rating values aligned with :meth:`items_of` for ``user_id``."""
-        self._check_user(user_id)
-        start, end = self._csr.indptr[user_id], self._csr.indptr[user_id + 1]
-        return self._csr.data[start:end].astype(np.float64)
 
     def contains(self, user_id: int, item_id: int) -> bool:
         """Whether (user, item) was observed."""
@@ -178,13 +160,6 @@ class InteractionMatrix:
         coo = self._csr.tocoo()
         return np.column_stack([coo.row, coo.col]).astype(np.int64)
 
-    def iter_users(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(user_id, item_ids)`` for users with at least one interaction."""
-        for user_id in range(self._num_users):
-            items = self.items_of(user_id)
-            if items.size:
-                yield user_id, items
-
     def to_dense(self) -> np.ndarray:
         """Dense ``(m, n)`` float array (small matrices / tests only)."""
         return np.asarray(self._csr.todense(), dtype=np.float64)
@@ -194,52 +169,8 @@ class InteractionMatrix:
         return self._csr.copy()
 
     # ------------------------------------------------------------------ #
-    # derived matrices
-    # ------------------------------------------------------------------ #
-    def binarize(self) -> "InteractionMatrix":
-        """Drop rating values, keeping the interaction pattern."""
-        p = self.pairs()
-        return InteractionMatrix(p[:, 0], p[:, 1], self._num_users, self._num_items)
-
-    def filter_ratings(self, min_rating: float) -> "InteractionMatrix":
-        """Keep only interactions with rating >= ``min_rating``.
-
-        The survey notes some papers keep only 5-star ratings as positive
-        implicit feedback; this implements that preprocessing step.
-        """
-        if not self._has_ratings:
-            raise DataError("matrix has no explicit ratings to filter")
-        coo = self._csr.tocoo()
-        keep = coo.data >= min_rating
-        return InteractionMatrix(
-            coo.row[keep], coo.col[keep], self._num_users, self._num_items
-        )
-
-    # ------------------------------------------------------------------ #
     # negative sampling
     # ------------------------------------------------------------------ #
-    def sample_negative_items(
-        self,
-        user_id: int,
-        size: int,
-        seed: int | np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Sample ``size`` items the user has *not* interacted with.
-
-        Sampling is without replacement when enough negatives exist, with
-        replacement otherwise (degenerate near-full rows).
-        """
-        rng = ensure_rng(seed)
-        positives = self.items_of(user_id)
-        num_neg = self._num_items - positives.size
-        if num_neg <= 0:
-            raise DataError(f"user {user_id} has interacted with every item")
-        mask = np.ones(self._num_items, dtype=bool)
-        mask[positives] = False
-        candidates = np.flatnonzero(mask)
-        replace = size > candidates.size
-        return rng.choice(candidates, size=size, replace=replace).astype(np.int64)
-
     def sample_bpr_triples(
         self,
         size: int,
@@ -269,7 +200,3 @@ class InteractionMatrix:
     def _check_user(self, user_id: int) -> None:
         if not 0 <= user_id < self._num_users:
             raise DataError(f"user id {user_id} out of range [0, {self._num_users})")
-
-    def _check_item(self, item_id: int) -> None:
-        if not 0 <= item_id < self._num_items:
-            raise DataError(f"item id {item_id} out of range [0, {self._num_items})")

@@ -11,7 +11,7 @@ returning KG paths that justify a recommendation (Section 4's
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

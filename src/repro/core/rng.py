@@ -1,9 +1,7 @@
 """Seeding helpers.
 
 Every stochastic component in the library takes either an integer ``seed`` or
-a :class:`numpy.random.Generator`.  :func:`ensure_rng` normalizes both forms,
-and :func:`spawn` derives independent child generators so that two components
-seeded from the same parent do not consume each other's stream.
+a :class:`numpy.random.Generator`.  :func:`ensure_rng` normalizes both forms.
 :func:`check_seeds` validates the seed lists that the seed-sweeping runners
 (the fault matrix, the claims table) run over.
 """
@@ -16,7 +14,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 
-__all__ = ["ensure_rng", "spawn", "check_seeds"]
+__all__ = ["ensure_rng", "check_seeds"]
 
 
 def ensure_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -28,13 +26,6 @@ def ensure_rng(seed: int | np.random.Generator | None = None) -> np.random.Gener
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators from ``rng``."""
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 
 def check_seeds(seeds: Iterable[int]) -> tuple[int, ...]:

@@ -1,9 +1,8 @@
 """Train/test splitting protocols.
 
-Three protocols cover the evaluation styles used across the surveyed papers:
+Two protocols cover the evaluation styles used across the surveyed papers:
 
 * :func:`random_split` — per-interaction holdout (RippleNet, KGCN, MKR, ...).
-* :func:`leave_one_out_split` — one held-out item per user (KSR, NCF-style).
 * :func:`cold_start_item_split` — a fraction of *items* appears only in the
   test set, simulating the item cold-start regime the survey motivates.
 
@@ -20,7 +19,7 @@ from .exceptions import DataError
 from .interactions import InteractionMatrix
 from .rng import ensure_rng
 
-__all__ = ["random_split", "leave_one_out_split", "cold_start_item_split"]
+__all__ = ["random_split", "cold_start_item_split"]
 
 
 def _rebuild(dataset: Dataset, pairs: np.ndarray) -> Dataset:
@@ -60,33 +59,6 @@ def random_split(
             keep = rows[rng.integers(0, rows.size)]
             train_mask[keep] = True
     return _rebuild(dataset, pairs[train_mask]), _rebuild(dataset, pairs[~train_mask])
-
-
-def leave_one_out_split(
-    dataset: Dataset,
-    seed: int | np.random.Generator | None = None,
-) -> tuple[Dataset, Dataset]:
-    """Hold out exactly one interaction per user with >= 2 interactions."""
-    rng = ensure_rng(seed)
-    train_pairs: list[tuple[int, int]] = []
-    test_pairs: list[tuple[int, int]] = []
-    matrix = dataset.interactions
-    for user_id in range(dataset.num_users):
-        items = matrix.items_of(user_id)
-        if items.size == 0:
-            continue
-        if items.size == 1:
-            train_pairs.append((user_id, int(items[0])))
-            continue
-        held = int(items[rng.integers(0, items.size)])
-        test_pairs.append((user_id, held))
-        train_pairs.extend((user_id, int(v)) for v in items if v != held)
-    if not test_pairs:
-        raise DataError("no user has two interactions; cannot leave one out")
-    return (
-        _rebuild(dataset, np.asarray(train_pairs)),
-        _rebuild(dataset, np.asarray(test_pairs)),
-    )
 
 
 def cold_start_item_split(

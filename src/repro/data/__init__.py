@@ -1,8 +1,8 @@
 """Synthetic datasets for the survey's seven application scenarios, plus
 metadata catalogs reproducing Tables 1 and 4."""
 
-from .catalog import TABLE4, DatasetEntry, scenarios_list, stand_in_for
-from .kg_catalog import TABLE1, PublicKG, cross_domain, domain_specific
+from .catalog import TABLE4, DatasetEntry, scenarios_list
+from .kg_catalog import TABLE1, PublicKG, cross_domain
 from .scenarios import (
     BOOK_SCHEMA,
     MOVIE_SCHEMA,
@@ -44,9 +44,7 @@ __all__ = [
     "PublicKG",
     "TABLE1",
     "cross_domain",
-    "domain_specific",
     "DatasetEntry",
     "TABLE4",
     "scenarios_list",
-    "stand_in_for",
 ]

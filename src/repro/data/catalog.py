@@ -94,9 +94,3 @@ def scenarios_list() -> list[str]:
     return seen
 
 
-def stand_in_for(dataset_name: str, **kwargs) -> Dataset:
-    """Generate the synthetic stand-in for a public dataset by name."""
-    for entry in TABLE4:
-        if entry.dataset == dataset_name:
-            return entry.stand_in(**kwargs)
-    raise KeyError(f"no Table 4 dataset named {dataset_name!r}")

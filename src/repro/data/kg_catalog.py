@@ -70,5 +70,3 @@ def cross_domain() -> list[PublicKG]:
     return [kg for kg in TABLE1 if kg.is_cross_domain]
 
 
-def domain_specific() -> list[PublicKG]:
-    return [kg for kg in TABLE1 if not kg.is_cross_domain]

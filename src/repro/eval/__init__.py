@@ -11,7 +11,6 @@ from .explain import (
 from .ranking import sampled_ranking_evaluation
 from .metrics import (
     auc,
-    average_precision,
     hit_ratio_at_k,
     ndcg_at_k,
     precision_at_k,
@@ -28,7 +27,6 @@ __all__ = [
     "recall_at_k",
     "hit_ratio_at_k",
     "ndcg_at_k",
-    "average_precision",
     "reciprocal_rank",
     "sampled_ranking_evaluation",
     "sparsity_sweep",

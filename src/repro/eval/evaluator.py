@@ -4,8 +4,7 @@ For every user with held-out items, :class:`Evaluator` ranks the full item
 catalog excluding training interactions (the full-sort protocol), computes
 the top-K metrics of :mod:`repro.eval.metrics`, and computes AUC on the
 held-out positives against sampled unseen negatives.  Results are averaged
-over users; :meth:`Evaluator.compare` runs a panel of models on identical
-candidate sets for fair side-by-side tables.
+over users.
 """
 
 from __future__ import annotations
@@ -161,14 +160,3 @@ class Evaluator:
             k = int(k_str) if k_str else max(self.k_values)
             rows = [fn(order, rel, k) for rel, order, __ in self._rank_users(model)]
         return np.asarray(rows, dtype=np.float64)
-
-    def compare(
-        self, models: dict[str, Recommender], fit: bool = True
-    ) -> list[EvalResult]:
-        """Fit (optionally) and evaluate a panel of models on this split."""
-        results = []
-        for name, model in models.items():
-            if fit and not model.is_fitted:
-                model.fit(self.train)
-            results.append(self.evaluate(model, name=name))
-        return results

@@ -17,7 +17,6 @@ __all__ = [
     "recall_at_k",
     "hit_ratio_at_k",
     "ndcg_at_k",
-    "average_precision",
     "reciprocal_rank",
 ]
 
@@ -95,20 +94,6 @@ def ndcg_at_k(ranked_items: np.ndarray, relevant: set[int], k: int) -> float:
     ideal_hits = min(len(relevant), k)
     ideal = float((1.0 / np.log2(np.arange(2, ideal_hits + 2))).sum())
     return dcg / ideal if ideal > 0 else 0.0
-
-
-def average_precision(ranked_items: np.ndarray, relevant: set[int], k: int) -> float:
-    """AP@k: mean of precision values at each relevant hit position."""
-    if not relevant:
-        raise EvaluationError("AP undefined with no relevant items")
-    top = _validate(ranked_items, k)
-    hits = 0
-    total = 0.0
-    for pos, item in enumerate(top, start=1):
-        if int(item) in relevant:
-            hits += 1
-            total += hits / pos
-    return total / min(len(relevant), k)
 
 
 def reciprocal_rank(ranked_items: np.ndarray, relevant: set[int]) -> float:

@@ -47,7 +47,7 @@ from repro.models.embedding_based import CFKG, CKE, DKN, MKR, KTUP, RCF
 from repro.models.path_based import KPRN, PGPR, HeteMF, HeteRec, RKGE
 from repro.models.unified import KGAT, KGCN, AKUPM, IntentGC, RippleNet
 
-from .harness import run_panel, results_table
+from .harness import run_panel
 
 __all__ = [
     "study_embedding_methods",

@@ -21,12 +21,7 @@ from .metapath import (
     pathcount_similarity,
     pathsim_matrix,
 )
-from .ripple import (
-    RippleSet,
-    entity_ripple_sets,
-    relevant_entities,
-    user_ripple_sets,
-)
+from .ripple import RippleSet, user_ripple_sets
 from .sampling import NeighborCache, corrupt_batch
 from .triples import TripleStore
 
@@ -43,9 +38,7 @@ __all__ = [
     "pathsim_matrix",
     "pathcount_similarity",
     "RippleSet",
-    "relevant_entities",
     "user_ripple_sets",
-    "entity_ripple_sets",
     "NeighborCache",
     "corrupt_batch",
     "build_user_item_graph",

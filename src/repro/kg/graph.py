@@ -162,53 +162,6 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------ #
     # derived graphs
     # ------------------------------------------------------------------ #
-    def subgraph(self, entities: np.ndarray) -> tuple["KnowledgeGraph", np.ndarray]:
-        """Induced subgraph on ``entities``.
-
-        Returns ``(subgraph, mapping)`` where ``mapping[i]`` is the original
-        entity id of the subgraph's entity ``i``.  Relations keep their ids
-        (and labels); only facts with both endpoints inside ``entities``
-        survive.  Labels and types are carried over.
-        """
-        mapping = np.unique(np.asarray(entities, dtype=np.int64))
-        if mapping.size and (mapping.min() < 0 or mapping.max() >= self.num_entities):
-            raise GraphError("subgraph entity id out of range")
-        heads, rels, tails = self.store.heads, self.store.relations, self.store.tails
-        if mapping.size:
-            # mapping is sorted, so searchsorted positions double as the new
-            # (compacted) entity ids wherever the lookup is an exact hit.
-            hpos = np.searchsorted(mapping, heads)
-            tpos = np.searchsorted(mapping, tails)
-            hpos_c = np.minimum(hpos, mapping.size - 1)
-            tpos_c = np.minimum(tpos, mapping.size - 1)
-            keep = (mapping[hpos_c] == heads) & (mapping[tpos_c] == tails)
-            new_h, new_r, new_t = hpos[keep], rels[keep], tpos[keep]
-        else:
-            new_h = new_r = new_t = np.empty(0, dtype=np.int64)
-        store = TripleStore(
-            new_h,
-            new_r,
-            new_t,
-            num_entities=max(1, mapping.size),
-            num_relations=self.num_relations,
-        )
-        sub = KnowledgeGraph(
-            store,
-            entity_labels=(
-                [self.entity_label(int(e)) for e in mapping]
-                if self.entity_labels is not None and mapping.size
-                else None
-            ),
-            relation_labels=self.relation_labels,
-            entity_types=(
-                self.entity_types[mapping]
-                if self.entity_types is not None and mapping.size
-                else None
-            ),
-            type_names=self.type_names,
-        )
-        return sub, mapping
-
     def describe(self) -> dict[str, float]:
         """Basic statistics used in dataset summaries."""
         degrees = self.store.degree_batch(

@@ -3,15 +3,13 @@
 A HIN is a typed graph with entity-type mapping ``phi`` and link-type
 mapping ``psi`` (Section 3).  :class:`NetworkSchema` is the type-level graph
 ``G_T = (A, R)`` induced by a typed :class:`~repro.kg.graph.KnowledgeGraph`:
-it records which ``(source type, relation, target type)`` signatures occur,
-validates meta-paths against them, and enumerates candidate meta-paths — the
+it records which ``(source type, relation, target type)`` signatures occur
+and enumerates the candidate meta-paths they allow — the
 step that traditional path-based methods delegate to domain experts and that
 RuleRec automates.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.exceptions import GraphError
 
@@ -36,14 +34,6 @@ class NetworkSchema:
         self.num_types = int(types.max()) + 1 if types.size else 0
 
     # ------------------------------------------------------------------ #
-    def allows(self, src_type: int, relation: int, dst_type: int) -> bool:
-        """Whether the schema contains the (possibly reversed) signature."""
-        return (src_type, relation, dst_type) in self.signatures or (
-            dst_type,
-            relation,
-            src_type,
-        ) in self.signatures
-
     def steps_from(self, src_type: int) -> list[tuple[int, int]]:
         """``(relation, dst_type)`` steps available from ``src_type``."""
         steps: set[tuple[int, int]] = set()
@@ -53,19 +43,6 @@ class NetworkSchema:
             if b == src_type:
                 steps.add((r, a))
         return sorted(steps)
-
-    def validate(self, metapath: MetaPath) -> None:
-        """Raise :class:`GraphError` if the meta-path leaves the schema."""
-        for a, r, b in zip(
-            metapath.node_types[:-1],
-            metapath.relation_types,
-            metapath.node_types[1:],
-        ):
-            if not self.allows(a, r, b):
-                raise GraphError(
-                    f"schema has no step {self.kg.type_name(a)} "
-                    f"-[{self.kg.relation_label(r)}]-> {self.kg.type_name(b)}"
-                )
 
     def enumerate_metapaths(
         self,

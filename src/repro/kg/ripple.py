@@ -1,15 +1,10 @@
-"""Ripple sets and relevant entities (Section 3 definitions).
+"""User ripple sets (Section 3 definitions).
 
 RippleNet-style models propagate user preference along the KG starting from
-the user's historical items.  The survey formalizes this with three sets:
-
-* ``E_u^k`` — k-hop *relevant entities* of user ``u``,
-* ``S_u^k`` — the *user ripple set*: triples whose heads lie in ``E_u^{k-1}``,
-* ``S_e^k`` — the *entity ripple set*: triples whose heads are (k-1)-hop
-  neighbors of entity ``e``.
-
-Functions here compute those sets exactly, plus sampled fixed-size versions
-used for efficient mini-batch training.
+the user's historical items.  The survey's *user ripple set* ``S_u^k`` holds
+the triples whose heads lie in ``E_u^{k-1}``, the (k-1)-hop *relevant
+entities* of user ``u``.  :func:`user_ripple_sets` computes those sets
+exactly, or as sampled fixed-size versions for mini-batch training.
 """
 
 from __future__ import annotations
@@ -23,12 +18,7 @@ from repro.core.rng import ensure_rng
 
 from .graph import KnowledgeGraph
 
-__all__ = [
-    "RippleSet",
-    "relevant_entities",
-    "user_ripple_sets",
-    "entity_ripple_sets",
-]
+__all__ = ["RippleSet", "user_ripple_sets"]
 
 
 @dataclass(frozen=True)
@@ -61,25 +51,6 @@ def _hop_triples(kg: KnowledgeGraph, frontier: np.ndarray) -> RippleSet:
     return RippleSet(
         kg.store.heads[idx], kg.store.relations[idx], kg.store.tails[idx]
     )
-
-
-def relevant_entities(
-    kg: KnowledgeGraph, seeds: np.ndarray, hops: int
-) -> list[np.ndarray]:
-    """``[E^1, ..., E^H]`` starting from seed entities ``E^0 = seeds``.
-
-    Follows the survey's definition literally: ``E^k`` contains the tails of
-    facts whose heads lie in ``E^{k-1}`` (directed propagation).
-    """
-    if hops < 1:
-        raise GraphError("hops must be >= 1")
-    layers: list[np.ndarray] = []
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    for __ in range(hops):
-        hop = _hop_triples(kg, frontier)
-        frontier = np.unique(hop.tails)
-        layers.append(frontier)
-    return layers
 
 
 def _sample(ripple: RippleSet, size: int, rng: np.random.Generator) -> RippleSet:
@@ -120,16 +91,3 @@ def user_ripple_sets(
         sets.append(hop)
         previous = hop
     return sets
-
-
-def entity_ripple_sets(
-    kg: KnowledgeGraph,
-    entity: int,
-    hops: int,
-    max_size: int | None = None,
-    seed: int | np.random.Generator | None = None,
-) -> list[RippleSet]:
-    """``[S_e^1, ..., S_e^H]`` for a single entity (Section 3)."""
-    return user_ripple_sets(
-        kg, np.asarray([entity], dtype=np.int64), hops, max_size=max_size, seed=seed
-    )

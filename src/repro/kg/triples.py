@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.exceptions import GraphError
-from repro.core.rng import ensure_rng
 
 __all__ = ["TripleStore"]
 
@@ -93,7 +92,7 @@ class TripleStore:
         self.tails = tails
 
         self._head_order, self._head_offsets = _csr_index(heads, self.num_entities)
-        self._tail_order, self._tail_offsets = _csr_index(tails, self.num_entities)
+        __, self._tail_offsets = _csr_index(tails, self.num_entities)
         self._rel_order, self._rel_offsets = _csr_index(relations, self.num_relations)
         self._undirected: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -169,13 +168,6 @@ class TripleStore:
         if not 0 <= e < self.num_entities:
             return np.empty(0, dtype=np.int64)
         return self._head_order[self._head_offsets[e] : self._head_offsets[e + 1]]
-
-    def incoming(self, entity: int) -> np.ndarray:
-        """Indices of facts with ``tail == entity``."""
-        e = int(entity)
-        if not 0 <= e < self.num_entities:
-            return np.empty(0, dtype=np.int64)
-        return self._tail_order[self._tail_offsets[e] : self._tail_offsets[e + 1]]
 
     def with_relation(self, relation: int) -> np.ndarray:
         """Indices of facts using ``relation``."""
@@ -259,34 +251,6 @@ class TripleStore:
     # ------------------------------------------------------------------ #
     # negative sampling (KGE training)
     # ------------------------------------------------------------------ #
-    def corrupt(
-        self,
-        index: int,
-        seed: int | np.random.Generator | None = None,
-        corrupt_tail_prob: float = 0.5,
-        max_tries: int = 50,
-    ) -> tuple[int, int, int]:
-        """Corrupt fact ``index`` by replacing its head or tail.
-
-        The replacement is resampled until the corrupted fact is *not* in the
-        store (or ``max_tries`` is exhausted), the standard filtered negative
-        sampling for translation models.  This scalar path is the reference
-        implementation; training uses the batched
-        :func:`repro.kg.sampling.corrupt_batch`.
-        """
-        rng = ensure_rng(seed)
-        h = int(self.heads[index])
-        r = int(self.relations[index])
-        t = int(self.tails[index])
-        for _ in range(max_tries):
-            if rng.random() < corrupt_tail_prob:
-                candidate = (h, r, int(rng.integers(0, self.num_entities)))
-            else:
-                candidate = (int(rng.integers(0, self.num_entities)), r, t)
-            if candidate not in self:
-                return candidate
-        return self.corrupt_fallback(h, r, t)
-
     def corrupt_fallback(self, h: int, r: int, t: int) -> tuple[int, int, int]:
         """Deterministic corruption of ``(h, r, t)``: the first candidate
         tail (then head) whose triple is not a fact in the store.

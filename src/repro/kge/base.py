@@ -22,11 +22,11 @@ from repro.core.rng import ensure_rng
 from repro.kg.sampling import corrupt_batch
 from repro.kg.triples import TripleStore
 from repro.runtime.guards import grad_norm
-from repro.store.base import DenseStore, EmbeddingStore
 from repro.telemetry.base import get_active
 
 if TYPE_CHECKING:  # pragma: no cover - import is type-only to avoid a cycle
     from repro.runtime import TrainingRuntime
+    from repro.store.mmap import MmapShardStore
 
 __all__ = ["KGEModel"]
 
@@ -43,13 +43,12 @@ class KGEModel(nn.Module, abc.ABC):
     seed:
         Seed for parameter initialization and training randomness.
     store:
-        :class:`~repro.store.base.EmbeddingStore` backing the entity and
-        relation tables.  The default :class:`DenseStore` is a pure
-        pass-through (training is bitwise identical to having no store);
-        a train-mode :class:`~repro.store.mmap.MmapShardStore` makes the
-        tables durable — it warm-starts them from disk at registration
-        and receives per-step dirty-row marks so commits persist only
-        touched shards.
+        Optional train-mode :class:`~repro.store.mmap.MmapShardStore`
+        backing the entity and relation tables.  It makes the tables
+        durable: it warm-starts them from disk at registration and
+        receives per-step dirty-row marks so commits persist only touched
+        shards.  Without one (the default) the model trains on its own
+        ``nn.Embedding`` arrays.
     """
 
     #: "margin" (translation distance) or "logistic" (semantic matching).
@@ -63,7 +62,7 @@ class KGEModel(nn.Module, abc.ABC):
         num_relations: int,
         dim: int = 16,
         seed=None,
-        store: EmbeddingStore | None = None,
+        store: "MmapShardStore | None" = None,
     ) -> None:
         if dim < 1:
             raise ConfigError("embedding dim must be >= 1")
@@ -73,9 +72,10 @@ class KGEModel(nn.Module, abc.ABC):
         self._rng = ensure_rng(seed)
         self.entity = nn.Embedding(num_entities, dim, seed=self._rng)
         self.relation = nn.Embedding(num_relations, dim, seed=self._rng)
-        self.store = store if store is not None else DenseStore()
-        self.store.register("entity", self.entity.weight.data)
-        self.store.register("relation", self.relation.weight.data)
+        self.store = store
+        if store is not None:
+            store.register("entity", self.entity.weight.data)
+            store.register("relation", self.relation.weight.data)
         self._fitted = False
         self._build(self._rng)
 
@@ -200,7 +200,7 @@ class KGEModel(nn.Module, abc.ABC):
                     if runtime is not None:
                         runtime.before_step(step, params)
                     optimizer.step()
-                    if self.store.track_dirty:
+                    if self.store is not None and self.store.track_dirty:
                         self._mark_store_dirty()
                     if self.normalize_entities:
                         self._renormalize()
@@ -269,7 +269,7 @@ class KGEModel(nn.Module, abc.ABC):
     def _renormalize(self) -> None:
         w = self.entity.weight.data
         norms = np.linalg.norm(w, axis=1, keepdims=True)
-        if self.store.track_dirty:
+        if self.store is not None and self.store.track_dirty:
             # Rows at/below unit norm divide by 1.0 and keep their bits;
             # only rows actually shrunk need to reach the next commit.
             changed = np.nonzero(norms.ravel() > 1.0)[0]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import nn
 from repro.autograd.tensor import Tensor
 
 from .base import KGEModel
@@ -86,8 +85,6 @@ class RotatE(KGEModel):
         return x[:, : self.half], x[:, self.half :]
 
     def score(self, heads, relations, tails) -> Tensor:
-        from repro.autograd import ops
-
         h_re, h_im = self._split(self.entity(heads))
         t_re, t_im = self._split(self.entity(tails))
         phase = self.relation(relations)[:, : self.half]

@@ -81,11 +81,3 @@ class CKE(GradientRecommender):
         v = self.offset(items) + self.structure[items] + self.content[items]
         return (u * v).sum(axis=1)
 
-    def item_representation(self, item_id: int) -> np.ndarray:
-        """The fused item latent ``eta + x + z`` (Eq. 2), for inspection."""
-        self.fitted_dataset
-        return (
-            self.offset.weight.data[item_id]
-            + self.structure.data[item_id]
-            + self.content.data[item_id]
-        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import losses, nn, ops
+from repro.autograd import nn, ops
 from repro.autograd.tensor import Tensor
 from repro.core.dataset import Dataset
 from repro.core.registry import register_model

@@ -9,7 +9,7 @@ similar users' feedback, weighted by path similarity — combined with
 learned per-path weights.
 
 With implicit feedback the weight channel degenerates to 1s; explicit
-datasets (``InteractionMatrix.has_ratings``) use the rating values.
+datasets use the rating values.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from repro.autograd import nn, ops
 from repro.autograd.tensor import Tensor
 from repro.core.dataset import Dataset
 from repro.core.registry import register_model
-from repro.core.rng import ensure_rng
 from repro.kg.ripple import user_ripple_sets
 
 from ..common import GradientRecommender

@@ -47,10 +47,10 @@ from repro.runtime.faults import (
     FaultPlan,
     InjectedCrash,
 )
-from repro.serving.service import RecommenderService
+from repro.serving.service import STATUSES, RecommenderService
 from repro.store.mmap import MmapShardStore
 from repro.store.serving import StoredEmbeddingRecommender
-from repro.online.loop import OnlineLoop, make_candidate
+from repro.online.loop import OnlineLoop, make_candidate, unwrap_candidate
 from repro.online.stream import InteractionStream, StreamConfig
 from repro.online.trainer import ENTITY_TABLE, ManifestCrashIO, ShadowTrainer
 
@@ -62,10 +62,7 @@ __all__ = [
     "run_churn_cell",
     "freshness_report",
     "churn_cells",
-    "SERVE_STATUSES",
 ]
-
-SERVE_STATUSES = ("ok", "degraded", "shed", "rejected")
 
 
 @dataclass(frozen=True)
@@ -196,9 +193,7 @@ def default_plan_for(kind: str, config: ChurnConfig | None = None) -> FaultPlan:
 
 def _served_bytes(model) -> bytes:
     """The exact bytes the live model serves (unwraps chaos/two-stage)."""
-    base = getattr(model, "inner", model)  # ChaosCandidate
-    base = getattr(base, "base", base)  # TwoStageRecommender
-    table = base.store.table(ENTITY_TABLE)
+    table = unwrap_candidate(model).base.store.table(ENTITY_TABLE)
     return np.ascontiguousarray(table.to_array(), dtype="<f4").tobytes()
 
 
@@ -284,7 +279,7 @@ def run_churn_cell(
             )
     for trace in loop.watch_traces:
         status = trace.split("|")[2]
-        if status not in SERVE_STATUSES:
+        if status not in STATUSES:
             problems.append(f"untyped watch response status {status!r}")
 
     if kind == "none":
@@ -374,11 +369,6 @@ def _replay_trace(world: World) -> list[str]:
     )
 
 
-def _unwrap_base(model) -> StoredEmbeddingRecommender:
-    base = getattr(model, "inner", model)
-    return getattr(base, "base", base)
-
-
 def freshness_report(world: World, k: int = 10) -> dict:
     """Hit-rate on newly introduced users: live model vs frozen baseline.
 
@@ -403,7 +393,7 @@ def freshness_report(world: World, k: int = 10) -> dict:
     fresh_items = [i for (s, i) in stream.introduced_items if s <= cutoff]
     visible = stream.seen_items
 
-    live = _unwrap_base(world.service.registry.live)
+    live = unwrap_candidate(world.service.registry.live).base
     frozen_store = MmapShardStore.open(
         world.store_dir, mode="serve", generation=world.bootstrap_generation
     )

@@ -74,6 +74,7 @@ __all__ = [
     "PromotionCycle",
     "ChaosCandidate",
     "make_candidate",
+    "unwrap_candidate",
     "OnlineLoop",
 ]
 
@@ -210,14 +211,14 @@ class ChaosCandidate:
         return self._poison(scores) if self._armed else np.asarray(scores)
 
 
-def _unwrap(model):
+def unwrap_candidate(model):
     """The candidate a :class:`ChaosCandidate` wraps (else ``model``)."""
     return model.inner if isinstance(model, ChaosCandidate) else model
 
 
 def _serve_store(model) -> MmapShardStore | None:
     """The serve-mode store behind a loop-built candidate."""
-    return getattr(getattr(_unwrap(model), "base", None), "store", None)
+    return getattr(getattr(unwrap_candidate(model), "base", None), "store", None)
 
 
 class OnlineLoop:
@@ -444,7 +445,7 @@ class OnlineLoop:
     def _successor_index(self) -> IvfIndex | None:
         """The live built index's successor; None means a cold build."""
         registry = self.service.registry
-        live = _unwrap(registry.live) if registry.has_live else None
+        live = unwrap_candidate(registry.live) if registry.has_live else None
         if isinstance(live, TwoStageRecommender) and live.index.is_built:
             return live.index.successor()
         return None

@@ -240,5 +240,3 @@ class ShadowTrainer:
         """The exact ``<f4`` bytes a commit of the current arrays persists."""
         return np.ascontiguousarray(self.entity, dtype="<f4").tobytes()
 
-    def dirty_rows(self) -> int:
-        return self.store.dirty_row_count(ENTITY_TABLE)

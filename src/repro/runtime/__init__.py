@@ -41,7 +41,6 @@ from .guards import (
     NONFINITE_POLICIES,
     DivergenceDetector,
     ScoreReport,
-    check_finite_params,
     clip_grad_norm,
     grad_norm,
     has_nonfinite_grad,
@@ -57,7 +56,6 @@ __all__ = [
     "clip_grad_norm",
     "has_nonfinite_grad",
     "zero_nonfinite_grads",
-    "check_finite_params",
     "validate_scores",
     "ScoreReport",
     "NONFINITE_POLICIES",

@@ -1,9 +1,8 @@
 """Snapshot/restore of training state via ``.npz`` archives.
 
-Follows the same conventions as :mod:`repro.core.io` — one compressed
-``.npz`` per checkpoint, arrays stored natively plus a ``__meta__`` JSON
-blob for scalars.  A checkpoint captures everything an iterative ``fit``
-loop needs to resume *bitwise identically*:
+One compressed ``.npz`` per checkpoint, arrays stored natively plus a
+``__meta__`` JSON blob for scalars.  A checkpoint captures everything an
+iterative ``fit`` loop needs to resume *bitwise identically*:
 
 * parameter arrays (in ``Module.parameters()`` order),
 * optimizer state (via ``Optimizer.state_dict()``),
@@ -11,9 +10,9 @@ loop needs to resume *bitwise identically*:
   permutation/negative-sampling stream the uninterrupted run would have),
 * a ``step`` counter and a JSON-safe ``extra`` dict (e.g. loss history).
 
-Sparse-gradient training changes nothing here: the lazy optimizers in
-:mod:`repro.autograd.optim` keep full-size dense state arrays (velocity,
-accumulators, moments), so ``state_dict`` layouts — and therefore the
+Sparse-gradient training changes nothing here: lazy Adam
+(:mod:`repro.autograd.optim`) keeps full-size dense moment arrays, so
+``state_dict`` layouts — and therefore the
 checkpoint format — are identical whether a step took the sparse row
 update or the dense one, and a snapshot taken after either resumes the
 other.
@@ -31,10 +30,10 @@ on load: a snapshot whose bytes rotted on disk, or whose checksum map
 omits an array, fails loudly instead of resuming training from
 unverified parameters.
 
-A checkpointer may also be bound to a *durable*
-:class:`~repro.store.base.EmbeddingStore` (``store=``).  Parameters whose
+A checkpointer may also be bound to a train-mode
+:class:`~repro.store.mmap.MmapShardStore` (``store=``).  Parameters whose
 live arrays the store owns (identified by
-:meth:`~repro.store.base.EmbeddingStore.table_for_array` identity) are
+:meth:`~repro.store.mmap.MmapShardStore.table_for_array` identity) are
 then **not** serialized into the ``.npz``; instead each save first calls
 ``store.commit()`` — persisting only the dirty shards — and the archive
 records ``{param position -> table name}`` plus the committed generation.
@@ -158,7 +157,7 @@ def save_checkpoint(
 ) -> Path:
     """Write one checkpoint archive to ``path`` (atomic) and return it.
 
-    With a durable ``store``, the store is committed *first* (its manifest
+    With a ``store``, the store is committed *first* (its manifest
     rename is its own atomic commit point) and store-owned parameter
     arrays are recorded by reference instead of serialized.  A crash
     between the two commits leaves either an unreferenced store
@@ -173,15 +172,14 @@ def save_checkpoint(
         "num_params": 0,
         "extra": dict(extra or {}),
     }
-    durable = store is not None and getattr(store, "durable", False)
-    if durable:
+    if store is not None:
         try:
             meta["store_generation"] = int(store.commit(tag=f"ckpt-{int(step)}"))
         except StoreError as exc:
             raise CheckpointError(f"store commit failed for {path}: {exc}") from exc
     store_params: dict[str, str] = {}
     for pos, p in enumerate(params):
-        table = store.table_for_array(p.data) if durable else None
+        table = store.table_for_array(p.data) if store is not None else None
         if table is not None:
             store_params[str(pos)] = table
         else:
@@ -209,7 +207,7 @@ def save_checkpoint(
 
     buffer = BytesIO()
     np.savez_compressed(buffer, **arrays)
-    io = store.io if durable else StoreIO()
+    io = store.io if store is not None else StoreIO()
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         io.write_bytes(tmp, buffer.getvalue())

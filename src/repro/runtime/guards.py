@@ -6,14 +6,12 @@ package can depend on this module without a cycle.  Gradients may also be
 row-sparse (:class:`repro.autograd.sparse.SparseGrad`, duck-typed here to
 avoid the import cycle): every guard then inspects only the stored rows —
 after coalescing, so duplicate-row sums see exactly what the dense
-gradient would contain — and never materializes the dense table.  Three
+gradient would contain — and never materializes the dense table.  Two
 layers of protection:
 
 * **Gradient hygiene** — :func:`has_nonfinite_grad`,
   :func:`zero_nonfinite_grads`, and global-norm :func:`clip_grad_norm`
   keep a single exploding batch from destroying the parameters.
-* **Parameter hygiene** — :func:`check_finite_params` catches corruption
-  *after* it happened (e.g. a bad update that slipped through).
 * **Loss watching** — :class:`DivergenceDetector` observes the loss series
   and raises :class:`~repro.core.exceptions.TrainingDivergedError` once
   the run is beyond saving, instead of letting it burn epochs on NaNs.
@@ -34,7 +32,6 @@ __all__ = [
     "clip_grad_norm",
     "has_nonfinite_grad",
     "zero_nonfinite_grads",
-    "check_finite_params",
     "validate_scores",
     "ScoreReport",
     "NONFINITE_POLICIES",
@@ -114,16 +111,6 @@ def zero_nonfinite_grads(params) -> int:
             repaired += int(bad.sum())
             entries[bad] = 0.0
     return repaired
-
-
-def check_finite_params(params, context: str = "") -> None:
-    """Raise :class:`TrainingDivergedError` if any parameter is non-finite."""
-    for pos, p in enumerate(params):
-        if not np.isfinite(p.data).all():
-            where = f" during {context}" if context else ""
-            raise TrainingDivergedError(
-                f"parameter {pos} contains non-finite values{where}"
-            )
 
 
 @dataclass(frozen=True)
@@ -303,8 +290,3 @@ class DivergenceDetector:
             if self.best is None or loss < self.best:
                 self.best = loss
         return loss
-
-    def reset(self) -> None:
-        self.best = None
-        self.bad_streak = 0
-        self.num_updates = 0

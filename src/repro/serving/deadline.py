@@ -12,7 +12,6 @@ backends degrade instead of stalling the request pipeline.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable
 
@@ -44,12 +43,6 @@ class Deadline:
     @property
     def elapsed(self) -> float:
         return self.clock() - self.start
-
-    def remaining(self) -> float:
-        """Seconds left (``inf`` when unbounded, clamped at 0)."""
-        if self.budget is None:
-            return math.inf
-        return max(0.0, self.budget - self.elapsed)
 
     @property
     def expired(self) -> bool:

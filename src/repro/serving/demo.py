@@ -39,7 +39,7 @@ from repro.runtime.retry import RetryPolicy
 from repro.telemetry import Telemetry
 
 from .admission import AdmissionQueue
-from .service import RecommenderService, ServeRequest
+from .service import STATUSES, RecommenderService, ServeRequest
 
 __all__ = [
     "build_demo_service",
@@ -141,7 +141,7 @@ def reconcile_trace_outcomes(service: RecommenderService) -> dict[str, int]:
         str(s.attrs["outcome"]) for s in spans if s.name == "serve/request"
     )
     metrics = service.metrics
-    for status in ("ok", "degraded", "shed", "rejected"):
+    for status in STATUSES:
         span_count = outcomes.get(status, 0)
         counted = metrics.count(f"status::{status}")
         if span_count != counted:
@@ -176,7 +176,7 @@ def chaos_cells(
     metrics = service.metrics.snapshot()
     counts = {
         s: metrics.get(f"status::{s}", 0)
-        for s in ("ok", "degraded", "shed", "rejected")
+        for s in STATUSES
     }
     problems = []
     answered = sum(counts.values())

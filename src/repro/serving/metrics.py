@@ -7,13 +7,10 @@ registry (and the same JSONL export) as training and evaluation metrics.
 Counters are written with ``incr`` and read with ``count``, each one keyed
 lookup; ``snapshot`` is the one call that walks every series.
 
-Latency percentiles also changed numerically: the old implementation used
-``np.percentile`` linear interpolation, whose small-sample p99 reports a
-value *between* the two largest observations — a latency no request ever
-experienced, biased low exactly when a chaos replay has tens of requests.
-The shared :class:`~repro.telemetry.metrics.Histogram` keeps exact samples
-and answers with the nearest-rank quantile instead (see
-``docs/observability.md``).
+Latency percentiles come from the shared
+:class:`~repro.telemetry.metrics.Histogram`, which keeps exact samples and
+answers with the nearest-rank quantile: every reported latency is one a
+request experienced (see ``docs/observability.md``).
 
 All timing numbers come from the service's injected clock, so under a
 :class:`~repro.core.clock.ManualClock` the latency distribution — and
@@ -41,7 +38,7 @@ class ServiceMetrics:
     ----------
     registry:
         The :class:`MetricRegistry` to record into.  ``None`` creates a
-        private registry (the historical standalone behavior);
+        private registry;
         :class:`~repro.serving.service.RecommenderService` passes its
         telemetry's registry so serving metrics join the shared export.
     """

@@ -52,10 +52,22 @@ from .fallback import StaticTopK
 from .metrics import ServiceMetrics
 from .registry import ModelRegistry, PromotionRecord
 
-__all__ = ["ServeRequest", "ServeResponse", "RecommenderService", "validate_request"]
+__all__ = [
+    "STATUSES",
+    "ServeRequest",
+    "ServeResponse",
+    "RecommenderService",
+    "validate_request",
+]
 
+#: Every outcome :meth:`RecommenderService.serve` answers with.
+STATUSES = ("ok", "degraded", "shed", "rejected")
 #: Rung name of the non-personalized last resort.
 STATIC_RUNG = "static"
+#: ``k`` of :meth:`RecommenderService.recommend` when the caller gives none.
+DEFAULT_K = 10
+#: Users probed on promotion: the lowest user ids.
+CANARY_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -63,15 +75,14 @@ class ServeRequest:
     """One top-k recommendation request."""
 
     user_id: int
-    k: int = 10
+    k: int = DEFAULT_K
     deadline: float | None = None  # seconds; None -> service default
     exclude_seen: bool = True
 
 
 @dataclass(frozen=True)
 class ServeResponse:
-    """Typed outcome for one request.  ``status`` is one of
-    ``"ok"`` / ``"degraded"`` / ``"shed"`` / ``"rejected"``."""
+    """Typed outcome for one request.  ``status`` is one of :data:`STATUSES`."""
 
     request_id: int
     user_id: int
@@ -171,8 +182,6 @@ class RecommenderService:
     retry:
         Optional :class:`~repro.runtime.retry.RetryPolicy` for live-rung
         scoring; give it a ``total_budget`` so retries respect the SLO.
-    canary_size:
-        Number of users probed on promotion: the lowest user ids.
     clock:
         Injectable monotonic time source shared by every component.
     telemetry:
@@ -190,25 +199,18 @@ class RecommenderService:
         primary: tuple[str, Recommender],
         fallbacks: Sequence[tuple[str, Recommender]] = (),
         *,
-        default_k: int = 10,
         default_deadline: float | None = None,
         breaker_config: dict | None = None,
         admission: AdmissionQueue | None = None,
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
-        canary_size: int = 8,
         clock: Callable[[], float] = time.monotonic,
         telemetry: Telemetry | NullTelemetry | None = None,
     ) -> None:
-        if default_k < 1:
-            raise ConfigError("default_k must be >= 1")
-        if canary_size < 1:
-            raise ConfigError("canary_size must be >= 1")
         if default_deadline is not None and not default_deadline > 0:
             raise ConfigError("default_deadline must be positive")
         self.dataset = dataset
         self.clock = clock
-        self.default_k = default_k
         self.default_deadline = default_deadline
         self.admission = admission
         self.faults = faults
@@ -220,7 +222,7 @@ class RecommenderService:
         self._by_status = self.metrics.counters("status::")
         self._served_by = self.metrics.counters("served_by::")
         self._breaker_config = dict(breaker_config or {})
-        self._canary = tuple(range(min(canary_size, dataset.num_users)))
+        self._canary = tuple(range(min(CANARY_SIZE, dataset.num_users)))
         self._request_counter = 0
 
         self.registry = ModelRegistry(
@@ -355,7 +357,7 @@ class RecommenderService:
 
     def recommend(self, user_id: int, k: int | None = None) -> ServeResponse:
         """Exception-flavored façade: shed/rejected outcomes raise instead."""
-        request = ServeRequest(user_id=user_id, k=k if k is not None else self.default_k)
+        request = ServeRequest(user_id=user_id, k=k if k is not None else DEFAULT_K)
         validate_request(request, self.dataset.num_users, self.dataset.num_items)
         response = self.serve(request)
         if response.status == "shed":

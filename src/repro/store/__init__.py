@@ -7,11 +7,9 @@ Layered bottom-up:
 * :mod:`repro.store.shard` — the checksummed shard file format;
 * :mod:`repro.store.manifest` — versioned JSON manifests, whose atomic
   rename is the store's single commit point;
-* :mod:`repro.store.base` — the :class:`EmbeddingStore` interface and
-  the in-memory :class:`DenseStore` default;
 * :mod:`repro.store.mmap` — :class:`MmapShardStore`, the durable
   implementation (incremental commits, verified recovery, zero-copy
-  generation remap for promotion/rollback);
+  generation views for promotion/rollback);
 * :mod:`repro.store.verify` — fsck: inspect / quarantine / repair,
   behind ``python -m repro store-verify``;
 * :mod:`repro.store.serving` — :class:`StoredEmbeddingRecommender`,
@@ -25,12 +23,11 @@ The format and protocol are specified in ``docs/storage.md``.
 
 from __future__ import annotations
 
-from .base import DenseStore, EmbeddingStore
 from .io import FaultingStoreIO, IOOp, RecordingStoreIO, StoreIO
 from .manifest import load_manifest, scan_manifests
 from .mmap import MmapShardStore, ShardedTable
 from .serving import StoredEmbeddingRecommender
-from .shard import ShardInfo, load_shard, map_payload, verify_shard, write_shard
+from .shard import ShardInfo, load_shard, map_payload, verify_shard
 from .verify import (
     GenerationStatus,
     ShardStatus,
@@ -42,8 +39,6 @@ from .verify import (
 )
 
 __all__ = [
-    "EmbeddingStore",
-    "DenseStore",
     "MmapShardStore",
     "ShardedTable",
     "StoredEmbeddingRecommender",
@@ -52,7 +47,6 @@ __all__ = [
     "FaultingStoreIO",
     "IOOp",
     "ShardInfo",
-    "write_shard",
     "verify_shard",
     "load_shard",
     "map_payload",

@@ -36,8 +36,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.exceptions import CheckpointError, StoreError
 from repro.core.rng import ensure_rng
 from repro.kg.triples import TripleStore

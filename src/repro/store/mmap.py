@@ -26,10 +26,9 @@ Two modes:
 ``serve``
     Tables are :class:`ShardedTable` views over read-only memory-mapped
     shards (plain ``ndarray`` views of ``np.memmap`` objects) — opening
-    or swapping a generation moves **no** embedding bytes.
-    :meth:`MmapShardStore.remap` re-points the same view objects at
-    another generation's files, which is what makes
-    ``ModelRegistry.promote`` a manifest swap and rollback a re-point.
+    a generation moves **no** embedding bytes, which is what makes
+    promotion a manifest swap and rollback a re-open at an older
+    generation (``MmapShardStore.open(..., generation=g)``).
 
 Crash safety (the full protocol is specified in ``docs/storage.md``):
 every file is written temp + fsync + atomic rename — a commit writes all
@@ -52,7 +51,6 @@ import numpy as np
 from repro.core.exceptions import StoreCorruptionError, StoreError
 from repro.telemetry.base import get_active
 
-from .base import EmbeddingStore
 from .io import StoreIO
 from .manifest import (
     build_manifest,
@@ -79,8 +77,6 @@ class ShardedTable:
     Row lookups gather only the requested rows (a copy of *those rows*,
     never of the table); ``@`` distributes over shards so full-catalog
     scoring streams through the maps without materializing the table.
-    The object survives :meth:`MmapShardStore.remap` — only its internal
-    shard list is re-pointed — so holders never see a half-swapped state.
     """
 
     def __init__(self, name: str, rows: int, dim: int, rows_per_shard: int) -> None:
@@ -174,10 +170,8 @@ class ShardedTable:
         return np.concatenate(self._require(), axis=0)
 
 
-class MmapShardStore(EmbeddingStore):
-    """The durable :class:`~repro.store.base.EmbeddingStore` (see module doc)."""
-
-    durable = True
+class MmapShardStore:
+    """The durable embedding store (see module doc)."""
 
     def __init__(
         self,
@@ -442,9 +436,6 @@ class MmapShardStore(EmbeddingStore):
         else:
             mask[np.asarray(rows, dtype=np.int64)] = True
 
-    def dirty_row_count(self, name: str) -> int:
-        return int(self._dirty[name].sum())
-
     def commit(self, tag: str = "") -> int:
         """Persist dirtied shards under a new manifest generation.
 
@@ -531,14 +522,13 @@ class MmapShardStore(EmbeddingStore):
     # serve mode
     # ------------------------------------------------------------------ #
     def _build_views(self, offsets: dict[str, int]) -> None:
-        """(Re)build the per-table memmap lists for the current manifest.
+        """Build the per-table memmap views for the current manifest.
 
         ``offsets`` are the payload offsets the recovery walk verified
         (:attr:`GenerationStatus.payload_offsets`), so no header is read
         again; each shard's shape is the manifest's, which verification
         cross-checked against the header.
         """
-        alive: set[str] = set()
         shards_dir = self.directory / SHARDS_DIR
         for name, spec in self._manifest.get("tables", {}).items():
             rows, dim = int(spec["rows"]), int(spec["dim"])
@@ -549,40 +539,6 @@ class MmapShardStore(EmbeddingStore):
                 )
                 for shard in spec["shards"]
             ]
-            view = self._views.get(name)
-            if view is None:
-                view = ShardedTable(name, rows, dim, int(spec["rows_per_shard"]))
-                self._views[name] = view
-            else:
-                view.rows, view.dim = rows, dim
-                view.rows_per_shard = int(spec["rows_per_shard"])
+            view = ShardedTable(name, rows, dim, int(spec["rows_per_shard"]))
             view._set_shards(maps)
-            alive.add(name)
-        for name in set(self._views) - alive:
-            self._views[name]._set_shards(None)
-
-    def remap(self, generation: int | None = None) -> int:
-        """Re-point the serve views at another generation's shard files.
-
-        ``None`` targets the newest consistent generation (a fresh
-        verified recovery scan).  No embedding bytes move: existing
-        :class:`ShardedTable` objects keep their identity and only their
-        internal memmap lists are swapped — this is the mechanism behind
-        manifest-swap promotion and re-point rollback.  Returns the
-        mapped generation.
-        """
-        self._check_open()
-        if self.mode != "serve":
-            raise StoreError("remap() is a serve-mode operation")
-        entries = scan_manifests(self.directory)
-        if not entries:
-            raise StoreError(f"{self.directory} has no manifests")
-        tel = get_active()
-        manifest, offsets, __ = self._recover(
-            self.directory, entries, generation, tel
-        )
-        self._manifest = manifest
-        self._build_views(offsets)
-        if tel.enabled:
-            tel.counter("store.remaps").inc()
-        return self.generation
+            self._views[name] = view

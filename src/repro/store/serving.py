@@ -5,9 +5,9 @@ store and the fault-tolerant serving stack: it implements the normal
 :class:`~repro.core.recommender.Recommender` interface but reads its
 embedding tables from a serve-mode
 :class:`~repro.store.mmap.MmapShardStore` instead of holding arrays of
-its own.  Promotion of a new training generation is therefore
-:meth:`refresh` — a manifest remap that moves no embedding bytes — and
-rollback is a remap at the previous generation.
+its own.  Promoting a new training generation is therefore opening a
+serve view at it — a manifest read that moves no embedding bytes — and
+rollback is a view of the previous generation.
 
 Because every ``score_all`` goes through the store, a closed or broken
 store surfaces as :class:`~repro.core.exceptions.StoreError` from the
@@ -37,7 +37,7 @@ class StoredEmbeddingRecommender(Recommender):
     Parameters
     ----------
     store:
-        A serve-mode :class:`MmapShardStore` (``remap``-able).
+        A serve-mode :class:`MmapShardStore`.
     user_entities, item_entities:
         Row indices into ``entity_table`` for each user / item id — the
         same alignment the lifted user-item graph gives CFKG-style
@@ -69,14 +69,6 @@ class StoredEmbeddingRecommender(Recommender):
     def generation(self) -> int:
         """The store generation currently being served."""
         return self.store.generation
-
-    def refresh(self, generation: int | None = None) -> int:
-        """Re-point at ``generation`` (default: newest consistent).
-
-        This is the whole promotion/rollback mechanism: a verified
-        manifest remap, no embedding arrays copied or rebuilt.
-        """
-        return self.store.remap(generation)
 
     # ------------------------------------------------------------------ #
     def fit(self, dataset: Dataset) -> "StoredEmbeddingRecommender":

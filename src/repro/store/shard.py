@@ -40,14 +40,11 @@ import numpy as np
 
 from repro.core.exceptions import StoreCorruptionError
 
-from .io import StoreIO
-
 __all__ = [
     "SHARD_MAGIC",
     "SHARD_VERSION",
     "ShardInfo",
     "encode_shard",
-    "write_shard",
     "verify_shard",
     "load_shard",
     "map_payload",
@@ -118,28 +115,6 @@ def encode_shard(
         file=file, row_start=int(row_start), rows=int(values.shape[0]), crc32=crc
     )
     return info, SHARD_MAGIC + _LEN_STRUCT.pack(len(blob)) + blob + payload
-
-
-def write_shard(
-    io: StoreIO,
-    path: str | Path,
-    table: str,
-    row_start: int,
-    values: np.ndarray,
-    seed: int | None = None,
-) -> ShardInfo:
-    """Write ``values`` (2-d, cast to float32) as the shard at ``path``.
-
-    The write is crash-safe: the full blob goes to ``<path>.tmp`` (written
-    + fsync'd through ``io``), then is atomically renamed over ``path``.
-    Returns the :class:`ShardInfo` the manifest should record.
-    """
-    path = Path(path)
-    info, data = encode_shard(path.name, table, row_start, values, seed=seed)
-    tmp = path.with_name(path.name + ".tmp")
-    io.write_bytes(tmp, data)
-    io.replace(tmp, path)
-    return info
 
 
 def _parse_header(name: str, data: bytes) -> tuple[dict, int]:

@@ -22,7 +22,7 @@ references it (shards are shared across generations by design).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.exceptions import StoreCorruptionError, StoreError

@@ -57,10 +57,6 @@ class TraceCapture:
     spans: list[SpanRecord] = field(default_factory=list)
     metrics: list[dict] = field(default_factory=list)
 
-    @property
-    def version(self) -> int:
-        return int(self.header.get("version", 0))
-
 
 def export_records(telemetry) -> list[dict]:
     """Header + span + metric records for ``telemetry`` (JSON-safe dicts)."""

@@ -231,10 +231,5 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._records)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.dropped = 0
-
     def export_records(self) -> list[dict]:
         return [r.to_json() for r in self.records()]

@@ -36,7 +36,7 @@ from repro.core.interactions import InteractionMatrix
 from repro.core.rng import ensure_rng
 from repro.runtime.faults import SERVING_FAULT_KINDS, FaultInjector, FaultPlan
 from repro.serving.admission import AdmissionQueue
-from repro.serving.service import RecommenderService, ServeRequest
+from repro.serving.service import STATUSES, RecommenderService, ServeRequest
 from repro.telemetry.metrics import MetricRegistry
 
 from .report import LoadReport, PersonaStats, reconcile
@@ -196,7 +196,7 @@ class LoadHarness:
                 s: self.registry.counter(
                     "traffic.status", persona=persona, status=s
                 ).value
-                for s in ("ok", "degraded", "shed", "rejected")
+                for s in STATUSES
             }
             hist = self._persona_hist(persona)
             out.append(

@@ -24,10 +24,9 @@ import json
 from dataclasses import asdict, dataclass
 
 from repro.core.exceptions import ConfigError
+from repro.serving.service import STATUSES
 
 __all__ = ["PersonaStats", "LoadReport", "reconcile", "check_bench_floor"]
-
-STATUSES = ("ok", "degraded", "shed", "rejected")
 
 
 @dataclass(frozen=True)

@@ -119,15 +119,6 @@ class PersonaInteractionStream(InteractionStream):
             return max(0.0, self._events[self._cursor].at - now)
         return max(0.0, self._schedule.horizon - now)
 
-    # ------------------------------------------------------------------ #
-    @property
-    def current_persona(self) -> str:
-        """Persona of the most recently emitted batch (diagnostics)."""
-        index = max(0, self._cursor - 1)
-        if index < len(self._events):
-            return self._events[index].persona
-        return "-"
-
 
 def persona_stream_factory(
     population: PersonaPopulation | None = None,

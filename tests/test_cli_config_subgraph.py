@@ -1,12 +1,8 @@
-"""Tests for the CLI, grid search, and subgraph extraction."""
+"""Tests for the CLI and the claims report."""
 
-import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.core.config import GridResult, grid_search
-from repro.core.exceptions import ConfigError, GraphError
-from repro.models.baselines import BPRMF
 
 
 class TestCLI:
@@ -45,70 +41,6 @@ class TestCLI:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
-
-
-class TestGridSearch:
-    def test_sorted_best_first(self, movie_dataset):
-        results = grid_search(
-            lambda dim: BPRMF(dim=dim, epochs=3, seed=0),
-            movie_dataset,
-            {"dim": [4, 8]},
-            max_users=10,
-            seed=0,
-        )
-        assert len(results) == 2
-        assert results[0].score >= results[1].score
-        assert isinstance(results[0], GridResult)
-
-    def test_cartesian_product(self, movie_dataset):
-        results = grid_search(
-            lambda dim, lr: BPRMF(dim=dim, lr=lr, epochs=2, seed=0),
-            movie_dataset,
-            {"dim": [4, 8], "lr": [0.01, 0.05]},
-            max_users=8,
-            seed=0,
-        )
-        assert len(results) == 4
-        seen = {tuple(sorted(r.params.items())) for r in results}
-        assert len(seen) == 4
-
-    def test_empty_grid(self, movie_dataset):
-        with pytest.raises(ConfigError):
-            grid_search(lambda: BPRMF(), movie_dataset, {})
-
-    def test_bad_grid_entry(self, movie_dataset):
-        with pytest.raises(ConfigError):
-            grid_search(lambda dim: BPRMF(dim=dim), movie_dataset, {"dim": []})
-
-
-class TestSubgraph:
-    def test_induced_facts(self, tiny_kg):
-        sub, mapping = tiny_kg.subgraph(np.asarray([0, 1, 2]))
-        assert mapping.tolist() == [0, 1, 2]
-        # Facts among {item0, item1, genre2}: both has_genre edges to genre2.
-        assert sub.num_triples == 2
-        assert sub.has_fact(0, 0, 2)
-        assert sub.has_fact(1, 0, 2)
-
-    def test_labels_and_types_carried(self, tiny_kg):
-        sub, __ = tiny_kg.subgraph(np.asarray([1, 3]))
-        assert sub.entity_label(0) == "item1"
-        assert sub.entity_label(1) == "genre3"
-        assert sub.type_name(sub.type_of(1)) == "genre"
-
-    def test_duplicate_entities_deduped(self, tiny_kg):
-        sub, mapping = tiny_kg.subgraph(np.asarray([2, 2, 0]))
-        assert mapping.tolist() == [0, 2]
-        assert sub.num_entities == 2
-
-    def test_out_of_range(self, tiny_kg):
-        with pytest.raises(GraphError):
-            tiny_kg.subgraph(np.asarray([99]))
-
-    def test_relations_preserved(self, tiny_kg):
-        sub, __ = tiny_kg.subgraph(np.arange(6))
-        assert sub.num_triples == tiny_kg.num_triples
-        assert sub.relation_labels == tiny_kg.relation_labels
 
 
 class TestReport:

@@ -7,7 +7,7 @@ from repro.autograd import nn
 from repro.autograd.tensor import Tensor
 from repro.core.exceptions import ConfigError, DataError
 from repro.core.recommender import Explanation
-from repro.core.rng import ensure_rng, spawn
+from repro.core.rng import ensure_rng
 from repro.models.common import GradientRecommender
 
 
@@ -79,17 +79,6 @@ class TestRngHelpers:
         a = ensure_rng(42).random(3)
         b = ensure_rng(42).random(3)
         np.testing.assert_allclose(a, b)
-
-    def test_spawn_independence(self):
-        rng = ensure_rng(0)
-        children = spawn(rng, 3)
-        assert len(children) == 3
-        streams = [c.random(5) for c in children]
-        assert not np.allclose(streams[0], streams[1])
-
-    def test_spawn_negative(self):
-        with pytest.raises(ValueError):
-            spawn(ensure_rng(0), -1)
 
 
 class TestExplanationRendering:

@@ -6,11 +6,7 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.exceptions import DataError
 from repro.core.interactions import InteractionMatrix
-from repro.core.splitter import (
-    cold_start_item_split,
-    leave_one_out_split,
-    random_split,
-)
+from repro.core.splitter import cold_start_item_split, random_split
 from repro.data import make_movie_dataset
 
 
@@ -95,25 +91,6 @@ class TestRandomSplit:
         assert test.kg is movie_dataset.kg
 
 
-class TestLeaveOneOut:
-    def test_one_test_item_per_eligible_user(self, movie_dataset):
-        train, test = leave_one_out_split(movie_dataset, seed=0)
-        for user in range(movie_dataset.num_users):
-            original = movie_dataset.interactions.items_of(user).size
-            held = test.interactions.items_of(user).size
-            if original >= 2:
-                assert held == 1
-            else:
-                assert held == 0
-
-    def test_partition(self, movie_dataset):
-        train, test = leave_one_out_split(movie_dataset, seed=0)
-        assert (
-            train.interactions.nnz + test.interactions.nnz
-            == movie_dataset.interactions.nnz
-        )
-
-
 class TestColdStart:
     def test_cold_items_have_no_training_feedback(self, movie_dataset):
         train, test, cold = cold_start_item_split(movie_dataset, seed=0)
@@ -123,8 +100,7 @@ class TestColdStart:
     def test_test_contains_only_cold(self, movie_dataset):
         __, test, cold = cold_start_item_split(movie_dataset, seed=0)
         cold_set = set(cold.tolist())
-        for __u, items in test.interactions.iter_users():
-            assert set(items.tolist()) <= cold_set
+        assert set(test.interactions.pairs()[:, 1].tolist()) <= cold_set
 
     def test_fraction(self, movie_dataset):
         __, __t, cold = cold_start_item_split(movie_dataset, cold_fraction=0.3, seed=1)

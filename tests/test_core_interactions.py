@@ -33,7 +33,7 @@ class TestConstruction:
 
     def test_duplicate_keeps_last_rating(self):
         mat = make([(0, 1), (0, 1)], ratings=[2.0, 5.0])
-        assert mat.ratings_of(0)[0] == 5.0
+        assert mat.to_csr()[0].data.tolist() == [5.0]
 
     def test_out_of_range_user(self):
         with pytest.raises(DataError):
@@ -65,10 +65,6 @@ class TestAccess:
         mat = make([(0, 4), (0, 1), (0, 2)])
         assert mat.items_of(0).tolist() == [1, 2, 4]
 
-    def test_users_of(self):
-        mat = make([(0, 1), (2, 1), (3, 1)])
-        assert mat.users_of(1).tolist() == [0, 2, 3]
-
     def test_contains(self):
         mat = make([(0, 1)])
         assert mat.contains(0, 1)
@@ -85,11 +81,6 @@ class TestAccess:
         mat = make(pairs)
         assert sorted(map(tuple, mat.pairs().tolist())) == sorted(pairs)
 
-    def test_iter_users_skips_empty(self):
-        mat = make([(0, 1)])
-        users = [u for u, __ in mat.iter_users()]
-        assert users == [0]
-
     def test_to_dense_matches(self):
         mat = make([(0, 1), (1, 0)])
         dense = mat.to_dense()
@@ -102,34 +93,7 @@ class TestAccess:
             mat.items_of(10)
 
 
-class TestDerived:
-    def test_binarize_drops_ratings(self):
-        mat = make([(0, 1)], ratings=[4.0])
-        assert mat.has_ratings
-        assert not mat.binarize().has_ratings
-
-    def test_filter_ratings(self):
-        mat = make([(0, 1), (0, 2)], ratings=[5.0, 2.0])
-        kept = mat.filter_ratings(4.0)
-        assert kept.nnz == 1
-        assert kept.contains(0, 1)
-
-    def test_filter_requires_ratings(self):
-        with pytest.raises(DataError):
-            make([(0, 1)]).filter_ratings(3.0)
-
-
 class TestSampling:
-    def test_negatives_exclude_positives(self):
-        mat = make([(0, 1), (0, 2)])
-        negs = mat.sample_negative_items(0, 3, seed=0)
-        assert set(negs.tolist()).isdisjoint({1, 2})
-
-    def test_negatives_deterministic(self):
-        mat = make([(0, 1)])
-        a = mat.sample_negative_items(0, 4, seed=5)
-        b = mat.sample_negative_items(0, 4, seed=5)
-        assert a.tolist() == b.tolist()
 
     def test_bpr_triples_valid(self):
         mat = make([(0, 1), (1, 2), (2, 3)])
@@ -141,11 +105,6 @@ class TestSampling:
     def test_bpr_empty_matrix(self):
         with pytest.raises(DataError):
             InteractionMatrix.empty(2, 2).sample_bpr_triples(1)
-
-    def test_full_row_user(self):
-        mat = InteractionMatrix.from_pairs([(0, 0), (0, 1)], 1, 2)
-        with pytest.raises(DataError):
-            mat.sample_negative_items(0, 1)
 
 
 @settings(max_examples=40, deadline=None)

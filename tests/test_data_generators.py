@@ -11,12 +11,10 @@ from repro.data import (
     AttributeSpec,
     ScenarioSchema,
     cross_domain,
-    domain_specific,
     generate_dataset,
     make_movie_dataset,
     make_news_dataset,
     scenarios_list,
-    stand_in_for,
 )
 
 
@@ -142,8 +140,8 @@ class TestCatalogs:
         assert len(TABLE1) == 11
 
     def test_table1_partition(self):
-        assert len(cross_domain()) + len(domain_specific()) == len(TABLE1)
-        assert {kg.name for kg in domain_specific()} == {"Bio2RDF", "KnowLife"}
+        specific = {kg.name for kg in TABLE1} - {kg.name for kg in cross_domain()}
+        assert specific == {"Bio2RDF", "KnowLife"}
 
     def test_table4_scenarios(self):
         assert scenarios_list() == [
@@ -152,14 +150,6 @@ class TestCatalogs:
 
     def test_table4_has_twenty_datasets(self):
         assert len(TABLE4) == 20
-
-    def test_stand_in_lookup(self):
-        data = stand_in_for("MovieLens-1M", seed=0, num_users=10, num_items=20)
-        assert data.extra["scenario"] == "movie"
-
-    def test_stand_in_unknown(self):
-        with pytest.raises(KeyError):
-            stand_in_for("NotADataset")
 
     def test_every_entry_has_papers(self):
         for entry in TABLE4:
@@ -171,11 +161,9 @@ class TestExplicitRatings:
         data = make_movie_dataset(
             seed=0, num_users=15, num_items=25, explicit_ratings=True
         )
-        assert data.interactions.has_ratings
-        for user in range(data.num_users):
-            ratings = data.interactions.ratings_of(user)
-            if ratings.size:
-                assert ratings.min() >= 1.0 and ratings.max() <= 5.0
+        ratings = data.interactions.to_csr().data
+        assert ratings.min() >= 1.0 and ratings.max() <= 5.0
+        assert np.unique(ratings).size > 1  # star values, not implicit 1s
 
     def test_higher_preference_higher_stars(self):
         data = make_movie_dataset(
@@ -183,23 +171,16 @@ class TestExplicitRatings:
         )
         user_latent = data.extra["user_latent"]
         item_latent = data.extra["item_latent"]
+        csr = data.interactions.to_csr()
         agreements = []
         for user in range(data.num_users):
             items = data.interactions.items_of(user)
-            ratings = data.interactions.ratings_of(user)
+            ratings = csr.data[csr.indptr[user] : csr.indptr[user + 1]]
             if items.size < 4:
                 continue
             true_scores = item_latent[items] @ user_latent[user]
             agreements.append(np.corrcoef(true_scores, ratings)[0, 1])
         assert np.mean(agreements) > 0.3
 
-    def test_filter_ratings_pipeline(self):
-        """The survey's 'keep 5-star ratings as positives' preprocessing."""
-        data = make_movie_dataset(
-            seed=2, num_users=15, num_items=25, explicit_ratings=True
-        )
-        liked = data.interactions.filter_ratings(4.0)
-        assert 0 < liked.nnz < data.interactions.nnz
-
     def test_implicit_default(self, movie_dataset):
-        assert not movie_dataset.interactions.has_ratings
+        assert (movie_dataset.interactions.to_csr().data == 1.0).all()

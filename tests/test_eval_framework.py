@@ -85,14 +85,6 @@ class TestEvaluator:
         with pytest.raises(EvaluationError):
             Evaluator(movie_dataset, tiny_dataset)
 
-    def test_compare_panel(self, movie_split):
-        train, test = movie_split
-        evaluator = Evaluator(train, test, seed=0, max_users=10)
-        results = evaluator.compare(
-            {"pop": MostPopular(), "rand": Random(seed=0)}, fit=True
-        )
-        assert [r.model for r in results] == ["pop", "rand"]
-
 
 class TestColdStart:
     def test_cold_start_rows(self, movie_dataset):

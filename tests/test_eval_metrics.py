@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.exceptions import EvaluationError
 from repro.eval.metrics import (
     auc,
-    average_precision,
     hit_ratio_at_k,
     ndcg_at_k,
     precision_at_k,
@@ -74,11 +73,6 @@ class TestTopK:
         assert first == pytest.approx(1.0)
         assert third == pytest.approx(1.0 / np.log2(4))
 
-    def test_average_precision_hand_computed(self):
-        # hits at positions 1 and 3 of k=3; two relevant items.
-        ap = average_precision(np.asarray([5, 0, 6]), {5, 6}, 3)
-        assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
-
     def test_reciprocal_rank(self):
         assert reciprocal_rank(RANKED, {4}) == pytest.approx(1 / 3)
         assert reciprocal_rank(RANKED, {999}) == 0.0
@@ -103,7 +97,7 @@ def ranking_case(draw):
 @given(case=ranking_case())
 def test_property_metric_bounds(case):
     ranked, relevant, k = case
-    for fn in (precision_at_k, recall_at_k, ndcg_at_k, hit_ratio_at_k, average_precision):
+    for fn in (precision_at_k, recall_at_k, ndcg_at_k, hit_ratio_at_k):
         value = fn(ranked, relevant, k)
         assert 0.0 <= value <= 1.0
     assert 0.0 <= reciprocal_rank(ranked, relevant) <= 1.0

@@ -1,135 +1,11 @@
-"""Serialization round-trips and degenerate-input edge cases."""
+"""Alignment validation and degenerate-input edge cases."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import load_dataset, save_dataset
 from repro.core.dataset import Dataset
 from repro.core.exceptions import DataError
 from repro.core.interactions import InteractionMatrix
-from repro.data import make_movie_dataset, make_news_dataset
-
-
-class TestDatasetIO:
-    def test_roundtrip_movie(self, tmp_path):
-        original = make_movie_dataset(seed=0, num_users=12, num_items=20)
-        path = tmp_path / "movie.npz"
-        save_dataset(original, path)
-        restored = load_dataset(path)
-
-        assert restored.name == original.name
-        assert np.array_equal(
-            restored.interactions.pairs(), original.interactions.pairs()
-        )
-        assert np.array_equal(restored.kg.triples(), original.kg.triples())
-        assert restored.kg.entity_labels == original.kg.entity_labels
-        assert restored.kg.type_names == original.kg.type_names
-        assert np.array_equal(restored.item_entities, original.item_entities)
-        assert restored.extra["scenario"] == "movie"
-
-    def test_roundtrip_preserves_latent_arrays(self, tmp_path):
-        original = make_movie_dataset(seed=1, num_users=10, num_items=15)
-        path = tmp_path / "w.npz"
-        save_dataset(original, path)
-        restored = load_dataset(path)
-        np.testing.assert_allclose(
-            restored.extra["user_latent"], original.extra["user_latent"]
-        )
-
-    def test_roundtrip_item_text(self, tmp_path):
-        original = make_news_dataset(seed=0, num_users=8, num_items=12)
-        path = tmp_path / "news.npz"
-        save_dataset(original, path)
-        restored = load_dataset(path)
-        np.testing.assert_allclose(restored.item_text, original.item_text)
-
-    def test_roundtrip_without_kg(self, tmp_path):
-        plain = Dataset(
-            name="plain",
-            interactions=InteractionMatrix.from_pairs([(0, 1), (1, 0)], 2, 2),
-        )
-        path = tmp_path / "plain.npz"
-        save_dataset(plain, path)
-        restored = load_dataset(path)
-        assert restored.kg is None
-        assert restored.interactions.nnz == 2
-
-    def test_bad_archive_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, something=np.zeros(3))
-        with pytest.raises(DataError):
-            load_dataset(path)
-
-    def test_not_a_zip_raises_data_error(self, tmp_path):
-        path = tmp_path / "noise.npz"
-        path.write_bytes(b"definitely not a zip archive")
-        with pytest.raises(DataError):
-            load_dataset(path)
-
-    def test_truncated_archive_raises_data_error(self, tmp_path):
-        original = make_movie_dataset(seed=0, num_users=10, num_items=15)
-        path = tmp_path / "full.npz"
-        save_dataset(original, path)
-        blob = path.read_bytes()
-        truncated = tmp_path / "cut.npz"
-        truncated.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(DataError):
-            load_dataset(truncated)
-
-    def test_version_mismatch_raises_data_error(self, tmp_path):
-        import json
-
-        path = tmp_path / "future.npz"
-        meta = {"version": 999, "name": "x", "extra": {},
-                "num_users": 1, "num_items": 1}
-        np.savez(
-            path,
-            interaction_pairs=np.zeros((1, 2), dtype=np.int64),
-            __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
-        with pytest.raises(DataError, match="version"):
-            load_dataset(path)
-
-    def test_corrupt_meta_json_raises_data_error(self, tmp_path):
-        path = tmp_path / "badmeta.npz"
-        np.savez(
-            path,
-            interaction_pairs=np.zeros((1, 2), dtype=np.int64),
-            __meta__=np.frombuffer(b"{not json", dtype=np.uint8),
-        )
-        with pytest.raises(DataError):
-            load_dataset(path)
-
-    def test_missing_array_raises_data_error(self, tmp_path):
-        import json
-
-        path = tmp_path / "noarrays.npz"
-        meta = {"version": 1, "name": "x", "extra": {},
-                "num_users": 1, "num_items": 1}
-        np.savez(
-            path,
-            __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
-        with pytest.raises(DataError):
-            load_dataset(path)
-
-    def test_missing_file_still_raises_file_not_found(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_dataset(tmp_path / "nope.npz")
-
-    def test_restored_dataset_trains_models(self, tmp_path):
-        from repro.core.splitter import random_split
-        from repro.models.unified import KGCN
-
-        original = make_movie_dataset(seed=2, num_users=12, num_items=20)
-        path = tmp_path / "train.npz"
-        save_dataset(original, path)
-        restored = load_dataset(path)
-        train, __ = random_split(restored, seed=2)
-        model = KGCN(epochs=1, num_neighbors=4, seed=0).fit(train)
-        assert np.isfinite(model.score_all(0)).all()
 
 
 class TestAlignmentValidation:
@@ -188,16 +64,3 @@ class TestDegenerateInputs:
         data = generate_dataset(schema, num_users=8, num_items=12, seed=0)
         model = HeteRec(theta_epochs=2, nmf_iterations=10, seed=0).fit(data)
         assert np.isfinite(model.score_all(0)).all()
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 50))
-def test_property_io_roundtrip_random_worlds(tmp_path_factory, seed):
-    original = make_movie_dataset(seed=seed, num_users=6, num_items=10)
-    path = tmp_path_factory.mktemp("io") / f"w{seed}.npz"
-    save_dataset(original, path)
-    restored = load_dataset(path)
-    assert np.array_equal(
-        restored.interactions.pairs(), original.interactions.pairs()
-    )
-    assert np.array_equal(restored.kg.triples(), original.kg.triples())

@@ -145,15 +145,7 @@ class TestNetworkSchema:
     def test_signatures(self, tiny_kg):
         schema = NetworkSchema(tiny_kg)
         assert (0, 0, 1) in schema.signatures  # item -has_genre-> genre
-        assert schema.allows(1, 0, 0)  # reversed direction allowed
-
-    def test_validate_good_path(self, tiny_kg):
-        NetworkSchema(tiny_kg).validate(IGI)
-
-    def test_validate_bad_path(self, tiny_kg):
-        bad = MetaPath((0, 2, 0), (0, 0))  # genre relation to actor type
-        with pytest.raises(GraphError):
-            NetworkSchema(tiny_kg).validate(bad)
+        assert (0, 0) in schema.steps_from(1)  # reversed direction allowed
 
     def test_enumerate_symmetric_item_paths(self, tiny_kg):
         schema = NetworkSchema(tiny_kg)
@@ -161,7 +153,8 @@ class TestNetworkSchema:
         two_step = [p for p in paths if p.length == 2]
         assert len(two_step) == 2  # via genre and via actor
         for p in two_step:
-            schema.validate(p)
+            steps = zip(p.node_types[:-1], p.relation_types, p.node_types[1:])
+            assert all((r, b) in schema.steps_from(a) for a, r, b in steps)
 
     def test_untyped_rejected(self, tiny_kg):
         from repro.kg.graph import KnowledgeGraph

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.exceptions import GraphError
 from repro.kg.builders import build_user_item_graph
-from repro.kg.ripple import entity_ripple_sets, relevant_entities, user_ripple_sets
+from repro.kg.ripple import user_ripple_sets
 from repro.kg.sampling import NeighborCache, corrupt_batch
 from repro.kg.triples import TripleStore
 from repro.kg.walks import metapath_walks, train_sgns, uniform_walks
@@ -17,13 +17,8 @@ from repro.kg.metapath import MetaPath
 class TestRippleSets:
     def test_one_hop_matches_definition(self, tiny_kg):
         # E^1 from item0: tails of facts with head item0.
-        layers = relevant_entities(tiny_kg, np.asarray([0]), hops=1)
-        assert set(layers[0].tolist()) == {2, 4}
-
-    def test_two_hop_empty_when_tails_terminal(self, tiny_kg):
-        layers = relevant_entities(tiny_kg, np.asarray([0]), hops=2)
-        # genre/actor entities have no outgoing facts.
-        assert layers[1].size == 0
+        sets = user_ripple_sets(tiny_kg, np.asarray([0]), hops=1)
+        assert set(sets[0].tails.tolist()) == {2, 4}
 
     def test_user_ripple_sets_heads_are_seeds(self, tiny_kg):
         sets = user_ripple_sets(tiny_kg, np.asarray([0, 1]), hops=1)
@@ -39,7 +34,7 @@ class TestRippleSets:
         assert sets[0].size == 3
 
     def test_entity_ripple(self, tiny_kg):
-        sets = entity_ripple_sets(tiny_kg, 1, hops=1)
+        sets = user_ripple_sets(tiny_kg, np.asarray([1]), hops=1)
         assert set(sets[0].tails.tolist()) == {2, 3, 5}
 
     def test_invalid_hops(self, tiny_kg):

@@ -69,17 +69,6 @@ class TestBaselines:
 
 
 class TestEmbeddingFamily:
-    def test_cke_item_representation_is_sum(self, split):
-        train, __ = split
-        model = embedding_based.CKE(epochs=2, kge_epochs=2, seed=0).fit(train)
-        rep = model.item_representation(0)
-        expected = (
-            model.offset.weight.data[0]
-            + model.structure.data[0]
-            + model.content.data[0]
-        )
-        np.testing.assert_allclose(rep, expected)
-
     def test_cfkg_scores_are_negative_distances(self, split):
         train, __ = split
         model = embedding_based.CFKG(epochs=5, seed=0).fit(train)

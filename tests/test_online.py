@@ -28,6 +28,7 @@ from repro.runtime.faults import (
 )
 from repro.retrieval import IvfIndex
 from repro.serving.registry import ModelRegistry
+from repro.serving.service import STATUSES
 from repro.store.mmap import MmapShardStore
 from repro.telemetry import (
     Telemetry,
@@ -47,7 +48,6 @@ from repro.online import (
 )
 from repro.online.harness import (
     ChurnConfig,
-    SERVE_STATUSES,
     _served_bytes,
     build_world,
     default_plan_for,
@@ -179,7 +179,7 @@ class TestShadowTrainer:
         # Quarantine means *untouched*: rejection precedes any update.
         assert trainer.table_bytes() == before
         assert trainer.batches_quarantined > 0
-        assert trainer.dirty_rows() == 0
+        assert trainer.store._dirty[ENTITY_TABLE].sum() == 0
 
     def test_apply_touches_exactly_the_reported_rows(self, trainer):
         before = np.frombuffer(trainer.table_bytes(), dtype="<f4").reshape(
@@ -197,7 +197,7 @@ class TestShadowTrainer:
         untouched = np.setdiff1d(np.arange(before.shape[0]), touched)
         assert np.array_equal(before[untouched], after[untouched])
         assert not np.array_equal(before[touched], after[touched])
-        assert trainer.dirty_rows() == touched.size
+        assert trainer.store._dirty[ENTITY_TABLE].sum() == touched.size
 
     def test_commit_persists_exact_bytes(self, trainer, tmp_path):
         trainer.apply(np.asarray([0, 1]), np.asarray([3, 4]), np.ones(2))
@@ -379,7 +379,7 @@ class TestOnlineLoop:
         # Applied interactions were recorded for the freshness metric.
         assert loop.applied_interactions
         assert all(
-            status.split("|")[2] in SERVE_STATUSES
+            status.split("|")[2] in STATUSES
             for status in loop.watch_traces
         )
         world.loop.close()

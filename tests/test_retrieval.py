@@ -919,15 +919,19 @@ class TestStoreBackedRetrieval:
         newest = store.generation
         assert model.index.generation == newest  # promote() built it
 
-        base.refresh(newest - 1)  # roll the store back; index now stale
+        # Re-point the base at the previous generation; the index is now stale.
+        base.store = MmapShardStore.open(
+            store.directory, mode="serve", generation=newest - 1
+        )
         assert "generation" in model.index_report()
         degraded = service.serve(ServeRequest(user_id=0, k=5))
         assert degraded.status == "degraded" and degraded.model == "exact"
 
         record = service.promote("ann", model)
         assert record.generation == newest - 1
-        assert model.index.generation == store.generation == newest - 1
+        assert model.index.generation == base.generation == newest - 1
         assert service.serve(ServeRequest(user_id=0, k=5)).status == "ok"
+        base.store.close()
 
 
 # ---------------------------------------------------------------------- #

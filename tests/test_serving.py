@@ -116,7 +116,7 @@ class TestDeadline:
         clock = ManualClock()
         deadline = Deadline(1.0, clock=clock)
         deadline.check()
-        assert deadline.remaining() == pytest.approx(1.0)
+        assert deadline.elapsed == 0.0 and not deadline.expired
         clock.advance(1.5)
         assert deadline.expired
         with pytest.raises(DeadlineExceeded, match="scoring"):
@@ -127,7 +127,6 @@ class TestDeadline:
         deadline = Deadline(None, clock=clock)
         clock.advance(1e9)
         assert not deadline.expired
-        assert deadline.remaining() == np.inf
         deadline.check()
 
     def test_config(self):

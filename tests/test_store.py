@@ -20,7 +20,6 @@ from repro.kge.translational import TransE
 from repro.runtime import TrainingRuntime
 from repro.runtime.checkpoint import Checkpointer, load_checkpoint, save_checkpoint
 from repro.store import (
-    DenseStore,
     MmapShardStore,
     ShardInfo,
     StoredEmbeddingRecommender,
@@ -29,7 +28,6 @@ from repro.store import (
     load_shard,
     map_payload,
     verify_shard,
-    write_shard,
 )
 from repro.store import shard as shard_module
 from repro.store.manifest import (
@@ -39,6 +37,13 @@ from repro.store.manifest import (
     parse_manifest,
     write_manifest,
 )
+
+
+def shard_file(path, table, row_start, values, seed=None):
+    """Encode ``values`` as the shard file ``path``; returns its ShardInfo."""
+    info, data = shard_module.encode_shard(path.name, table, row_start, values, seed=seed)
+    path.write_bytes(data)
+    return info
 
 
 def toy_triples(seed=0, num_entities=8, num_relations=2, n=24):
@@ -58,7 +63,7 @@ def toy_triples(seed=0, num_entities=8, num_relations=2, n=24):
 class TestShardFormat:
     def test_round_trip(self, tmp_path):
         values = np.arange(12, dtype=np.float64).reshape(4, 3)
-        info = write_shard(StoreIO(), tmp_path / "t-s0.shard", "t", 4, values)
+        info = shard_file(tmp_path / "t-s0.shard", "t", 4, values)
         assert info.rows == 4 and info.row_start == 4
         header, loaded = load_shard(tmp_path / "t-s0.shard")
         assert header["table"] == "t"
@@ -66,7 +71,7 @@ class TestShardFormat:
 
     def test_bitrot_detected(self, tmp_path):
         path = tmp_path / "t-s0.shard"
-        write_shard(StoreIO(), path, "t", 0, np.ones((4, 3)))
+        shard_file(path, "t", 0, np.ones((4, 3)))
         blob = bytearray(path.read_bytes())
         blob[-2] ^= 0x01
         path.write_bytes(bytes(blob))
@@ -75,7 +80,7 @@ class TestShardFormat:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t-s0.shard"
-        write_shard(StoreIO(), path, "t", 0, np.ones((4, 3)))
+        shard_file(path, "t", 0, np.ones((4, 3)))
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])  # tear off the payload tail
         with pytest.raises(StoreCorruptionError, match="torn"):
@@ -92,7 +97,7 @@ class TestShardFormat:
 
     def test_manifest_cross_check(self, tmp_path):
         path = tmp_path / "t-s0.shard"
-        info = write_shard(StoreIO(), path, "t", 0, np.ones((4, 3)))
+        info = shard_file(path, "t", 0, np.ones((4, 3)))
         wrong = ShardInfo(file=info.file, row_start=4, rows=4, crc32=info.crc32)
         with pytest.raises(StoreCorruptionError, match="disagrees"):
             verify_shard(path, expected=wrong)
@@ -118,7 +123,7 @@ class TestAlignedPayload:
     ):
         path = tmp_path_factory.mktemp("aligned") / "t.shard"
         values = np.arange(rows * dim, dtype=np.float32).reshape(rows, dim)
-        info = write_shard(StoreIO(), path, table, row_start, values, seed=seed)
+        info = shard_file(path, table, row_start, values, seed=seed)
         header, offset = verify_shard(path, expected=info, dim=dim)
         assert offset % 64 == 0
         # The padding is trailing spaces inside the counted header: a
@@ -148,7 +153,7 @@ class TestAlignedPayload:
         old = UNPADDED_SHARD.read_bytes()
         old_header, old_offset = verify_shard(UNPADDED_SHARD)
         path = tmp_path / UNPADDED_SHARD.name
-        info = write_shard(StoreIO(), path, "entity", 10, UNPADDED_VALUES, seed=7)
+        info = shard_file(path, "entity", 10, UNPADDED_VALUES, seed=7)
         new = path.read_bytes()
         header, offset = verify_shard(path)
         assert header == old_header and info.crc32 == old_header["crc32"]
@@ -222,44 +227,24 @@ class TestManifest:
 
 
 # ---------------------------------------------------------------------- #
-# DenseStore: the bitwise-compatible default
-# ---------------------------------------------------------------------- #
-class TestDenseStore:
-    def test_register_is_identity(self):
-        store = DenseStore()
-        arr = np.zeros((4, 2))
-        assert store.register("t", arr) is arr
-        assert store.table("t") is arr
-        assert store.table_for_array(arr) == "t"
-        assert store.table_for_array(np.zeros((4, 2))) is None
-
-    def test_training_bitwise_identical_to_seed_path(self):
-        """A model with the default DenseStore trains exactly as before."""
-        triples = toy_triples()
-        explicit = TransE(8, 2, dim=4, seed=0, store=DenseStore())
-        default = TransE(8, 2, dim=4, seed=0)
-        h1 = explicit.fit(triples, epochs=2, batch_size=8, seed=0)
-        h2 = default.fit(triples, epochs=2, batch_size=8, seed=0)
-        assert h1 == h2
-        np.testing.assert_array_equal(
-            explicit.entity_embeddings(), default.entity_embeddings()
-        )
-        np.testing.assert_array_equal(
-            explicit.relation_embeddings(), default.relation_embeddings()
-        )
-
-    def test_no_generations(self):
-        store = DenseStore()
-        store.register("t", np.zeros((2, 2)))
-        assert store.commit() == 0
-        with pytest.raises(StoreError):
-            store.load_table("t", generation=3)
-
-
-# ---------------------------------------------------------------------- #
 # MmapShardStore
 # ---------------------------------------------------------------------- #
 class TestMmapStoreTraining:
+    def test_store_backed_fit_is_bitwise_the_storeless_fit(self, tmp_path):
+        """The store only observes training: same losses, same arrays."""
+        triples = toy_triples()
+        plain = TransE(8, 2, dim=4, seed=0)
+        assert plain.store is None
+        backed = TransE(8, 2, dim=4, seed=0, store=MmapShardStore.create(tmp_path))
+        h1 = backed.fit(triples, epochs=2, batch_size=8, seed=0)
+        h2 = plain.fit(triples, epochs=2, batch_size=8, seed=0)
+        assert h1 == h2
+        np.testing.assert_array_equal(backed.entity_embeddings(), plain.entity_embeddings())
+        np.testing.assert_array_equal(
+            backed.relation_embeddings(), plain.relation_embeddings()
+        )
+        backed.store.close()
+
     def test_commit_writes_only_dirty_shards(self, tmp_path):
         store = MmapShardStore.create(tmp_path, rows_per_shard=2)
         arr = store.register("t", np.zeros((6, 3)))
@@ -363,24 +348,6 @@ class TestMmapStoreServing:
         np.testing.assert_allclose(table @ v, arr.astype(np.float32) @ v)
         np.testing.assert_array_equal(table.to_array(), arr.astype(np.float32))
         assert table.shape == (6, 3)
-        store.close()
-
-    def test_remap_moves_no_arrays(self, tmp_path):
-        """Promotion's core mechanic: generation swap without copies."""
-        self.make_store(tmp_path)
-        store = MmapShardStore.open(tmp_path, mode="serve")
-        table = store.table("t")
-        assert store.generation == 2
-        v2_row0 = table[0].copy()
-        before = [id(s) for s in table._shards]
-        assert store.remap(1) == 1
-        # Same view object; its internal maps re-pointed, nothing copied.
-        assert store.table("t") is table
-        assert all(isinstance(s.base, np.memmap) for s in table._shards)
-        assert [id(s) for s in table._shards] != before
-        assert not np.array_equal(table[0], v2_row0)
-        assert store.remap() == 2  # back to newest
-        np.testing.assert_array_equal(table[0], v2_row0)
         store.close()
 
     def test_serve_mode_is_read_only(self, tmp_path):

@@ -79,7 +79,7 @@ class TestCrashMatrix:
         arr = store.register("t", np.ones((4, 2)))
         with pytest.raises(StoreError):
             store.commit()
-        assert store.dirty_row_count("t") == 4  # nothing silently dropped
+        assert store._dirty["t"].sum() == 4  # nothing silently dropped
         assert store.commit() == 1  # retry succeeds past the planned fault
         np.testing.assert_array_equal(store.load_table("t"), arr)
         store.close()
@@ -187,7 +187,7 @@ class TestGroupCommit:
             store.commit()
         assert [f.kind for f in injector.injected] == ["fsync_fail"]
         assert store.generation == 0
-        assert store.dirty_row_count("a") == 4 and store.dirty_row_count("b") == 3
+        assert store._dirty["a"].sum() == 4 and store._dirty["b"].sum() == 3
         # Every temp was written before the first fsync, and no rename was
         # issued: the aborted group left temp files only.
         shards_dir = tmp_path / "shards"
@@ -400,12 +400,13 @@ class TestStoredServing:
         # The hot swap re-pointed nothing: the served table object is the
         # exact object from before promotion, holding the same memmaps.
         assert store.table("entity") is table
-        maps_before = [id(m) for m in table._shards]
-        model.refresh(1)
-        assert store.table("entity") is table  # remap also moves no arrays
-        assert [id(m) for m in table._shards] != maps_before
-        record2 = service.promote("stored-g1", model)
+        older = MmapShardStore.open(store.directory, mode="serve", generation=1)
+        candidate = StoredEmbeddingRecommender(
+            older, model.user_entities, model.item_entities
+        ).fit(dataset)
+        record2 = service.promote("stored-g1", candidate)
         assert record2.generation == 1
+        older.close()
 
     def test_broken_store_degrades_typed_never_raises(self, served_store):
         dataset, store, model = served_store
@@ -479,15 +480,17 @@ class TestSeededCanary:
         )
 
     def test_default_keeps_lowest_id_prefix(self):
-        dataset = generate_dataset(MOVIE_SCHEMA, num_users=20, num_items=15, seed=0)
-        service = self.make(dataset, canary_size=4)
-        record = service.registry.history[-1]
-        assert record.canary_users == (0, 1, 2, 3)
+        for num_users, canary in ((20, tuple(range(8))), (5, tuple(range(5)))):
+            dataset = generate_dataset(
+                MOVIE_SCHEMA, num_users=num_users, num_items=15, seed=0
+            )
+            record = self.make(dataset).registry.history[-1]
+            assert record.canary_users == canary  # 8 lowest ids, capped
 
     def test_canary_attributes_on_promote_span(self):
         dataset = generate_dataset(MOVIE_SCHEMA, num_users=12, num_items=9, seed=0)
         telemetry = Telemetry()
-        service = self.make(dataset, canary_size=4, telemetry=telemetry)
+        service = self.make(dataset, telemetry=telemetry)
         spans = [s for s in telemetry.tracer.records() if s.name == "serve/promote"]
         assert spans, "promotion emitted no serve/promote span"
         attrs = spans[-1].attrs

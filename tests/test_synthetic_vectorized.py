@@ -28,7 +28,7 @@ def assert_datasets_equal(a, b):
     assert np.array_equal(ca.indptr, cb.indptr)
     assert np.array_equal(ca.indices, cb.indices)
     assert np.array_equal(ca.data, cb.data)
-    assert a.interactions.has_ratings == b.interactions.has_ratings
+    assert repr(a.interactions) == repr(b.interactions)  # explicit vs implicit
     sa, sb = a.kg.store, b.kg.store
     assert np.array_equal(sa.heads, sb.heads)
     assert np.array_equal(sa.relations, sb.relations)

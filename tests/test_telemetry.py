@@ -129,14 +129,6 @@ class TestTracer:
         assert [r.name for r in records] == ["s2", "s3", "s4"]
         assert tracer.dropped == 2
 
-    def test_reset_clears_records_and_dropped(self):
-        tracer = Tracer(clock=ManualClock(), max_spans=1)
-        tracer.end(tracer.begin("a"))
-        tracer.end(tracer.begin("b"))
-        tracer.reset()
-        assert tracer.records() == []
-        assert tracer.dropped == 0
-
 
 # --------------------------------------------------------------------- #
 # metrics
@@ -240,7 +232,7 @@ class TestExport:
         path = tmp_path / "trace.jsonl"
         write_jsonl(path, tel)
         capture = read_jsonl(path)
-        assert capture.version == SCHEMA_VERSION
+        assert capture.header["version"] == SCHEMA_VERSION
         assert [s.name for s in capture.spans] == ["child", "root"]
         child, root = capture.spans
         assert child.parent_id == root.span_id

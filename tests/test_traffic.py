@@ -557,7 +557,6 @@ class TestPersonaStream:
         assert newcomers == list(
             range(stream.config.warm_users, stream.seen_users)
         )
-        assert stream.current_persona in SCENARIO_MIXES["movie"]
 
     def test_population_must_fit_stream(self):
         from repro.online.stream import StreamConfig
