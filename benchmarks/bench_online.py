@@ -24,7 +24,10 @@ Run as a script:
     PYTHONPATH=src python benchmarks/bench_online.py --smoke   # CI smoke
 
 The full run writes machine-readable results to ``--out`` (default
-``benchmarks/BENCH_online.json``).  ``--smoke`` runs small replays and
+``benchmarks/BENCH_online.json``).  ``--before FILE`` copies the host
+facts, promote latency and build times of an earlier result file (say,
+the parent commit's run on the same host) into the new one, under
+``"before"``.  ``--smoke`` runs small replays and
 asserts the invariants (bitwise old-or-new serving, positive freshness
 uplift, warm promotion builds, trace-identical replays, 64-byte-aligned
 shard views, group-commit op order) without recording timings.
@@ -265,12 +268,18 @@ def main() -> None:
         default=(0, 1, 2, 3, 4),
     )
     parser.add_argument("--out", default=str(DEFAULT_OUT))
+    parser.add_argument("--before", help="an earlier result file to compare against")
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args()
     if args.smoke:
         run_smoke(args)
         return
     result = run_full(args)
+    if args.before:
+        earlier = json.loads(Path(args.before).read_text(encoding="utf-8"))
+        result["before"] = {
+            k: earlier[k] for k in ("host", "promote_latency", "build_wall_time")
+        }
     out = Path(args.out)
     out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(f"results written to {out}")

@@ -16,16 +16,16 @@ frameworks; the bias-correction step counter still advances globally, and
 decoupled ``weight_decay`` shrinks only the touched rows (lazy decay).
 
 A dense gradient — including a sparse one densified by reading
-``p.grad`` before :meth:`step` — takes the dense branch, which is the
-historical dense path bitwise (the coalescing kernel matches
-``np.add.at`` summation order exactly).  The optimizer state layout is the
+``p.grad`` before :meth:`step` — takes the dense branch: standard Adam
+over the whole table, fed the same sums bit for bit (the coalescing
+kernel matches ``np.add.at`` summation order exactly).  The optimizer state layout is the
 same for both branches, so ``state_dict``/checkpoints are interchangeable
 and resume stays bitwise-reproducible either way.
 
 Robustness (see :mod:`repro.runtime.guards` and ``docs/robustness.md``):
 ``max_grad_norm`` clips the *global* gradient norm before each update, and
 ``skip_nonfinite`` decides what happens when a NaN/Inf gradient reaches
-:meth:`step` — ``"off"`` applies it as-is (the historical behavior),
+:meth:`step` — ``"off"`` applies it as-is (the default),
 ``"skip"`` drops the whole update, ``"zero"`` repairs the bad entries, and
 ``"raise"`` raises :class:`~repro.core.exceptions.TrainingDivergedError`.
 The optimizer also exposes :meth:`state_dict`/:meth:`load_state_dict`

@@ -2,14 +2,13 @@
 
 Every embedding lookup is a gather of a few hundred rows out of a table
 with up to millions of rows.  Its gradient is therefore *row sparse*: only
-the gathered rows carry signal.  The historical backward pass materialized
-a dense ``(num_rows, dim)`` zeros array and ``np.add.at``-scattered the
-batch into it, and the optimizer then updated the whole table — O(E*d)
-work per mini-batch regardless of batch size.
+the gathered rows carry signal.  A dense gradient would be a
+``(num_rows, dim)`` zeros array with the batch ``np.add.at``-scattered
+into it, and an optimizer step over it would touch the whole table —
+O(E*d) work per mini-batch regardless of batch size.
 
-:class:`SparseGrad` is the first-class alternative: a pair of ``rows``
-(int64 indices into axis 0) and ``vals`` (the corresponding gradient
-rows).  Duplicate rows are allowed and are summed lazily by
+:class:`SparseGrad` holds only the signal: a pair of ``rows`` (int64
+indices into axis 0) and ``vals`` (the corresponding gradient rows).  Duplicate rows are allowed and are summed lazily by
 :meth:`SparseGrad.coalesce`; consumers that need the dense form call
 :meth:`SparseGrad.to_dense`.
 
@@ -19,18 +18,17 @@ Coalescing sums duplicates with ``np.bincount``: one pass over flattened
 ``(row, column)`` bins for small tables or small batches, one pass per
 column for large ones.  ``bincount`` accumulates weights sequentially in
 occurrence order — the exact summation ``np.add.at`` performs — so a densified
-:class:`SparseGrad` is *bitwise identical* to the historical dense
-scatter.  (``np.add.reduceat`` is faster still but uses pairwise summation
+:class:`SparseGrad` is *bitwise identical* to that dense scatter.  (``np.add.reduceat`` is faster still but uses pairwise summation
 and breaks bitwise reproducibility; the equivalence tests pin this
 choice.)
 
 When a parameter is gathered several times in one graph (e.g. a KGE
-entity table looked up for heads, tails, and negatives), the historical
-path summed each lookup's dense scatter into the gradient *table by
-table*.  :meth:`SparseGrad.merge` therefore records the segment boundary,
+entity table looked up for heads, tails, and negatives), the dense
+gradient is each lookup's scatter summed into the table *lookup by
+lookup*.  :meth:`SparseGrad.merge` therefore records the segment boundary,
 and :meth:`SparseGrad.to_dense`/:meth:`SparseGrad.add_into` replay the
 segments in accumulation order — coalesce within a segment, then add
-segment sums — reproducing the historical float grouping exactly.
+segment sums — reproducing that float grouping exactly.
 :meth:`SparseGrad.coalesce` collapses the segments (sparse consumers only
 need the total per row).
 """
@@ -151,8 +149,7 @@ class SparseGrad:
         """Concatenated (uncoalesced) union, preserving accumulation order.
 
         The boundary between the operands is recorded so densification can
-        replay the historical segment-by-segment summation (see module
-        docstring)."""
+        replay the segment-by-segment summation (see module docstring)."""
         if other.shape != self.shape:
             raise ValueError(
                 f"cannot merge sparse grads of shapes {self.shape} and {other.shape}"
@@ -182,8 +179,8 @@ class SparseGrad:
             start += length
 
     def to_dense(self) -> np.ndarray:
-        """The full dense gradient (bitwise equal to the historical
-        per-lookup ``np.add.at`` scatters summed in accumulation order)."""
+        """The full dense gradient (bitwise equal to the per-lookup
+        ``np.add.at`` scatters summed in accumulation order)."""
         out = np.zeros(self.shape, dtype=self.vals.dtype)
         for rows, vals in self._coalesced_segments():
             out[rows] += vals  # rows are unique within a segment

@@ -15,11 +15,14 @@
    halts the loop instead of silently serving ever-staler models;
 3. every ``commit_every`` applied batches, run a **promotion cycle**:
    commit the dirty rows as a new store generation (the manifest rename
-   is the crash-safe commit point), open a *pinned* serve-mode view of
-   that generation, wrap it in a fresh two-stage candidate, and push it
-   through :meth:`RecommenderService.promote` — which syncs the ANN
-   index and runs the canary probe before the atomic swap.  The
-   candidate's index is the live index's
+   is the crash-safe commit point) and, while the store's worker thread
+   writes it, build the candidate's ANN index on this thread from the
+   item rows of the very bytes being committed; then open a *pinned*
+   serve-mode view of that generation, wrap it and the built index in a
+   fresh two-stage candidate, and push it through
+   :meth:`RecommenderService.promote` — whose index sync finds the index
+   fresh, and whose canary probe runs before the atomic swap.  The
+   index is the live index's
    :meth:`~repro.retrieval.ivf.IvfIndex.successor`, so its build refines
    the live centroids instead of clustering from scratch;
 4. after a successful swap, serve a short seeded **post-promotion
@@ -370,8 +373,26 @@ class OnlineLoop:
                     "repro.online.trainer.ManifestCrashIO"
                 )
             arm()
+        # Nothing writes the table between this snapshot and the commit,
+        # so it holds exactly the bytes the commit persists: the index is
+        # built from its item rows while the store's worker writes them.
+        snapshot = self.trainer.table_bytes()
+        items = np.frombuffer(snapshot, dtype="<f4").reshape(-1, self.trainer.dim)[
+            self.trainer.num_users :
+        ]
+        index = self._successor_index()
+        build_errors: list[Exception] = []
+
+        def build_index(generation: int) -> None:
+            try:
+                index.build(items, generation=generation)
+            except Exception as exc:  # judged by the registry's index sync
+                build_errors.append(exc)
+
         try:
-            generation = self.trainer.commit(tag=f"online-step{step:05d}")
+            generation = self.trainer.commit(
+                tag=f"online-step{step:05d}", overlap=build_index
+            )
         except StoreError as exc:
             # Aborted commit (e.g. fsync failure): typed and retryable —
             # the dirty masks stay set, the old generation keeps serving.
@@ -389,13 +410,17 @@ class OnlineLoop:
                     detail="no dirty rows", latency=self.clock() - t0,
                 )
             )
-        self.committed[generation] = self.trainer.table_bytes()
+        self.committed[generation] = snapshot
+        if build_errors:
+            # An unbuilt index: the registry's sync rebuilds it and rejects
+            # the candidate as ``index_sync:<Type>`` if the build fails again.
+            index = self._successor_index()
 
         candidate = make_candidate(
             self.trainer.store.directory, self.dataset,
             self.trainer.num_users, self.trainer.num_items, generation,
             index_seed=self.index_seed, k_candidates=self.k_candidates,
-            keep=self._serve_stores, index=self._successor_index(),
+            keep=self._serve_stores, index=index,
         )
         chaos: ChaosCandidate | None = None
         if kinds & {"sync_fail", "canary_regress", "late_regress"}:
@@ -442,13 +467,14 @@ class OnlineLoop:
             )
         )
 
-    def _successor_index(self) -> IvfIndex | None:
-        """The live built index's successor; None means a cold build."""
+    def _successor_index(self) -> IvfIndex:
+        """An unbuilt index for the next candidate: the live built index's
+        successor, else a cold ``IvfIndex(seed=index_seed)``."""
         registry = self.service.registry
         live = unwrap_candidate(registry.live) if registry.has_live else None
         if isinstance(live, TwoStageRecommender) and live.index.is_built:
             return live.index.successor()
-        return None
+        return IvfIndex(seed=self.index_seed)
 
     def _release_unservable(self) -> None:
         """Close the serve stores no servable model holds, and drop the

@@ -29,6 +29,7 @@ new generation is durable but before any of it is reachable.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -232,9 +233,13 @@ class ShadowTrainer:
         return touched
 
     # ------------------------------------------------------------------ #
-    def commit(self, tag: str = "") -> int:
-        """Persist dirty shards as a new generation (see store docs)."""
-        return self.store.commit(tag)
+    def commit(
+        self, tag: str = "", overlap: Callable[[int], object] | None = None
+    ) -> int:
+        """Persist dirty shards as a new generation; ``overlap`` runs on
+        this thread while the store's worker writes (see
+        :meth:`MmapShardStore.commit`)."""
+        return self.store.commit(tag, overlap)
 
     def table_bytes(self) -> bytes:
         """The exact ``<f4`` bytes a commit of the current arrays persists."""

@@ -44,6 +44,8 @@ exactly an old or a new generation, never a hybrid (enforced by
 from __future__ import annotations
 
 import re
+import threading
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -436,20 +438,38 @@ class MmapShardStore:
         else:
             mask[np.asarray(rows, dtype=np.int64)] = True
 
-    def commit(self, tag: str = "") -> int:
+    def commit(
+        self, tag: str = "", overlap: Callable[[int], object] | None = None
+    ) -> int:
         """Persist dirtied shards under a new manifest generation.
 
         Returns the committed generation — unchanged when nothing is
-        dirty (a no-op commit writes nothing).  On any IO failure
-        (including an injected ``fsync_fail``) the commit aborts with
-        :class:`StoreError`: the current generation is untouched, the
-        dirty masks stay set (the commit is retryable), and any leftover
-        temp files are swept to quarantine by the next ``open``.
+        dirty (a no-op commit writes nothing and calls nothing).
+
+        The commit's IO group — encode, write and fsync every shard temp,
+        rename each, fsync ``shards/``, then build and write the manifest
+        — runs on one worker thread, joined before ``commit`` returns or
+        raises.  Meanwhile the calling thread runs ``overlap(generation)``
+        when given: work that reads the bytes being committed but not
+        their durability (the online loop builds the successor ANN index
+        there).  The worker makes no telemetry call and reads no clock,
+        so every span stays on the calling thread.
+
+        On any IO failure (including an injected ``fsync_fail``) the
+        commit aborts with :class:`StoreError`: the current generation is
+        untouched, the dirty masks stay set (the commit is retryable), and
+        any leftover temp files are swept to quarantine by the next
+        ``open``.  Whatever the worker raises is re-raised on the calling
+        thread, so an ``InjectedCrash`` propagates as if raised inline.
+        An exception from ``overlap`` is re-raised once the commit has
+        finished, so the store's state always matches its disk; when the
+        commit itself failed, its failure wins.
         """
         self._require_train()
         if not any(mask.any() for mask in self._dirty.values()):
             return self.generation
-        new_gen = self.generation + 1
+        parent = self.generation
+        new_gen = parent + 1
         tel = get_active()
         span = (
             tel.begin("store/commit", generation=new_gen, tag=tag)
@@ -494,15 +514,36 @@ class MmapShardStore:
                 tables[name]["shards"][s] = info
                 yield _temp(path), data
 
-        try:
+        outcome: list = []  # the worker's manifest, or what it raised
+
+        def write_group() -> None:
             # Group commit: write every shard temp, fsync each, rename each
             # and fsync shards/ once; only then the manifest.
-            self.io.write_all(encoded())
-            self.io.replace_all((_temp(path), path) for __, __, path in rewrite)
-            manifest = build_manifest(
-                new_gen, tables, parent=self.generation, tag=tag, seed=self.seed
-            )
-            write_manifest(self.io, self.directory, manifest)
+            try:
+                self.io.write_all(encoded())
+                self.io.replace_all((_temp(path), path) for __, __, path in rewrite)
+                manifest = build_manifest(
+                    new_gen, tables, parent=parent, tag=tag, seed=self.seed
+                )
+                write_manifest(self.io, self.directory, manifest)
+                outcome.append(manifest)
+            except BaseException as exc:  # re-raised on the calling thread
+                outcome.append(exc)
+
+        worker = threading.Thread(target=write_group, name="store-commit")
+        worker.start()
+        deferred: Exception | None = None
+        try:
+            if overlap is not None:
+                overlap(new_gen)
+        except Exception as exc:  # raised once the commit has finished
+            deferred = exc
+        finally:
+            worker.join()
+        (manifest,) = outcome
+        try:
+            if isinstance(manifest, BaseException):
+                raise manifest
         except OSError as exc:
             if span is not None:
                 tel.end(span, outcome="aborted", error=str(exc))
@@ -516,6 +557,8 @@ class MmapShardStore:
             tel.counter("store.commits").inc()
             tel.counter("store.shards.written").inc(len(rewrite))
             tel.end(span, outcome="ok", shards_written=len(rewrite))
+        if deferred is not None:
+            raise deferred
         return new_gen
 
     # ------------------------------------------------------------------ #

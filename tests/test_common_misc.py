@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import nn
-from repro.autograd.tensor import Tensor
 from repro.core.exceptions import ConfigError, DataError
 from repro.core.recommender import Explanation
 from repro.core.rng import ensure_rng

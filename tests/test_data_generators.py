@@ -13,7 +13,6 @@ from repro.data import (
     cross_domain,
     generate_dataset,
     make_movie_dataset,
-    make_news_dataset,
     scenarios_list,
 )
 

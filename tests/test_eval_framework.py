@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.exceptions import EvaluationError
 from repro.core.recommender import Explanation, Recommender
-from repro.core.splitter import random_split
 from repro.eval.coldstart import cold_start_study, sparsity_sweep
 from repro.eval.evaluator import Evaluator
 from repro.eval.explain import (

@@ -1,8 +1,5 @@
 """Tests for table regeneration, Figure 1, and the experiment harness."""
 
-import numpy as np
-import pytest
-
 from repro.experiments import figure1, tables
 from repro.experiments.harness import results_table, run_panel
 from repro.models.baselines import MostPopular, Random

@@ -1,8 +1,5 @@
 """Tests for the experiment harness itself."""
 
-import numpy as np
-import pytest
-
 from repro.experiments.harness import results_table, run_panel
 from repro.models.baselines import BPRMF, MostPopular
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.exceptions import ConfigError, NotFittedError
+from repro.core.exceptions import ConfigError
 from repro.kg.completion import evaluate_link_prediction
 from repro.kg.triples import TripleStore
 from repro.kge import KGE_MODELS, ComplEx, DistMult, TransD, TransE, TransH, TransR

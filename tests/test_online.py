@@ -9,6 +9,8 @@ scoreable after one incremental update while every untouched row stays
 bitwise unperturbed.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.exceptions import (
     OnlineError,
     OnlineUpdateError,
     PromotionError,
+    RetrievalError,
 )
 from repro.runtime.faults import (
     ONLINE_FAULT_KINDS,
@@ -26,13 +29,16 @@ from repro.runtime.faults import (
     FaultPlan,
     InjectedCrash,
 )
+from repro.online import loop as loop_module
 from repro.retrieval import IvfIndex
+from repro.retrieval.two_stage import TwoStageRecommender
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import STATUSES
 from repro.store.mmap import MmapShardStore
 from repro.telemetry import (
     Telemetry,
     activated,
+    export_records,
     read_jsonl,
     render_trace_report,
     write_jsonl,
@@ -678,6 +684,195 @@ class TestWarmPromotionBuilds:
         for store in keep:
             store.close()
         world.loop.close()
+
+
+# ---------------------------------------------------------------------- #
+# the index build overlapped with the commit's IO
+# ---------------------------------------------------------------------- #
+class FailingCrashIO(ManifestCrashIO):
+    """The online world's store IO, failing its next op of kind
+    :attr:`fail` with ``OSError``: the fsync of a shard temp or of the
+    manifest temp (as an injected ``fsync_fail`` does), or a shard rename.
+    Records the name of the thread behind every rename."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fail: str | None = None
+        self.rename_threads: list[str] = []
+        self._failing_fsyncs: set[int] = set()
+
+    def _do_write(self, step, path, data):
+        kind = "manifest" if path.name.startswith("manifest-") else "shard_write"
+        if self.fail == kind:
+            self.fail = None
+            self._failing_fsyncs.add(step)
+        super()._do_write(step, path, data)
+
+    def _fsync_file(self, step, fd):
+        if step in self._failing_fsyncs:
+            self._failing_fsyncs.discard(step)
+            raise OSError(f"injected fsync failure at io op {step}")
+        super()._fsync_file(step, fd)
+
+    def _do_replace(self, step, tmp, final):
+        self.rename_threads.append(threading.current_thread().name)
+        if self.fail == "shard_rename" and final.suffix == ".shard":
+            self.fail = None
+            raise OSError(f"injected rename failure at io op {step}")
+        super()._do_replace(step, tmp, final)
+
+
+class TickingClock(ManualClock):
+    """A manual clock that moves one second on every read, so span times
+    record the order of every clock read."""
+
+    def __call__(self) -> float:
+        self.advance(1.0)
+        return super().__call__()
+
+
+class TestOverlappedCommit:
+    """Each cycle builds its index on the loop's thread while the store's
+    worker thread writes the commit."""
+
+    def promoted_once(self, tmp_path, io=None):
+        world = build_world(tmp_path, seed=0, plan=FaultPlan(), config=SMALL, io=io)
+        world.loop.run(SMALL.commit_every)
+        assert [c.outcome for c in world.loop.cycles] == ["promoted"]
+        return world
+
+    @pytest.mark.parametrize("target", ["shard_write", "shard_rename", "manifest"])
+    def test_io_failure_rejects_the_cycle_and_keeps_the_live_model(
+        self, tmp_path, target
+    ):
+        io = FailingCrashIO()
+        world = self.promoted_once(tmp_path, io=io)
+        loop, store = world.loop, world.trainer.store
+        live = world.service.registry.live
+        fingerprint, generation = live.index.fingerprint(), store.generation
+        before = threading.active_count()
+        io.fail = target
+        loop.run(SMALL.commit_every)
+        assert threading.active_count() == before
+        cycle = loop.cycles[-1]
+        assert (cycle.outcome, cycle.detail) == (
+            "rejected", "commit_aborted:StoreError"
+        )
+        assert store.generation == generation
+        assert store._dirty[ENTITY_TABLE].any()
+        assert world.service.registry.live is live
+        assert live.index.fingerprint() == fingerprint
+        # The kept dirty rows are committed by the next cycle.
+        loop.run(SMALL.commit_every)
+        assert loop.cycles[-1].outcome == "promoted"
+        loop.close()
+
+    def test_commit_crash_on_the_worker_reaches_the_caller(self, tmp_path):
+        io = FailingCrashIO()
+        world = build_world(
+            tmp_path, seed=0, plan=default_plan_for("commit_crash", SMALL),
+            config=SMALL, io=io,
+        )
+        before = threading.active_count()
+        with pytest.raises(InjectedCrash, match="manifest rename"):
+            world.loop.run(SMALL.num_batches)
+        assert threading.active_count() == before
+        assert io.rename_threads[-1] == "store-commit"
+        world.loop.close()
+
+    def test_build_failure_still_commits_and_rejects_as_index_sync(
+        self, tmp_path, monkeypatch
+    ):
+        world = self.promoted_once(tmp_path)
+        loop, store = world.loop, world.trainer.store
+        live = world.service.registry.live
+        fingerprint, generation = live.index.fingerprint(), store.generation
+        builds = []
+
+        def failing_build(index, vectors, generation=None):
+            builds.append(generation)
+            raise RetrievalError("injected build failure")
+
+        monkeypatch.setattr(IvfIndex, "build", failing_build)
+        before = threading.active_count()
+        loop.run(SMALL.commit_every)
+        monkeypatch.undo()
+        assert threading.active_count() == before
+        cycle = loop.cycles[-1]
+        assert (cycle.outcome, cycle.detail) == (
+            "rejected", "index_sync:RetrievalError"
+        )
+        # Built beside the commit, then once more by the registry's sync.
+        assert builds == [generation + 1, generation + 1]
+        # The commit itself finished: a new durable generation, bitwise.
+        assert store.generation == cycle.generation == generation + 1
+        assert not store._dirty[ENTITY_TABLE].any()
+        reopened = MmapShardStore.open(world.store_dir, mode="serve")
+        assert reopened.generation == generation + 1
+        assert (
+            reopened.load_table(ENTITY_TABLE).astype("<f4").tobytes()
+            == loop.committed[generation + 1]
+        )
+        reopened.close()
+        assert world.service.registry.live is live
+        assert live.index.fingerprint() == fingerprint
+        loop.close()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overlapped_build_is_the_sync_build(self, tmp_path, seed, monkeypatch):
+        world = build_world(tmp_path, seed, plan=FaultPlan(), config=SMOKE_WORLD)
+        pairs = []
+
+        def checked(*args, index=None, **kwargs):
+            candidate = make_candidate(*args, index=index, **kwargs)
+            assert candidate.index is index and candidate.index_report() is None
+            # The oracle: the same start, built by a forced sync from the
+            # candidate's serve view.
+            twin = TwoStageRecommender(
+                candidate.base, world.loop._successor_index(),
+                k_candidates=candidate.k_candidates,
+            ).fit(world.dataset)
+            twin.sync_index(force=True)
+            pairs.append((index.fingerprint(), twin.index.fingerprint()))
+            return candidate
+
+        monkeypatch.setattr(loop_module, "make_candidate", checked)
+        world.loop.run(SMOKE_WORLD.num_batches)
+        promoted = [c for c in world.loop.cycles if c.outcome == "promoted"]
+        assert len(pairs) == len(promoted) >= 5
+        assert all(ours == oracle for ours, oracle in pairs)
+        world.loop.close()
+
+    def test_replayed_span_exports_are_identical(self, tmp_path):
+        def spans(run):
+            tel = Telemetry(clock=TickingClock())
+            world = build_world(
+                tmp_path / run, seed=0, plan=FaultPlan(), config=SMALL,
+                telemetry=tel,
+            )
+            with activated(tel):
+                world.loop.run(SMALL.num_batches)
+            world.loop.close()
+            return [r for r in export_records(tel) if r["record"] == "span"]
+
+        first = spans("a")
+        assert first == spans("b")
+        by_id = {r["span_id"]: r for r in first}
+
+        def ancestors(record):
+            names = []
+            while record["parent_id"] is not None:
+                record = by_id[record["parent_id"]]
+                names.append(record["name"])
+            return names
+
+        commits = [r for r in first if r["name"] == "store/commit"]
+        builds = [r for r in first if r["name"] == "retrieval/build"]
+        assert commits and len(builds) == len(commits)
+        for record in commits + builds:
+            assert "online/promote_cycle" in ancestors(record)
+        # Each build ran inside its commit, on the loop's own thread.
+        assert all(ancestors(r)[0] == "store/commit" for r in builds)
 
 
 # ---------------------------------------------------------------------- #

@@ -8,7 +8,6 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.recommender import Recommender
 from repro.experiments.harness import (
-    FailureRecord,
     PanelResult,
     results_table,
     run_panel,

@@ -1,11 +1,9 @@
 """Tests for the sampled-ranking protocol and KG analysis utilities."""
 
-import numpy as np
 import pytest
 
 from repro.core.exceptions import EvaluationError
 from repro.core.recommender import Recommender
-from repro.core.splitter import random_split
 from repro.eval.ranking import sampled_ranking_evaluation
 from repro.kg.analysis import (
     connected_components,

@@ -1,6 +1,5 @@
 """Parametrized structural checks: each scenario's graph matches its schema."""
 
-import numpy as np
 import pytest
 
 from repro.data import SCENARIO_SCHEMAS

@@ -3,6 +3,8 @@
 import builtins
 import json
 import shutil
+import threading
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clock import ManualClock
 from repro.core.exceptions import (
     CheckpointError,
     StoreCorruptionError,
@@ -19,6 +22,7 @@ from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
 from repro.runtime import TrainingRuntime
 from repro.runtime.checkpoint import Checkpointer, load_checkpoint, save_checkpoint
+from repro.runtime.faults import Fault, FaultInjector, FaultPlan, InjectedCrash
 from repro.store import (
     MmapShardStore,
     ShardInfo,
@@ -30,6 +34,7 @@ from repro.store import (
     verify_shard,
 )
 from repro.store import shard as shard_module
+from repro.store.io import FaultingStoreIO
 from repro.store.manifest import (
     build_manifest,
     load_manifest,
@@ -37,6 +42,7 @@ from repro.store.manifest import (
     parse_manifest,
     write_manifest,
 )
+from repro.telemetry import Telemetry, activated
 
 
 def shard_file(path, table, row_start, values, seed=None):
@@ -323,6 +329,154 @@ class TestMmapStoreTraining:
         reopened.close()
 
 
+class GatedIO(StoreIO):
+    """A :class:`StoreIO` whose writes wait for :attr:`gate` and which
+    records the name of the thread behind every write and rename."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.gate.set()
+        self.threads: set[str] = set()
+
+    def _do_write(self, step, path, data):
+        self.threads.add(threading.current_thread().name)
+        assert self.gate.wait(timeout=30)
+        super()._do_write(step, path, data)
+
+    def _do_replace(self, step, tmp, final):
+        self.threads.add(threading.current_thread().name)
+        super()._do_replace(step, tmp, final)
+
+
+class ShardRenameFailIO(StoreIO):
+    """A :class:`StoreIO` whose first shard rename raises ``OSError``."""
+
+    def _do_replace(self, step, tmp, final):
+        if final.suffix == ".shard":
+            raise OSError(f"injected rename failure at io op {step}")
+        super()._do_replace(step, tmp, final)
+
+
+class TestCommitWorker:
+    """The commit's IO group runs on one worker thread, joined before
+    ``commit`` returns or raises; ``overlap`` runs on the caller."""
+
+    def gated_store(self, tmp_path):
+        io = GatedIO()
+        store = MmapShardStore.create(tmp_path, rows_per_shard=2, io=io)
+        arr = store.register("t", np.arange(8.0).reshape(4, 2))
+        io.threads.clear()
+        return store, arr, io
+
+    def test_overlap_runs_beside_exactly_one_worker(self, tmp_path):
+        store, arr, io = self.gated_store(tmp_path)
+        io.gate.clear()  # the worker cannot finish before overlap runs
+        before = threading.active_count()
+        calls = []
+
+        def overlap(generation):
+            calls.append((generation, threading.active_count()))
+            io.gate.set()
+
+        assert store.commit(overlap=overlap) == 1
+        assert calls == [(1, before + 1)]
+        assert io.threads == {"store-commit"}
+        assert threading.active_count() == before
+        np.testing.assert_array_equal(
+            store.load_table("t"), arr.astype(np.float32)
+        )
+        store.close()
+
+    def test_no_op_commit_starts_no_worker_and_calls_nothing(self, tmp_path):
+        store, __, io = self.gated_store(tmp_path)
+        store.commit()
+        io.threads.clear()
+        calls = []
+        assert store.commit(overlap=calls.append) == 1
+        assert calls == [] and io.threads == set()
+        store.close()
+
+    def test_overlap_exception_is_raised_after_a_consistent_commit(self, tmp_path):
+        store, arr, __ = self.gated_store(tmp_path)
+        before = threading.active_count()
+
+        def overlap(generation):
+            raise ValueError("overlapped work failed")
+
+        with pytest.raises(ValueError, match="overlapped work failed"):
+            store.commit(overlap=overlap)
+        assert threading.active_count() == before
+        assert store.generation == 1 and not store._dirty["t"].any()
+        reopened = MmapShardStore.open(tmp_path, mode="serve")
+        assert reopened.generation == 1
+        np.testing.assert_array_equal(
+            reopened.load_table("t"), arr.astype(np.float32)
+        )
+        reopened.close()
+        store.close()
+
+    @pytest.mark.parametrize("target", ["shard_write", "shard_rename", "manifest"])
+    def test_io_failure_on_the_worker_aborts_on_the_caller(self, tmp_path, target):
+        # Creation takes ops 0-1; the commit writes shards at ops 2-3,
+        # renames them at 4-5 and writes the manifest at op 6.
+        if target == "shard_rename":
+            io = ShardRenameFailIO()
+        else:
+            step = 2 if target == "shard_write" else 6
+            io = FaultingStoreIO(
+                FaultInjector(FaultPlan([Fault(step=step, kind="fsync_fail")]))
+            )
+        store = MmapShardStore.create(tmp_path, rows_per_shard=2, io=io)
+        store.register("t", np.arange(8.0).reshape(4, 2))
+        tel = Telemetry(clock=ManualClock())
+        before = threading.active_count()
+        with activated(tel), pytest.raises(StoreError, match="injected"):
+            store.commit(overlap=lambda generation: tel.begin("overlap"))
+        assert threading.active_count() == before
+        assert store.generation == 0 and store._dirty["t"].all()
+        spans = {r.name: r for r in tel.tracer.records()}
+        assert spans["store/commit"].attrs["outcome"] == "aborted"
+        reopened = MmapShardStore.open(tmp_path, mode="serve")
+        assert reopened.generation == 0
+        reopened.close()
+        store.close()
+
+    def test_injected_crash_on_the_worker_reaches_the_caller(self, tmp_path):
+        io = FaultingStoreIO(
+            FaultInjector(FaultPlan([Fault(step=4, kind="crash_before_rename")]))
+        )
+        store = MmapShardStore.create(tmp_path, rows_per_shard=2, io=io)
+        store.register("t", np.arange(8.0).reshape(4, 2))
+        before = threading.active_count()
+        with pytest.raises(InjectedCrash) as info:
+            store.commit()
+        assert threading.active_count() == before
+        # Raised inside the worker's IO group, re-raised on this thread.
+        assert "write_group" in {
+            frame.name for frame in traceback.extract_tb(info.value.__traceback__)
+        }
+        reopened = MmapShardStore.open(tmp_path, mode="serve")
+        assert reopened.generation == 0
+        reopened.close()
+
+    def test_spans_stay_on_the_calling_thread(self, tmp_path):
+        store, __, __ = self.gated_store(tmp_path)
+        tel = Telemetry(clock=ManualClock())
+
+        def overlap(generation):
+            tel.end(tel.begin("overlap", generation=generation))
+
+        with activated(tel):
+            store.commit(overlap=overlap)
+        records = {r.name: r for r in tel.tracer.records()}
+        assert set(records) == {"store/commit", "overlap"}
+        assert records["store/commit"].parent_id is None
+        assert records["overlap"].parent_id == records["store/commit"].span_id
+        assert records["overlap"].attrs["generation"] == 1
+        store.close()
+
+
 class TestMmapStoreServing:
     def make_store(self, tmp_path, rows=6, dim=3, rows_per_shard=2):
         store = MmapShardStore.create(tmp_path, rows_per_shard=rows_per_shard)
@@ -550,7 +704,6 @@ class TestCheckpointChecksums:
     def test_corrupt_array_rejected(self, tmp_path):
         """A flipped parameter byte fails the v2 content checksum."""
         import json
-        import zipfile
 
         path = tmp_path / "c.npz"
         save_checkpoint(path, [FakeParam(np.ones((3, 2)))], step=1)

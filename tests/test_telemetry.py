@@ -6,7 +6,6 @@ non-interference contract: telemetry off must record nothing and training
 must be bitwise identical with telemetry on vs off.
 """
 
-import json
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
 from repro.serving.metrics import ServiceMetrics
 from repro.telemetry import (
-    DEFAULT_BUCKETS,
     NULL,
     Histogram,
     MetricRegistry,

@@ -23,7 +23,6 @@ from repro.serving.admission import AdmissionQueue
 from repro.serving.demo import run_replay
 from repro.telemetry.metrics import Histogram, MetricRegistry
 from repro.traffic import (
-    ARCHETYPES,
     SCENARIO_MIXES,
     PersonaArchetype,
     PersonaPopulation,
