@@ -30,7 +30,7 @@ the parent commit's run on the same host) into the new one, under
 ``"before"``.  ``--smoke`` runs small replays and
 asserts the invariants (bitwise old-or-new serving, positive freshness
 uplift, warm promotion builds, trace-identical replays, 64-byte-aligned
-shard views, group-commit op order) without recording timings.
+shard views, one segment per commit) without recording timings.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ def bench_seed(workdir: Path, seed: int, config: ChurnConfig) -> dict:
         "build_wall_times_s": [r.duration for r in builds[1:]],
         "trace": _replay_trace(world),
         "views_aligned": views_aligned(world.service.registry.live),
-        "commits_grouped": [
-            grouped(ops) for ops in commits(loop.trainer.store.io.op_log)
+        "commits_one_segment": [
+            one_segment(ops) for ops in commits(loop.trainer.store.io.op_log)
         ],
     }
     loop.close()
@@ -123,18 +123,17 @@ def commits(op_log) -> list[list]:
     return out[1:]
 
 
-def grouped(ops) -> bool:
-    """Whether one commit's ops are its shard writes, then the same shards'
-    renames in the same order, then the manifest's write and rename."""
-    k = (len(ops) - 2) // 2
-    writes, renames, manifest = ops[:k], ops[k : 2 * k], ops[2 * k :]
+def one_segment(ops) -> bool:
+    """Whether one commit's ops are exactly one segment's write and
+    rename, then the manifest's write and rename."""
+    kinds = [op.kind for op in ops]
+    names = [Path(op.path).name for op in ops]
     return (
-        k >= 1
-        and len(ops) == 2 * k + 2
-        and all(op.kind == "write" for op in writes)
-        and [op.path for op in writes] == [op.path + ".tmp" for op in renames]
-        and all(op.kind == "rename" for op in renames)
-        and [op.kind for op in manifest] == ["write", "rename"]
+        kinds == ["write", "rename", "write", "rename"]
+        and names[0] == names[1] + ".tmp"
+        and names[1].endswith(".seg")
+        and names[2] == names[3] + ".tmp"
+        and names[3].startswith("manifest-")
     )
 
 
@@ -142,7 +141,7 @@ def grouped(ops) -> bool:
 #: the rest are for the smoke's checks.
 _RAW_KEYS = (
     "promote_wall_times_s", "build_wall_times_s", "build_starts", "trace",
-    "views_aligned", "commits_grouped",
+    "views_aligned", "commits_one_segment",
 )
 
 
@@ -246,17 +245,17 @@ def run_smoke(args) -> None:
     )
     assert row["trace"] == again["trace"], "warm-build replay is not deterministic"
     assert row["views_aligned"], "a live shard view is not 64-byte aligned"
-    grouped_commits = row["commits_grouped"]
-    assert len(grouped_commits) == row["promotions"] + 1 and all(grouped_commits), (
-        "expected the bootstrap and every cycle to commit as a group "
-        f"(shard writes, shard renames, manifest): {grouped_commits}"
+    segment_commits = row["commits_one_segment"]
+    assert len(segment_commits) == row["promotions"] + 1 and all(segment_commits), (
+        "expected the bootstrap and every cycle to commit one segment "
+        f"(its write and rename, then the manifest's): {segment_commits}"
     )
     print(
         "online bench smoke OK: bitwise old-or-new held, "
         f"{row['promotions']} promotions built warm, trace-identical "
         f"replay ({len(row['trace'])} lines), freshness uplift "
         f"{row['freshness_uplift']:+.3f}, aligned shard views, "
-        f"{len(grouped_commits)} grouped commits"
+        f"{len(segment_commits)} one-segment commits"
     )
 
 

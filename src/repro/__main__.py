@@ -184,7 +184,7 @@ def _cmd_store_verify(args) -> str:
         raise SystemExit(
             out + "\nstore-verify FAILED: "
             f"{len(broken)} broken generation(s), {len(report.orphans)} "
-            "orphan shard(s); run with --repair to quarantine and fall back"
+            "orphan segment(s); run with --repair to quarantine and fall back"
         )
     return out
 

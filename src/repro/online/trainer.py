@@ -53,8 +53,9 @@ class ManifestCrashIO(StoreIO):
     Unlike :class:`~repro.store.io.FaultingStoreIO` (which faults at a
     planned global IO-op index), this seam targets a *semantic* point —
     the rename that would make a new generation reachable — regardless
-    of how many shard writes preceded it.  That is exactly the
-    ``"commit_crash"`` online fault: shards durable, manifest not.
+    of how many IO ops preceded it.  That is exactly the
+    ``"commit_crash"`` online fault: the segment durable, the manifest
+    not.
     """
 
     def __init__(self) -> None:

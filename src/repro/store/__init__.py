@@ -4,7 +4,8 @@ Layered bottom-up:
 
 * :mod:`repro.store.io` — the two byte-level durability primitives
   (fsync'd temp write, atomic rename) plus their fault-injecting twin;
-* :mod:`repro.store.shard` — the checksummed shard file format;
+* :mod:`repro.store.shard` — the checksummed shard record format and
+  the segment files that hold the records;
 * :mod:`repro.store.manifest` — versioned JSON manifests, whose atomic
   rename is the store's single commit point;
 * :mod:`repro.store.mmap` — :class:`MmapShardStore`, the durable
@@ -27,7 +28,7 @@ from .io import FaultingStoreIO, IOOp, RecordingStoreIO, StoreIO
 from .manifest import load_manifest, scan_manifests
 from .mmap import MmapShardStore, ShardedTable
 from .serving import StoredEmbeddingRecommender
-from .shard import ShardInfo, load_shard, map_payload, verify_shard
+from .shard import ShardInfo, map_segment, record_values, verify_record
 from .verify import (
     GenerationStatus,
     ShardStatus,
@@ -47,9 +48,9 @@ __all__ = [
     "FaultingStoreIO",
     "IOOp",
     "ShardInfo",
-    "verify_shard",
-    "load_shard",
-    "map_payload",
+    "map_segment",
+    "verify_record",
+    "record_values",
     "load_manifest",
     "scan_manifests",
     "inspect_store",

@@ -52,8 +52,10 @@ from repro.runtime.faults import (
 )
 
 from .io import FaultingStoreIO, RecordingStoreIO, StoreIO
-from .manifest import manifest_name
+from .manifest import load_manifest, manifest_name, scan_manifests
 from .mmap import MmapShardStore
+from .shard import ShardInfo, verify_record
+from .verify import SHARDS_DIR
 
 __all__ = [
     "ScenarioConfig",
@@ -212,30 +214,37 @@ def make_corrupted_store(
 ) -> Path:
     """Build a real store, then deliberately rot its newest generation.
 
-    Flips one payload byte in a shard referenced only by the newest
-    manifest, so ``store-verify`` must report that generation broken and
-    ``--repair`` must quarantine it and fall back to the previous one.
-    Returns the store directory.
+    Flips the last payload byte of a record only the newest manifest
+    references, so ``store-verify`` must report that generation broken
+    and ``--repair`` must quarantine it and fall back to the previous
+    one.  Returns the store directory.
     """
     directory = Path(directory)
     scenario = run_scenario(directory, seed=seed, config=config)
-    store = MmapShardStore.open(scenario.store_dir, mode="train")
-    newest = store.generation
-    manifest = store._manifest
-    store.close()
-    # Pick a shard file introduced by the newest generation (its name
-    # carries the generation) so older generations stay consistent.
-    tag = f"-g{newest:08d}-"
-    for spec in manifest["tables"].values():
-        for shard in spec["shards"]:
-            if tag in shard["file"]:
-                path = scenario.store_dir / "shards" / shard["file"]
-                blob = bytearray(path.read_bytes())
-                blob[-1] ^= 0xFF  # last payload byte
-                path.write_bytes(bytes(blob))
-                return scenario.store_dir
+    manifests = [
+        load_manifest(path) for __, path in scan_manifests(scenario.store_dir)
+    ]
+    newest, older = manifests[-1], manifests[:-1]
+    shared = {
+        (info.file, info.offset)
+        for manifest in older
+        for spec in manifest["tables"].values()
+        for info in map(ShardInfo.from_json, spec["shards"])
+    }
+    for spec in newest["tables"].values():
+        dim = int(spec["dim"])
+        for info in map(ShardInfo.from_json, spec["shards"]):
+            if (info.file, info.offset) in shared:
+                continue
+            path = scenario.store_dir / SHARDS_DIR / info.file
+            blob = bytearray(path.read_bytes())
+            __, payload = verify_record(blob, info, dim=dim)
+            blob[payload + info.rows * dim * 4 - 1] ^= 0xFF  # last payload byte
+            path.write_bytes(bytes(blob))
+            return scenario.store_dir
     raise StoreError(
-        f"no shard exclusive to generation {newest}; cannot corrupt safely"
+        f"no record exclusive to generation {newest['generation']}; "
+        "cannot corrupt safely"
     )
 
 

@@ -3,19 +3,16 @@
 Every durable mutation the embedding store performs reduces to exactly
 two primitives:
 
-* :meth:`StoreIO.write_all` — create/overwrite each *temporary* file
-  with its full payload, then fsync each (:meth:`StoreIO.write_bytes` is
-  the one-file case);
-* :meth:`StoreIO.replace_all` — atomically rename each temporary file
-  over its final name (``os.replace``), then fsync each containing
-  directory once (:meth:`StoreIO.replace` is the one-file case).
+* :meth:`StoreIO.write_chunks` — create/overwrite one *temporary* file
+  from a stream of byte chunks, then fsync it (:meth:`StoreIO.write_bytes`
+  is the one-chunk case);
+* :meth:`StoreIO.replace` — atomically rename the temporary file over
+  its final name (``os.replace``), then fsync the containing directory.
 
-A commit writes its shard files as one *group*: every temp file is
-written, then every one is fsync'd, then every one is renamed, then
-``shards/`` is fsync'd once.  Writing the group before its first fsync
-lets the filesystem flush it in fewer journal commits (measurably faster
-than file by file on ext4), and the group pays one directory fsync
-instead of one per file.
+A commit writes all of its shard records into one *segment* file: one
+create, one write stream (each record encoded just before it is
+written, so no second copy of the table is held), one fsync, one rename
+and one ``shards/`` fsync, then the manifest the same way.
 
 Each primitive call advances a global **IO-operation index**, so a
 fault plan can deterministically address "the k-th IO operation of this
@@ -30,7 +27,7 @@ once per ``(op, fault kind)`` pair with a :class:`FaultingStoreIO`.
 :mod:`repro.runtime.faults`:
 
 ============================  =======================================
-``torn_write``                half the payload reaches the temp file,
+``torn_write``                half the file's bytes reach the temp file,
                               then :class:`InjectedCrash` (torn page)
 ``bitrot``                    the write completes with one byte flipped
                               (latent corruption, *no* crash)
@@ -86,50 +83,39 @@ class StoreIO:
     # ------------------------------------------------------------------ #
     def write_bytes(self, path: str | Path, data: bytes) -> None:
         """Write ``data`` to ``path`` (a temp file) and fsync it."""
-        self.write_all([(path, data)])
+        self.write_chunks(path, (data,))
 
-    def write_all(self, files: Iterable[tuple[str | Path, bytes]]) -> None:
-        """Write each ``(path, data)`` temp file in order (one ``write`` op
-        each, its fsync included), then fsync each in the same order.
+    def write_chunks(self, path: str | Path, chunks: Iterable) -> None:
+        """Write the bytes-like ``chunks``, in order, to the temp file
+        ``path`` as one ``write`` op (its fsync included).
 
-        ``files`` is read lazily, so a caller can encode one file at a time.
+        ``chunks`` is read lazily, so a caller can encode one record at a
+        time while the file is written.
         """
-        written: list[tuple[int, Path]] = []
-        for path, data in files:
-            path = Path(path)
-            step = self._advance("write", path)
-            self._do_write(step, path, bytes(data))
-            written.append((step, path))
-        for step, path in written:
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                self._fsync_file(step, fd)
-            finally:
-                os.close(fd)
+        path = Path(path)
+        step = self._advance("write", path)
+        self._do_write(step, path, chunks)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            self._fsync_file(step, fd)
+        finally:
+            os.close(fd)
 
     def replace(self, tmp: str | Path, final: str | Path) -> None:
-        """Atomically rename ``tmp`` over ``final``; fsync the directory."""
-        self.replace_all([(tmp, final)])
-
-    def replace_all(self, pairs: Iterable[tuple[str | Path, str | Path]]) -> None:
-        """Rename each ``(tmp, final)`` pair in order (one ``rename`` op
-        each), then fsync every directory they landed in, once each."""
-        directories: list[Path] = []
-        for tmp, final in pairs:
-            tmp, final = Path(tmp), Path(final)
-            step = self._advance("rename", final)
-            self._do_replace(step, tmp, final)
-            if final.parent not in directories:
-                directories.append(final.parent)
-        for directory in directories:
-            self._fsync_dir(directory)
+        """Atomically rename ``tmp`` over ``final`` (one ``rename`` op);
+        fsync the directory."""
+        tmp, final = Path(tmp), Path(final)
+        step = self._advance("rename", final)
+        self._do_replace(step, tmp, final)
+        self._fsync_dir(final.parent)
 
     # ------------------------------------------------------------------ #
     # overridable internals (the fault-injection seams)
     # ------------------------------------------------------------------ #
-    def _do_write(self, step: int, path: Path, data: bytes) -> None:
+    def _do_write(self, step: int, path: Path, chunks: Iterable) -> None:
         with open(path, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
 
     def _fsync_file(self, step: int, fd: int) -> None:
         os.fsync(fd)
@@ -179,8 +165,9 @@ class FaultingStoreIO(StoreIO):
         self.injector = injector
         self._failing_fsyncs: set[int] = set()
 
-    def _do_write(self, step: int, path: Path, data: bytes) -> None:
+    def _do_write(self, step: int, path: Path, chunks: Iterable) -> None:
         kinds = {f.kind for f in self.injector.io_faults(step)}
+        data = b"".join(chunks)
         torn = "torn_write" in kinds
         if torn:
             data = data[: max(1, len(data) // 2)]
@@ -190,7 +177,7 @@ class FaultingStoreIO(StoreIO):
             data = bytes(rotted)
         if "fsync_fail" in kinds:
             self._failing_fsyncs.add(step)
-        super()._do_write(step, path, data)
+        super()._do_write(step, path, (data,))
         if torn:
             raise InjectedCrash(f"torn write crash at io op {step} ({path.name})")
 

@@ -5,7 +5,7 @@ in the store.  Generation ``g`` is described by ``manifest-g{g:08d}.json``
 in the store directory::
 
     {
-      "schema": 1,
+      "schema": 2,
       "generation": 3,
       "parent": 2,
       "tag": "ckpt-1",
@@ -13,8 +13,8 @@ in the store directory::
       "tables": {
         "entity": {
           "rows": 1000, "dim": 32, "dtype": "<f4", "rows_per_shard": 256,
-          "shards": [ {"file": "...", "row_start": 0, "rows": 256,
-                       "crc32": 123}, ... ]
+          "shards": [ {"file": "...", "offset": 0, "row_start": 0,
+                       "rows": 256, "crc32": 123}, ... ]
         }, ...
       },
       "crc32": <self-checksum>
@@ -24,19 +24,25 @@ in the store directory::
 (``sort_keys``, compact separators), so a torn or bit-flipped manifest is
 detected before any of its shards are trusted.
 
-The commit protocol is: write every new shard (temp + fsync + rename),
-then write the manifest the same way.  The manifest *rename* is the
-single atomic commit point — before it, the new generation does not
-exist (its shard files are unreferenced debris); after it, the
-generation is complete because every file it references was already
-durable.  Recovery therefore never sees a partial generation: a
-generation either has a valid manifest whose shards all verify, or it is
-not a generation.
+Each shard entry names a *record*: the segment ``file`` holding it and
+the byte ``offset`` it starts at.  Schema 1 (one record per file) had no
+``offset``; its entries read as offset 0, so schema-1 and schema-2
+manifests share one reader.
 
-Shard files are immutable once renamed: a later generation that leaves a
-row range untouched *references the older file* instead of rewriting it.
-That sharing is what makes checkpoints incremental — and why repair must
-never quarantine a file still referenced by a healthy generation.
+The commit protocol is: write the commit's segment (temp + fsync +
+rename), then write the manifest the same way.  The manifest *rename*
+is the single atomic commit point — before it, the new generation does
+not exist (its segment is unreferenced debris); after it, the
+generation is complete because every record it references was already
+durable.  Recovery therefore never sees a partial generation: a
+generation either has a valid manifest whose records all verify, or it
+is not a generation.
+
+Segment files are immutable once renamed: a later generation that leaves
+a row range untouched *references the older record* instead of
+rewriting it.  That sharing is what makes checkpoints incremental — and
+why repair must never quarantine a segment still referenced by a
+healthy generation.
 """
 
 from __future__ import annotations
@@ -64,7 +70,9 @@ __all__ = [
     "referenced_files",
 ]
 
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
+#: Schemas the reader accepts: 1 (one record per file, no ``offset``) and 2.
+_READABLE_SCHEMAS = (1, 2)
 _MANIFEST_RE = re.compile(r"^manifest-g(\d{8})\.json$")
 
 
@@ -147,7 +155,7 @@ def parse_manifest(data: bytes, name: str = "<manifest>") -> dict:
     body = {k: v for k, v in manifest.items() if k != "crc32"}
     if _self_crc(body) != int(manifest["crc32"]):
         raise StoreCorruptionError(f"{name}: manifest self-checksum mismatch")
-    if manifest.get("schema") != MANIFEST_SCHEMA:
+    if manifest.get("schema") not in _READABLE_SCHEMAS:
         raise StoreCorruptionError(
             f"{name}: unsupported manifest schema {manifest.get('schema')!r}"
         )
@@ -181,7 +189,7 @@ def write_manifest(io: StoreIO, directory: str | Path, manifest: dict) -> Path:
 
 
 def referenced_files(manifest: dict) -> set[str]:
-    """Shard filenames a manifest depends on (relative to the shards dir)."""
+    """Segment filenames a manifest depends on (relative to the shards dir)."""
     files: set[str] = set()
     for spec in manifest.get("tables", {}).values():
         for shard in spec.get("shards", []):

@@ -6,10 +6,10 @@ Layout of a store directory::
       manifest-g00000000.json     # generation 0 (created empty)
       manifest-g00000001.json     # ...one JSON manifest per generation
       shards/
-        entity-g00000001-s00000.shard
-        entity-g00000001-s00001.shard
-        relation-g00000001-s00000.shard
-        entity-g00000002-s00001.shard   # gen 2 rewrote only shard 1
+        seg-g00000001.seg         # gen 1's records: every shard of
+                                  # every table, 64-byte aligned
+        seg-g00000002.seg         # gen 2 rewrote only entity shard 1;
+                                  # its manifest keeps the rest in gen 1's
       quarantine/                 # recovery sweeps torn/corrupt files here
 
 Two modes:
@@ -18,21 +18,22 @@ Two modes:
     Working values live in ordinary float64 arrays the model owns
     (``register`` binds them); the store tracks dirty rows (fed by the
     sparse-gradient row indices) and :meth:`MmapShardStore.commit`
-    persists *only the shards containing dirty rows* as float32 under a
-    new manifest generation.  Clean shards are carried into the new
-    manifest by reference — that sharing is the incremental-checkpoint
-    win.
+    persists *only the shards containing dirty rows* as float32 records
+    of one new segment, under a new manifest generation.  Clean shards
+    are carried into the new manifest by reference — that sharing is
+    the incremental-checkpoint win.
 
 ``serve``
     Tables are :class:`ShardedTable` views over read-only memory-mapped
-    shards (plain ``ndarray`` views of ``np.memmap`` objects) — opening
+    segments (one map per segment; each shard is a plain ``ndarray``
+    view of its record's payload) — opening
     a generation moves **no** embedding bytes, which is what makes
     promotion a manifest swap and rollback a re-open at an older
     generation (``MmapShardStore.open(..., generation=g)``).
 
 Crash safety (the full protocol is specified in ``docs/storage.md``):
-every file is written temp + fsync + atomic rename — a commit writes all
-its shard temps, fsyncs each, renames each and fsyncs ``shards/`` once —
+every file is written temp + fsync + atomic rename — a commit writes its
+segment temp, fsyncs it, renames it and fsyncs ``shards/`` —
 and the manifest rename is the single commit point.
 :meth:`MmapShardStore.open` verifies checksums newest-generation-first,
 quarantines debris, and falls back to the last consistent generation —
@@ -61,7 +62,14 @@ from .manifest import (
     scan_manifests,
     write_manifest,
 )
-from .shard import ShardInfo, encode_shard, load_shard, map_payload
+from .shard import (
+    RECORD_ALIGN,
+    ShardInfo,
+    encode_shard,
+    map_segment,
+    record_values,
+    verify_record,
+)
 from .verify import SHARDS_DIR, check_generation, quarantine_debris
 
 __all__ = ["ShardedTable", "MmapShardStore"]
@@ -74,7 +82,7 @@ def _temp(path: Path) -> Path:
 
 
 class ShardedTable:
-    """Read-only row-sharded view over a table's mmap'd shard files.
+    """Read-only row-sharded view over a table's mmap'd shard records.
 
     Row lookups gather only the requested rows (a copy of *those rows*,
     never of the table); ``@`` distributes over shards so full-catalog
@@ -250,7 +258,10 @@ class MmapShardStore:
         if not entries:
             raise StoreError(f"{directory} is not an embedding store (no manifests)")
         tel = get_active()
-        manifest, offsets, broken = cls._recover(directory, entries, generation, tel)
+        segments: dict[str, np.ndarray] | None = {} if mode == "serve" else None
+        manifest, offsets, broken = cls._recover(
+            directory, entries, generation, tel, segments
+        )
         if quarantine and generation is None:
             debris = quarantine_debris(directory) if broken or cls._has_debris(
                 directory
@@ -263,7 +274,7 @@ class MmapShardStore:
         store = cls(directory, mode, io, manifest, manifest.get("seed"))
         store.default_rows_per_shard = 4096
         if mode == "serve":
-            store._build_views(offsets)
+            store._build_views(offsets, segments)
         return store
 
     @staticmethod
@@ -279,18 +290,23 @@ class MmapShardStore:
         entries: list[tuple[int, Path]],
         generation: int | None,
         tel,
-    ) -> tuple[dict, dict[str, int], list[int]]:
+        segments: dict[str, np.ndarray] | None = None,
+    ) -> tuple[dict, dict[tuple[str, int], int], list[int]]:
         """Newest-first verified walk.
 
-        Returns ``(manifest, payload offsets by shard file, broken gens)``.
+        Returns ``(manifest, payload offsets by record, broken gens)``;
+        ``segments``, when given, ends up holding the landed generation's
+        segment maps by file name.
         """
         broken: list[int] = []
         for gen, path in reversed(entries):
             if generation is not None and gen != generation:
                 continue
+            if segments is not None:
+                segments.clear()
             try:
                 manifest = load_manifest(path)
-                status = check_generation(directory, manifest)
+                status = check_generation(directory, manifest, segments)
             except (StoreCorruptionError, StoreError) as exc:
                 if generation is not None:
                     raise StoreError(
@@ -344,7 +360,9 @@ class MmapShardStore:
         return tuple(out)
 
     def load_table(self, name: str, generation: int | None = None) -> np.ndarray:
-        """Materialize ``name`` at ``generation`` as float64 (verified read)."""
+        """Materialize ``name`` at ``generation`` as float64 (verified read:
+        each segment is mapped once, each record verified from the map
+        before its rows are copied out)."""
         self._check_open()
         if generation is None or generation == self.generation:
             manifest = self._manifest
@@ -357,11 +375,18 @@ class MmapShardStore:
             )
         rows, dim = int(spec["rows"]), int(spec["dim"])
         out = np.empty((rows, dim), dtype=np.float64)
+        segments: dict[str, np.ndarray] = {}
         for shard in spec["shards"]:
             info = ShardInfo.from_json(shard)
-            path = self.directory / SHARDS_DIR / info.file
-            __, values = load_shard(path, expected=info, dim=dim)
-            out[info.row_start : info.row_start + info.rows] = values
+            if info.file not in segments:
+                segments[info.file] = map_segment(
+                    self.directory / SHARDS_DIR / info.file
+                )
+            segment = segments[info.file]
+            __, offset = verify_record(segment, info, dim=dim)
+            out[info.row_start : info.row_start + info.rows] = record_values(
+                segment, offset, info.rows, dim
+            )
         return out
 
     def close(self) -> None:
@@ -446,8 +471,10 @@ class MmapShardStore:
         Returns the committed generation — unchanged when nothing is
         dirty (a no-op commit writes nothing and calls nothing).
 
-        The commit's IO group — encode, write and fsync every shard temp,
-        rename each, fsync ``shards/``, then build and write the manifest
+        Every dirtied shard becomes one record of a single new segment
+        file.  The commit's IO group — encode each record as it is
+        streamed into the segment temp, fsync it, rename it, fsync
+        ``shards/``, then build and write the manifest
         — runs on one worker thread, joined before ``commit`` returns or
         raises.  Meanwhile the calling thread runs ``overlap(generation)``
         when given: work that reads the bytes being committed but not
@@ -476,10 +503,10 @@ class MmapShardStore:
             if tel.enabled
             else None
         )
-        shards_dir = self.directory / SHARDS_DIR
+        segment = self.directory / SHARDS_DIR / f"seg-g{new_gen:08d}.seg"
         prev_tables = self._manifest.get("tables", {})
         tables: dict[str, dict] = {}
-        rewrite: list[tuple[str, int, Path]] = []  # (table, shard, final path)
+        rewrite: list[tuple[str, int]] = []  # (table, shard), in segment order
         for name in sorted(self._arrays):
             rows, dim = self._arrays[name].shape
             rps = self._rows_per_shard[name]
@@ -490,10 +517,8 @@ class MmapShardStore:
             infos: list[ShardInfo | None] = []
             for s in range(-(-rows // rps)):
                 if prev is None or s in dirty_shards:
-                    rewrite.append(
-                        (name, s, shards_dir / f"{name}-g{new_gen:08d}-s{s:05d}.shard")
-                    )
-                    infos.append(None)  # filled in as the shard is encoded
+                    rewrite.append((name, s))
+                    infos.append(None)  # filled in as the record is encoded
                 else:
                     infos.append(ShardInfo.from_json(prev["shards"][s]))
             tables[name] = {
@@ -504,24 +529,31 @@ class MmapShardStore:
                 "shards": infos,
             }
 
-        def encoded():
-            for name, s, path in rewrite:
+        def records():
+            # Each record is encoded just before it is written and padded
+            # with zeros, so the next one starts on a 64-byte boundary.
+            offset = 0
+            for name, s in rewrite:
                 rps = self._rows_per_shard[name]
                 info, data = encode_shard(
-                    path.name, name, s * rps,
-                    self._arrays[name][s * rps : (s + 1) * rps], seed=self.seed,
+                    segment.name, name, s * rps,
+                    self._arrays[name][s * rps : (s + 1) * rps],
+                    seed=self.seed, offset=offset,
                 )
                 tables[name]["shards"][s] = info
-                yield _temp(path), data
+                pad = -len(data) % RECORD_ALIGN
+                yield data
+                yield bytes(pad)
+                offset += len(data) + pad
 
         outcome: list = []  # the worker's manifest, or what it raised
 
         def write_group() -> None:
-            # Group commit: write every shard temp, fsync each, rename each
-            # and fsync shards/ once; only then the manifest.
+            # One segment (written, fsync'd, renamed, shards/ fsync'd);
+            # only then the manifest.
             try:
-                self.io.write_all(encoded())
-                self.io.replace_all((_temp(path), path) for __, __, path in rewrite)
+                self.io.write_chunks(_temp(segment), records())
+                self.io.replace(_temp(segment), segment)
                 manifest = build_manifest(
                     new_gen, tables, parent=parent, tag=tag, seed=self.seed
                 )
@@ -564,24 +596,26 @@ class MmapShardStore:
     # ------------------------------------------------------------------ #
     # serve mode
     # ------------------------------------------------------------------ #
-    def _build_views(self, offsets: dict[str, int]) -> None:
-        """Build the per-table memmap views for the current manifest.
+    def _build_views(
+        self, offsets: dict[tuple[str, int], int], segments: dict[str, np.ndarray]
+    ) -> None:
+        """Build the per-table views for the current manifest.
 
-        ``offsets`` are the payload offsets the recovery walk verified
-        (:attr:`GenerationStatus.payload_offsets`), so no header is read
-        again; each shard's shape is the manifest's, which verification
-        cross-checked against the header.
+        ``offsets`` are the payload offsets and ``segments`` the segment
+        maps the recovery walk verified (:func:`check_generation`), so no
+        file is read or mapped again; each shard is a view of its
+        record's payload, shaped as the manifest says (verification
+        cross-checked that against the header).
         """
-        shards_dir = self.directory / SHARDS_DIR
         for name, spec in self._manifest.get("tables", {}).items():
             rows, dim = int(spec["rows"]), int(spec["dim"])
-            maps = [
-                map_payload(
-                    shards_dir / shard["file"], offsets[shard["file"]],
-                    int(shard["rows"]), dim,
-                )
-                for shard in spec["shards"]
-            ]
+            views = []
+            for shard in spec["shards"]:
+                info = ShardInfo.from_json(shard)
+                views.append(record_values(
+                    segments[info.file], offsets[(info.file, info.offset)],
+                    info.rows, dim,
+                ))
             view = ShardedTable(name, rows, dim, int(spec["rows_per_shard"]))
-            view._set_shards(maps)
+            view._set_shards(views)
             self._views[name] = view

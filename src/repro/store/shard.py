@@ -1,36 +1,44 @@
-"""The on-disk shard file format: header + checksummed float32 rows.
+"""The on-disk shard record format: header + checksummed float32 rows.
 
-A shard holds a contiguous row range of one embedding table::
+A shard record holds a contiguous row range of one embedding table::
 
-    offset 0   magic            b"KGSHARD1"              (8 bytes)
-    offset 8   header length    uint32 little-endian     (4 bytes)
-    offset 12  header           UTF-8 JSON, then spaces  (header_len bytes)
-    offset 12+header_len        payload: rows * dim float32, little-endian,
-                                row-major
+    +0   magic            b"KGSHARD1"              (8 bytes)
+    +8   header length    uint32 little-endian     (4 bytes)
+    +12  header           UTF-8 JSON, then spaces  (header_len bytes)
+    +12+header_len        payload: rows * dim float32, little-endian,
+                          row-major
 
 The writer pads the JSON with trailing spaces (which JSON ignores and
-``header_len`` counts) so the payload starts on a 64-byte boundary: a
-memory-mapped shard is then an aligned float32 array, which NumPy
-gathers from on its fast path.  Files from the unpadded writer parse,
-verify and map exactly as before — their maps are merely unaligned.
+``header_len`` counts) so the payload starts a multiple of 64 bytes
+into the record: a record that itself starts on a 64-byte boundary maps
+as an aligned float32 array, which NumPy gathers from on its fast path.
+Records from the unpadded writer parse, verify and map exactly as
+before — their maps are merely unaligned.
+
+Records live in *segment* files.  A commit writes one segment holding
+each of its records at a 64-byte-aligned offset (each record is padded
+with zero bytes to a multiple of 64 and the records are concatenated);
+a record is addressed by ``(file, offset)`` (:class:`ShardInfo`).  A
+file of the one-record-per-file layout is a segment with one record at
+offset 0, so both read through the same functions.
 
 The JSON header carries ``version`` (format schema), ``table``,
-``row_start`` / ``rows`` / ``dim`` (the slice this shard covers),
+``row_start`` / ``rows`` / ``dim`` (the slice this record covers),
 ``dtype`` (always ``"<f4"`` in v1), ``seed`` (provenance of the run that
 wrote it) and ``crc32`` — the zlib CRC-32 of the *payload* bytes.  The
-manifest (:mod:`repro.store.manifest`) records the same CRC per shard, so
-a shard can be verified standalone *and* cross-checked against the
+manifest (:mod:`repro.store.manifest`) records the same CRC per record,
+so a record can be verified standalone *and* cross-checked against the
 generation that references it.
 
 All verification failures raise
 :class:`~repro.core.exceptions.StoreCorruptionError` with the reason;
-callers decide whether that quarantines a shard or fails a generation.
+callers decide whether that quarantines a segment or fails a generation.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import mmap
 import struct
 import zlib
 from dataclasses import dataclass
@@ -43,31 +51,42 @@ from repro.core.exceptions import StoreCorruptionError
 __all__ = [
     "SHARD_MAGIC",
     "SHARD_VERSION",
+    "RECORD_ALIGN",
     "ShardInfo",
     "encode_shard",
-    "verify_shard",
-    "load_shard",
-    "map_payload",
+    "map_segment",
+    "verify_record",
+    "record_values",
 ]
 
 SHARD_MAGIC = b"KGSHARD1"
 SHARD_VERSION = 1
+#: Records start (and payloads are aligned) on this many bytes.
+RECORD_ALIGN = 64
 _DTYPE = "<f4"  # float32 little-endian; the only payload dtype in v1
 _LEN_STRUCT = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
 class ShardInfo:
-    """Manifest-side description of one shard file."""
+    """Manifest-side description of one shard record: the segment
+    ``file`` holding it and the byte ``offset`` it starts at."""
 
     file: str
     row_start: int
     rows: int
     crc32: int
+    offset: int = 0
+
+    @property
+    def record(self) -> str:
+        """The record's name in reports: ``<segment>@<offset>``."""
+        return f"{self.file}@{self.offset}"
 
     def to_json(self) -> dict:
         return {
             "file": self.file,
+            "offset": self.offset,
             "row_start": self.row_start,
             "rows": self.rows,
             "crc32": self.crc32,
@@ -75,11 +94,14 @@ class ShardInfo:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShardInfo":
+        """Parse a manifest entry; a schema-1 entry (no ``offset``) names
+        a one-record file, whose record starts at offset 0."""
         return cls(
             file=str(obj["file"]),
             row_start=int(obj["row_start"]),
             rows=int(obj["rows"]),
             crc32=int(obj["crc32"]),
+            offset=int(obj.get("offset", 0)),
         )
 
 
@@ -89,14 +111,15 @@ def encode_shard(
     row_start: int,
     values: np.ndarray,
     seed: int | None = None,
+    offset: int = 0,
 ) -> tuple[ShardInfo, bytes]:
-    """The bytes of ``values`` (2-d, cast to float32) as shard ``file``,
-    and the :class:`ShardInfo` the manifest should record for it."""
+    """The record bytes of ``values`` (2-d, cast to float32), and the
+    :class:`ShardInfo` the manifest should record for it at ``offset``
+    of segment ``file``."""
     values = np.ascontiguousarray(values, dtype=_DTYPE)
     if values.ndim != 2:
         raise StoreCorruptionError(f"shard values must be 2-d, got {values.ndim}-d")
-    payload = values.tobytes()
-    crc = zlib.crc32(payload)
+    crc = zlib.crc32(values)
     header = {
         "version": SHARD_VERSION,
         "table": table,
@@ -110,29 +133,51 @@ def encode_shard(
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     # Trailing spaces put the payload on a 64-byte (cache-line) boundary.
     prefix = len(SHARD_MAGIC) + _LEN_STRUCT.size
-    blob += b" " * (-(prefix + len(blob)) % 64)
+    blob += b" " * (-(prefix + len(blob)) % RECORD_ALIGN)
     info = ShardInfo(
-        file=file, row_start=int(row_start), rows=int(values.shape[0]), crc32=crc
+        file=file, row_start=int(row_start), rows=int(values.shape[0]),
+        crc32=crc, offset=int(offset),
     )
-    return info, SHARD_MAGIC + _LEN_STRUCT.pack(len(blob)) + blob + payload
+    data = b"".join((SHARD_MAGIC, _LEN_STRUCT.pack(len(blob)), blob, values))
+    return info, data
 
 
-def _parse_header(name: str, data: bytes) -> tuple[dict, int]:
-    """Parse and sanity-check the header at the front of ``data`` (a whole
-    shard file); returns ``(header, payload_offset)``."""
-    prefix = len(SHARD_MAGIC) + _LEN_STRUCT.size
+def map_segment(path: str | Path) -> np.ndarray:
+    """Memory-map a whole segment file read-only, as a ``uint8`` array.
+
+    Every record of the segment verifies from, and every view of it
+    slices, this one map; nothing is copied.  The map is released when
+    the last array over it is.
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as handle:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except ValueError as exc:  # an empty file cannot be mapped
+        raise StoreCorruptionError(f"{path.name}: truncated before header") from exc
+    except FileNotFoundError as exc:
+        raise StoreCorruptionError(f"{path.name}: missing") from exc
+    except OSError as exc:
+        raise StoreCorruptionError(f"{path.name}: unreadable ({exc})") from exc
+    return np.frombuffer(mapped, dtype=np.uint8)
+
+
+def _parse_header(name: str, data: memoryview, start: int) -> tuple[dict, int]:
+    """Parse and sanity-check the header of the record at byte ``start``
+    of ``data`` (a segment's bytes); returns ``(header, payload_offset)``."""
+    prefix = start + len(SHARD_MAGIC) + _LEN_STRUCT.size
     if len(data) < prefix:
         raise StoreCorruptionError(f"{name}: truncated before header")
-    if data[: len(SHARD_MAGIC)] != SHARD_MAGIC:
+    if data[start : start + len(SHARD_MAGIC)] != SHARD_MAGIC:
         raise StoreCorruptionError(f"{name}: bad magic")
-    (header_len,) = _LEN_STRUCT.unpack_from(data, len(SHARD_MAGIC))
+    (header_len,) = _LEN_STRUCT.unpack_from(data, start + len(SHARD_MAGIC))
     if header_len > 1 << 20:
         raise StoreCorruptionError(f"{name}: implausible header length")
     offset = prefix + header_len
     if len(data) < offset:
         raise StoreCorruptionError(f"{name}: truncated header")
     try:
-        header = json.loads(data[prefix:offset].decode("utf-8"))
+        header = json.loads(data[prefix:offset].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreCorruptionError(f"{name}: corrupt header ({exc})") from exc
     if header.get("version") != SHARD_VERSION:
@@ -163,44 +208,52 @@ def _parse_header(name: str, data: bytes) -> tuple[dict, int]:
     return header, offset
 
 
-def _read_file(path: Path) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise StoreCorruptionError(f"{path.name}: unreadable ({exc})") from exc
-
-
-def _verify_bytes(
-    name: str, data: bytes, expected: ShardInfo | None, dim: int | None
+def verify_record(
+    data,
+    expected: ShardInfo,
+    dim: int | None = None,
 ) -> tuple[dict, int]:
-    """:func:`verify_shard` over a whole file's bytes."""
-    header, offset = _parse_header(name, data)
+    """Full verification of the record ``expected`` names inside ``data``
+    (its segment's bytes, e.g. a :func:`map_segment`): header, payload
+    length, and content CRC-32.
+
+    The header must agree with the manifest's view of the record (row
+    range and CRC); ``dim`` cross-checks the table's width.  Returns
+    ``(header, payload_offset)`` — the payload's byte offset in ``data``
+    — on success, raises :class:`StoreCorruptionError` otherwise.
+    """
+    name = expected.record
+    data = memoryview(data).cast("B")
+    if not 0 <= expected.offset < len(data):
+        raise StoreCorruptionError(
+            f"{name}: offset {expected.offset} outside the {len(data)}-byte "
+            "segment (torn write?)"
+        )
+    header, offset = _parse_header(name, data, expected.offset)
     rows, width = int(header["rows"]), int(header["dim"])
     expected_bytes = rows * width * 4
-    payload = memoryview(data)[offset:]
-    if len(payload) != expected_bytes:
+    available = len(data) - offset
+    if available < expected_bytes:
         raise StoreCorruptionError(
-            f"{name}: payload is {len(payload)} bytes, "
+            f"{name}: payload is {available} bytes, "
             f"expected {expected_bytes} (torn write?)"
         )
-    crc = zlib.crc32(payload)
+    crc = zlib.crc32(data[offset : offset + expected_bytes])
     if crc != int(header["crc32"]):
         raise StoreCorruptionError(
             f"{name}: payload checksum {crc} != header checksum "
             f"{header['crc32']} (bitrot?)"
         )
-    if expected is not None:
-        if (
-            int(header["row_start"]) != expected.row_start
-            or rows != expected.rows
-            or crc != expected.crc32
-        ):
-            raise StoreCorruptionError(
-                f"{name}: header disagrees with manifest "
-                f"(rows {header['row_start']}+{rows} crc {crc} vs manifest "
-                f"rows {expected.row_start}+{expected.rows} crc {expected.crc32})"
-            )
+    if (
+        int(header["row_start"]) != expected.row_start
+        or rows != expected.rows
+        or crc != expected.crc32
+    ):
+        raise StoreCorruptionError(
+            f"{name}: header disagrees with manifest "
+            f"(rows {header['row_start']}+{rows} crc {crc} vs manifest "
+            f"rows {expected.row_start}+{expected.rows} crc {expected.crc32})"
+        )
     if dim is not None and width != dim:
         raise StoreCorruptionError(
             f"{name}: shard dim {width} != table dim {dim}"
@@ -208,51 +261,10 @@ def _verify_bytes(
     return header, offset
 
 
-def verify_shard(
-    path: str | Path,
-    expected: ShardInfo | None = None,
-    dim: int | None = None,
-) -> tuple[dict, int]:
-    """Full verification: header, payload length, and content CRC-32.
-
-    Reads the file once.  ``expected`` cross-checks the manifest's view of
-    the shard (row range and CRC); ``dim`` cross-checks the table's width.
-    Returns ``(header, payload_offset)`` on success, raises
-    :class:`StoreCorruptionError` otherwise.
-    """
-    path = Path(path)
-    return _verify_bytes(path.name, _read_file(path), expected, dim)
-
-
-def load_shard(
-    path: str | Path,
-    expected: ShardInfo | None = None,
-    dim: int | None = None,
-) -> tuple[dict, np.ndarray]:
-    """Read a shard into memory; returns ``(header, float32 rows array)``.
-
-    One read of the file: the values are decoded from the bytes
-    :func:`verify_shard`'s checks (``expected``, ``dim`` as there) ran on.
-    """
-    path = Path(path)
-    data = _read_file(path)
-    header, offset = _verify_bytes(path.name, data, expected, dim)
-    rows, dim = int(header["rows"]), int(header["dim"])
-    values = np.frombuffer(data, dtype=_DTYPE, count=rows * dim, offset=offset)
-    return header, values.reshape(rows, dim).copy()
-
-
-def map_payload(path: str | Path, offset: int, rows: int, dim: int) -> np.ndarray:
-    """Memory-map ``rows x dim`` float32 rows at byte ``offset``, read-only.
-
-    The result is a plain ``ndarray`` view of the ``np.memmap`` (its
-    ``base``), so indexing it builds no ``memmap`` subclass objects.  No
-    header read and no checksum pass: ``offset`` comes from a
-    :func:`verify_shard` of the same file.
-    """
-    # A str, not a Path: np.memmap resolves a Path through the filesystem
-    # (an lstat per path component) only to record its name.
-    mapped = np.memmap(
-        os.fspath(path), dtype=_DTYPE, mode="r", offset=offset, shape=(rows, dim)
-    )
-    return mapped.view(np.ndarray)
+def record_values(segment: np.ndarray, offset: int, rows: int, dim: int) -> np.ndarray:
+    """The ``rows x dim`` float32 payload at byte ``offset`` of a
+    :func:`map_segment` array, as a read-only view (no copy).  No header
+    read and no checksum pass: ``offset`` comes from a
+    :func:`verify_record` of the same segment."""
+    payload = segment[offset : offset + rows * dim * 4]
+    return payload.view(_DTYPE).reshape(rows, dim)

@@ -7,16 +7,17 @@ three consumers:
   :func:`check_generation` to walk generations newest-first and
   :func:`quarantine_debris` to sweep crash leftovers aside;
 * ``python -m repro store-verify <path>`` renders :func:`inspect_store`
-  as a per-shard / per-generation status report;
+  as a per-record / per-generation status report;
 * ``store-verify --repair`` calls :func:`repair_store`, which quarantines
   everything inconsistent and guarantees the store re-opens at its last
   consistent generation.
 
 Quarantine moves files into ``quarantine/`` inside the store directory —
-nothing is ever deleted, so a forensic look at *why* a shard went bad
-stays possible.  A file referenced by any healthy generation is
-protected and never quarantined, even if a broken generation also
-references it (shards are shared across generations by design).
+nothing is ever deleted, so a forensic look at *why* a record went bad
+stays possible.  Protection is per file: a segment referenced by any
+healthy generation is never quarantined, even if a broken generation
+also references it, or one of its other records is rotten (records are
+shared across generations by design).
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.exceptions import StoreCorruptionError, StoreError
 
 from .manifest import load_manifest, referenced_files, scan_manifests
-from .shard import ShardInfo, verify_shard
+from .shard import ShardInfo, map_segment, verify_record
 
 __all__ = [
     "SHARDS_DIR",
@@ -49,17 +52,19 @@ QUARANTINE_DIR = "quarantine"
 
 @dataclass(frozen=True)
 class ShardStatus:
-    """Verification outcome for one shard referenced by one generation.
+    """Verification outcome for one shard record referenced by one
+    generation: the record at byte ``offset`` of segment ``file``.
 
-    ``payload_offset`` is where the verified payload starts in the file
-    (``None`` when verification failed), so a caller can map the rows
-    without reading the header again.
+    ``payload_offset`` is where the verified payload starts in the
+    segment (``None`` when verification failed), so a caller can map the
+    rows without reading the header again.
     """
 
     file: str
     ok: bool
     reason: str = ""
     payload_offset: int | None = None
+    offset: int = 0
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,10 @@ class GenerationStatus:
         return tuple(s for s in self.shards if not s.ok)
 
     @property
-    def payload_offsets(self) -> dict[str, int]:
-        """Verified payload offset of every healthy shard, by file name."""
-        return {s.file: s.payload_offset for s in self.shards if s.ok}
+    def payload_offsets(self) -> dict[tuple[str, int], int]:
+        """Verified payload offset of every healthy record, keyed by
+        ``(segment file, record offset)``."""
+        return {(s.file, s.offset): s.payload_offset for s in self.shards if s.ok}
 
 
 @dataclass(frozen=True)
@@ -89,34 +95,52 @@ class StoreReport:
     directory: str
     current: int | None
     generations: tuple[GenerationStatus, ...] = ()  # ascending
-    orphans: tuple[str, ...] = ()  # unreferenced files under shards/
+    orphans: tuple[str, ...] = ()  # unreferenced segments under shards/
     tmp_files: tuple[str, ...] = ()  # leftover *.tmp anywhere
     quarantined: tuple[str, ...] = ()  # current quarantine/ contents
 
 
-def check_generation(directory: str | Path, manifest: dict) -> GenerationStatus:
-    """Verify every shard a (parsed) manifest references, checksums included.
+def check_generation(
+    directory: str | Path,
+    manifest: dict,
+    segments: dict[str, np.ndarray] | None = None,
+) -> GenerationStatus:
+    """Verify every shard record a (parsed) manifest references,
+    checksums included.
 
-    Each shard file is read once; its status records the payload offset
-    the read verified.
+    Each segment file is mapped once (:func:`~repro.store.shard.map_segment`)
+    and each of its records verified from that map; a record's status
+    records the payload offset it verified.  ``segments``, when given,
+    receives every segment's map by file name, for the caller to view
+    the payloads through.
     """
     shards_dir = Path(directory) / SHARDS_DIR
+    maps: dict[str, np.ndarray] = {}
+    unreadable: dict[str, str] = {}  # segment file -> why it cannot be mapped
     statuses: list[ShardStatus] = []
-    for name, spec in sorted(manifest.get("tables", {}).items()):
+    for __, spec in sorted(manifest.get("tables", {}).items()):
         dim = int(spec["dim"])
         for shard in spec["shards"]:
             info = ShardInfo.from_json(shard)
-            path = shards_dir / info.file
-            try:
-                if not path.is_file():
-                    raise StoreCorruptionError(f"{info.file}: missing")
-                __, offset = verify_shard(path, expected=info, dim=dim)
-            except StoreCorruptionError as exc:
-                statuses.append(ShardStatus(file=info.file, ok=False, reason=str(exc)))
+            if info.file not in maps and info.file not in unreadable:
+                try:
+                    maps[info.file] = map_segment(shards_dir / info.file)
+                except StoreCorruptionError as exc:
+                    unreadable[info.file] = str(exc)
+            reason, offset = None, None
+            if info.file in unreadable:
+                reason = f"{info.record}: {unreadable[info.file]}"
             else:
-                statuses.append(
-                    ShardStatus(file=info.file, ok=True, payload_offset=offset)
-                )
+                try:
+                    __, offset = verify_record(maps[info.file], info, dim=dim)
+                except StoreCorruptionError as exc:
+                    reason = str(exc)
+            statuses.append(ShardStatus(
+                file=info.file, ok=reason is None, reason=reason or "",
+                payload_offset=offset, offset=info.offset,
+            ))
+    if segments is not None:
+        segments.update(maps)
     bad = [s for s in statuses if not s.ok]
     gen = int(manifest["generation"])
     return GenerationStatus(
@@ -137,7 +161,7 @@ def _tmp_files(directory: Path) -> list[Path]:
 
 
 def inspect_store(directory: str | Path) -> StoreReport:
-    """Walk every generation and shard of a store; verify all checksums."""
+    """Walk every generation and record of a store; verify all checksums."""
     directory = Path(directory)
     if not directory.is_dir():
         raise StoreError(f"{directory} is not a directory")
@@ -200,10 +224,10 @@ def render_report(report: StoreReport) -> str:
             good = sum(1 for s in gen.shards if s.ok)
             shard_note = f"  [{good}/{len(gen.shards)} shards ok]"
         lines.append(f"  g{gen.generation:08d}  {verdict}{shard_note}")
-        for shard in gen.bad_shards:
-            lines.append(f"      {shard.file}: {shard.reason}")
+        # Every reason starts with the record's name, <segment>@<offset>.
+        lines.extend(f"      {shard.reason}" for shard in gen.bad_shards)
     if report.orphans:
-        lines.append("orphan shards (unreferenced by any manifest):")
+        lines.append("orphan segments (unreferenced by any manifest):")
         lines.extend(f"  {name}" for name in report.orphans)
     if report.tmp_files:
         lines.append("leftover temp files:")
@@ -234,9 +258,9 @@ def quarantine_debris(
 ) -> list[str]:
     """Sweep crash leftovers into ``quarantine/``; returns actions taken.
 
-    Quarantines: temp files, orphan shards, broken-generation manifests,
-    and shards referenced *only* by broken generations.  Files referenced
-    by at least one healthy generation are protected.
+    Quarantines: temp files, orphan segments, broken-generation
+    manifests, and segments referenced *only* by broken generations.
+    Files referenced by at least one healthy generation are protected.
     """
     directory = Path(directory)
     if report is None:

@@ -691,8 +691,9 @@ class TestWarmPromotionBuilds:
 # ---------------------------------------------------------------------- #
 class FailingCrashIO(ManifestCrashIO):
     """The online world's store IO, failing its next op of kind
-    :attr:`fail` with ``OSError``: the fsync of a shard temp or of the
-    manifest temp (as an injected ``fsync_fail`` does), or a shard rename.
+    :attr:`fail` with ``OSError``: the fsync of the segment temp or of the
+    manifest temp (as an injected ``fsync_fail`` does), or the segment
+    rename.
     Records the name of the thread behind every rename."""
 
     def __init__(self) -> None:
@@ -716,7 +717,7 @@ class FailingCrashIO(ManifestCrashIO):
 
     def _do_replace(self, step, tmp, final):
         self.rename_threads.append(threading.current_thread().name)
-        if self.fail == "shard_rename" and final.suffix == ".shard":
+        if self.fail == "shard_rename" and final.suffix == ".seg":
             self.fail = None
             raise OSError(f"injected rename failure at io op {step}")
         super()._do_replace(step, tmp, final)

@@ -29,9 +29,9 @@ from repro.store import (
     StoredEmbeddingRecommender,
     StoreIO,
     inspect_store,
-    load_shard,
-    map_payload,
-    verify_shard,
+    map_segment,
+    record_values,
+    verify_record,
 )
 from repro.store import shard as shard_module
 from repro.store.io import FaultingStoreIO
@@ -46,10 +46,30 @@ from repro.telemetry import Telemetry, activated
 
 
 def shard_file(path, table, row_start, values, seed=None):
-    """Encode ``values`` as the shard file ``path``; returns its ShardInfo."""
+    """Encode ``values`` as the one-record file ``path``; returns its ShardInfo."""
     info, data = shard_module.encode_shard(path.name, table, row_start, values, seed=seed)
     path.write_bytes(data)
     return info
+
+
+def verify_file(path, info, dim=None):
+    """``verify_record`` of ``info``'s record in the file ``path``."""
+    return verify_record(map_segment(path), info, dim=dim)
+
+
+def rot_record(store_dir, info, dim):
+    """Flip the last payload byte of the record ``info`` names."""
+    path = Path(store_dir) / "shards" / info.file
+    blob = bytearray(path.read_bytes())
+    __, payload = verify_record(blob, info, dim=dim)
+    blob[payload + info.rows * dim * 4 - 1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def record_infos(store_dir, generation, table):
+    """The ShardInfo of every record ``table`` references at ``generation``."""
+    manifest = load_manifest(Path(store_dir) / f"manifest-g{generation:08d}.json")
+    return [ShardInfo.from_json(s) for s in manifest["tables"][table]["shards"]]
 
 
 def toy_triples(seed=0, num_entities=8, num_relations=2, n=24):
@@ -70,49 +90,58 @@ class TestShardFormat:
     def test_round_trip(self, tmp_path):
         values = np.arange(12, dtype=np.float64).reshape(4, 3)
         info = shard_file(tmp_path / "t-s0.shard", "t", 4, values)
-        assert info.rows == 4 and info.row_start == 4
-        header, loaded = load_shard(tmp_path / "t-s0.shard")
+        assert info.rows == 4 and info.row_start == 4 and info.offset == 0
+        segment = map_segment(tmp_path / "t-s0.shard")
+        header, offset = verify_record(segment, info, dim=3)
         assert header["table"] == "t"
+        loaded = record_values(segment, offset, 4, 3)
         np.testing.assert_array_equal(loaded, values.astype(np.float32))
 
     def test_bitrot_detected(self, tmp_path):
         path = tmp_path / "t-s0.shard"
-        shard_file(path, "t", 0, np.ones((4, 3)))
+        info = shard_file(path, "t", 0, np.ones((4, 3)))
         blob = bytearray(path.read_bytes())
         blob[-2] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(StoreCorruptionError, match="bitrot"):
-            verify_shard(path)
+            verify_file(path, info)
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t-s0.shard"
-        shard_file(path, "t", 0, np.ones((4, 3)))
+        info = shard_file(path, "t", 0, np.ones((4, 3)))
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])  # tear off the payload tail
         with pytest.raises(StoreCorruptionError, match="torn"):
-            verify_shard(path)
+            verify_file(path, info)
         path.write_bytes(blob[: len(blob) // 4])  # tear mid-header
         with pytest.raises(StoreCorruptionError, match="truncated"):
-            verify_shard(path)
+            verify_file(path, info)
+        path.write_bytes(b"")  # nothing reached the file
+        with pytest.raises(StoreCorruptionError, match="truncated"):
+            verify_file(path, info)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t-s0.shard"
         path.write_bytes(b"NOTSHARD" + b"\x00" * 64)
+        info = ShardInfo(file=path.name, row_start=0, rows=4, crc32=0)
         with pytest.raises(StoreCorruptionError, match="magic"):
-            verify_shard(path)
+            verify_file(path, info)
 
     def test_manifest_cross_check(self, tmp_path):
         path = tmp_path / "t-s0.shard"
         info = shard_file(path, "t", 0, np.ones((4, 3)))
         wrong = ShardInfo(file=info.file, row_start=4, rows=4, crc32=info.crc32)
         with pytest.raises(StoreCorruptionError, match="disagrees"):
-            verify_shard(path, expected=wrong)
+            verify_file(path, wrong)
 
 
 #: A shard the unpadded writer (payload at byte ``12 + len(JSON)``) wrote:
 #: table "entity", rows 10-14, dim 3, seed 7, payload at byte 131.
 UNPADDED_SHARD = Path(__file__).parent / "fixtures" / "shard_unpadded_v1.shard"
 UNPADDED_VALUES = np.arange(15, dtype=np.float32).reshape(5, 3) * 0.25 - 1.0
+UNPADDED_INFO = ShardInfo(
+    file=UNPADDED_SHARD.name, row_start=10, rows=5, crc32=2719079516
+)
 
 
 class TestAlignedPayload:
@@ -130,7 +159,8 @@ class TestAlignedPayload:
         path = tmp_path_factory.mktemp("aligned") / "t.shard"
         values = np.arange(rows * dim, dtype=np.float32).reshape(rows, dim)
         info = shard_file(path, table, row_start, values, seed=seed)
-        header, offset = verify_shard(path, expected=info, dim=dim)
+        segment = map_segment(path)
+        header, offset = verify_record(segment, info, dim=dim)
         assert offset % 64 == 0
         # The padding is trailing spaces inside the counted header: a
         # plain JSON parse of the declared header bytes reads it.
@@ -139,7 +169,7 @@ class TestAlignedPayload:
         assert 12 + header_len == offset
         assert json.loads(blob[12:offset]) == header
         assert blob[offset:] == values.tobytes()
-        mapped = map_payload(path, offset, rows, dim)
+        mapped = record_values(segment, offset, rows, dim)
         assert mapped.flags.aligned and mapped.ctypes.data % 64 == 0
         assert mapped.tobytes() == values.tobytes()
 
@@ -157,29 +187,24 @@ class TestAlignedPayload:
     def test_padding_leaves_payload_crc_and_header_fields_alone(self, tmp_path):
         """Only the header's trailing spaces differ from the unpadded file."""
         old = UNPADDED_SHARD.read_bytes()
-        old_header, old_offset = verify_shard(UNPADDED_SHARD)
+        old_header, old_offset = verify_file(UNPADDED_SHARD, UNPADDED_INFO)
         path = tmp_path / UNPADDED_SHARD.name
         info = shard_file(path, "entity", 10, UNPADDED_VALUES, seed=7)
         new = path.read_bytes()
-        header, offset = verify_shard(path)
+        header, offset = verify_file(path, info)
         assert header == old_header and info.crc32 == old_header["crc32"]
         assert new[offset:] == old[old_offset:]
         assert new[12:offset] == old[12:old_offset] + b" " * (offset - old_offset)
 
     def test_unpadded_shard_verifies_loads_and_maps_bitwise(self):
-        header, offset = verify_shard(
-            UNPADDED_SHARD,
-            expected=ShardInfo(
-                file=UNPADDED_SHARD.name, row_start=10, rows=5, crc32=2719079516
-            ),
-            dim=3,
-        )
+        segment = map_segment(UNPADDED_SHARD)
+        __, offset = verify_record(segment, UNPADDED_INFO, dim=3)
         assert offset == 131  # the old layout: unaligned
-        __, loaded = load_shard(UNPADDED_SHARD)
-        mapped = map_payload(UNPADDED_SHARD, offset, 5, 3)
-        assert loaded.tobytes() == UNPADDED_VALUES.tobytes()
+        mapped = record_values(segment, offset, 5, 3)
         assert mapped.tobytes() == UNPADDED_VALUES.tobytes()
         assert not mapped.flags.aligned
+        __, offset = verify_record(UNPADDED_SHARD.read_bytes(), UNPADDED_INFO, dim=3)
+        assert offset == 131  # the same record verifies from plain bytes
 
     def test_store_mixing_unpadded_and_padded_shards(self, tmp_path):
         """A generation whose last shard predates the padding opens in
@@ -190,9 +215,13 @@ class TestAlignedPayload:
         store.register("entity", values.astype(np.float64))
         assert store.commit() == 1
         store.close()
-        # Same rows, same payload, same CRC: only the header layout differs.
-        shards = tmp_path / "shards"
-        shutil.copy(UNPADDED_SHARD, shards / "entity-g00000001-s00002.shard")
+        # Same rows, same payload, same CRC: only the header layout
+        # differs.  Point the manifest's last shard at the old file.
+        shutil.copy(UNPADDED_SHARD, tmp_path / "shards" / UNPADDED_SHARD.name)
+        path = tmp_path / "manifest-g00000001.json"
+        manifest = load_manifest(path)
+        manifest["tables"]["entity"]["shards"][2] = UNPADDED_INFO.to_json()
+        path.write_bytes(manifest_bytes(manifest))
         served = MmapShardStore.open(tmp_path, mode="serve")
         assert served.generation == 1
         view = served.table("entity")
@@ -206,6 +235,102 @@ class TestAlignedPayload:
         loaded = trained.load_table("entity").astype(np.float32)
         assert loaded.tobytes() == values.tobytes()
         trained.close()
+
+
+class TestSchemaOneStore:
+    """A store of one-record shard files under schema-1 manifests (no
+    ``offset``) opens, serves, verifies and repairs through the reader
+    segments use."""
+
+    def build(self, directory):
+        """Generation 0 (empty) and generation 1 (table ``entity``, 15 x 3
+        over three files, the last one the unpadded fixture), schema 1."""
+        values = np.arange(45, dtype=np.float32).reshape(15, 3)
+        values[10:] = UNPADDED_VALUES
+        (directory / "shards").mkdir(parents=True)
+        infos = [
+            shard_file(
+                directory / "shards" / f"entity-g00000001-s{s:05d}.shard",
+                "entity", 5 * s, values[5 * s : 5 * s + 5], seed=7,
+            )
+            for s in range(2)
+        ]
+        shutil.copy(UNPADDED_SHARD, directory / "shards" / UNPADDED_SHARD.name)
+        infos.append(UNPADDED_INFO)
+        entries = [
+            {k: v for k, v in info.to_json().items() if k != "offset"}
+            for info in infos
+        ]
+        tables = {"entity": {
+            "rows": 15, "dim": 3, "dtype": "<f4", "rows_per_shard": 5,
+            "shards": entries,
+        }}
+        for generation, parent, spec in ((0, None, {}), (1, 0, tables)):
+            manifest = {
+                "schema": 1, "generation": generation, "parent": parent,
+                "tag": "", "seed": 7, "tables": spec,
+            }
+            (directory / f"manifest-g{generation:08d}.json").write_bytes(
+                manifest_bytes(manifest)
+            )
+        return values
+
+    def test_opens_serves_verifies_and_repairs(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        values = self.build(tmp_path)
+        served = MmapShardStore.open(tmp_path, mode="serve")
+        assert served.generation == 1
+        view = served.table("entity")
+        assert [s.flags.aligned for s in view._require()] == [True, True, False]
+        assert view.to_array().tobytes() == values.tobytes()
+        rows = [14, 0, 10, 7, 12]
+        assert view.gather(rows).tobytes() == values[rows].tobytes()
+        served.close()
+        assert main(["store-verify", str(tmp_path)]) == 0
+        # A train-mode warm start reads the schema-1 records bitwise, and
+        # the next commit writes schema 2 beside them.
+        store = MmapShardStore.open(tmp_path, mode="train")
+        arr = store.register("entity", np.zeros((15, 3)))
+        assert arr.astype(np.float32).tobytes() == values.tobytes()
+        arr[0] = 9.0
+        store.mark_dirty("entity", [0])
+        assert store.commit() == 2
+        store.close()
+        manifest = load_manifest(tmp_path / "manifest-g00000002.json")
+        assert manifest["schema"] == 2
+        records = record_infos(tmp_path, 2, "entity")
+        assert (records[0].file, records[0].offset) == ("seg-g00000002.seg", 0)
+        assert records[1:] == record_infos(tmp_path, 1, "entity")[1:]
+        assert [r.offset for r in records[1:]] == [0, 0]
+        assert main(["store-verify", str(tmp_path)]) == 0
+        # Rot the schema-2 generation: repair falls back to schema 1 and
+        # keeps every one-record file it references.
+        rot_record(tmp_path, records[0], dim=3)
+        with pytest.raises(SystemExit, match="BROKEN") as broken:
+            main(["store-verify", str(tmp_path)])
+        assert "seg-g00000002.seg@0: " in str(broken.value)
+        capsys.readouterr()
+        assert main(["store-verify", str(tmp_path), "--repair"]) == 0
+        out = capsys.readouterr().out
+        assert "quarantined manifest-g00000002.json" in out
+        assert "quarantined seg-g00000002.seg" in out
+        assert sorted(p.name for p in (tmp_path / "shards").iterdir()) == sorted(
+            r.file for r in record_infos(tmp_path, 1, "entity")
+        )
+        served = MmapShardStore.open(tmp_path, mode="serve")
+        assert served.generation == 1
+        assert served.table("entity").to_array().tobytes() == values.tobytes()
+        served.close()
+
+    def test_unknown_schema_is_refused(self, tmp_path):
+        self.build(tmp_path)
+        path = tmp_path / "manifest-g00000001.json"
+        manifest = load_manifest(path)
+        manifest["schema"] = 3
+        path.write_bytes(manifest_bytes(manifest))
+        with pytest.raises(StoreCorruptionError, match="unsupported manifest schema 3"):
+            load_manifest(path)
 
 
 class TestManifest:
@@ -257,7 +382,14 @@ class TestMmapStoreTraining:
         gen1 = store.commit()  # everything dirty on first commit
         assert gen1 == 1
         files_after_gen1 = set(p.name for p in (tmp_path / "shards").iterdir())
-        assert len(files_after_gen1) == 3
+        assert files_after_gen1 == {"seg-g00000001.seg"}
+        gen1_records = record_infos(tmp_path, 1, "t")
+        # One segment holds all three records, each 64-byte aligned.
+        assert [r.file for r in gen1_records] == ["seg-g00000001.seg"] * 3
+        offsets = [r.offset for r in gen1_records]
+        assert offsets[0] == 0 and offsets == sorted(set(offsets))
+        assert all(o % 64 == 0 for o in offsets)
+        record_size = offsets[1]
         arr[5, 0] = 1.0
         store.mark_dirty("t", [5])
         gen2 = store.commit()
@@ -265,12 +397,13 @@ class TestMmapStoreTraining:
         new_files = set(
             p.name for p in (tmp_path / "shards").iterdir()
         ) - files_after_gen1
-        assert new_files == {"t-g00000002-s00002.shard"}
-        manifest = load_manifest(tmp_path / "manifest-g00000002.json")
-        shard_files = [s["file"] for s in manifest["tables"]["t"]["shards"]]
+        assert new_files == {"seg-g00000002.seg"}
+        # The new segment holds exactly the one dirty shard's record.
+        assert (tmp_path / "shards" / "seg-g00000002.seg").stat().st_size == record_size
+        gen2_records = record_infos(tmp_path, 2, "t")
         # shards 0 and 1 carried over by reference from generation 1
-        assert shard_files[0].startswith("t-g00000001")
-        assert shard_files[2].startswith("t-g00000002")
+        assert gen2_records[:2] == gen1_records[:2]
+        assert (gen2_records[2].file, gen2_records[2].offset) == ("seg-g00000002.seg", 0)
         store.close()
 
     def test_commit_with_nothing_dirty_is_noop(self, tmp_path):
@@ -350,10 +483,10 @@ class GatedIO(StoreIO):
 
 
 class ShardRenameFailIO(StoreIO):
-    """A :class:`StoreIO` whose first shard rename raises ``OSError``."""
+    """A :class:`StoreIO` whose segment rename raises ``OSError``."""
 
     def _do_replace(self, step, tmp, final):
-        if final.suffix == ".shard":
+        if final.suffix == ".seg":
             raise OSError(f"injected rename failure at io op {step}")
         super()._do_replace(step, tmp, final)
 
@@ -418,12 +551,12 @@ class TestCommitWorker:
 
     @pytest.mark.parametrize("target", ["shard_write", "shard_rename", "manifest"])
     def test_io_failure_on_the_worker_aborts_on_the_caller(self, tmp_path, target):
-        # Creation takes ops 0-1; the commit writes shards at ops 2-3,
-        # renames them at 4-5 and writes the manifest at op 6.
+        # Creation takes ops 0-1; the commit writes its segment at op 2,
+        # renames it at op 3 and writes the manifest at op 4.
         if target == "shard_rename":
             io = ShardRenameFailIO()
         else:
-            step = 2 if target == "shard_write" else 6
+            step = 2 if target == "shard_write" else 4
             io = FaultingStoreIO(
                 FaultInjector(FaultPlan([Fault(step=step, kind="fsync_fail")]))
             )
@@ -444,7 +577,7 @@ class TestCommitWorker:
 
     def test_injected_crash_on_the_worker_reaches_the_caller(self, tmp_path):
         io = FaultingStoreIO(
-            FaultInjector(FaultPlan([Fault(step=4, kind="crash_before_rename")]))
+            FaultInjector(FaultPlan([Fault(step=3, kind="crash_before_rename")]))
         )
         store = MmapShardStore.create(tmp_path, rows_per_shard=2, io=io)
         store.register("t", np.arange(8.0).reshape(4, 2))
@@ -531,29 +664,40 @@ class TestMmapStoreServing:
         store.close()
 
     def test_open_reads_each_shard_once_then_maps_it(self, tmp_path, monkeypatch):
-        """A pinned serve-mode open parses every shard header once: one
-        verifying read per shard, then one map at the verified offset."""
+        """A pinned serve-mode open parses every record header once and
+        opens and maps each segment once; the views slice those maps."""
         self.make_store(tmp_path)
-        opened, parsed = [], []
+        opened, parsed, maps = [], [], []
         real_open, real_parse = builtins.open, shard_module._parse_header
+        real_mmap = shard_module.mmap.mmap
 
         def counting_open(file, *args, **kwargs):
-            if str(file).endswith(".shard"):
+            if "shards" in Path(str(file)).parts:
                 opened.append(Path(file).name)
             return real_open(file, *args, **kwargs)
 
-        def counting_parse(name, data):
+        def counting_parse(name, data, start):
             parsed.append(name)
-            return real_parse(name, data)
+            return real_parse(name, data, start)
+
+        def counting_mmap(*args, **kwargs):
+            maps.append(args)
+            return real_mmap(*args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(shard_module, "_parse_header", counting_parse)
+        monkeypatch.setattr(shard_module.mmap, "mmap", counting_mmap)
         store = MmapShardStore.open(tmp_path, mode="serve", generation=2)
         monkeypatch.undo()
-        files = [s["file"] for s in store._manifest["tables"]["t"]["shards"]]
-        assert len(files) == 3
-        assert sorted(parsed) == sorted(files)
-        assert sorted(opened) == sorted(files * 2)
+        records = record_infos(tmp_path, 2, "t")
+        files = sorted({r.file for r in records})
+        # Generation 2 rewrote shard 0 and keeps shards 1-2 in generation 1's segment.
+        assert files == ["seg-g00000001.seg", "seg-g00000002.seg"]
+        assert sorted(parsed) == sorted(r.record for r in records)
+        assert sorted(opened) == files and len(maps) == len(files)
+        # Records of one segment are views of its one map.
+        shards = store.table("t")._require()
+        assert shards[1].base is shards[2].base is not shards[0].base
         np.testing.assert_array_equal(
             store.table("t").to_array(), store.load_table("t").astype(np.float32)
         )
@@ -657,11 +801,10 @@ class TestRecovery:
         store.mark_dirty("t")
         store.commit()
         store.close()
-        # rot every generation-2 shard
-        for path in (tmp_path / "shards").glob("t-g00000002-*.shard"):
-            blob = bytearray(path.read_bytes())
-            blob[-1] ^= 0xFF
-            path.write_bytes(bytes(blob))
+        # rot every generation-2 shard record
+        for info in record_infos(tmp_path, 2, "t"):
+            assert info.file == "seg-g00000002.seg"
+            rot_record(tmp_path, info, dim=2)
         recovered = MmapShardStore.open(tmp_path, mode="train")
         assert recovered.generation == 1
         np.testing.assert_array_equal(recovered.load_table("t"), gen1)

@@ -21,8 +21,20 @@ from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
 from repro.models.baselines import MostPopular
 from repro.serving import RecommenderService, ServeRequest
-from repro.store import MmapShardStore, StoredEmbeddingRecommender
-from repro.runtime.faults import IO_FAULT_KINDS, Fault, FaultInjector, FaultPlan
+from repro.store import (
+    MmapShardStore,
+    ShardInfo,
+    StoredEmbeddingRecommender,
+    inspect_store,
+    verify_record,
+)
+from repro.runtime.faults import (
+    IO_FAULT_KINDS,
+    Fault,
+    FaultInjector,
+    FaultPlan,
+    InjectedCrash,
+)
 from repro.store.harness import (
     ScenarioConfig,
     crash_cells,
@@ -30,6 +42,7 @@ from repro.store.harness import (
     run_scenario,
 )
 from repro.store.io import FaultingStoreIO, RecordingStoreIO, StoreIO
+from repro.store.manifest import load_manifest
 from repro.telemetry import Telemetry
 
 SMALL = ScenarioConfig(num_entities=6, num_triples=12, dim=3, epochs=2,
@@ -96,13 +109,30 @@ class TestCrashMatrix:
 
 
 # ---------------------------------------------------------------------- #
-# group commit: every shard temp, then every rename, then the manifest
+# group commit: one segment holds every dirty shard, then the manifest
 # ---------------------------------------------------------------------- #
-#: The four shards of :func:`two_tables`' first commit, in write order.
-GROUP = [
-    "a-g00000001-s00000.shard", "a-g00000001-s00001.shard",
-    "b-g00000001-s00000.shard", "b-g00000001-s00001.shard",
-]
+#: The four shards of :func:`two_tables`, in segment order.
+GROUP = [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+
+
+def commit_ops(generation):
+    """The op log of one commit: its segment, then its manifest."""
+    segment = f"seg-g{generation:08d}.seg"
+    manifest = f"manifest-g{generation:08d}.json"
+    return [
+        ("write", segment + ".tmp"), ("rename", segment),
+        ("write", manifest + ".tmp"), ("rename", manifest),
+    ]
+
+
+def records(directory, generation):
+    """``{(table, shard): ShardInfo}`` of a generation's manifest."""
+    manifest = load_manifest(Path(directory) / f"manifest-g{generation:08d}.json")
+    return {
+        (name, s): ShardInfo.from_json(shard)
+        for name, spec in manifest["tables"].items()
+        for s, shard in enumerate(spec["shards"])
+    }
 
 
 def two_tables(directory, io):
@@ -121,23 +151,27 @@ class TestGroupCommit:
         start = io.num_ops
         assert store.commit() == 1
         ops = [(op.kind, Path(op.path).name) for op in io.op_log[start:]]
-        assert ops == (
-            [("write", f + ".tmp") for f in GROUP]
-            + [("rename", f) for f in GROUP]
-            + [("write", "manifest-g00000001.json.tmp"),
-               ("rename", "manifest-g00000001.json")]
-        )
-        # An incremental commit is a group of one.
+        assert ops == commit_ops(1)
+        # The segment holds every shard of both tables, in order, aligned.
+        first = records(tmp_path, 1)
+        assert list(first) == GROUP
+        assert {r.file for r in first.values()} == {"seg-g00000001.seg"}
+        offsets = [r.offset for r in first.values()]
+        assert offsets[0] == 0 and offsets == sorted(set(offsets))
+        assert all(o % 64 == 0 for o in offsets)
+        # An incremental commit is a segment of one record.
         a[3] = 9.0
         store.mark_dirty("a", [3])
         start = io.num_ops
         assert store.commit() == 2
-        assert [(op.kind, Path(op.path).name) for op in io.op_log[start:]] == [
-            ("write", "a-g00000002-s00001.shard.tmp"),
-            ("rename", "a-g00000002-s00001.shard"),
-            ("write", "manifest-g00000002.json.tmp"),
-            ("rename", "manifest-g00000002.json"),
-        ]
+        assert [(op.kind, Path(op.path).name) for op in io.op_log[start:]] == (
+            commit_ops(2)
+        )
+        second = records(tmp_path, 2)
+        assert (second["a", 1].file, second["a", 1].offset) == ("seg-g00000002.seg", 0)
+        assert {k: v for k, v in second.items() if k != ("a", 1)} == {
+            k: v for k, v in first.items() if k != ("a", 1)
+        }
         store.close()
 
     def test_writes_then_fsyncs_then_renames_then_one_directory_fsync(
@@ -168,40 +202,172 @@ class TestGroupCommit:
         store, __, __ = two_tables(tmp_path, io)
         io.events.clear()
         store.commit()
-        manifest = "manifest-g00000001.json"
-        assert io.events == (
-            [("write", f + ".tmp") for f in GROUP]
-            + [("fsync", f + ".tmp") for f in GROUP]
-            + [("rename", f) for f in GROUP]
-            + [("fsync_dir", "shards")]
-            + [("write", manifest + ".tmp"), ("fsync", manifest + ".tmp"),
-               ("rename", manifest), ("fsync_dir", tmp_path.name)]
-        )
+        segment, manifest = "seg-g00000001.seg", "manifest-g00000001.json"
+        assert io.events == [
+            ("write", segment + ".tmp"), ("fsync", segment + ".tmp"),
+            ("rename", segment), ("fsync_dir", "shards"),
+            ("write", manifest + ".tmp"), ("fsync", manifest + ".tmp"),
+            ("rename", manifest), ("fsync_dir", tmp_path.name),
+        ]
         store.close()
 
     @pytest.mark.parametrize("shard", range(len(GROUP)))
     def test_fsync_fail_at_any_shard_of_a_group_aborts(self, tmp_path, shard):
-        injector = FaultInjector(FaultPlan([Fault(step=2 + shard, kind="fsync_fail")]))
+        """A group of shards ``GROUP[:shard + 1]``: ``fsync_fail`` at its
+        segment, then at its manifest, aborts with the dirty masks set."""
+        # Creation is ops 0-1 and the first commit ops 2-5.  The second
+        # commit's segment write is op 6; its retry's manifest write, op 9.
+        injector = FaultInjector(FaultPlan([
+            Fault(step=6, kind="fsync_fail"), Fault(step=9, kind="fsync_fail"),
+        ]))
         store, a, b = two_tables(tmp_path, FaultingStoreIO(injector))
-        with pytest.raises(StoreError, match="fsync"):
-            store.commit()
-        assert [f.kind for f in injector.injected] == ["fsync_fail"]
-        assert store.generation == 0
-        assert store._dirty["a"].sum() == 4 and store._dirty["b"].sum() == 3
-        # Every temp was written before the first fsync, and no rename was
-        # issued: the aborted group left temp files only.
+        assert store.commit() == 1
+        tables = {"a": a, "b": b}
+        for name, s in GROUP[: shard + 1]:
+            tables[name][2 * s] += 1.0
+            store.mark_dirty(name, [2 * s])
+        dirty = {name: mask.copy() for name, mask in store._dirty.items()}
         shards_dir = tmp_path / "shards"
-        assert not list(shards_dir.glob("*.shard"))
-        assert sorted(p.name for p in shards_dir.glob("*.tmp")) == [
-            f + ".tmp" for f in GROUP
-        ]
-        reopened = MmapShardStore.open(tmp_path, mode="serve")
-        assert reopened.generation == 0
-        reopened.close()
-        assert store.commit() == 1  # the retry succeeds past the planned fault
+        # Aborted at the segment: its temp only.  Aborted at the manifest:
+        # the segment renamed (an orphan) and the manifest's temp.
+        for files, temps in (
+            (["seg-g00000001.seg", "seg-g00000002.seg.tmp"], []),
+            (["seg-g00000001.seg", "seg-g00000002.seg"],
+             ["manifest-g00000002.json.tmp"]),
+        ):
+            with pytest.raises(StoreError, match="fsync"):
+                store.commit()
+            assert store.generation == 1
+            for name, mask in dirty.items():
+                assert (store._dirty[name] == mask).all()
+            assert sorted(p.name for p in shards_dir.iterdir()) == files
+            assert sorted(p.name for p in tmp_path.glob("*.tmp")) == temps
+            reopened = MmapShardStore.open(tmp_path, mode="serve")
+            assert reopened.generation == 1
+            reopened.close()
+        assert [f.kind for f in injector.injected] == ["fsync_fail"] * 2
+        assert store.commit() == 2  # the retry succeeds past the planned faults
+        assert len(records(tmp_path, 2)) == len(GROUP)
+        assert sum(r.file == "seg-g00000002.seg" for r in records(tmp_path, 2).values()) == shard + 1
         np.testing.assert_array_equal(store.load_table("a"), a)
         np.testing.assert_array_equal(store.load_table("b"), b)
         store.close()
+
+
+# ---------------------------------------------------------------------- #
+# segments: one file per commit, shared by later generations record by record
+# ---------------------------------------------------------------------- #
+def table_bytes(store):
+    return {name: store.load_table(name).astype("<f4").tobytes()
+            for name in store.table_names()}
+
+
+def rot(directory, info, dim):
+    """Flip the last payload byte of the record ``info`` names."""
+    path = Path(directory) / "shards" / info.file
+    blob = bytearray(path.read_bytes())
+    __, payload = verify_record(blob, info, dim=dim)
+    blob[payload + info.rows * dim * 4 - 1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+class TestSegments:
+    def test_any_dirty_set_commits_one_segment_then_the_manifest(self, tmp_path):
+        """Whatever shards of whichever tables are dirty, a commit's op log
+        is the segment's write and rename, then the manifest's, and the
+        segment holds exactly the dirty shards' records."""
+        io = RecordingStoreIO()
+        store, a, b = two_tables(tmp_path, io)
+        tables = {"a": a, "b": b}
+        assert store.commit() == 1
+        for generation, mask in enumerate(range(1, 2 ** len(GROUP)), start=2):
+            dirty = [g for i, g in enumerate(GROUP) if mask >> i & 1]
+            for name, s in dirty:
+                tables[name][2 * s] += 1.0
+                store.mark_dirty(name, [2 * s])
+            start = io.num_ops
+            assert store.commit() == generation
+            ops = [(op.kind, Path(op.path).name) for op in io.op_log[start:]]
+            assert ops == commit_ops(generation)
+            segment = f"seg-g{generation:08d}.seg"
+            written = {k: r for k, r in records(tmp_path, generation).items()
+                       if r.file == segment}
+            assert list(written) == dirty
+            assert [r.offset for r in written.values()][0] == 0
+            assert all(r.offset % 64 == 0 for r in written.values())
+        reopened = MmapShardStore.open(tmp_path, mode="serve")
+        for name, values in tables.items():
+            assert reopened.table(name).to_array().tobytes() == (
+                values.astype("<f4").tobytes()
+            )
+        reopened.close()
+        store.close()
+
+    def test_torn_segment_write_recovers_the_previous_generation(self, tmp_path):
+        # Creation is ops 0-1, the first commit ops 2-5; op 6 is the
+        # second commit's segment write, torn halfway through its records.
+        injector = FaultInjector(FaultPlan([Fault(step=6, kind="torn_write")]))
+        store, a, b = two_tables(tmp_path, FaultingStoreIO(injector))
+        assert store.commit() == 1
+        first = table_bytes(store)
+        a[:] += 1.0
+        b[:] += 1.0
+        store.mark_dirty("a")
+        store.mark_dirty("b")
+        with pytest.raises(InjectedCrash, match="torn write"):
+            store.commit()
+        # Half of a segment as large as generation 1's reached the disk.
+        torn = tmp_path / "shards" / "seg-g00000002.seg.tmp"
+        whole = (tmp_path / "shards" / "seg-g00000001.seg").stat().st_size
+        assert torn.stat().st_size == whole // 2
+        reopened = MmapShardStore.open(tmp_path, mode="train")
+        assert reopened.generation == 1
+        assert table_bytes(reopened) == first
+        reopened.close()
+        assert not torn.exists()
+        assert (tmp_path / "quarantine" / torn.name).is_file()
+
+    def test_rotten_record_in_a_shared_segment(self, tmp_path, capsys):
+        """A record only generation 1 uses rots in a segment whose other
+        records generation 2 still references: generation 1 is broken,
+        and repair quarantines its manifest but keeps the segment."""
+        from repro.__main__ import main
+
+        store, a, __ = two_tables(tmp_path, StoreIO())
+        assert store.commit() == 1
+        a[0] = 7.0
+        store.mark_dirty("a", [0])
+        assert store.commit() == 2
+        second = table_bytes(store)
+        store.close()
+        rotten = records(tmp_path, 1)["a", 0]
+        shared = records(tmp_path, 2)
+        assert shared["a", 0].file == "seg-g00000002.seg"
+        assert {shared[k].file for k in GROUP[1:]} == {rotten.file}
+        rot(tmp_path, rotten, dim=2)
+
+        report = inspect_store(tmp_path)
+        by_gen = {g.generation: g for g in report.generations}
+        assert [(s.file, s.offset) for s in by_gen[1].bad_shards] == [
+            (rotten.file, rotten.offset)
+        ]
+        assert by_gen[2].ok and report.current == 2
+        with pytest.raises(SystemExit, match="BROKEN") as broken:
+            main(["store-verify", str(tmp_path)])
+        assert f"{rotten.record}: " in str(broken.value)
+        assert main(["store-verify", str(tmp_path), "--repair"]) == 0
+        out = capsys.readouterr().out
+        assert "quarantined manifest-g00000001.json" in out
+        assert f"quarantined {rotten.file}" not in out
+        assert sorted(p.name for p in (tmp_path / "shards").iterdir()) == [
+            "seg-g00000001.seg", "seg-g00000002.seg",
+        ]
+        assert main(["store-verify", str(tmp_path)]) == 0
+        reopened = MmapShardStore.open(tmp_path, mode="serve")
+        assert reopened.generation == 2
+        assert {name: reopened.table(name).to_array().tobytes()
+                for name in reopened.table_names()} == second
+        reopened.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -217,9 +383,9 @@ class TestStoreBookkeeping:
             store.mark_dirty("a", [0])
             store.commit()
             store.close()
-        assert plain.num_ops == recording.num_ops == len(recording.op_log) == 16
-        assert [op.index for op in recording.op_log] == list(range(16))
-        assert vars(plain) == {"_next_index": 16}  # no per-op state
+        assert plain.num_ops == recording.num_ops == len(recording.op_log) == 10
+        assert [op.index for op in recording.op_log] == list(range(10))
+        assert vars(plain) == {"_next_index": 10}  # no per-op state
 
     def test_load_table_opens_each_shard_once(self, tmp_path, monkeypatch):
         import builtins
@@ -230,6 +396,9 @@ class TestStoreBookkeeping:
         values = np.random.default_rng(3).standard_normal((8, 3))
         store.register("t", values)
         store.commit()
+        values[7] = 0.5
+        store.mark_dirty("t", [7])
+        store.commit()
         opened = []
 
         def counting_open(file, *args, **kwargs):
@@ -238,7 +407,8 @@ class TestStoreBookkeeping:
 
         monkeypatch.setattr(shard_module, "open", counting_open, raising=False)
         loaded = store.load_table("t")
-        assert sorted(opened) == [f"t-g00000001-s{i:05d}.shard" for i in range(4)]
+        # Four records in two segments: each segment is opened once.
+        assert sorted(opened) == ["seg-g00000001.seg", "seg-g00000002.seg"]
         expected = values.astype(np.float32).astype(np.float64)
         assert loaded.tobytes() == expected.tobytes()
         store.close()
@@ -247,8 +417,13 @@ class TestStoreBookkeeping:
         store = MmapShardStore.create(tmp_path, rows_per_shard=2, io=StoreIO())
         store.register("t", np.ones((4, 2)))
         store.commit()
-        shards = sorted((tmp_path / "shards").glob("t-*.shard"))
-        shards[1].write_bytes(shards[0].read_bytes())  # valid file, wrong rows
+        # A valid record, wrong rows: shard 0's record over shard 1's.
+        first, second = records(tmp_path, 1)["t", 0], records(tmp_path, 1)["t", 1]
+        path = tmp_path / "shards" / first.file
+        blob = bytearray(path.read_bytes())
+        size = second.offset - first.offset
+        blob[second.offset : second.offset + size] = blob[first.offset : second.offset]
+        path.write_bytes(bytes(blob))
         with pytest.raises(StoreCorruptionError, match="disagrees with manifest"):
             store.load_table("t")
         store.close()
