@@ -9,8 +9,10 @@ Measures the two numbers the online subsystem exists for (see
   replay runs on a manual clock).
 * **promote latency** — wall-clock seconds from "commit the dirty rows"
   to "candidate is live" (store commit + pinned serve-mode open + ANN
-  index sync + canary probe + watch), reported as p50/p99 across every
-  promotion cycle of every seed;
+  index sync + canary probe + watch), reported as p50 and mean per seed
+  and across every promotion cycle of every seed.  A full run has about
+  35 cycles, so its p99 would be nearly its largest sample: no tail
+  percentile is quoted;
 * **index build** — wall-clock seconds of each promotion's IVF build
   (the ``retrieval/build`` spans), the largest part of a cycle.  Every
   loop promotion builds warm, from the live index's centroids; only the
@@ -145,11 +147,11 @@ _RAW_KEYS = (
 )
 
 
-def percentiles(samples: list[float]) -> dict:
+def summary(samples: list[float]) -> dict:
+    """Median and mean of wall times in seconds, as milliseconds."""
     arr = np.asarray(samples, dtype=np.float64)
     return {
-        "p50_ms": float(np.percentile(arr, 50) * 1e3),
-        "p99_ms": float(np.percentile(arr, 99) * 1e3),
+        "p50_ms": float(np.median(arr) * 1e3),
         "mean_ms": float(arr.mean() * 1e3),
     }
 
@@ -163,16 +165,17 @@ def run_full(args) -> dict:
         for seed in args.seeds:
             rows.append(bench_seed(Path(tmp) / f"seed{seed}", seed, config))
             r = rows[-1]
-            lat = percentiles(r["promote_wall_times_s"])
-            build = percentiles(r["build_wall_times_s"])
+            r["promote_latency"] = lat = summary(r["promote_wall_times_s"])
+            r["build_wall_time"] = build = summary(r["build_wall_times_s"])
             print(
                 f"seed {seed}: {r['promotions']} promotions over "
                 f"{r['batches']} batches, freshness "
                 f"online={r['hit_rate_online']:.3f} "
                 f"frozen={r['hit_rate_frozen']:.3f} "
                 f"(uplift {r['freshness_uplift']:+.3f}), promote "
-                f"p50 {lat['p50_ms']:.1f} ms / p99 {lat['p99_ms']:.1f} ms, "
-                f"build p50 {build['p50_ms']:.2f} ms"
+                f"p50 {lat['p50_ms']:.1f} ms / mean {lat['mean_ms']:.1f} ms, "
+                f"build p50 {build['p50_ms']:.2f} ms / mean "
+                f"{build['mean_ms']:.2f} ms"
             )
     all_times = [t for r in rows for t in r["promote_wall_times_s"]]
     build_times = [t for r in rows for t in r["build_wall_times_s"]]
@@ -204,9 +207,9 @@ def run_full(args) -> dict:
             "uplift_mean": float(np.mean(uplifts)),
             "uplift_min": float(np.min(uplifts)),
         },
-        "promote_latency": percentiles(all_times),
+        "promote_latency": summary(all_times),
         "build_wall_time": {
-            **percentiles(build_times),
+            **summary(build_times),
             "starts": sorted({s for r in rows for s in r["build_starts"][1:]}),
         },
         "per_seed": [
@@ -214,14 +217,15 @@ def run_full(args) -> dict:
             for r in rows
         ],
     }
-    mean_lat = result["promote_latency"]
+    overall = result["promote_latency"]
     print(
         f"\noverall: freshness uplift mean "
         f"{result['freshness']['uplift_mean']:+.3f} "
         f"(min {result['freshness']['uplift_min']:+.3f}), promote latency "
-        f"p50 {mean_lat['p50_ms']:.1f} ms / p99 {mean_lat['p99_ms']:.1f} ms "
+        f"p50 {overall['p50_ms']:.1f} ms / mean {overall['mean_ms']:.1f} ms "
         f"across {len(all_times)} promotions, index build p50 "
-        f"{result['build_wall_time']['p50_ms']:.2f} ms"
+        f"{result['build_wall_time']['p50_ms']:.2f} ms / mean "
+        f"{result['build_wall_time']['mean_ms']:.2f} ms"
     )
     return result
 

@@ -3,15 +3,13 @@
 Measures the tradeoff the retrieval package exists for (see
 ``docs/retrieval.md``): full-catalog exact scoring is linear in the
 catalog, ANN candidate generation + exact rerank is sublinear.  For each
-catalog size the bench reports two IVF rows: the headline
-recall-targeted index (``IvfIndex()``, whose build calibrates its probe
-count) and a fixed ``nprobe=16`` index (the old default) beside it.
-Each row has
+catalog size the bench reports one IVF row, the recall-targeted index
+(``IvfIndex(seed)``, whose build calibrates its probe count), with
 
 * **recall@k** of the candidate set against the exact top-k ground truth
   (the rerank is exact, so candidate recall *is* end-to-end recall),
-  and for the calibrated row the build's own estimate and probe count,
-* **build seconds**, and for the calibrated row the calibration's share,
+  beside the build's own estimate and probe count,
+* **build seconds**, and the calibration's share of them,
 * **p50/p99 and mean query latency** of ANN search + candidate rerank,
   against the same percentiles for exact full scoring,
 * **candidate counts** — the fraction of the catalog the second stage
@@ -35,11 +33,9 @@ on (cores, CPU model, Python, NumPy, BLAS and its thread settings).
 ``--smoke`` runs a small catalog and asserts the recall floor, the
 recall contract (measured recall@10 within 0.02 of the build's estimate,
 or of the target when the estimate beats it), a calibrated count that
-rebuilds identically, and the seed-determinism contract
-(bitwise-identical fingerprints and candidate sets across rebuilds, and
-across a save/load round trip) instead of reporting timings; it also
-builds IVF on a training subsample (``train_size`` below the catalog)
-and checks the same contract there.
+rebuilds identically inside the probe floor and budget, and the
+seed-determinism contract (bitwise-identical fingerprints and candidate
+sets across rebuilds) instead of reporting timings.
 See ``docs/performance.md`` for recorded numbers.
 """
 
@@ -178,13 +174,12 @@ def measure_index(index, items, queries, truth, args) -> dict:
         "candidate_fraction": cands / items.shape[0],
         "latency": percentiles(ann_times),
     }
-    if index.calibrates:
-        # The build's calibration, timed again on its own.
-        t0 = time.perf_counter()
-        again = index._calibrate(items)
-        row["calibration_seconds"] = time.perf_counter() - t0
-        assert again == (index.nprobe, index.estimated_recall)
-        row["estimated_recall_at_10"] = index.estimated_recall
+    # The build's calibration, timed again on its own.
+    t0 = time.perf_counter()
+    again = index._calibrate(items)
+    row["calibration_seconds"] = time.perf_counter() - t0
+    assert again == (index.nprobe, index.estimated_recall)
+    row["estimated_recall_at_10"] = index.estimated_recall
     return row
 
 
@@ -215,26 +210,20 @@ def bench_size(num_items: int, args) -> dict:
     print("-" * len(header))
     result = {"num_items": num_items, "exact": exact_lat}
     # One untimed build first: the first build in a process runs up to
-    # 1.8x slower (first-touch page faults), which would land on a row.
-    IvfIndex(seed=args.seed, nprobe=16).build(items)
-    for name, index in (
-        ("ivf", IvfIndex(seed=args.seed)),
-        ("ivf_nprobe16", IvfIndex(seed=args.seed, nprobe=16)),
-    ):
-        row = measure_index(index, items, queries, truth, args)
-        row["speedup_p50"] = exact_lat["p50_ms"] / row["latency"]["p50_ms"]
-        result[name] = row
-        calib = row.get("calibration_seconds")
-        est = row.get("estimated_recall_at_10")
-        print(
-            f"{name:<12} {row['nprobe']:>6} {row['build_seconds']:>8.2f} "
-            f"{'-' if calib is None else f'{calib:.3f}':>8} "
-            f"{'-' if est is None else f'{est:.4f}':>7} "
-            f"{row[f'recall_at_{args.k}']:>10.3f} {row['mean_candidates']:>8.0f} "
-            f"{row['candidate_fraction']:>6.1%} "
-            f"{row['latency']['mean_ms'] * 1e3:>9.0f} "
-            f"{row['latency']['p99_ms']:>8.3f} {row['speedup_p50']:>7.1f}x"
-        )
+    # 1.8x slower (first-touch page faults), which would land on the row.
+    IvfIndex(seed=args.seed).build(items)
+    row = measure_index(IvfIndex(seed=args.seed), items, queries, truth, args)
+    row["speedup_p50"] = exact_lat["p50_ms"] / row["latency"]["p50_ms"]
+    result["ivf"] = row
+    print(
+        f"{'ivf':<12} {row['nprobe']:>6} {row['build_seconds']:>8.2f} "
+        f"{row['calibration_seconds']:>8.3f} "
+        f"{row['estimated_recall_at_10']:>7.4f} "
+        f"{row[f'recall_at_{args.k}']:>10.3f} {row['mean_candidates']:>8.0f} "
+        f"{row['candidate_fraction']:>6.1%} "
+        f"{row['latency']['mean_ms'] * 1e3:>9.0f} "
+        f"{row['latency']['p99_ms']:>8.3f} {row['speedup_p50']:>7.1f}x"
+    )
     return result
 
 
@@ -297,37 +286,9 @@ def smoke(args) -> None:
         f"ivf: recall@10 {recall:.3f} below the build's promise {promised:.3f}"
     )
 
-    path = Path(args.workdir or ".") / "smoke-ivf.npz"
-    first.save(path)
-    loaded = IvfIndex.load(path)
-    assert loaded.fingerprint() == first.fingerprint(), "ivf: save/load"
-    assert loaded.generation == 7, "ivf: generation lost in round trip"
-    q = queries[0]
-    assert np.array_equal(loaded.search(q, quota), first.search(q, quota))
-    path.unlink()
     print(f"bench_retrieval smoke [ivf]: {first.nprobe} probes, estimated "
           f"recall@10 {first.estimated_recall:.3f}, measured {recall:.3f}; "
-          "determinism + round trip OK")
-
-    # k-means on a seeded 1,000-row training subsample (15 lists keep the
-    # trainer's 64-rows-per-list floor below it), then every row assigned.
-    subsampled = [
-        IvfIndex(seed=args.seed, num_lists=15, train_size=1_000).build(
-            items, generation=7
-        )
-        for __ in range(2)
-    ]
-    assert subsampled[0].fingerprint() == subsampled[1].fingerprint(), (
-        "ivf train_size=1000: rebuilds must give bitwise-identical indexes"
-    )
-    path = Path(args.workdir or ".") / "smoke-ivf-subsample.npz"
-    subsampled[0].save(path)
-    loaded = IvfIndex.load(path)
-    path.unlink()
-    assert loaded.fingerprint() == subsampled[0].fingerprint(), (
-        "ivf train_size=1000: save/load"
-    )
-    print("bench_retrieval smoke [ivf train_size=1000]: determinism + round trip OK")
+          "determinism OK")
     print("bench_retrieval smoke: all floors OK")
 
 
@@ -352,10 +313,6 @@ def main() -> None:
     parser.add_argument("--spread", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=str, default=str(DEFAULT_OUT))
-    parser.add_argument(
-        "--workdir", type=str, default=None,
-        help="where --smoke writes its temporary index files",
-    )
     parser.add_argument(
         "--smoke", action="store_true",
         help="small recall-floor + determinism run (CI mode; no timings)",

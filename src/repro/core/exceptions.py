@@ -49,7 +49,7 @@ class StoreCorruptionError(StoreError):
 
 
 class RetrievalError(KgrecError):
-    """An ANN retrieval index operation failed (build, search, save/load)."""
+    """An ANN retrieval index operation failed (build or search)."""
 
 
 class IndexStaleError(RetrievalError):

@@ -11,14 +11,10 @@ row-for-row identical to the sequential executor:
   workers by copy-on-write page sharing, never by pickling.
 * Each worker runs the exact same
   :func:`~repro.experiments.harness._execute_entry` code path as the
-  sequential loop — retries, per-attempt ``time_budget`` enforcement, and
-  fallback degradation all happen **in the child** — so the two executors
-  cannot drift.  Only the retry policy differs: each entry gets a jitter
-  seed derived from ``(policy seed, entry index)`` so concurrent workers
-  do not back off in lockstep (jitter affects sleep durations only, never
-  rows).
+  sequential loop — one fit, then evaluation, with any failure captured
+  **in the child** — so the two executors cannot drift.
 * A worker returns a pickled :class:`~repro.eval.evaluator.EvalResult`
-  row (or its fallback's row) plus a structured
+  row plus a structured
   :class:`~repro.experiments.harness.FailureRecord` with the traceback
   captured in-child.  A worker that dies outright (segfault, ``os._exit``)
   becomes a ``WorkerCrashed`` failure record rather than aborting the
@@ -49,47 +45,18 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 
 from repro.eval.evaluator import EvalResult, Evaluator
-from repro.runtime.retry import RetryPolicy
 from repro.telemetry import Telemetry
 from repro.telemetry.base import NULL, activated, get_active
 from repro.telemetry.tracer import SpanRecord
 
 from .harness import FailureRecord, PanelResult, _execute_entry
 
-__all__ = ["run_panel_process", "derive_entry_seed", "fork_available"]
+__all__ = ["run_panel_process", "fork_available"]
 
 
 def fork_available() -> bool:
     """Whether this platform supports the copy-on-write ``fork`` start method."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def derive_entry_seed(seed: int, index: int) -> int:
-    """Deterministic per-entry jitter seed, decorrelated across entries.
-
-    Used for each worker's retry-backoff jitter stream so simultaneous
-    retries don't sleep in lockstep (a thundering-herd of refits).  The
-    derived seed never influences rows: model seeds live in the factories
-    and the evaluation seed is fixed panel-wide.
-    """
-    return (int(seed) * 1_000_003 + index + 1) % (2**31 - 1)
-
-
-def _derive_policy(policy: RetryPolicy, seed: int) -> RetryPolicy:
-    """A copy of ``policy`` with a different jitter seed (same clocks)."""
-    return RetryPolicy(
-        max_attempts=policy.max_attempts,
-        base_delay=policy.base_delay,
-        multiplier=policy.multiplier,
-        max_delay=policy.max_delay,
-        jitter=policy.jitter,
-        seed=seed,
-        deadline=policy.deadline,
-        total_budget=policy.total_budget,
-        retry_on=policy.retry_on,
-        sleep=policy.sleep,
-        clock=policy.clock,
-    )
 
 
 @dataclasses.dataclass
@@ -99,10 +66,6 @@ class _WorkerState:
     entries: list[tuple[str, Callable]]
     train: object
     evaluator: Evaluator
-    policy: RetryPolicy
-    time_budget: float | None
-    fallback_entry: tuple[str, Callable] | None
-    clock: Callable[[], float]
     traced: bool
 
 
@@ -128,15 +91,10 @@ def _child_run(index: int) -> _EntryPayload:
     if state is None:  # pragma: no cover - defensive: fork didn't carry state
         raise RuntimeError("panel worker state missing (not forked from parent?)")
     name, factory = state.entries[index]
-    policy = _derive_policy(
-        state.policy, derive_entry_seed(state.policy.seed, index)
-    )
     tel = Telemetry() if state.traced else NULL
     with activated(tel):
         results, failure = _execute_entry(
-            name, factory, state.train, state.evaluator, policy,
-            state.time_budget, state.fallback_entry, state.clock, tel,
-            isolate=True,
+            name, factory, state.train, state.evaluator, tel
         )
     spans = tel.tracer.records() if state.traced else []
     metrics = tel.metrics if state.traced else None
@@ -160,19 +118,14 @@ def run_panel_process(
     *,
     train,
     evaluator: Evaluator,
-    policy: RetryPolicy,
-    time_budget: float | None,
-    fallback_entry: tuple[str, Callable] | None,
-    clock: Callable[[], float],
     max_workers: int | None,
     seed: int,
 ) -> PanelResult:
     """Run prepared panel entries in a fork-based process pool.
 
-    Called by :func:`~repro.experiments.harness.run_panel` after the split,
-    evaluator, retry policy, and fallback have been resolved — the panel
-    API surface lives there; this function owns only the execution
-    strategy.
+    Called by :func:`~repro.experiments.harness.run_panel` after the split
+    and evaluator are built — the panel API surface lives there; this
+    function owns only the execution strategy.
     """
     global _WORK
     entries = list(model_factories.items())
@@ -201,9 +154,7 @@ def run_panel_process(
             # are identical by construction; only the speedup is lost.
             for i, (name, factory) in enumerate(entries):
                 results, failure = _execute_entry(
-                    name, factory, train, evaluator,
-                    _derive_policy(policy, derive_entry_seed(policy.seed, i)),
-                    time_budget, fallback_entry, clock, tel, isolate=True,
+                    name, factory, train, evaluator, tel
                 )
                 payloads[i] = _EntryPayload(i, results, failure, [], None)
         else:
@@ -211,10 +162,6 @@ def run_panel_process(
                 entries=entries,
                 train=train,
                 evaluator=evaluator,
-                policy=policy,
-                time_budget=time_budget,
-                fallback_entry=fallback_entry,
-                clock=clock,
                 traced=enabled,
             )
             context = multiprocessing.get_context("fork")

@@ -66,7 +66,7 @@ from repro.core.rng import ensure_rng
 from repro.retrieval.ivf import IvfIndex
 from repro.retrieval.two_stage import TwoStageRecommender
 from repro.runtime.faults import FaultInjector
-from repro.serving.service import RecommenderService, ServeRequest
+from repro.serving.service import DEFAULT_K, RecommenderService, ServeRequest
 from repro.store.mmap import MmapShardStore
 from repro.store.serving import StoredEmbeddingRecommender
 from repro.online.stream import InteractionStream
@@ -236,7 +236,6 @@ class OnlineLoop:
         commit_every: int = 8,
         quarantine_limit: int = 2,
         watch_requests: int = 6,
-        watch_k: int = 10,
         index_seed: int = 0,
         k_candidates: int = 64,
     ) -> None:
@@ -253,7 +252,6 @@ class OnlineLoop:
         self.commit_every = int(commit_every)
         self.quarantine_limit = int(quarantine_limit)
         self.watch_requests = int(watch_requests)
-        self.watch_k = int(watch_k)
         self.index_seed = int(index_seed)
         self.k_candidates = int(k_candidates)
         self.clock = service.clock
@@ -513,7 +511,7 @@ class OnlineLoop:
         for __ in range(self.watch_requests):
             user = int(self._watch_rng.integers(self.stream.seen_users))
             response = self.service.serve(
-                ServeRequest(user_id=user, k=self.watch_k, exclude_seen=False)
+                ServeRequest(user_id=user, k=DEFAULT_K, exclude_seen=False)
             )
             self.watch_traces.append(response.trace())
             if response.status != "ok":

@@ -45,6 +45,12 @@ __all__ = ["ShadowTrainer", "ManifestCrashIO", "ENTITY_TABLE"]
 
 #: The single embedding table the online world trains and serves.
 ENTITY_TABLE = "entity"
+#: BPR step size, L2 weight and passes per batch of every update.
+LR = 0.2
+REG = 0.01
+EPOCHS = 3
+#: Standard deviation of the seeded initial embeddings.
+INIT_SCALE = 0.1
 
 
 class ManifestCrashIO(StoreIO):
@@ -84,10 +90,6 @@ class ShadowTrainer:
         num_users: int,
         num_items: int,
         dim: int = 16,
-        lr: float = 0.2,
-        reg: float = 0.01,
-        epochs: int = 3,
-        init_scale: float = 0.1,
         seed: int = 0,
     ) -> None:
         if store.mode != "train":
@@ -98,22 +100,13 @@ class ShadowTrainer:
             raise ConfigError("need at least one user and one item")
         if dim < 1:
             raise ConfigError("dim must be >= 1")
-        if lr <= 0:
-            raise ConfigError("lr must be positive")
-        if reg < 0:
-            raise ConfigError("reg must be >= 0")
-        if epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         self.store = store
         self.num_users = int(num_users)
         self.num_items = int(num_items)
         self.dim = int(dim)
-        self.lr = float(lr)
-        self.reg = float(reg)
-        self.epochs = int(epochs)
         self._rng = ensure_rng(seed)
         rows = self.num_users + self.num_items
-        init = init_scale * ensure_rng(seed).standard_normal((rows, self.dim))
+        init = INIT_SCALE * ensure_rng(seed).standard_normal((rows, self.dim))
         # register() overwrites ``init`` from disk when the table already
         # exists (reopen after a crash), else dirties every row so the
         # first commit persists the full init.
@@ -132,7 +125,6 @@ class ShadowTrainer:
         seed: int = 0,
         rows_per_shard: int = 32,
         io: StoreIO | None = None,
-        **kwargs,
     ) -> tuple["ShadowTrainer", int]:
         """Create the store, seed the entity table, commit generation 1.
 
@@ -142,7 +134,7 @@ class ShadowTrainer:
         store = MmapShardStore.create(
             directory, rows_per_shard=rows_per_shard, seed=seed, io=io
         )
-        trainer = cls(store, num_users, num_items, dim=dim, seed=seed, **kwargs)
+        trainer = cls(store, num_users, num_items, dim=dim, seed=seed)
         generation = trainer.commit(tag="bootstrap")
         return trainer, generation
 
@@ -196,7 +188,7 @@ class ShadowTrainer:
     ) -> np.ndarray:
         """Validated BPR update; returns the touched entity rows (sorted).
 
-        Runs ``epochs`` passes over the batch, each pairing every
+        Runs ``EPOCHS`` passes over the batch, each pairing every
         (user, item) positive with one fresh seeded negative; each
         pass's row gradient is coalesced (``coalesce_rows``, the
         sparse-gradient kernel, bitwise-equal to ``np.add.at``) and
@@ -214,20 +206,20 @@ class ShadowTrainer:
         u_rows = users
         i_rows = self.num_users + items
         touched: np.ndarray | None = None
-        for __ in range(self.epochs):
+        for __ in range(EPOCHS):
             negatives = self._rng.integers(self.num_items, size=items.size)
             j_rows = self.num_users + negatives
             u, i, j = E[u_rows], E[i_rows], E[j_rows]
             x = np.sum(u * (i - j), axis=1)
             sig = 1.0 / (1.0 + np.exp(x))  # d(-log sigmoid(x))/dx = -sig
             w = (weights * sig)[:, None]
-            gu = -w * (i - j) + self.reg * u
-            gi = -w * u + self.reg * i
-            gj = w * u + self.reg * j
+            gu = -w * (i - j) + REG * u
+            gi = -w * u + REG * i
+            gj = w * u + REG * j
             rows = np.concatenate([u_rows, i_rows, j_rows])
             vals = np.concatenate([gu, gi, gj])
             rows, vals = coalesce_rows(rows, vals)
-            E[rows] -= self.lr * vals
+            E[rows] -= LR * vals
             self.store.mark_dirty(ENTITY_TABLE, rows)
             touched = rows if touched is None else np.union1d(touched, rows)
         self.updates_applied += 1

@@ -6,10 +6,10 @@ request into *candidate generation* over an approximate top-k index and
 an *exact rerank* of only the candidates (see ``docs/retrieval.md``):
 
 * :mod:`repro.retrieval.ivf` — :class:`IvfIndex`, the ANN index:
-  k-means coarse partitions, a probe count each build calibrates to a
-  recall target (or a fixed ``nprobe``), blocked vectorized assignment;
-  seed-deterministic with fingerprintable contents (``build`` /
-  ``search`` / ``save`` / ``load``).
+  k-means coarse partitions, a probe count each cold build calibrates
+  to a recall target, blocked vectorized assignment; seed-deterministic
+  with fingerprintable contents (``build`` / ``search`` /
+  ``successor``).
 * :mod:`repro.retrieval.base` — exact-top-k ground-truth and recall
   helpers.
 * :mod:`repro.retrieval.two_stage` — :class:`TwoStageRecommender`, the

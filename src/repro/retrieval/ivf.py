@@ -8,13 +8,14 @@ surviving candidates are ranked in, only *which* items survive; so the
 quality knob is recall@k of the candidate set, and the cost knob is how
 many candidates the second stage has to score.
 
-The layout is the classic production one: partition the item vectors
-into ``num_lists`` cells with a few rounds of seeded k-means, store each
-cell's member ids contiguously (CSR: offsets + one flat id array), and
-at query time score only the ``nprobe`` cells whose centroids have the
-largest inner product with the query (inner product is the serving
-rerank's geometry).  Probing more cells trades latency for recall;
-``num_lists`` trades build cost and per-cell size.
+The layout is the classic production one: partition the ``n`` item
+vectors into ``round(sqrt(n))`` cells (capped at ``n``) with
+``_COLD_ROUNDS`` rounds of seeded k-means, store each cell's member ids
+contiguously (CSR: offsets + one flat id array), and at query time score
+only the ``nprobe`` cells whose centroids have the largest inner product
+with the query (inner product is the serving rerank's geometry).  Cells
+of ~``sqrt(n)`` members make probe cost grow as ``O(sqrt(n))`` instead
+of ``O(n)``; probing more cells trades latency for recall.
 
 Everything is vectorized NumPy and seed-deterministic:
 
@@ -25,19 +26,19 @@ Everything is vectorized NumPy and seed-deterministic:
   ``-2`` is folded into the centroid operand, which is exact);
 * centroid sums are one ``np.bincount`` over (cell, dimension) bins,
   adding each cell's rows in row order in float64;
-* k-means trains on a seeded subsample when the table is large (the
-  standard scale trick), then one full blocked assignment builds the
-  lists;
+* k-means trains on a seeded subsample when the table has more than
+  ``_TRAIN_SIZE`` rows (the standard scale trick), then one full blocked
+  assignment builds the lists;
 * empty cells are re-seeded deterministically to the points currently
   worst-served by their centroid.  A re-seed cannot fill more cells than
   the table has distinct rows, so a degenerate table (many duplicates)
   can still leave cells empty; search skips them.
 
-**Recall-targeted probing.**  With ``nprobe=None`` (the default) a cold
-build picks its own probe count: the fewest cells, from ``PROBE_FLOOR``
-up to ``PROBE_BUDGET``, at which the index reaches a mean recall@10 of
-``RECALL_TARGET``.  Recall is measured on a seeded sample of the index's
-own rows, each used as a query with its own id excluded, in one pass:
+**Recall-targeted probing.**  Every cold build picks its own probe
+count: the fewest cells, from ``PROBE_FLOOR`` up to ``PROBE_BUDGET``, at
+which the index reaches a mean recall@10 of ``RECALL_TARGET``.  Recall
+is measured on a seeded sample of the index's own rows, each used as a
+query with its own id excluded, in one pass:
 the exact top-10 of every sample row (item blocks scored against all
 sample rows at once, no score buffer above ``_BLOCK_SCORES``), the rank
 of each neighbour's cell in that row's probe order, and a cumulative
@@ -50,26 +51,22 @@ neighbours costs 1/256 of the recall, most of the target's 0.005
 allowance, so below the floor the count follows one or two rows rather
 than the catalog: catalogs drawn from one generator calibrated anywhere
 from 3 to 16 cells, and their serving cost followed.  Self-queries also
-overrate the recall of fresh queries most at small counts.  An explicit
-``nprobe`` skips the calibration and builds bit for bit as before.
+overrate the recall of fresh queries most at small counts.
 
 A *successor* (:meth:`IvfIndex.successor`) is the rebuild path for a
 table that drifted a little since the last build (the online loop's
 promotions): its build starts k-means from the predecessor's centroids
 and refines them for ``_WARM_ROUNDS`` Lloyd rounds instead of drawing
-seeded centroids and running ``iters`` rounds.  A warm build changes the
-index, so it is judged by recall against a cold build, not by
-fingerprint.  It inherits its predecessor's probe count (and estimate)
-instead of calibrating again.  When the start centroids do not fit
-(another resolved ``num_lists`` or ``dim``) the build is cold, bit for
-bit, and a calibrating index calibrates.
+seeded centroids and running ``_COLD_ROUNDS`` rounds.  A successor
+carries only the seed, the start centroids, the probe count and the
+recall estimate.  A warm build changes the index, so it is judged by
+recall against a cold build, not by fingerprint.  It inherits its
+predecessor's probe count (and estimate) instead of calibrating again.
+When the start centroids do not fit (another cell count or ``dim``) the
+build is cold, bit for bit, and calibrates.
 
 Two builds from the same seed and vectors are bitwise identical (equal
-:meth:`IvfIndex.fingerprint`).  ``save``/``load`` round-trip the full
-state through one ``.npz`` file, and a loaded index searches
-bitwise-identically to the one saved: the saved ``nprobe`` is the
-resolved count, so a loaded index probes that count and does not
-calibrate.  ``generation`` records which
+:meth:`IvfIndex.fingerprint`).  ``generation`` records which
 embedding-store generation (or model version) the index was built
 against; the two-stage rung compares it to its base recommender's
 generation on every request and refuses to serve from a stale index
@@ -84,8 +81,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
-from pathlib import Path
 
 import numpy as np
 
@@ -99,13 +94,18 @@ __all__ = ["IvfIndex"]
 _BLOCK_SCORES = 2**20
 #: Floor on rows per block, so huge list counts still batch the matmul.
 _MIN_BLOCK_ROWS = 256
+#: Lloyd rounds of a cold build, from a seeded draw of data points.
+_COLD_ROUNDS = 8
 #: Lloyd rounds of a successor's warm build: one refines centroids that
 #: already fit a slightly drifted table (two cost more and recalled no
 #: better on the online loop).
 _WARM_ROUNDS = 1
+#: Cap on the rows k-means trains on (the full table is always assigned
+#: to lists); a larger table trains on a seeded subsample.
+_TRAIN_SIZE = 100_000
 
-#: Recall-targeted probing (``nprobe=None``): the calibrated count never
-#: exceeds this many cells (the fixed default it replaces)...
+#: Recall-targeted probing: the calibrated count never exceeds this many
+#: cells (the fixed default it replaced)...
 PROBE_BUDGET = 16
 #: ...never falls below this many (see the module docstring)...
 PROBE_FLOOR = PROBE_BUDGET // 2
@@ -115,8 +115,10 @@ RECALL_TARGET = 0.995
 _CALIBRATION_SAMPLE = 256
 _CALIBRATION_K = 10
 
-#: Save-file schema version.
-FORMAT_VERSION = 1
+
+def _num_lists(n: int) -> int:
+    """Coarse cells for an ``n``-row table: ``round(sqrt(n))``, at most ``n``."""
+    return min(max(1, int(round(float(n) ** 0.5))), n)
 
 
 def _cell_order(assign: np.ndarray, num_lists: int) -> np.ndarray:
@@ -180,55 +182,24 @@ def _sample_topk(vectors: np.ndarray, sample: np.ndarray, k: int) -> np.ndarray:
 
 
 class IvfIndex:
-    """K-means inverted-file index with ``nprobe``-controlled search.
+    """K-means inverted-file index with a calibrated probe count.
 
-    Parameters
-    ----------
-    num_lists:
-        Number of coarse cells.  ``None`` (default) picks
-        ``round(sqrt(n))`` at build time — cells of ~``sqrt(n)`` members,
-        so probe cost grows as ``O(sqrt(n))`` instead of ``O(n)``.
-    nprobe:
-        Cells probed per query (clamped to ``num_lists`` at search time).
-        ``None`` (default) lets each cold build calibrate it: the fewest
-        cells, ``PROBE_FLOOR`` to ``PROBE_BUDGET``, reaching ``RECALL_TARGET``
-        recall@10 on a sample of the table (see the module docstring).
-    iters:
-        K-means refinement rounds of a cold build (a successor's warm
-        build runs ``_WARM_ROUNDS``).
-    train_size:
-        Cap on vectors used to *train* the centroids (the full table is
-        always assigned to lists).  ``None`` trains on everything.
+    ``seed`` drives every draw of a build: the centroid init, the
+    training subsample and the calibration sample.  After a build,
+    :attr:`nprobe` is the calibrated count (a caller may set it to probe
+    another count) and :attr:`estimated_recall` its recall estimate.
     """
 
-    #: Identifier stored in save files and on telemetry labels.
+    #: Identifier on telemetry labels.
     kind = "ivf"
 
-    def __init__(
-        self,
-        num_lists: int | None = None,
-        nprobe: int | None = None,
-        iters: int = 8,
-        train_size: int | None = 100_000,
-        seed: int = 0,
-    ) -> None:
-        if num_lists is not None and num_lists < 1:
-            raise RetrievalError("num_lists must be >= 1")
-        if nprobe is not None and nprobe < 1:
-            raise RetrievalError("nprobe must be >= 1")
-        if iters < 1:
-            raise RetrievalError("iters must be >= 1")
-        self.num_lists = num_lists
-        #: Cells probed per query; a calibrating index resolves it per build.
-        self.nprobe = None if nprobe is None else int(nprobe)
-        #: Whether cold builds calibrate ``nprobe``.
-        self.calibrates = nprobe is None
-        #: Mean recall@10 of the calibration sample at ``nprobe`` (``None``
-        #: when no build calibrated it: explicit ``nprobe`` or loaded).
-        self.estimated_recall: float | None = None
-        self.iters = int(iters)
-        self.train_size = train_size
+    def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
+        #: Cells probed per query (clamped to the cell count at search
+        #: time); each cold build calibrates it.
+        self.nprobe: int | None = None
+        #: Mean recall@10 of the calibration sample at ``nprobe``.
+        self.estimated_recall: float | None = None
         self.generation: int | None = None
         self.num_vectors = 0
         self.dim = 0
@@ -250,20 +221,15 @@ class IvfIndex:
     def successor(self) -> "IvfIndex":
         """A new, unbuilt index whose next build warm-starts from this one.
 
-        Same constructor configuration; its :meth:`build` refines a copy
-        of this index's centroids for ``_WARM_ROUNDS`` rounds instead of
-        running ``iters`` rounds from a seeded draw, and keeps this
-        index's probe count and recall estimate instead of calibrating.
-        A build whose resolved ``num_lists`` or ``dim`` differs from this
-        index's is cold, bit for bit what a fresh ``IvfIndex(...)``
-        builds.
+        Same seed; its :meth:`build` refines a copy of this index's
+        centroids for ``_WARM_ROUNDS`` rounds instead of running
+        ``_COLD_ROUNDS`` rounds from a seeded draw, and keeps this index's
+        probe count and recall estimate instead of calibrating.  A build
+        whose cell count or ``dim`` differs from this index's is cold,
+        bit for bit what a fresh ``IvfIndex(seed)`` builds.
         """
         self._require_built()
-        nxt = type(self)(
-            num_lists=self.num_lists,
-            nprobe=None if self.calibrates else self.nprobe,
-            iters=self.iters, train_size=self.train_size, seed=self.seed,
-        )
+        nxt = type(self)(seed=self.seed)
         nxt.nprobe, nxt.estimated_recall = self.nprobe, self.estimated_recall
         nxt._start = self._centroids
         return nxt
@@ -301,15 +267,15 @@ class IvfIndex:
         rng = np.random.default_rng(self.seed)
         n = vectors.shape[0]
         train = vectors
-        if self.train_size is not None and n > self.train_size:
-            take = max(self.train_size, min(n, 64 * num_lists))
+        if n > _TRAIN_SIZE:
+            take = max(_TRAIN_SIZE, min(n, 64 * num_lists))
             train = vectors[np.sort(rng.choice(n, size=take, replace=False))]
         start = self._warm_start(num_lists, train.shape[1])
         if start is None:
             centroids = train[
                 np.sort(rng.choice(train.shape[0], size=num_lists, replace=False))
             ].astype(np.float32, copy=True)
-            rounds = self.iters
+            rounds = _COLD_ROUNDS
         else:
             centroids = start.copy()
             rounds = _WARM_ROUNDS
@@ -356,10 +322,7 @@ class IvfIndex:
         if not np.isfinite(vectors).all():
             raise RetrievalError("index vectors must be finite")
         n, dim = vectors.shape
-        num_lists = self.num_lists
-        if num_lists is None:
-            num_lists = max(1, int(round(float(n) ** 0.5)))
-        num_lists = min(num_lists, n)
+        num_lists = _num_lists(n)
         tel = get_active()
         warm = self._warm_start(num_lists, dim) is not None
         span = (
@@ -367,7 +330,7 @@ class IvfIndex:
                 "retrieval/build", kind=self.kind, vectors=n, dim=dim,
                 lists=num_lists, generation=generation,
                 start="warm" if warm else "cold",
-                rounds=_WARM_ROUNDS if warm else self.iters,
+                rounds=_WARM_ROUNDS if warm else _COLD_ROUNDS,
             )
             if tel.enabled
             else None
@@ -382,7 +345,7 @@ class IvfIndex:
         self._offsets = offsets
         self._members = order.astype(np.int64)
         self.num_vectors, self.dim = n, dim
-        if self.calibrates and not warm:
+        if not warm:
             self.nprobe, self.estimated_recall = self._calibrate(vectors)
         self._start = None
         self.generation = int(generation) if generation is not None else None
@@ -391,7 +354,7 @@ class IvfIndex:
             recall = self.estimated_recall
             tel.end(
                 span, outcome="ok", probes=self.nprobe, estimated_recall=recall,
-                capped=None if recall is None else recall < RECALL_TARGET,
+                capped=recall < RECALL_TARGET,
             )
         return self
 
@@ -491,23 +454,16 @@ class IvfIndex:
         return np.sort(np.concatenate(chunks))
 
     # ------------------------------------------------------------------ #
-    # persistence
+    # fingerprint
     # ------------------------------------------------------------------ #
     def _meta(self) -> dict:
         return {
-            "format": FORMAT_VERSION,
             "kind": self.kind,
             "metric": "ip",
             "seed": self.seed,
             "generation": self.generation,
             "num_vectors": self.num_vectors,
             "dim": self.dim,
-            "config": {
-                "num_lists": self.num_lists,
-                "nprobe": self.nprobe,
-                "iters": self.iters,
-                "train_size": self.train_size,
-            },
         }
 
     def _state_arrays(self) -> dict[str, np.ndarray]:
@@ -534,62 +490,3 @@ class IvfIndex:
             digest.update(str(arr.shape).encode())
             digest.update(arr.tobytes())
         return digest.hexdigest()
-
-    def save(self, path: str | Path) -> str:
-        """Persist the built index as one ``.npz``; returns the path."""
-        arrays = {f"arr::{k}": v for k, v in self._state_arrays().items()}
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            path,
-            meta=np.frombuffer(
-                json.dumps(self._meta(), sort_keys=True).encode(), dtype=np.uint8
-            ),
-            **arrays,
-        )
-        return str(path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "IvfIndex":
-        """Load an index saved by :meth:`save`.
-
-        Raises :class:`RetrievalError` for a missing, truncated or
-        unreadable file, another format version, another index kind, or a
-        metric other than inner product.
-        """
-        path = Path(path)
-        if not path.is_file():
-            raise RetrievalError(f"no index file at {path}")
-        try:
-            with np.load(path) as bundle:
-                meta = json.loads(bytes(bundle["meta"].tobytes()).decode())
-                arrays = {
-                    name[len("arr::"):]: bundle[name]
-                    for name in bundle.files
-                    if name.startswith("arr::")
-                }
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-                json.JSONDecodeError) as exc:
-            raise RetrievalError(f"{path} is not a readable index file: {exc}") from exc
-        if meta.get("format") != FORMAT_VERSION:
-            raise RetrievalError(
-                f"{path} has index format {meta.get('format')!r}, "
-                f"this build reads {FORMAT_VERSION}"
-            )
-        if meta.get("kind") != cls.kind:
-            raise RetrievalError(f"{path} holds unknown index kind {meta.get('kind')!r}")
-        if meta.get("metric") != "ip":
-            raise RetrievalError(f"{path} holds unknown metric {meta.get('metric')!r}")
-        try:
-            index = cls(seed=meta["seed"], **meta["config"])
-            index.generation = meta["generation"]
-            index.num_vectors = int(meta["num_vectors"])
-            index.dim = int(meta["dim"])
-            index._centroids = np.ascontiguousarray(
-                arrays["centroids"], dtype=np.float32
-            )
-            index._offsets = np.ascontiguousarray(arrays["offsets"], dtype=np.int64)
-            index._members = np.ascontiguousarray(arrays["members"], dtype=np.int64)
-        except (KeyError, TypeError) as exc:
-            raise RetrievalError(f"{path} is an incomplete index file: {exc!r}") from exc
-        return index

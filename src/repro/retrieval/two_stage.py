@@ -209,8 +209,6 @@ class TwoStageRecommender(Recommender):
 
     def index_report(self) -> str | None:
         """``None`` when the index is servable, else the staleness reason."""
-        if self.index is None:
-            return "no index attached"
         if not self.index.is_built:
             return "index has never been built"
         num_items = self.fitted_dataset.num_items
@@ -265,8 +263,7 @@ class TwoStageRecommender(Recommender):
         if reason is not None:
             tel = get_active()
             if tel.enabled:
-                tel.counter("retrieval.stale_refusals", index=self.index.kind
-                            if self.index is not None else "none").inc()
+                tel.counter("retrieval.stale_refusals", index=self.index.kind).inc()
             raise IndexStaleError(reason)
         user_id = int(user_id)
         quota = max(self.k_candidates, int(k) if k is not None else 1)

@@ -95,9 +95,10 @@ class Attempt:
         ):
             # A manual clock whose ``sleep`` does not advance it makes
             # every budget check read the same elapsed time: the budget
-            # can never trip and a budget-driven loop (the online
-            # trainer's commit retry) would spin forever.  Surface the
-            # mis-wiring as configuration, not an infinite loop.
+            # can never trip and a budget-driven loop (the serving
+            # live-rung retry, which wires ``sleep=clock.advance``) would
+            # spin forever.  Surface the mis-wiring as configuration, not
+            # an infinite loop.
             raise ConfigError(
                 f"retry backoff slept {self._delay_after:.6f}s but the "
                 "clock did not advance; total_budget needs sleep and "

@@ -1,8 +1,7 @@
 """Per-request deadline budgets.
 
 A :class:`Deadline` is created when a request is admitted and carried
-through scoring.  Enforcement is *cooperative*, the same pattern as
-``run_panel``'s per-model ``time_budget``: the service calls
+through scoring.  Enforcement is *cooperative*: the service calls
 :meth:`Deadline.check` at well-defined checkpoints (after admission,
 after each scoring rung, before ranking) rather than preempting the model
 mid-call.  A model rung that overruns is treated as a failed rung — its

@@ -383,7 +383,7 @@ class RecommenderService:
         """Walk the degradation ladder; returns ``(rung, items, scores)``.
 
         Cooperative deadline checkpoints run before and after each model
-        rung (the ``run_panel`` ``time_budget`` pattern): a rung whose
+        rung: a rung whose
         scoring overran the budget is recorded as that rung's failure and
         the walk continues — the static last resort is exempt, so an
         already-expired deadline still yields a degraded answer rather

@@ -163,9 +163,7 @@ def _reference_states(
 ) -> dict[int, dict[str, bytes]]:
     states: dict[int, dict[str, bytes]] = {}
     for gen in generations:
-        store = MmapShardStore.open(
-            store_dir, mode="train", generation=gen, quarantine=False
-        )
+        store = MmapShardStore.open(store_dir, mode="train", generation=gen)
         try:
             states[gen] = _table_state(store)
         finally:

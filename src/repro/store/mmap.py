@@ -238,17 +238,16 @@ class MmapShardStore:
         mode: str = "train",
         generation: int | None = None,
         io: StoreIO | None = None,
-        quarantine: bool = True,
     ) -> "MmapShardStore":
         """Open with first-class recovery (see module doc).
 
         Walks manifests newest-first, fully verifying each generation's
         shard checksums, and lands on the newest consistent one;
-        torn/corrupt newer generations are recorded and (by default)
-        quarantined.  ``generation`` pins an exact generation instead
-        (no quarantine pass) — used for rollback views and checkpoint
-        restore.  Raises :class:`StoreError` when nothing consistent
-        exists.
+        torn/corrupt newer generations are recorded and quarantined,
+        along with leftover temp files.  ``generation`` pins an exact
+        generation instead and moves no file — used for rollback views,
+        checkpoint restore and readers beside a live writer.  Raises
+        :class:`StoreError` when nothing consistent exists.
         """
         if mode not in ("train", "serve"):
             raise StoreError(f"unknown store mode {mode!r}")
@@ -262,7 +261,7 @@ class MmapShardStore:
         manifest, offsets, broken = cls._recover(
             directory, entries, generation, tel, segments
         )
-        if quarantine and generation is None:
+        if generation is None:
             debris = quarantine_debris(directory) if broken or cls._has_debris(
                 directory
             ) else []

@@ -56,13 +56,9 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = system_clock,
-        max_spans: int = 100_000,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = system_clock) -> None:
         self.clock = clock
-        self.tracer = Tracer(clock=clock, max_spans=max_spans)
+        self.tracer = Tracer(clock=clock)
         self.metrics = MetricRegistry()
 
     # ------------------------------------------------------------------ #

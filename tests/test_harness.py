@@ -1,6 +1,6 @@
 """Tests for the experiment harness itself."""
 
-from repro.experiments.harness import results_table, run_panel
+from repro.experiments.harness import K_VALUES, results_table, run_panel
 from repro.models.baselines import BPRMF, MostPopular
 
 
@@ -22,16 +22,14 @@ class TestRunPanel:
         assert results[0].values == results[1].values
         assert results[0].num_users == results[1].num_users
 
-    def test_custom_k_values(self, movie_dataset):
+    def test_rows_are_scored_at_k_values(self, movie_dataset):
         results = run_panel(
-            movie_dataset,
-            {"pop": lambda: MostPopular()},
-            k_values=(3,),
-            max_users=8,
-            seed=0,
+            movie_dataset, {"pop": lambda: MostPopular()}, max_users=8, seed=0
         )
-        assert "NDCG@3" in results[0].values
-        assert "NDCG@10" not in results[0].values
+        assert K_VALUES == (5, 10)
+        assert "NDCG@5" in results[0].values
+        assert "NDCG@10" in results[0].values
+        assert "NDCG@3" not in results[0].values
 
 
 class TestResultsTable:

@@ -240,10 +240,10 @@ class TestShadowTrainer:
     def test_config_validation(self, tmp_path):
         store = MmapShardStore.create(tmp_path / "s2", rows_per_shard=8)
         try:
-            with pytest.raises(ConfigError, match="lr"):
-                ShadowTrainer(store, 4, 4, lr=0.0)
-            with pytest.raises(ConfigError, match="epochs"):
-                ShadowTrainer(store, 4, 4, epochs=0)
+            with pytest.raises(ConfigError, match="at least one user"):
+                ShadowTrainer(store, 0, 4)
+            with pytest.raises(ConfigError, match="dim"):
+                ShadowTrainer(store, 4, 4, dim=0)
         finally:
             store.close()
         serve = None

@@ -1,4 +1,4 @@
-"""Fault isolation, retries, budgets, and degradation in ``run_panel``."""
+"""Fault isolation in ``run_panel``: one failing entry never sinks a panel."""
 
 import itertools
 
@@ -19,26 +19,18 @@ from repro.runtime import (
     Fault,
     FaultInjector,
     FaultPlan,
-    RetryPolicy,
     TrainingRuntime,
 )
 
 
 class Crashes(Recommender):
-    """Raises during fit (optionally only the first ``fail_times`` calls)."""
+    """Raises during fit, counting its fit calls."""
 
     attempts = itertools.count()  # class-level so fresh factory builds share it
 
-    def __init__(self, fail_times: int | None = None) -> None:
-        super().__init__()
-        self._fail_times = fail_times
-
     def fit(self, dataset: Dataset) -> "Crashes":
-        n = next(type(self).attempts)
-        if self._fail_times is None or n < self._fail_times:
-            raise RuntimeError("model exploded during fit")
-        self._mark_fitted(dataset)
-        return self
+        next(type(self).attempts)
+        raise RuntimeError("model exploded during fit")
 
     def score_all(self, user_id: int) -> np.ndarray:
         return np.zeros(self.fitted_dataset.num_items)
@@ -126,16 +118,18 @@ class TestIsolation:
         assert panel.failures[0].phase == "evaluate"
         assert panel.failures[0].error_type == "ValueError"
 
-    def test_isolate_false_propagates_with_model_name(self, movie_dataset):
-        with pytest.raises(RuntimeError) as excinfo:
-            run_panel(
-                movie_dataset,
-                {"pop": lambda: MostPopular(), "boom": lambda: Crashes()},
-                max_users=8,
-                seed=0,
-                isolate=False,
-            )
-        assert any("'boom'" in note for note in excinfo.value.__notes__)
+    def test_failing_entry_is_fitted_once_and_not_substituted(
+        self, movie_dataset
+    ):
+        panel = run_panel(
+            movie_dataset,
+            {"pop": lambda: MostPopular(), "boom": lambda: Crashes()},
+            max_users=8,
+            seed=0,
+        )
+        assert next(Crashes.attempts) == 1
+        assert [r.model for r in panel] == ["pop"]
+        assert [f.model for f in panel.failures] == ["boom"]
 
     def test_healthy_panel_matches_legacy_behavior(self, movie_dataset):
         panel = run_panel(
@@ -144,70 +138,6 @@ class TestIsolation:
         assert panel.ok
         assert panel.failures == []
         assert len(panel) == 1
-
-
-class TestRetryAndBudget:
-    def test_flaky_model_recovers_with_retry(self, movie_dataset):
-        panel = run_panel(
-            movie_dataset,
-            {"flaky": lambda: Crashes(fail_times=2)},
-            max_users=8,
-            seed=0,
-            retry=3,
-        )
-        assert panel.ok
-        assert [r.model for r in panel] == ["flaky"]
-
-    def test_attempt_count_recorded_on_exhaustion(self, movie_dataset):
-        panel = run_panel(
-            movie_dataset,
-            {"boom": lambda: Crashes()},
-            max_users=8,
-            seed=0,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0,
-                              sleep=lambda s: None),
-        )
-        assert panel.failures[0].attempts == 3
-
-    def test_time_budget_exceeded(self, movie_dataset):
-        ticks = itertools.count(step=30.0)
-        panel = run_panel(
-            movie_dataset,
-            {"slow": lambda: MostPopular()},
-            max_users=8,
-            seed=0,
-            time_budget=10.0,
-            clock=lambda: float(next(ticks)),
-        )
-        assert panel.failures[0].error_type == "TimeBudgetExceeded"
-        assert list(panel) == []
-
-
-class TestDegradation:
-    def test_registered_fallback_substitutes_row(self, movie_dataset):
-        panel = run_panel(
-            movie_dataset,
-            {"pop": lambda: MostPopular(), "boom": lambda: Crashes()},
-            max_users=8,
-            seed=0,
-            fallback="MostPopular",
-        )
-        names = [r.model for r in panel]
-        assert names == ["pop", "boom (fallback: MostPopular)"]
-        assert panel.failures[0].fallback == "boom (fallback: MostPopular)"
-        # The fallback row really is MostPopular evaluated on the same split.
-        assert panel[1].values == panel[0].values
-
-    def test_callable_fallback(self, movie_dataset):
-        panel = run_panel(
-            movie_dataset,
-            {"boom": lambda: Crashes()},
-            max_users=8,
-            seed=0,
-            fallback=lambda: Random(seed=0),
-        )
-        assert len(panel) == 1
-        assert "fallback" in panel[0].model
 
 
 class TestFailureTable:
@@ -237,8 +167,8 @@ class TestAcceptancePanel:
         """ISSUE 1 acceptance: 4+ models, one raising, one with NaN gradients.
 
         The panel must finish, return rows for every healthy model, keep a
-        structured record (plus a fallback row) for the crashed one, and the
-        NaN-injected gradient model must survive via the skip policy.
+        structured record for the crashed one, and the NaN-injected
+        gradient model must survive via the skip policy.
         """
         nan_injector = FaultInjector(
             FaultPlan([Fault(step=0, kind="nan_grad"),
@@ -254,21 +184,13 @@ class TestAcceptancePanel:
             },
             max_users=8,
             seed=0,
-            retry=2,
-            fallback="MostPopular",
         )
         names = [r.model for r in panel]
-        assert names == [
-            "MostPopular",
-            "Random",
-            "KGE-NaN",
-            "Crasher (fallback: MostPopular)",
-        ]
+        assert names == ["MostPopular", "Random", "KGE-NaN"]
         assert len(panel.failures) == 1
         record = panel.failures[0]
         assert record.model == "Crasher"
-        assert record.attempts == 2
-        assert record.fallback == "Crasher (fallback: MostPopular)"
+        assert record.phase == "fit"
         # NaN faults really fired and were survived.
         assert len(nan_injector.injected) >= 2
         assert np.isfinite(panel[2].values["AUC"])

@@ -4,9 +4,8 @@ degradation through the serving ladder, and index-synced promotion.
 The three contracts under test:
 
 * **determinism** — same seed + same vectors ⇒ bitwise-identical index
-  contents (fingerprints), candidate sets, and recall, across rebuilds,
-  across a save/load round trip, and against an index file saved by an
-  earlier build of the code;
+  contents (fingerprints), candidate sets, and recall, across rebuilds
+  and against a frozen reference build (``ReferenceIvf``);
 * **typed degradation** — a stale, missing, or fault-injected index never
   surfaces as an exception or an empty response: the candidate rung
   raises :class:`IndexStaleError`, the ladder answers through the exact
@@ -16,9 +15,6 @@ The three contracts under test:
   live model ever pairs an index from one generation with embeddings
   from another.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +38,7 @@ from repro.retrieval import (
     exact_topk,
     recall_at_k,
 )
+import repro.retrieval.ivf as ivf
 from repro.retrieval.base import pairwise_scores
 from repro.retrieval.ivf import (
     PROBE_BUDGET,
@@ -57,13 +54,16 @@ from repro.telemetry import Telemetry, activated
 
 KINDS = {"ivf": IvfIndex}
 
-#: ``IvfIndex(seed=5).build(clustered(37, 4, seed=7), generation=3)``,
-#: saved by an earlier build of the code in save format 1.
-SAVED_V1 = Path(__file__).parent / "fixtures" / "ivf_format1.npz"
-#: Its ``fingerprint()`` when it was written.
-SAVED_V1_FINGERPRINT = (
-    "73642042517a51ad4408d6fbeb3f9c4abd4d961d71aca1efeb7022c4bf428fdd"
-)
+
+def shape_builds(monkeypatch, lists=None, rounds=None, train_size=None):
+    """Pin the builds' cell count (capped at the row count as the
+    default is), cold k-means rounds or training-subsample cap."""
+    if lists is not None:
+        monkeypatch.setattr(ivf, "_num_lists", lambda n: min(lists, n))
+    if rounds is not None:
+        monkeypatch.setattr(ivf, "_COLD_ROUNDS", rounds)
+    if train_size is not None:
+        monkeypatch.setattr(ivf, "_TRAIN_SIZE", train_size)
 
 
 def clustered(num_rows, dim, seed, num_centers=16, spread=0.25):
@@ -139,63 +139,6 @@ class TestIndexDeterminism:
         index = KINDS[kind](seed=0).build(items)
         assert index.search(queries[0], items.shape[0]).size == items.shape[0]
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_save_load_round_trip(self, kind, catalog, tmp_path):
-        items, queries = catalog
-        index = KINDS[kind](seed=4).build(items, generation=9)
-        path = index.save(tmp_path / f"{kind}.npz")
-        loaded = IvfIndex.load(path)
-        assert loaded.generation == 9
-        assert loaded.fingerprint() == index.fingerprint()
-        # The file records the calibrated count, which loads as explicit.
-        assert loaded.nprobe == index.nprobe and not loaded.calibrates
-        for q in queries:
-            assert np.array_equal(loaded.search(q, 32), index.search(q, 32))
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"not an index")
-        with pytest.raises(RetrievalError):
-            IvfIndex.load(path)
-        with pytest.raises(RetrievalError):
-            IvfIndex.load(tmp_path / "missing.npz")
-
-    def test_loads_a_file_saved_by_an_earlier_build(self):
-        loaded = IvfIndex.load(SAVED_V1)
-        assert loaded.fingerprint() == SAVED_V1_FINGERPRINT
-        assert loaded.generation == 3
-        # The file was saved when nprobe=16 was the default.
-        fresh = IvfIndex(seed=5, nprobe=16).build(
-            clustered(37, 4, seed=7), generation=3
-        )
-        for q in clustered(6, 4, seed=8):
-            for k in (1, 5, 37):
-                assert np.array_equal(loaded.search(q, k), fresh.search(q, k))
-
-    def test_load_rejects_truncated_files(self, tmp_path):
-        blob = SAVED_V1.read_bytes()
-        for size in (len(blob) // 2, len(blob) - 1, 64, 4):
-            path = tmp_path / f"cut-{size}.npz"
-            path.write_bytes(blob[:size])
-            with pytest.raises(RetrievalError):
-                IvfIndex.load(path)
-
-    @pytest.mark.parametrize(
-        "change", [{"kind": "lsh"}, {"format": 2}, {"metric": "l2"}]
-    )
-    def test_load_rejects_other_kinds_and_formats(self, change, tmp_path):
-        with np.load(SAVED_V1) as bundle:
-            arrays = {name: bundle[name] for name in bundle.files}
-        meta = json.loads(arrays["meta"].tobytes().decode())
-        meta.update(change)
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
-        )
-        path = tmp_path / "other.npz"
-        np.savez(path, **arrays)
-        with pytest.raises(RetrievalError):
-            IvfIndex.load(path)
-
     def test_unbuilt_and_invalid_inputs_raise_typed(self):
         index = IvfIndex()
         with pytest.raises(RetrievalError):
@@ -236,13 +179,13 @@ class ReferenceIvf(IvfIndex):
         rng = np.random.default_rng(self.seed)
         n = vectors.shape[0]
         train = vectors
-        if self.train_size is not None and n > self.train_size:
-            take = max(self.train_size, min(n, 64 * num_lists))
+        if n > ivf._TRAIN_SIZE:
+            take = max(ivf._TRAIN_SIZE, min(n, 64 * num_lists))
             train = vectors[np.sort(rng.choice(n, size=take, replace=False))]
         centroids = train[
             np.sort(rng.choice(train.shape[0], size=num_lists, replace=False))
         ].astype(np.float32, copy=True)
-        for __ in range(self.iters):
+        for __ in range(ivf._COLD_ROUNDS):
             assign = self._assign(train, centroids)
             sums = np.zeros_like(centroids, dtype=np.float64)
             np.add.at(sums, assign, train.astype(np.float64))
@@ -280,43 +223,46 @@ class TestIvfBuildOracle:
         ).fingerprint()
 
     @pytest.mark.parametrize("seed", (0, 1))
-    def test_subsample_path_equals_reference(self, seed):
+    def test_subsample_path_equals_reference(self, seed, monkeypatch):
         items = clustered(5_000, 16, seed=seed)
-        config = dict(seed=seed, train_size=1_000, num_lists=40)
-        assert IvfIndex(**config).build(items).fingerprint() == (
-            ReferenceIvf(**config).build(items).fingerprint()
+        shape_builds(monkeypatch, lists=40, train_size=1_000)
+        assert IvfIndex(seed=seed).build(items).fingerprint() == (
+            ReferenceIvf(seed=seed).build(items).fingerprint()
         )
 
     @pytest.mark.parametrize("seed", (0, 1))
-    def test_cancelling_rows_sum_in_row_order(self, seed):
+    def test_cancelling_rows_sum_in_row_order(self, seed, monkeypatch):
         # A +1e12 row first and a -1e12 row last in one cell: the float64
         # centroid sum rounds, so only the reference's row-order
         # accumulation gives the same float32 centroid.
         items = clustered(3_000, 16, seed=seed)
         items[0] = 1e12
         items[-1] = -1e12
-        config = dict(seed=seed, num_lists=1)
-        assert IvfIndex(**config).build(items).fingerprint() == (
-            ReferenceIvf(**config).build(items).fingerprint()
+        shape_builds(monkeypatch, lists=1)
+        assert IvfIndex(seed=seed).build(items).fingerprint() == (
+            ReferenceIvf(seed=seed).build(items).fingerprint()
         )
 
-    def test_reseed_path_equals_reference(self):
+    def test_reseed_path_equals_reference(self, monkeypatch):
         items = duplicated(400, 5, 16, seed=3)
-        built = IvfIndex(seed=0, num_lists=20).build(items)
+        shape_builds(monkeypatch, lists=20)
+        built = IvfIndex(seed=0).build(items)
         assert empty_cells(built) > 0  # the re-seed ran and could not fill all
         assert built.fingerprint() == (
-            ReferenceIvf(seed=0, num_lists=20).build(items).fingerprint()
+            ReferenceIvf(seed=0).build(items).fingerprint()
         )
 
-    def test_many_lists_span_several_blocks(self):
+    def test_many_lists_span_several_blocks(self, monkeypatch):
         # 2,000 lists give 524-row assignment blocks: four blocks here.
         items = clustered(2_000, 8, seed=5)
-        config = dict(seed=1, num_lists=2_000, iters=2)
-        assert IvfIndex(**config).build(items).fingerprint() == (
-            ReferenceIvf(**config).build(items).fingerprint()
+        shape_builds(monkeypatch, lists=2_000, rounds=2)
+        assert IvfIndex(seed=1).build(items).fingerprint() == (
+            ReferenceIvf(seed=1).build(items).fingerprint()
         )
 
-    def test_degenerate_table_leaves_cells_empty_and_meets_search_contract(self):
+    def test_degenerate_table_leaves_cells_empty_and_meets_search_contract(
+        self, monkeypatch
+    ):
         """400 rows of 5 distinct vectors in 20 lists: a re-seed cannot
         fill more cells than there are distinct rows, so 15 stay empty,
         and search still returns strictly increasing in-range ids, at
@@ -324,8 +270,10 @@ class TestIvfBuildOracle:
         items = duplicated(400, 5, 16, seed=3)
         n = items.shape[0]
         queries = clustered(6, 16, seed=4)
+        shape_builds(monkeypatch, lists=20)
         for nprobe in (1, 16):
-            index = IvfIndex(seed=0, num_lists=20, nprobe=nprobe).build(items)
+            index = IvfIndex(seed=0).build(items)
+            index.nprobe = nprobe
             assert empty_cells(index) == 15
             assert_search_contract(index, queries, n, (1, 5, n))
 
@@ -373,12 +321,14 @@ class TestIvfSuccessor:
 
     def test_same_config_and_unbuilt(self, catalog):
         items, __ = catalog
-        live = IvfIndex(num_lists=12, nprobe=3, iters=5, train_size=500,
-                        seed=4).build(items)
+        live = IvfIndex(seed=4).build(items)
+        live.nprobe = 3
         nxt = live.successor()
         assert not nxt.is_built
-        assert nxt._meta()["config"] == live._meta()["config"]
+        # The seed, the count, the estimate and the start centroids.
         assert nxt.seed == 4
+        assert (nxt.nprobe, nxt.estimated_recall) == (3, live.estimated_recall)
+        assert nxt._start is live._centroids
 
     def test_unbuilt_index_has_no_successor(self):
         with pytest.raises(RetrievalError):
@@ -409,15 +359,16 @@ class TestIvfSuccessor:
             items[:n], generation=7
         ).fingerprint()
 
-    def test_other_dim_builds_cold(self, catalog):
+    def test_other_dim_builds_cold(self, catalog, monkeypatch):
         items, __ = catalog
-        live = IvfIndex(seed=1, num_lists=10).build(items)
+        shape_builds(monkeypatch, lists=10)
+        live = IvfIndex(seed=1).build(items)
         narrow = np.ascontiguousarray(items[:, :8])
         assert live.successor().build(narrow).fingerprint() == (
-            IvfIndex(seed=1, num_lists=10).build(narrow).fingerprint()
+            IvfIndex(seed=1).build(narrow).fingerprint()
         )
 
-    def test_search_contract(self, catalog):
+    def test_search_contract(self, catalog, monkeypatch):
         items, queries = catalog
         n = items.shape[0]
         for seed in (0, 1, 2):
@@ -425,31 +376,24 @@ class TestIvfSuccessor:
             warm = live.successor().build(drift(items, seed))
             assert_search_contract(warm, queries, n, (1, 5, 50, n))
         # Subsampled training keeps its seeded draw on a warm build.
-        live = IvfIndex(seed=0, train_size=200, num_lists=4).build(items)
+        shape_builds(monkeypatch, lists=4, train_size=200)
+        live = IvfIndex(seed=0).build(items)
         warm = live.successor().build(drift(items, 3))
         assert_search_contract(warm, queries, n, (1, 5, 50))
 
-    def test_empty_cells_meet_search_contract(self):
+    def test_empty_cells_meet_search_contract(self, monkeypatch):
         # The degenerate table: the warm round re-seeds empty cells the
         # same way a cold round does, and 15 of 20 still stay empty.
         items = duplicated(400, 5, 16, seed=3)
         n = items.shape[0]
         queries = clustered(6, 16, seed=4)
+        shape_builds(monkeypatch, lists=20)
         for nprobe in (1, 16):
-            live = IvfIndex(seed=0, num_lists=20, nprobe=nprobe).build(items)
+            live = IvfIndex(seed=0).build(items)
+            live.nprobe = nprobe
             warm = live.successor().build(items)
             assert empty_cells(warm) == 15
             assert_search_contract(warm, queries, n, (1, 5, n))
-
-    def test_save_load_round_trip(self, catalog, tmp_path):
-        items, queries = catalog
-        live = IvfIndex(seed=4).build(items, generation=8)
-        warm = live.successor().build(drift(items, 1), generation=9)
-        loaded = IvfIndex.load(warm.save(tmp_path / "warm.npz"))
-        assert loaded.generation == 9
-        assert loaded.fingerprint() == warm.fingerprint()
-        for q in queries:
-            assert np.array_equal(loaded.search(q, 32), warm.search(q, 32))
 
     def test_recall_matches_a_cold_build(self):
         # Few probes over 5,000 rows, so recall is below 1 and can differ.
@@ -465,14 +409,17 @@ class TestIvfSuccessor:
 
         warm, cold = [], []
         for seed in (0, 1, 2):
-            live = IvfIndex(seed=seed, nprobe=4).build(items)
+            live = IvfIndex(seed=seed).build(items)
+            live.nprobe = 4
             warm.append(recall(live.successor().build(moved)))
-            cold.append(recall(IvfIndex(seed=seed, nprobe=4).build(moved)))
+            fresh = IvfIndex(seed=seed).build(moved)
+            fresh.nprobe = 4
+            cold.append(recall(fresh))
         assert np.mean(warm) >= np.mean(cold) - 0.02
 
 
 # ---------------------------------------------------------------------- #
-# recall-targeted probing (nprobe=None)
+# recall-targeted probing
 # ---------------------------------------------------------------------- #
 class TestExactTopk:
     @pytest.mark.parametrize("metric", ("ip",))
@@ -544,9 +491,10 @@ class TestProbeCalibration:
         )
 
     @pytest.mark.parametrize("metric", ("ip",))
-    def test_duplicated_catalog_with_empty_cells(self, metric):
+    def test_duplicated_catalog_with_empty_cells(self, metric, monkeypatch):
         items = duplicated(400, 5, 16, seed=3)
-        index = IvfIndex(seed=0, num_lists=20).build(items)
+        shape_builds(monkeypatch, lists=20)
+        index = IvfIndex(seed=0).build(items)
         assert index._meta()["metric"] == metric
         assert empty_cells(index) == 15
         assert (index.nprobe, index.estimated_recall) == oracle_calibration(
@@ -564,8 +512,6 @@ class TestProbeCalibration:
         assert counts["n=1"] == 1
 
     def test_floor_bounds_the_count_from_below(self, monkeypatch):
-        import repro.retrieval.ivf as ivf
-
         items = self.ORACLE_CATALOGS["clustered"]()
         floored = IvfIndex(seed=3).build(items)
         monkeypatch.setattr(ivf, "PROBE_FLOOR", 1)
@@ -620,21 +566,6 @@ class TestProbeCalibration:
         self.assert_recall_contract(index, items, queries)
 
     # -- everything else a count touches --------------------------------- #
-    def test_explicit_nprobe_never_calibrates(self, catalog, monkeypatch):
-        items, __ = catalog
-        calibrated = IvfIndex(seed=3).build(items, generation=2)
-
-        def refuse(self, vectors):
-            raise AssertionError("an explicit nprobe must not calibrate")
-
-        monkeypatch.setattr(IvfIndex, "_calibrate", refuse)
-        explicit = IvfIndex(seed=3, nprobe=calibrated.nprobe).build(
-            items, generation=2
-        )
-        assert explicit.estimated_recall is None
-        # Same arrays and the same recorded count: the same index.
-        assert explicit.fingerprint() == calibrated.fingerprint()
-
     def test_successor_inherits_the_count(self, catalog, monkeypatch):
         items, __ = catalog
         live = IvfIndex(seed=2).build(items)
@@ -647,7 +578,6 @@ class TestProbeCalibration:
         monkeypatch.setattr(IvfIndex, "_calibrate", refuse)
         warm = nxt.build(drift(items, seed=0))
         assert (warm.nprobe, warm.estimated_recall) == (5, live.estimated_recall)
-        assert warm.calibrates
 
     def test_cold_successor_build_calibrates(self, catalog):
         items, __ = catalog
@@ -681,24 +611,28 @@ class TestProbeCalibration:
         tel = Telemetry()
         with activated(tel):
             index = IvfIndex(seed=3).build(items)
-            IvfIndex(seed=3, nprobe=4).build(items)
-        calibrated, explicit = [
+            probes, index.nprobe = index.nprobe, 4
+            index.successor().build(drift(items, seed=0))
+        calibrated, warm = [
             r.attrs for r in tel.tracer.records() if r.name == "retrieval/build"
         ]
-        assert calibrated["probes"] == index.nprobe
+        assert calibrated["start"] == "cold"
+        assert calibrated["probes"] == probes
         assert calibrated["estimated_recall"] == index.estimated_recall
-        assert calibrated["capped"] == (index.estimated_recall < RECALL_TARGET)
-        assert (explicit["probes"], explicit["estimated_recall"]) == (4, None)
-        assert explicit["capped"] is None
+        assert calibrated["capped"] is (index.estimated_recall < RECALL_TARGET)
+        # A warm build reports the count and estimate it inherited.
+        assert warm["start"] == "warm"
+        assert (warm["probes"], warm["estimated_recall"]) == (
+            4, index.estimated_recall
+        )
+        assert warm["capped"] is calibrated["capped"]
 
     def test_calibration_buffers_fit_the_block(self, monkeypatch):
-        import repro.retrieval.ivf as ivf
-
         # A block far smaller than the table forces 47 item blocks.
         block = 256 * 64
         monkeypatch.setattr(ivf, "_BLOCK_SCORES", block)
         items = clustered(3_000, 8, seed=11)
-        index = IvfIndex(seed=3, nprobe=1).build(items)
+        index = IvfIndex(seed=3).build(items)
         sizes = []
         matmul = np.matmul
 

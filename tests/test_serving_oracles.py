@@ -429,9 +429,10 @@ def rung_services(seed):
         ),
     )
     base = ArrayEmbeddingRecommender(users, items).fit(dataset)
-    index = IvfIndex(seed=seed, nprobe=2)
+    index = IvfIndex(seed=seed)
     two_stage = TwoStageRecommender(base, index, k_candidates=32)
     two_stage.fit(dataset).sync_index()
+    index.nprobe = 2
     services = {
         name: RecommenderService(dataset, primary=(name, model), clock=ManualClock())
         for name, model in (("ann", two_stage), ("exact", base))

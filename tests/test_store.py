@@ -813,6 +813,39 @@ class TestRecovery:
         report = inspect_store(tmp_path)
         assert any("manifest-g00000002" in q for q in report.quarantined)
 
+    @pytest.mark.parametrize("mode", ("train", "serve"))
+    def test_pinned_open_moves_no_file(self, tmp_path, mode):
+        """A pinned open (rollback views, readers beside a live writer)
+        leaves a temp file and a rotten newer generation in place; the
+        next unpinned open quarantines both."""
+        store = MmapShardStore.create(tmp_path, rows_per_shard=2)
+        arr = store.register("t", np.zeros((4, 2)))
+        store.commit()
+        arr[:] = 7.0
+        store.mark_dirty("t")
+        store.commit()
+        store.close()
+        for info in record_infos(tmp_path, 2, "t"):
+            rot_record(tmp_path, info, dim=2)
+        debris = tmp_path / "shards" / "seg-g00000003.seg.tmp"
+        debris.write_bytes(b"torn")
+
+        def files():
+            return sorted(p for p in tmp_path.rglob("*") if p.is_file())
+
+        before = files()
+        pinned = MmapShardStore.open(tmp_path, mode=mode, generation=1)
+        assert pinned.generation == 1
+        pinned.close()
+        assert files() == before
+        assert not (tmp_path / "quarantine").exists()
+
+        MmapShardStore.open(tmp_path, mode=mode).close()
+        assert not debris.exists()
+        assert set(inspect_store(tmp_path).quarantined) == {
+            debris.name, "manifest-g00000002.json", "seg-g00000002.seg",
+        }
+
     def test_open_nothing_consistent_raises(self, tmp_path):
         store = MmapShardStore.create(tmp_path)
         store.register("t", np.zeros((2, 2)))

@@ -444,9 +444,7 @@ def pristine_store(tmp_path_factory):
     scenario = run_scenario(workdir, seed=0, config=SMALL)
     references = {}
     for gen in scenario.generations:
-        store = MmapShardStore.open(
-            scenario.store_dir, mode="train", generation=gen, quarantine=False
-        )
+        store = MmapShardStore.open(scenario.store_dir, mode="train", generation=gen)
         references[gen] = {
             name: store.load_table(name).astype("<f4").tobytes()
             for name in store.table_names()
