@@ -26,7 +26,7 @@ import argparse
 import sys
 
 #: The subsystems ``fault-matrix`` sweeps, in run order.
-FAULT_SUBSYSTEMS = ("store", "online", "serving", "traffic", "retrieval")
+FAULT_SUBSYSTEMS = ("store", "online", "serving", "traffic", "retrieval", "training")
 
 
 def _cmd_table(number: int) -> str:
@@ -199,8 +199,10 @@ def _cmd_fault_matrix(args) -> str:
         IO_FAULT_KINDS,
         ONLINE_FAULT_KINDS,
         SERVING_FAULT_KINDS,
+        TRAINING_FAULT_KINDS,
         run_matrix,
     )
+    from repro.runtime.harness import resume_cells
     from repro.serving.demo import chaos_cells
     from repro.store.harness import crash_cells, make_corrupted_store
     from repro.traffic.demo import load_cells
@@ -225,6 +227,7 @@ def _cmd_fault_matrix(args) -> str:
         ),
         "traffic": (SERVING_FAULT_KINDS, load_cells),
         "retrieval": (("index_stale",), staleness_cells),
+        "training": (TRAINING_FAULT_KINDS, resume_cells),
     }
     try:
         out = run_matrix(

@@ -22,14 +22,13 @@ kernel matches ``np.add.at`` summation order exactly).  The optimizer state layo
 same for both branches, so ``state_dict``/checkpoints are interchangeable
 and resume stays bitwise-reproducible either way.
 
-Robustness (see :mod:`repro.runtime.guards` and ``docs/robustness.md``):
-``max_grad_norm`` clips the *global* gradient norm before each update, and
-``skip_nonfinite`` decides what happens when a NaN/Inf gradient reaches
-:meth:`step` — ``"off"`` applies it as-is (the default),
-``"skip"`` drops the whole update, ``"zero"`` repairs the bad entries, and
-``"raise"`` raises :class:`~repro.core.exceptions.TrainingDivergedError`.
-The optimizer also exposes :meth:`state_dict`/:meth:`load_state_dict`
-so :mod:`repro.runtime.checkpoint` can snapshot and resume a run exactly.
+The optimizer applies every gradient as it finds it, NaN included: the
+training loop's runtime (:mod:`repro.runtime`, ``docs/robustness.md``)
+watches the loss with a divergence detector, and the checkpointer refuses
+to save non-finite parameters, so a poisoned run stops with
+:class:`~repro.core.exceptions.TrainingDivergedError` and resumes from its
+last finite snapshot.  :meth:`state_dict`/:meth:`load_state_dict` let
+:mod:`repro.runtime.checkpoint` snapshot and resume a run exactly.
 """
 
 from __future__ import annotations
@@ -37,14 +36,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from repro.core.exceptions import TrainingDivergedError
-from repro.runtime.guards import (
-    NONFINITE_POLICIES,
-    clip_grad_norm,
-    has_nonfinite_grad,
-    zero_nonfinite_grads,
-)
 
 from repro.telemetry.base import get_active
 
@@ -55,15 +46,13 @@ __all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
-    """Base optimizer holding the parameter list and update guards."""
+    """Base optimizer holding the parameter list and its settings."""
 
     def __init__(
         self,
         params: list[Tensor],
         lr: float,
         weight_decay: float = 0.0,
-        max_grad_norm: float | None = None,
-        skip_nonfinite: str = "off",
     ) -> None:
         # NaN compares false both ways, so each check is written to pass only
         # on a finite value inside the range.
@@ -73,31 +62,16 @@ class Optimizer:
             raise ValueError(
                 f"weight_decay must be non-negative and finite, got {weight_decay}"
             )
-        if max_grad_norm is not None and not (
-            math.isfinite(max_grad_norm) and max_grad_norm > 0
-        ):
-            raise ValueError(
-                f"max_grad_norm must be positive and finite, got {max_grad_norm}"
-            )
-        if skip_nonfinite not in NONFINITE_POLICIES:
-            raise ValueError(
-                f"skip_nonfinite must be one of {NONFINITE_POLICIES}, "
-                f"got {skip_nonfinite!r}"
-            )
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.max_grad_norm = max_grad_norm
-        self.skip_nonfinite = skip_nonfinite
-        #: Number of steps on which a non-finite gradient was encountered.
-        self.nonfinite_steps = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
-    def step(self) -> bool:
-        """Apply guards, then the update; ``False`` if the step was skipped.
+    def step(self) -> None:
+        """Apply one update from the parameters' current gradients.
 
         Reports to the *active* telemetry when one is installed (an
         ``optim/step`` span plus sparse-vs-dense update counters); the
@@ -105,33 +79,16 @@ class Optimizer:
         """
         tel = get_active()
         if not tel.enabled:
-            return self._step()
+            self._apply()
+            return
         span = tel.begin("optim/step", optimizer=type(self).__name__)
         try:
-            applied = self._step()
+            self._apply()
         except Exception as exc:
-            tel.end(span, applied=False, error=type(exc).__name__)
+            tel.end(span, error=type(exc).__name__)
             raise
         self._count_update_paths(tel)
-        if not applied:
-            tel.counter("optim.skipped_steps").inc()
-        tel.end(span, applied=applied)
-        return applied
-
-    def _step(self) -> bool:
-        if self.skip_nonfinite != "off" and has_nonfinite_grad(self.params):
-            self.nonfinite_steps += 1
-            if self.skip_nonfinite == "raise":
-                raise TrainingDivergedError(
-                    "non-finite gradient reached optimizer.step()"
-                )
-            if self.skip_nonfinite == "skip":
-                return False
-            zero_nonfinite_grads(self.params)
-        if self.max_grad_norm is not None:
-            clip_grad_norm(self.params, self.max_grad_norm)
-        self._apply()
-        return True
+        tel.end(span)
 
     def _count_update_paths(self, tel) -> None:
         """Tally which parameters took the sparse lazy path this step."""
@@ -170,13 +127,6 @@ class Optimizer:
     # ------------------------------------------------------------------ #
     # checkpointing
     # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict:
-        """Mutable optimizer state as scalars and lists of arrays."""
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Inverse of :meth:`state_dict` (copies arrays in place)."""
-
     @staticmethod
     def _copy_arrays(dst: list[np.ndarray], src: list[np.ndarray], name: str) -> None:
         if len(dst) != len(src):
@@ -211,10 +161,8 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        max_grad_norm: float | None = None,
-        skip_nonfinite: str = "off",
     ) -> None:
-        super().__init__(params, lr, weight_decay, max_grad_norm, skip_nonfinite)
+        super().__init__(params, lr, weight_decay)
         for beta in betas:
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"betas must lie in [0, 1), got {tuple(betas)}")
@@ -256,6 +204,7 @@ class Adam(Optimizer):
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def state_dict(self) -> dict:
+        """Mutable optimizer state as scalars and lists of arrays."""
         return {
             "t": self._t,
             "m": [m.copy() for m in self._m],
@@ -263,6 +212,7 @@ class Adam(Optimizer):
         }
 
     def load_state_dict(self, state: dict) -> None:
+        """Inverse of :meth:`state_dict` (copies arrays in place)."""
         self._t = int(state["t"])
         self._copy_arrays(self._m, state["m"], "m")
         self._copy_arrays(self._v, state["v"], "v")

@@ -21,14 +21,16 @@ from repro.core.exceptions import ConfigError
 from repro.core.rng import ensure_rng
 from repro.kg.sampling import corrupt_batch
 from repro.kg.triples import TripleStore
-from repro.runtime.guards import grad_norm
-from repro.telemetry.base import get_active
+from repro.runtime.loop import train_epochs
 
 if TYPE_CHECKING:  # pragma: no cover - import is type-only to avoid a cycle
     from repro.runtime import TrainingRuntime
     from repro.store.mmap import MmapShardStore
 
 __all__ = ["KGEModel"]
+
+WEIGHT_DECAY = 1e-5  # decoupled L2 shrinkage of Adam's updates
+MARGIN = 1.0  # hinge margin of the translation models' ranking loss
 
 
 class KGEModel(nn.Module, abc.ABC):
@@ -120,112 +122,26 @@ class KGEModel(nn.Module, abc.ABC):
         epochs: int = 30,
         batch_size: int = 256,
         lr: float = 0.02,
-        margin: float = 1.0,
-        weight_decay: float = 1e-5,
         seed=None,
         runtime: "TrainingRuntime | None" = None,
-        max_grad_norm: float | None = None,
-        skip_nonfinite: str = "off",
     ) -> list[float]:
         """Train on all facts in ``store``; returns per-epoch mean loss.
 
-        ``runtime`` threads the resilience layer through the loop (see
-        :mod:`repro.runtime` and ``docs/robustness.md``): fault injection
-        fires before each optimizer step, the divergence detector observes
-        every batch loss, and the checkpointer snapshots parameters +
-        optimizer + RNG state at epoch boundaries.  When the checkpoint
-        directory already holds a snapshot, training *resumes* from the
-        epoch after it — replaying the exact RNG stream, so an interrupted
-        run converges to bitwise-identical parameters.
-
-        ``max_grad_norm`` / ``skip_nonfinite`` are forwarded to the
-        optimizer (see :class:`repro.autograd.optim.Optimizer`).
-        Embedding gradients stay row-sparse and the optimizer applies lazy
-        row-wise updates, so a step costs O(batch * dim) regardless of the
-        table sizes.
-
-        The active telemetry (installed with
-        :func:`repro.telemetry.activated`) records the training run: a
-        ``fit`` span wrapping ``fit/epoch`` and ``fit/batch`` spans,
-        per-batch loss and gradient-norm gauges, and nested spans from
-        negative sampling and optimizer steps (see
-        ``docs/observability.md``).  Telemetry only observes: with it on or
-        off, the learned parameters and returned history are bitwise
-        identical, and the disabled path costs one boolean check per batch.
+        Trains through :func:`repro.runtime.loop.train_epochs`; ``runtime``
+        adds fault injection, divergence detection and checkpoint/resume
+        (``docs/robustness.md``).  Embedding gradients stay row-sparse and
+        Adam updates lazily, so a step costs O(batch * dim).
         """
         if store.num_triples == 0:
             raise ConfigError("cannot fit a KGE model on an empty triple store")
         rng = ensure_rng(seed if seed is not None else self._rng)
-        params = self.parameters()
-        optimizer = Adam(
-            params,
-            lr=lr,
-            weight_decay=weight_decay,
-            max_grad_norm=max_grad_norm,
-            skip_nonfinite=skip_nonfinite,
+        optimizer = Adam(self.parameters(), lr=lr, weight_decay=WEIGHT_DECAY)
+        history = train_epochs(
+            type(self).__name__, optimizer,
+            lambda idx: self._batch_loss(store, idx, rng),
+            store.num_triples, epochs, batch_size, rng,
+            runtime=runtime, after_step=self._after_step,
         )
-        history: list[float] = []
-        start_epoch = 0
-        if runtime is not None:
-            snapshot = runtime.resume(params, optimizer=optimizer, rng=rng)
-            if snapshot is not None:
-                start_epoch = snapshot.step + 1
-                history = [float(v) for v in snapshot.extra.get("history", [])]
-        tel = get_active()
-        enabled = tel.enabled
-        n = store.num_triples
-        batches_per_epoch = (n + batch_size - 1) // batch_size
-        step = start_epoch * batches_per_epoch
-        if enabled:
-            fit_span = tel.begin(
-                "fit", model=type(self).__name__, epochs=epochs,
-                start_epoch=start_epoch, triples=n, batch_size=batch_size,
-            )
-            loss_gauge = tel.gauge("fit.loss", model=type(self).__name__)
-            grad_gauge = tel.gauge("fit.grad_norm", model=type(self).__name__)
-            batch_counter = tel.counter("fit.batches")
-        try:
-            for epoch in range(start_epoch, epochs):
-                if enabled:
-                    epoch_span = tel.begin("fit/epoch", epoch=epoch)
-                perm = rng.permutation(n)
-                total = 0.0
-                for start in range(0, n, batch_size):
-                    if enabled:
-                        batch_span = tel.begin("fit/batch", step=step)
-                    idx = perm[start : start + batch_size]
-                    loss = self._batch_loss(store, idx, rng, margin)
-                    optimizer.zero_grad()
-                    loss.backward()
-                    if runtime is not None:
-                        runtime.before_step(step, params)
-                    optimizer.step()
-                    if self.store is not None and self.store.track_dirty:
-                        self._mark_store_dirty()
-                    if self.normalize_entities:
-                        self._renormalize()
-                    loss_value = loss.item()
-                    if runtime is not None:
-                        runtime.observe_loss(loss_value)
-                    total += loss_value * idx.size
-                    step += 1
-                    if enabled:
-                        loss_gauge.set(loss_value)
-                        grad_gauge.set(grad_norm(params))
-                        batch_counter.inc()
-                        tel.end(batch_span, loss=loss_value)
-                history.append(total / n)
-                if enabled:
-                    tel.counter("fit.epochs").inc()
-                    tel.end(epoch_span, mean_loss=history[-1])
-                if runtime is not None:
-                    runtime.maybe_checkpoint(
-                        epoch, params, optimizer=optimizer, rng=rng,
-                        extra={"history": history},
-                    )
-        finally:
-            if enabled:
-                tel.end(fit_span, epochs_run=len(history) - start_epoch)
         self._fitted = True
         return history
 
@@ -234,7 +150,6 @@ class KGEModel(nn.Module, abc.ABC):
         store: TripleStore,
         idx: np.ndarray,
         rng: np.random.Generator,
-        margin: float,
     ) -> Tensor:
         pos_h, pos_r, pos_t = store.heads[idx], store.relations[idx], store.tails[idx]
         neg_h, neg_r, neg_t = corrupt_batch(store, idx, rng)
@@ -242,37 +157,36 @@ class KGEModel(nn.Module, abc.ABC):
         neg = self.score(neg_h, neg_r, neg_t)
         if self.loss_type == "margin":
             # score = -distance, so the hinge is margin + d(pos) - d(neg)
-            return losses.margin_ranking_loss(-pos, -neg, margin=margin)
+            return losses.margin_ranking_loss(-pos, -neg, margin=MARGIN)
         if self.loss_type == "logistic":
             return (ops.softplus(-pos) + ops.softplus(neg)).mean()
         raise ConfigError(f"unknown loss_type {self.loss_type!r}")
 
-    def _mark_store_dirty(self) -> None:
-        """Feed this step's touched rows to the store's dirty tracking.
+    def _after_step(self) -> None:
+        """Mark this step's rows dirty in the store, then renormalize.
 
-        The sparse row gradients are exactly the dirty-tracking
-        wire format: after ``optimizer.step()`` the raw gradient of each
-        embedding table still lists every row the step updated.  A dense
-        gradient (a densifying op in the score function, or a ``p.grad``
-        read before the step) falls back to marking the whole table.
+        The sparse row gradients are exactly the dirty-tracking wire format:
+        after ``optimizer.step()`` the raw gradient of each embedding table
+        still lists every row the step updated.  A dense gradient (a
+        densifying op in the score function, or a ``p.grad`` read before the
+        step) marks the whole table.
         """
-        for name, weight in (("entity", self.entity.weight),
-                             ("relation", self.relation.weight)):
-            g = weight.raw_grad
-            if g is None:
-                continue
-            if isinstance(g, SparseGrad):
-                self.store.mark_dirty(name, g.rows)
-            else:
-                self.store.mark_dirty(name)
-
-    def _renormalize(self) -> None:
-        w = self.entity.weight.data
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
-        if self.store is not None and self.store.track_dirty:
-            # Rows at/below unit norm divide by 1.0 and keep their bits;
-            # only rows actually shrunk need to reach the next commit.
-            changed = np.nonzero(norms.ravel() > 1.0)[0]
-            if changed.size:
-                self.store.mark_dirty("entity", changed)
-        np.divide(w, np.maximum(norms, 1.0), out=w)
+        tracked = self.store is not None and self.store.track_dirty
+        if tracked:
+            for name, weight in (("entity", self.entity.weight),
+                                 ("relation", self.relation.weight)):
+                g = weight.raw_grad
+                if isinstance(g, SparseGrad):
+                    self.store.mark_dirty(name, g.rows)
+                elif g is not None:
+                    self.store.mark_dirty(name)
+        if self.normalize_entities:
+            w = self.entity.weight.data
+            norms = np.linalg.norm(w, axis=1, keepdims=True)
+            if tracked:
+                # Rows at/below unit norm divide by 1.0 and keep their bits;
+                # only rows actually shrunk need to reach the next commit.
+                changed = np.nonzero(norms.ravel() > 1.0)[0]
+                if changed.size:
+                    self.store.mark_dirty("entity", changed)
+            np.divide(w, np.maximum(norms, 1.0), out=w)

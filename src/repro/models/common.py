@@ -3,9 +3,11 @@
 Most surveyed models reduce to: build parameters from the dataset, score a
 batch of (user, item) pairs differentiably, and optimize a pairwise BPR or
 pointwise BCE objective over positives and sampled negatives (the survey's
-Eq. 1/10 patterns).  :class:`GradientRecommender` implements that loop once;
-concrete models override :meth:`_build` and :meth:`_score_batch` and, for
-multi-task methods, :meth:`_extra_loss`.
+Eq. 1/10 patterns).  :class:`GradientRecommender` implements that recipe
+once, on the mini-batch loop shared with the KGE models
+(:func:`repro.runtime.loop.train_epochs`); concrete models override
+:meth:`_build` and :meth:`_score_batch` and, for multi-task methods,
+:meth:`_extra_loss`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from repro.core.dataset import Dataset
 from repro.core.exceptions import ConfigError, DataError
 from repro.core.recommender import Recommender
 from repro.core.rng import ensure_rng
+from repro.runtime import TrainingRuntime
+from repro.runtime.loop import train_epochs
 
 __all__ = ["GradientRecommender"]
 
@@ -84,16 +88,16 @@ class GradientRecommender(Recommender, nn.Module, abc.ABC):
         """Optional auxiliary loss (multi-task KG terms); ``None`` to skip."""
         return None
 
-    def _post_step(self) -> None:
-        """Hook after each optimizer step (e.g. embedding renormalization)."""
-
-    def _post_epoch(self, epoch: int, rng: np.random.Generator) -> None:
-        """Hook after each epoch (e.g. ripple-set resampling)."""
-
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
-    def fit(self, dataset: Dataset) -> "GradientRecommender":
+    def fit(
+        self, dataset: Dataset, runtime: TrainingRuntime | None = None
+    ) -> "GradientRecommender":
+        """Train on ``dataset``'s interactions through
+        :func:`repro.runtime.loop.train_epochs`; ``runtime`` adds fault
+        injection, divergence detection and checkpoint/resume to the loop
+        (see ``docs/robustness.md``)."""
         self._mark_fitted(dataset)
         rng = ensure_rng(self.seed)
         self._build(dataset, rng)
@@ -103,25 +107,16 @@ class GradientRecommender(Recommender, nn.Module, abc.ABC):
         if pairs.shape[0] == 0:
             raise DataError("cannot train on empty interactions")
         n_items = dataset.num_items
-        self.loss_history = []
-        for epoch in range(self.epochs):
-            perm = rng.permutation(pairs.shape[0])
-            total = 0.0
-            for start in range(0, perm.size, self.batch_size):
-                idx = perm[start : start + self.batch_size]
-                users = pairs[idx, 0]
-                positives = pairs[idx, 1]
-                loss = self._batch_loss(users, positives, n_items, rng)
-                extra = self._extra_loss(rng, idx.size)
-                if extra is not None:
-                    loss = loss + extra
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                self._post_step()
-                total += loss.item() * idx.size
-            self.loss_history.append(total / pairs.shape[0])
-            self._post_epoch(epoch, rng)
+
+        def batch_loss(idx: np.ndarray) -> Tensor:
+            loss = self._batch_loss(pairs[idx, 0], pairs[idx, 1], n_items, rng)
+            extra = self._extra_loss(rng, idx.size)
+            return loss if extra is None else loss + extra
+
+        self.loss_history = train_epochs(
+            type(self).__name__, optimizer, batch_loss, pairs.shape[0],
+            self.epochs, self.batch_size, rng, runtime=runtime,
+        )
         return self
 
     def _batch_loss(

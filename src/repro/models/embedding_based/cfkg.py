@@ -31,16 +31,12 @@ class CFKG(Recommender):
         dim: int = 16,
         kge: str = "TransE",
         epochs: int = 30,
-        lr: float = 0.02,
-        margin: float = 1.0,
         seed: int | None = 0,
     ) -> None:
         super().__init__()
         self.dim = dim
         self.kge_name = kge
         self.epochs = epochs
-        self.lr = lr
-        self.margin = margin
         self.seed = seed
         self._lifted: Dataset | None = None
         self._model = None
@@ -52,13 +48,7 @@ class CFKG(Recommender):
         model = KGE_MODELS[self.kge_name](
             kg.num_entities, kg.num_relations, dim=self.dim, seed=self.seed
         )
-        model.fit(
-            kg.store,
-            epochs=self.epochs,
-            lr=self.lr,
-            margin=self.margin,
-            seed=self.seed,
-        )
+        model.fit(kg.store, epochs=self.epochs, seed=self.seed)
         self._lifted = lifted
         self._model = model
         return self

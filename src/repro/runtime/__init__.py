@@ -1,22 +1,25 @@
 """Resilient training runtime: guards, retries, checkpoints, fault injection.
 
-This package is the robustness layer every iterative trainer and
-experiment harness runs through:
+This package is the robustness layer the training loop and the serving
+and storage layers run through:
 
-* :mod:`repro.runtime.guards` — gradient/parameter finiteness checks,
-  global-norm clipping, and loss-divergence detection.
+* :mod:`repro.runtime.loop` — :func:`~repro.runtime.loop.train_epochs`,
+  the one mini-batch loop every autograd model trains through.
+* :mod:`repro.runtime.guards` — gradient norms, loss-divergence
+  detection, and served-score validation.
 * :mod:`repro.runtime.retry` — :class:`RetryPolicy`, seeded exponential
-  backoff usable as a decorator, a direct call, or an attempt loop.
+  backoff as a direct call (:meth:`RetryPolicy.call`) or an attempt loop.
 * :mod:`repro.runtime.checkpoint` — ``.npz`` snapshot/restore of
   parameters + optimizer + RNG state, with periodic saves and
-  resume-from-latest.
+  resume-from-latest; non-finite parameters are never saved.
 * :mod:`repro.runtime.faults` — deterministic fault injection so every
   guard is testable without flaky sleeps.
 
-:class:`TrainingRuntime` bundles the pieces into a single object that
-iterative ``fit`` loops accept (see :meth:`repro.kge.base.KGEModel.fit`).
-Telemetry is not one of them: a fit reports to the active telemetry,
-installed with :func:`repro.telemetry.activated`.
+:class:`TrainingRuntime` bundles the pieces into the one object the loop
+accepts (``fit(..., runtime=)``); :mod:`repro.runtime.harness` fits a
+Table-3 model under it for the fault matrix.  Telemetry is not one of
+them: a fit reports to the active telemetry, installed with
+:func:`repro.telemetry.activated`.
 """
 
 from __future__ import annotations
@@ -38,27 +41,19 @@ from .faults import (
     InjectedFault,
 )
 from .guards import (
-    NONFINITE_POLICIES,
     DivergenceDetector,
     ScoreReport,
-    clip_grad_norm,
     grad_norm,
-    has_nonfinite_grad,
     raw_grad,
     validate_scores,
-    zero_nonfinite_grads,
 )
 from .retry import Attempt, RetryPolicy
 
 __all__ = [
     "raw_grad",
     "grad_norm",
-    "clip_grad_norm",
-    "has_nonfinite_grad",
-    "zero_nonfinite_grads",
     "validate_scores",
     "ScoreReport",
-    "NONFINITE_POLICIES",
     "DivergenceDetector",
     "RetryPolicy",
     "Attempt",
@@ -96,29 +91,20 @@ class TrainingRuntime:
         if self.faults is not None:
             self.faults.before_step(step, params)
 
-    def observe_loss(self, loss: float) -> float:
+    def observe_loss(self, loss: float) -> None:
         """Divergence hook: call once per optimizer step with the batch loss."""
         if self.divergence is not None:
-            return self.divergence.update(loss)
-        return float(loss)
+            self.divergence.update(loss)
 
-    def resume(self, params, optimizer=None, rng: np.random.Generator | None = None) -> Checkpoint | None:
-        """Restore the latest checkpoint into live objects, if one exists."""
+    def resume(self, params, optimizer, rng: np.random.Generator) -> Checkpoint | None:
+        """Restore the newest checkpoint into live objects, if one exists."""
         if self.checkpointer is None:
             return None
         return self.checkpointer.restore_latest(params, optimizer=optimizer, rng=rng)
 
-    def maybe_checkpoint(
-        self,
-        step: int,
-        params,
-        optimizer=None,
-        rng: np.random.Generator | None = None,
-        extra: dict | None = None,
-    ):
-        """Periodic-save hook: call at the end of each epoch/step unit."""
-        if self.checkpointer is None:
-            return None
-        return self.checkpointer.maybe_save(
-            step, params, optimizer=optimizer, rng=rng, extra=extra
-        )
+    def maybe_checkpoint(self, step: int, params, optimizer, rng, extra: dict) -> None:
+        """Periodic-save hook: call at the end of each epoch."""
+        if self.checkpointer is not None:
+            self.checkpointer.maybe_save(
+                step, params, optimizer=optimizer, rng=rng, extra=extra
+            )

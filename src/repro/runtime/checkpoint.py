@@ -21,8 +21,9 @@ other.
 (the bound durable store's, so its fault plans and op log cover
 checkpoints too): a fsynced temp file, then an atomic rename and a
 directory fsync.  :class:`Checkpointer` adds the policy layer: periodic
-saves, pruning to the newest ``keep`` snapshots, and resume-from-latest.
-All failure modes raise :class:`~repro.core.exceptions.CheckpointError`.
+saves, pruning to the newest ``keep`` snapshots, resume-from-latest, and
+a refusal to save non-finite parameters (``TrainingDivergedError``).
+Every other failure mode raises :class:`~repro.core.exceptions.CheckpointError`.
 
 Every archive (format version 2, the only one) carries a CRC-32
 *content checksum per stored array* in its ``__meta__`` blob, verified
@@ -55,11 +56,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.exceptions import CheckpointError, ConfigError, StoreError
+from repro.core.exceptions import (
+    CheckpointError, ConfigError, StoreError, TrainingDivergedError,
+)
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "Checkpointer"]
 
 _FORMAT_VERSION = 2
+#: File-name stem of every checkpoint a :class:`Checkpointer` writes.
+_PREFIX = "ckpt"
 _STEP_RE = re.compile(r"-(\d+)\.npz$")
 
 
@@ -284,7 +289,10 @@ class Checkpointer:
     """Periodic checkpointing into a directory, newest-``keep`` retained.
 
     ``every`` is measured in whatever unit the caller passes as ``step``
-    (epochs in :meth:`KGEModel.fit <repro.kge.base.KGEModel.fit>`).
+    (epochs in :func:`repro.runtime.loop.train_epochs`).  :meth:`save`
+    refuses NaN or Inf parameters with ``TrainingDivergedError`` and writes
+    nothing, no archive and no store commit, so every snapshot on disk is
+    one a resume can train on.
 
     ``store`` binds a durable embedding store: every save becomes an
     *incremental* checkpoint (store commit of dirty shards + small
@@ -299,7 +307,6 @@ class Checkpointer:
         directory: str | Path,
         every: int = 1,
         keep: int = 3,
-        prefix: str = "ckpt",
         store=None,
     ) -> None:
         if every < 1:
@@ -310,17 +317,16 @@ class Checkpointer:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.every = every
         self.keep = keep
-        self.prefix = prefix
         self.store = store
 
     # ------------------------------------------------------------------ #
     def _path_for(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}-{step:08d}.npz"
+        return self.directory / f"{_PREFIX}-{step:08d}.npz"
 
     def paths(self) -> list[Path]:
         """Existing checkpoint paths, oldest first."""
         found = []
-        for p in self.directory.glob(f"{self.prefix}-*.npz"):
+        for p in self.directory.glob(f"{_PREFIX}-*.npz"):
             m = _STEP_RE.search(p.name)
             if m:
                 found.append((int(m.group(1)), p))
@@ -328,6 +334,12 @@ class Checkpointer:
 
     # ------------------------------------------------------------------ #
     def save(self, step, params, optimizer=None, rng=None, extra=None) -> Path:
+        for pos, p in enumerate(params):
+            if not np.isfinite(p.data).all():
+                raise TrainingDivergedError(
+                    f"refusing to checkpoint step {step}: parameter {pos} "
+                    "holds non-finite values"
+                )
         path = save_checkpoint(
             self._path_for(step), params, optimizer=optimizer, step=step,
             rng=rng, extra=extra, store=self.store,

@@ -4,16 +4,17 @@ Every guard in :mod:`repro.runtime` must be testable without flaky sleeps
 or monkey-patched randomness, so faults are *planned*: a
 :class:`FaultPlan` maps global step indices to fault kinds, either listed
 explicitly or drawn once from a seeded RNG.  A :class:`FaultInjector`
-executes the plan inside a training loop — called with the current step
-and parameter list right before ``optimizer.step()``:
+executes the plan inside :func:`repro.runtime.loop.train_epochs` — called
+with the current step and parameter list right before ``optimizer.step()``:
 
-* ``"nan_grad"`` — overwrite every gradient with NaN (exercises the
-  ``skip_nonfinite`` policies and :class:`~repro.runtime.guards.DivergenceDetector`),
-* ``"raise"`` — raise :class:`InjectedFault` mid-epoch (exercises retry,
-  panel isolation, and checkpoint/resume),
+* ``"nan_grad"`` — overwrite every gradient with NaN (exercises
+  :class:`~repro.runtime.guards.DivergenceDetector` and the checkpointer's
+  refusal of non-finite parameters),
+* ``"raise"`` — raise :class:`InjectedFault` mid-epoch (exercises
+  checkpoint/resume),
 * ``"stall"`` — invoke the injector's ``sleep`` callable for
-  ``Fault.seconds`` (exercises time budgets; tests pass a fake clock's
-  ``advance`` so nothing actually sleeps).
+  ``Fault.seconds`` (a slow step must not change the fit; the ``training``
+  cells of :mod:`repro.runtime.harness` pass a manual clock's ``advance``).
 
 The serving layer (:mod:`repro.serving`) reuses the same plan/injector
 machinery with *serving-shaped* faults, where ``step`` is the global

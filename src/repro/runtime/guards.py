@@ -1,20 +1,13 @@
-"""Numerical guards for gradient-driven training loops.
+"""Numerical guards for gradient-driven training and for served scores.
 
-The functions here operate on anything with ``.data`` / ``.grad`` NumPy
-array attributes (``autograd.Tensor``/``nn.Parameter``), so the autograd
-package can depend on this module without a cycle.  Gradients may also be
-row-sparse (:class:`repro.autograd.sparse.SparseGrad`, duck-typed here to
-avoid the import cycle): every guard then inspects only the stored rows —
-after coalescing, so duplicate-row sums see exactly what the dense
-gradient would contain — and never materializes the dense table.  Two
-layers of protection:
+The gradient functions duck-type parameters (``.raw_grad``/``.grad``) and
+row-sparse gradients, so they never materialize a dense table.
 
-* **Gradient hygiene** — :func:`has_nonfinite_grad`,
-  :func:`zero_nonfinite_grads`, and global-norm :func:`clip_grad_norm`
-  keep a single exploding batch from destroying the parameters.
 * **Loss watching** — :class:`DivergenceDetector` observes the loss series
   and raises :class:`~repro.core.exceptions.TrainingDivergedError` once
   the run is beyond saving, instead of letting it burn epochs on NaNs.
+* **Score checks** — :func:`validate_scores` judges one served score
+  vector without raising.
 """
 
 from __future__ import annotations
@@ -29,17 +22,10 @@ from repro.core.exceptions import ConfigError, TrainingDivergedError
 __all__ = [
     "raw_grad",
     "grad_norm",
-    "clip_grad_norm",
-    "has_nonfinite_grad",
-    "zero_nonfinite_grads",
     "validate_scores",
     "ScoreReport",
-    "NONFINITE_POLICIES",
     "DivergenceDetector",
 ]
-
-#: Valid values for the optimizers' ``skip_nonfinite`` option.
-NONFINITE_POLICIES: tuple[str, ...] = ("off", "skip", "zero", "raise")
 
 
 def raw_grad(p):
@@ -51,66 +37,19 @@ def raw_grad(p):
     return p.raw_grad if hasattr(p, "raw_grad") else p.grad
 
 
-def _grad_entries(grad) -> np.ndarray:
-    """The array of gradient entries to inspect: the dense array itself, or
-    a sparse grad's coalesced rows (duplicate rows summed first, so the
-    inspected values match the dense equivalent)."""
-    if isinstance(grad, np.ndarray):
-        return grad
-    return grad.coalesce().vals
-
-
 def grad_norm(params) -> float:
-    """Global L2 norm over all gradients (params without grads contribute 0)."""
+    """Global L2 norm over all gradients (params without grads contribute 0).
+
+    A sparse gradient counts its coalesced rows (duplicate rows summed
+    first), so the norm matches the dense equivalent's.
+    """
     total = 0.0
     for p in params:
         g = raw_grad(p)
         if g is not None:
-            entries = _grad_entries(g)
+            entries = g if isinstance(g, np.ndarray) else g.coalesce().vals
             total += float(np.sum(entries * entries))
     return math.sqrt(total)
-
-
-def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.  A non-finite norm leaves gradients
-    untouched (the nonfinite policy, not clipping, decides what happens).
-    """
-    if max_norm <= 0:
-        raise ConfigError("max_grad_norm must be positive")
-    norm = grad_norm(params)
-    if math.isfinite(norm) and norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            g = raw_grad(p)
-            if g is not None:
-                _grad_entries(g)[...] *= scale
-    return norm
-
-
-def has_nonfinite_grad(params) -> bool:
-    """Whether any gradient contains NaN or +/-Inf."""
-    for p in params:
-        g = raw_grad(p)
-        if g is not None and not np.isfinite(_grad_entries(g)).all():
-            return True
-    return False
-
-
-def zero_nonfinite_grads(params) -> int:
-    """Replace NaN/Inf gradient entries with 0 in place; returns entry count."""
-    repaired = 0
-    for p in params:
-        g = raw_grad(p)
-        if g is None:
-            continue
-        entries = _grad_entries(g)
-        bad = ~np.isfinite(entries)
-        if bad.any():
-            repaired += int(bad.sum())
-            entries[bad] = 0.0
-    return repaired
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def parse_manifest(data: bytes, name: str = "<manifest>") -> dict:
     if not isinstance(manifest, dict) or "crc32" not in manifest:
         raise StoreCorruptionError(f"{name}: not a manifest (no crc32)")
     body = {k: v for k, v in manifest.items() if k != "crc32"}
-    if _self_crc(body) != int(manifest["crc32"]):
+    if _self_crc(body) != manifest["crc32"]:
         raise StoreCorruptionError(f"{name}: manifest self-checksum mismatch")
     if manifest.get("schema") not in _READABLE_SCHEMAS:
         raise StoreCorruptionError(

@@ -196,7 +196,7 @@ def _parse_header(name: str, data: memoryview, start: int) -> tuple[dict, int]:
             raise StoreCorruptionError(f"{name}: header missing {key!r}")
     try:
         bounds = [int(header[k]) for k in ("row_start", "rows", "dim", "crc32")]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StoreCorruptionError(
             f"{name}: non-numeric header field ({exc})"
         ) from exc

@@ -15,7 +15,8 @@ The observability layer the rest of the repo reports into (see
 Everything is **off by default**: components hold :data:`NULL` (a
 :class:`NullTelemetry`) unless a :class:`Telemetry` is handed to a
 serving component (``RecommenderService(telemetry=...)``) or activated
-with :func:`activated`.  Training — ``KGEModel.fit``, ``run_panel`` and
+with :func:`activated`.  Training — every gradient model's ``fit`` (one
+loop, :func:`repro.runtime.loop.train_epochs`), ``run_panel`` and
 everything beneath them — has that one entry: it reports to the active
 telemetry.  Instrumented hot loops guard on the single
 ``telemetry.enabled`` attribute, so the disabled path stays at

@@ -17,9 +17,10 @@ not the null object.
 
 The *active* telemetry is a module-level slot used by call sites too deep
 to thread a parameter through (negative sampling inside a batch loss,
-optimizer steps inside ``fit``).  ``KGEModel.fit`` and ``run_panel``
-activate their telemetry for the duration of the call, so spans emitted by
-those inner layers nest under the caller's spans in one shared tracer.
+optimizer steps inside ``fit``).  The training loop
+(:func:`repro.runtime.loop.train_epochs`, behind every gradient model's
+``fit``) and ``run_panel`` report to it, so spans emitted by those inner
+layers nest under the caller's spans in one shared tracer.
 The slot is deliberately last-writer-wins and not an async-context
 variable: this repo's trainers and services are single-process loops, and
 determinism of exported traces matters more than concurrent isolation.

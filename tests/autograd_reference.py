@@ -143,10 +143,10 @@ def densified(optim_cls):
     dense form in place, so every parameter takes the dense branch."""
 
     class Densified(optim_cls):
-        def step(self) -> bool:
+        def step(self) -> None:
             for p in self.params:
                 p.grad
-            return super().step()
+            super().step()
 
     Densified.__name__ = Densified.__qualname__ = f"Densified{optim_cls.__name__}"
     return Densified

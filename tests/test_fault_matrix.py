@@ -120,3 +120,39 @@ def test_retrieval_cells_assert_each_episode():
     assert "degraded::exact=" in cells[0].summary
     assert cells[1].summary == "degraded::exact=30"
     assert cells[2].summary == "ok::ann=30"
+
+
+class TestTrainingCells:
+    def test_every_training_kind_fires_and_every_cell_passes(self, tmp_path):
+        from repro.runtime.faults import TRAINING_FAULT_KINDS
+        from repro.runtime.harness import resume_cells
+
+        out = run_matrix(
+            {"training": (TRAINING_FAULT_KINDS, resume_cells)}, (0, 1), tmp_path / "w"
+        )
+        assert out.endswith("every owned fault kind fired")
+        lines = out.splitlines()
+        assert [line.split()[2] for line in lines[:-1]] == [
+            "raise", "nan_grad", "stall"
+        ] * 2
+        # The NaN on epoch 1's last batch is refused, so resume starts
+        # from epoch 0's snapshot; the raise in epoch 2 resumes from epoch 1's.
+        assert "TrainingDivergedError, fit resumed from ckpt-00000000" in lines[1]
+        assert "InjectedFault, fit resumed from ckpt-00000001" in lines[0]
+        assert "no error, clock +30 s" in lines[2]
+
+    def test_a_resume_that_is_not_bitwise_is_a_violation(self, tmp_path, monkeypatch):
+        from repro.runtime.checkpoint import Checkpoint
+        from repro.runtime.harness import resume_cells
+
+        restore = Checkpoint.restore
+
+        def forget_rng(self, params, optimizer=None, rng=None, store=None):
+            return restore(self, params, optimizer=optimizer, store=store)
+
+        monkeypatch.setattr(Checkpoint, "restore", forget_rng)
+        cells = {c.kind: c for c in resume_cells(0, tmp_path)}
+        for kind in ("raise", "nan_grad"):
+            assert not cells[kind].ok
+            assert "is not bitwise the clean fit" in cells[kind].problems[0]
+        assert cells["stall"].ok  # no resume, nothing to break

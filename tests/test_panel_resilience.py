@@ -16,6 +16,7 @@ from repro.kg.triples import TripleStore
 from repro.kge import TransE
 from repro.models.baselines import MostPopular, Random
 from repro.runtime import (
+    DivergenceDetector,
     Fault,
     FaultInjector,
     FaultPlan,
@@ -53,7 +54,7 @@ class KGEBacked(Recommender):
     Scores items by proximity of their entity embedding to the centroid of
     the user's training items — crude, but exercises a real autograd +
     optimizer loop inside the panel, which is what the fault injector and
-    the ``skip_nonfinite`` guard need.
+    the divergence detector need.
     """
 
     requires_kg = True
@@ -70,8 +71,9 @@ class KGEBacked(Recommender):
                        dim=6, seed=0)
         model.fit(
             store, epochs=self._epochs, seed=0,
-            runtime=TrainingRuntime(faults=self._injector),
-            skip_nonfinite="skip",
+            runtime=TrainingRuntime(
+                divergence=DivergenceDetector(patience=1), faults=self._injector
+            ),
         )
         self._item_emb = model.entity_embeddings()[dataset.item_entities]
         self._mark_fitted(dataset)
@@ -164,11 +166,11 @@ class TestFailureTable:
 
 class TestAcceptancePanel:
     def test_mixed_fault_panel_completes_end_to_end(self, movie_dataset):
-        """ISSUE 1 acceptance: 4+ models, one raising, one with NaN gradients.
+        """4+ models, one raising, one with NaN gradients.
 
-        The panel must finish, return rows for every healthy model, keep a
-        structured record for the crashed one, and the NaN-injected
-        gradient model must survive via the skip policy.
+        The panel must finish, return rows for every healthy model, and keep
+        a structured record for each failed one: the crasher's error, and
+        the typed divergence the detector raises on the NaN-injected model.
         """
         nan_injector = FaultInjector(
             FaultPlan([Fault(step=0, kind="nan_grad"),
@@ -186,13 +188,12 @@ class TestAcceptancePanel:
             seed=0,
         )
         names = [r.model for r in panel]
-        assert names == ["MostPopular", "Random", "KGE-NaN"]
-        assert len(panel.failures) == 1
-        record = panel.failures[0]
-        assert record.model == "Crasher"
-        assert record.phase == "fit"
-        # NaN faults really fired and were survived.
-        assert len(nan_injector.injected) >= 2
-        assert np.isfinite(panel[2].values["AUC"])
+        assert names == ["MostPopular", "Random"]
+        assert [(f.model, f.phase, f.error_type) for f in panel.failures] == [
+            ("KGE-NaN", "fit", "TrainingDivergedError"),
+            ("Crasher", "fit", "RuntimeError"),
+        ]
+        # The NaN faults really fired before the detector stopped the fit.
+        assert [f.kind for f in nan_injector.injected] == ["nan_grad", "nan_grad"]
         text = results_table(panel)
         assert "FAILED" in text

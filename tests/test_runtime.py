@@ -12,6 +12,7 @@ from repro.core.exceptions import (
 )
 from repro.kg.triples import TripleStore
 from repro.kge import TransE
+from repro.models.unified.kgcn import KGCN
 from repro.runtime import (
     Checkpointer,
     DivergenceDetector,
@@ -21,12 +22,9 @@ from repro.runtime import (
     InjectedFault,
     RetryPolicy,
     TrainingRuntime,
-    clip_grad_norm,
     grad_norm,
-    has_nonfinite_grad,
     load_checkpoint,
     save_checkpoint,
-    zero_nonfinite_grads,
 )
 
 
@@ -52,28 +50,11 @@ def small_store():
 # guards
 # ---------------------------------------------------------------------- #
 class TestGuards:
-    def test_grad_norm_and_clip(self):
-        (p,) = _params([3.0, 4.0])
-        p.grad[:] = [3.0, 4.0]
-        assert grad_norm([p]) == pytest.approx(5.0)
-        pre = clip_grad_norm([p], max_norm=1.0)
-        assert pre == pytest.approx(5.0)
-        assert grad_norm([p]) == pytest.approx(1.0, rel=1e-6)
-
-    def test_clip_noop_below_threshold(self):
-        (p,) = _params([1.0, 0.0])
-        p.grad[:] = [0.3, 0.4]
-        clip_grad_norm([p], max_norm=1.0)
-        np.testing.assert_allclose(p.grad, [0.3, 0.4])
-
-    def test_nonfinite_detection_and_repair(self):
-        a, b = _params([1.0, 2.0], [3.0])
-        a.grad[:] = [np.nan, 1.0]
-        assert has_nonfinite_grad([a, b])
-        repaired = zero_nonfinite_grads([a, b])
-        assert repaired == 1
-        assert not has_nonfinite_grad([a, b])
-        np.testing.assert_allclose(a.grad, [0.0, 1.0])
+    def test_grad_norm(self):
+        a, b = _params([3.0, 4.0], [12.0])
+        a.grad[:] = [3.0, 4.0]
+        b.grad[:] = [12.0]
+        assert grad_norm([a, b]) == pytest.approx(13.0)
 
     def test_divergence_detector_nonfinite_patience(self):
         det = DivergenceDetector(patience=3)
@@ -106,51 +87,17 @@ class TestGuards:
 
 
 # ---------------------------------------------------------------------- #
-# guarded optimizers
+# the optimizer applies what it is given
 # ---------------------------------------------------------------------- #
 class TestOptimizerGuards:
-    def test_skip_policy_drops_the_update(self):
-        (p,) = _params([1.0, 2.0])
-        opt = Adam([p], lr=0.1, skip_nonfinite="skip")
-        p.grad[:] = [np.nan, 1.0]
-        assert opt.step() is False
-        np.testing.assert_allclose(p.data, [1.0, 2.0])
-        assert opt.nonfinite_steps == 1
-        assert opt._t == 0  # skipped steps must not advance bias correction
-
-    def test_zero_policy_repairs_and_applies(self):
-        (p,) = _params([1.0, 2.0])
-        opt = Adam([p], lr=0.5, skip_nonfinite="zero")
-        p.grad[:] = [np.inf, 1.0]
-        assert opt.step() is True
-        np.testing.assert_allclose(p.data, [1.0, 1.5])  # only finite coord moved
-
-    def test_raise_policy(self):
-        (p,) = _params([1.0])
-        opt = Adam([p], lr=0.1, skip_nonfinite="raise")
-        p.grad[:] = [np.nan]
-        with pytest.raises(TrainingDivergedError):
-            opt.step()
-
     def test_off_policy_preserves_legacy_behavior(self):
+        # Adam has no gradient guard: a NaN gradient reaches the parameters,
+        # and the runtime (detector, checkpoint refusal) stops the run.
         (p,) = _params([1.0])
         opt = Adam([p], lr=0.1)
         p.grad[:] = [np.nan]
         opt.step()
         assert np.isnan(p.data).all()
-
-    def test_max_grad_norm_clips(self):
-        (p,) = _params([0.0, 0.0])
-        opt = Adam([p], lr=1.0, max_grad_norm=1.0)
-        p.grad[:] = [30.0, 40.0]
-        opt.step()
-        # Adam's step is scale-free, so read the clip off the gradient it used.
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
-
-    def test_invalid_policy_rejected(self):
-        (p,) = _params([1.0])
-        with pytest.raises(ValueError):
-            Adam([p], lr=0.1, skip_nonfinite="maybe")
 
 
 # ---------------------------------------------------------------------- #
@@ -400,6 +347,13 @@ class TestCheckpoint:
         assert restored.step == 1  # fell back to the newest *loadable* one
         np.testing.assert_array_equal(target[0].data, [1.0])
 
+    def test_save_refuses_non_finite_params_and_writes_nothing(self, tmp_path):
+        params = _params([1.0], [2.0, np.inf])
+        ck = Checkpointer(tmp_path)
+        with pytest.raises(TrainingDivergedError, match="step 3: parameter 1"):
+            ck.maybe_save(3, params)
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_raises_when_every_checkpoint_is_corrupt(self, tmp_path):
         params = _params([1.0])
         ck = Checkpointer(tmp_path, every=1, keep=3)
@@ -426,7 +380,7 @@ class TestFaults:
         p.grad[:] = [0.5, 0.5]
         injector = FaultInjector(FaultPlan([Fault(step=3, kind="nan_grad")]))
         injector.before_step(2, [p])
-        assert not has_nonfinite_grad([p])
+        assert np.isfinite(p.grad).all()
         injector.before_step(3, [p])
         assert np.isnan(p.grad).all()
         assert len(injector.injected) == 1
@@ -454,23 +408,9 @@ class TestFaults:
 # end-to-end: the runtime threaded through a KGE fit loop
 # ---------------------------------------------------------------------- #
 class TestKGERuntimeIntegration:
-    def test_nan_faults_survived_with_skip_policy(self, small_store):
-        plan = FaultPlan([Fault(step=2, kind="nan_grad"),
-                          Fault(step=5, kind="nan_grad")])
-        injector = FaultInjector(plan)
-        model = TransE(12, 2, dim=6, seed=0)
-        history = model.fit(
-            small_store, epochs=8, seed=0,
-            runtime=TrainingRuntime(faults=injector),
-            skip_nonfinite="skip",
-        )
-        assert len(injector.injected) == 2
-        assert np.isfinite(model.entity.weight.data).all()
-        assert all(np.isfinite(history))
-
     def test_divergence_detector_raises_on_injected_nans(self, small_store):
-        # Without a skip policy the NaN gradients poison the parameters and
-        # therefore the loss; the detector must pull the plug.
+        # The NaN gradients poison the parameters and therefore the loss;
+        # the detector must pull the plug.
         plan = FaultPlan([Fault(step=s, kind="nan_grad") for s in range(2, 8)])
         runtime = TrainingRuntime(
             divergence=DivergenceDetector(patience=2),
@@ -479,6 +419,44 @@ class TestKGERuntimeIntegration:
         model = TransE(12, 2, dim=6, seed=0)
         with pytest.raises(TrainingDivergedError):
             model.fit(small_store, epochs=8, seed=0, runtime=runtime)
+
+    def test_nan_on_an_epochs_last_batch_is_never_checkpointed(
+        self, small_store, tmp_path
+    ):
+        # 30 triples in batches of 8: four steps per epoch, so step 7 is the
+        # last of epoch 1.  Its loss was computed before the poisoned step,
+        # so the detector sees a finite loss; the checkpoint must refuse.
+        epochs, fit = 4, dict(epochs=4, batch_size=8, seed=0)
+        reference = TransE(12, 2, dim=6, seed=0)
+        ref_history = reference.fit(small_store, **fit)
+
+        poisoned = TransE(12, 2, dim=6, seed=0)
+        runtime = TrainingRuntime(
+            divergence=DivergenceDetector(),
+            checkpointer=Checkpointer(tmp_path, every=1, keep=epochs),
+            faults=FaultInjector(FaultPlan([Fault(step=7, kind="nan_grad")])),
+        )
+        with pytest.raises(TrainingDivergedError, match="checkpoint step 1"):
+            poisoned.fit(small_store, runtime=runtime, **fit)
+        assert [p.name for p in runtime.checkpointer.paths()] == [
+            "ckpt-00000000.npz"
+        ]
+
+        resumed = TransE(12, 2, dim=6, seed=0)
+        history = resumed.fit(
+            small_store,
+            runtime=TrainingRuntime(
+                checkpointer=Checkpointer(tmp_path, every=1, keep=epochs)
+            ),
+            **fit,
+        )
+        assert history == ref_history
+        np.testing.assert_array_equal(
+            resumed.entity.weight.data, reference.entity.weight.data
+        )
+        np.testing.assert_array_equal(
+            resumed.relation.weight.data, reference.relation.weight.data
+        )
 
     def test_checkpoint_crash_resume_is_bitwise_identical(self, small_store, tmp_path):
         epochs = 6
@@ -524,3 +502,34 @@ class TestKGERuntimeIntegration:
         np.testing.assert_array_equal(
             again.entity.weight.data, first.entity.weight.data
         )
+
+
+# ---------------------------------------------------------------------- #
+# the same loop under a Table-3 model
+# ---------------------------------------------------------------------- #
+class TestGradientRecommenderRuntime:
+    def _state(self, model):
+        return [p.data.tobytes() for p in model.parameters()], model.loss_history
+
+    def test_idle_runtime_is_bitwise_the_plain_fit(self, movie_dataset):
+        plain = KGCN(epochs=2, seed=0).fit(movie_dataset)
+        idle = KGCN(epochs=2, seed=0).fit(movie_dataset, runtime=TrainingRuntime())
+        assert self._state(idle) == self._state(plain)
+
+    def test_raise_then_resume_is_bitwise_the_clean_fit(self, movie_dataset, tmp_path):
+        clean = KGCN(epochs=3, seed=0).fit(movie_dataset)
+        pairs = movie_dataset.interactions.pairs().shape[0]
+        batches = -(-pairs // clean.batch_size)
+        # Mid-epoch 1: epoch 0's snapshot exists, epoch 1's work is lost.
+        plan = FaultPlan([Fault(step=batches + batches // 2, kind="raise")])
+        with pytest.raises(InjectedFault):
+            KGCN(epochs=3, seed=0).fit(
+                movie_dataset,
+                runtime=TrainingRuntime(
+                    checkpointer=Checkpointer(tmp_path), faults=FaultInjector(plan)
+                ),
+            )
+        resumed = KGCN(epochs=3, seed=0).fit(
+            movie_dataset, runtime=TrainingRuntime(checkpointer=Checkpointer(tmp_path))
+        )
+        assert self._state(resumed) == self._state(clean)

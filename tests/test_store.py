@@ -17,6 +17,7 @@ from repro.core.exceptions import (
     CheckpointError,
     StoreCorruptionError,
     StoreError,
+    TrainingDivergedError,
 )
 from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
@@ -118,6 +119,18 @@ class TestShardFormat:
             verify_file(path, info)
         path.write_bytes(b"")  # nothing reached the file
         with pytest.raises(StoreCorruptionError, match="truncated"):
+            verify_file(path, info)
+
+    def test_header_number_flipped_to_infinity(self, tmp_path):
+        # One flipped digit can turn a header number into a float exponent
+        # that parses as inf: corruption, not an OverflowError.
+        path = tmp_path / "t-s0.shard"
+        info = shard_file(path, "t", 0, np.ones((4, 3)))
+        blob = path.read_bytes()
+        digits = str(info.crc32).encode()
+        inf = b"9e" + b"9" * (len(digits) - 2)
+        path.write_bytes(blob.replace(b'"crc32": ' + digits, b'"crc32": ' + inf, 1))
+        with pytest.raises(StoreCorruptionError, match="non-numeric"):
             verify_file(path, info)
 
     def test_bad_magic(self, tmp_path):
@@ -347,6 +360,16 @@ class TestManifest:
         data = manifest_bytes(manifest)
         tampered = data.replace(b'"tag": "x"', b'"tag": "y"')
         assert tampered != data
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            parse_manifest(tampered)
+
+    @pytest.mark.parametrize("crc", [b"28e9208543", b"1e999", b'"12"', b"null"])
+    def test_corrupt_checksum_value_is_a_mismatch(self, crc):
+        # A flipped digit can turn the stored checksum into a float
+        # exponent (1e999 parses as inf) or another JSON type.
+        data = manifest_bytes(build_manifest(1, {}, tag="x"))
+        head, __, tail = data.partition(b'"crc32": ')
+        tampered = head + b'"crc32": ' + crc + tail[tail.index(b","):]
         with pytest.raises(StoreCorruptionError, match="checksum"):
             parse_manifest(tampered)
 
@@ -1004,6 +1027,22 @@ class TestStoreBackedCheckpoints:
         assert restored.step == 0
         np.testing.assert_array_equal(fresh, np.zeros((4, 2)))
         reopened.close()
+
+    def test_checkpointer_refuses_non_finite_before_the_store_commit(self, tmp_path):
+        store = MmapShardStore.create(tmp_path / "store", rows_per_shard=2)
+        owned = store.register("emb", np.zeros((4, 2)))
+        params = [FakeParam(owned)]
+        params[0].data = owned
+        ckpt = Checkpointer(tmp_path / "ckpt", every=1, keep=3, store=store)
+        ckpt.save(0, params)  # generation 1
+        owned[2, 1] = np.nan
+        store.mark_dirty("emb")
+        with pytest.raises(TrainingDivergedError, match="parameter 0"):
+            ckpt.save(1, params)
+        # No archive and no store generation holds the NaN row.
+        assert [p.name for p in ckpt.paths()] == ["ckpt-00000000.npz"]
+        assert store.generation == 1 and store.generations()[-1] == 1
+        store.close()
 
     def test_fit_resume_through_store_backed_checkpointer(self, tmp_path):
         """An interrupted store-backed fit resumes and finishes cleanly."""

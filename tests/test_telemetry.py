@@ -18,6 +18,8 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.sampling import NeighborCache, corrupt_batch
 from repro.kg.triples import TripleStore
 from repro.kge.translational import TransE
+from repro.models.path_based.kprn import KPRN
+from repro.models.unified.kgcn import KGCN
 from repro.serving.metrics import ServiceMetrics
 from repro.telemetry import (
     NULL,
@@ -313,6 +315,7 @@ class TestFacade:
 class TestInstrumentation:
     def test_fit_bitwise_identical_with_telemetry_on_vs_off(self):
         store = small_store()
+        dataset = make_movie_dataset(seed=1, num_users=30, num_items=40)
 
         def train(telemetry):
             model = TransE(store.num_entities, store.num_relations,
@@ -320,6 +323,11 @@ class TestInstrumentation:
             with activated(telemetry):
                 history = model.fit(store, epochs=2, batch_size=16, seed=1)
             return history, model.entity_embeddings().copy()
+
+        def train_table3(cls, telemetry):
+            with activated(telemetry):
+                model = cls(epochs=2, seed=0).fit(dataset)
+            return model.loss_history, [p.data.tobytes() for p in model.parameters()]
 
         hist_off, emb_off = train(None)
         tel = Telemetry(clock=ManualClock())
@@ -333,6 +341,13 @@ class TestInstrumentation:
         by_id = {r.span_id: r for r in tel.tracer.records()}
         batch = next(r for r in tel.tracer.records() if r.name == "fit/batch")
         assert by_id[batch.parent_id].name == "fit/epoch"
+        # The Table-3 models train through the same loop: same guarantee.
+        for cls in (KGCN, KPRN):
+            tel = Telemetry(clock=ManualClock())
+            assert train_table3(cls, tel) == train_table3(cls, None)
+            fits = [r for r in tel.tracer.records() if r.name == "fit"]
+            assert [r.attrs["model"] for r in fits] == [cls.__name__]
+            assert tel.metrics.counter("fit.epochs").value == 2
 
     def test_fit_records_nothing_when_disabled(self):
         store = small_store()
@@ -467,6 +482,27 @@ class TestPanelAndServiceIntegration:
         assert tel.metrics.counter("panel.models_ok").value == 1
         assert tel.metrics.counter("panel.models_failed").value == 1
         assert get_active() is NULL
+
+    def test_run_panel_records_fit_spans_for_a_gradient_model(self):
+        from repro.experiments.harness import run_panel
+
+        dataset = make_movie_dataset(seed=0, num_users=30, num_items=40)
+        tel = Telemetry(clock=ManualClock())
+        with activated(tel):
+            result = run_panel(
+                dataset, {"KGCN": lambda: KGCN(epochs=2, seed=0)}, seed=0
+            )
+        assert result.ok
+        records = tel.tracer.records()
+        by_id = {r.span_id: r for r in records}
+        fit = next(r for r in records if r.name == "fit")
+        assert by_id[fit.parent_id].name == "panel/model"
+        assert fit.attrs["model"] == "KGCN" and fit.attrs["epochs"] == 2
+        epochs = [r for r in records if r.name == "fit/epoch"]
+        assert [by_id[r.parent_id].name for r in epochs] == ["fit", "fit"]
+        batches = [r for r in records if r.name == "fit/batch"]
+        assert batches and all(by_id[r.parent_id].name == "fit/epoch" for r in batches)
+        assert tel.metrics.counter("fit.batches").value == len(batches)
 
     def test_serve_demo_trace_reconciles_and_is_deterministic(self, tmp_path):
         from repro.serving.demo import (
