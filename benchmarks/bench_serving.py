@@ -64,11 +64,8 @@ def build_run(
         rate_scale=rate_scale,
     )
     schedule = TrafficSchedule(population, profile, seed=seed)
-    service, clock, __ = build_two_stage_service(
-        num_items=num_items,
-        num_users=num_users,
-        seed=seed,
-        num_requests=len(schedule),
+    service, clock = build_two_stage_service(
+        num_items=num_items, num_users=num_users, seed=seed
     )
     return LoadHarness(
         service, schedule, clock, name=f"two-stage-{num_items}", seed=seed

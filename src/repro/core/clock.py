@@ -1,8 +1,7 @@
 """Injectable time sources shared by telemetry, serving, and the runtime.
 
 Every time-dependent component in the repo — circuit breakers, deadlines,
-the admission queue, retry backoff budgets, latency metrics, and tracer
-spans — takes a ``clock`` callable returning monotonic seconds, defaulting
+the admission queue, latency metrics, and tracer spans — takes a ``clock`` callable returning monotonic seconds, defaulting
 to :func:`time.monotonic`.  Tests and the seeded traffic replays pass a
 :class:`ManualClock` instead, so "minutes" of breaker cooldown or queue
 drain happen instantly and two runs with the same seed observe

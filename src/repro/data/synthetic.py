@@ -147,24 +147,15 @@ def _validate_attribute_specs(schema: ScenarioSchema) -> None:
 # --------------------------------------------------------------------- #
 def _draw_degrees(
     rng: np.random.Generator,
-    activity: str,
     mean_interactions: float,
     num_users: int,
     num_items: int,
-    zipf_exponent: float,
 ) -> np.ndarray:
-    """Per-user interaction counts under the chosen activity law."""
-    if activity == "lognormal":
-        sigma = 0.6
-        degrees = rng.lognormal(
-            np.log(mean_interactions) - sigma**2 / 2, sigma, num_users
-        )
-    else:  # "zipf": heavier tail, one batched draw, rescaled to the target mean
-        from scipy.special import zeta
-
-        untruncated_mean = zeta(zipf_exponent - 1) / zeta(zipf_exponent)
-        raw = rng.zipf(zipf_exponent, size=num_users).astype(np.float64)
-        degrees = raw * (mean_interactions / untruncated_mean)
+    """Per-user interaction counts: log-normal with mean ``mean_interactions``."""
+    sigma = 0.6
+    degrees = rng.lognormal(
+        np.log(mean_interactions) - sigma**2 / 2, sigma, num_users
+    )
     return np.clip(np.round(degrees), 2, num_items - 2).astype(np.int64)
 
 
@@ -334,8 +325,6 @@ def generate_dataset(
     user_latent: np.ndarray | None = None,
     explicit_ratings: bool = False,
     seed: int | np.random.Generator | None = None,
-    activity: str = "lognormal",
-    zipf_exponent: float = 2.5,
     fast: bool = False,
 ) -> Dataset:
     """Generate a :class:`Dataset` with an aligned item knowledge graph.
@@ -367,11 +356,6 @@ def generate_dataset(
         feedback channel SemRec-style methods weight by).
     seed:
         Reproducibility seed.
-    activity:
-        Per-user activity law: ``"lognormal"`` (legacy default) or
-        ``"zipf"`` — one batched Zipf draw rescaled to ``mean_interactions``
-        for a genuinely power-law long tail (``zipf_exponent`` must be
-        ``> 2`` so the mean exists).
     fast:
         ``False`` (default) consumes the RNG stream in the legacy loop
         order — seeded output is bitwise-identical to the original
@@ -385,10 +369,6 @@ def generate_dataset(
         raise ConfigError("kg_signal must be in [0, 1]")
     if num_users < 2 or num_items < 4:
         raise ConfigError("need at least 2 users and 4 items")
-    if activity not in ("lognormal", "zipf"):
-        raise ConfigError(f"unknown activity law: {activity!r}")
-    if activity == "zipf" and zipf_exponent <= 2.0:
-        raise ConfigError("zipf_exponent must be > 2 for a finite mean")
     _validate_attribute_specs(schema)
     rng = ensure_rng(seed)
 
@@ -466,16 +446,12 @@ def generate_dataset(
         # Legacy draw order: score noise first, then the degree vector.
         scores = user_latent @ item_latent.T
         scores += rng.normal(0.0, score_noise, scores.shape)
-        degrees = _draw_degrees(
-            rng, activity, mean_interactions, num_users, num_items, zipf_exponent
-        )
+        degrees = _draw_degrees(rng, mean_interactions, num_users, num_items)
     else:
         # Chunked: degrees must exist before per-chunk noise is drawn, so
         # the stream diverges from legacy here (documented in the module
         # docstring; no legacy artifact exists above the chunk threshold).
-        degrees = _draw_degrees(
-            rng, activity, mean_interactions, num_users, num_items, zipf_exponent
-        )
+        degrees = _draw_degrees(rng, mean_interactions, num_users, num_items)
 
     offsets = np.zeros(num_users + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])

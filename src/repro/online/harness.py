@@ -64,6 +64,9 @@ __all__ = [
     "churn_cells",
 ]
 
+#: Cut-off of the ranking :func:`freshness_report` scores.
+FRESHNESS_K = 10
+
 
 @dataclass(frozen=True)
 class ChurnConfig:
@@ -369,18 +372,19 @@ def _replay_trace(world: World) -> list[str]:
     )
 
 
-def freshness_report(world: World, k: int = 10) -> dict:
+def freshness_report(world: World) -> dict:
     """Hit-rate on newly introduced users: live model vs frozen baseline.
 
     For every newcomer whose introduction predates the last promoted
     cycle, rank the visible catalog with (a) the live store-backed model
     and (b) a baseline pinned at the bootstrap generation, and measure
     how much of the newcomer's *applied* interaction history lands in
-    the top-``k`` — operationally: does what we serve a brand-new user
-    reflect what they just did?  The frozen baseline cannot (their row
-    is still at its random init), so the gap is the freshness the
-    online loop buys.  Also reports how many newly introduced *items*
-    each model surfaces in some warm user's top-``k`` ("exposure").
+    the top-:data:`FRESHNESS_K` — operationally: does what we serve a
+    brand-new user reflect what they just did?  The frozen baseline
+    cannot (their row is still at its random init), so the gap is the
+    freshness the online loop buys.  Also reports how many newly
+    introduced *items* each model surfaces in some warm user's top-k
+    ("exposure").
     """
     stream = world.stream
     loop = world.loop
@@ -406,7 +410,7 @@ def freshness_report(world: World, k: int = 10) -> dict:
 
     def topk(model, user: int) -> np.ndarray:
         scores = np.asarray(model.score_all(int(user)))[:visible]
-        kk = min(k, visible)
+        kk = min(FRESHNESS_K, visible)
         top = np.argpartition(-scores, kk - 1)[:kk]
         return top[np.argsort(-scores[top], kind="stable")]
 
@@ -417,7 +421,7 @@ def freshness_report(world: World, k: int = 10) -> dict:
         for u in newcomers:
             truth = loop.applied_interactions[u]
             got = len(truth & set(topk(model, u).tolist()))
-            total += got / min(len(truth), k)
+            total += got / min(len(truth), FRESHNESS_K)
         return total / len(newcomers)
 
     def item_exposure(model) -> float:
@@ -429,7 +433,7 @@ def freshness_report(world: World, k: int = 10) -> dict:
         return len(set(fresh_items) & surfaced) / len(fresh_items)
 
     report = {
-        "k": int(k),
+        "k": FRESHNESS_K,
         "newcomer_users": len(newcomers),
         "new_items": len(fresh_items),
         "live_generation": loop.live_generation(),

@@ -38,6 +38,9 @@ from repro.core.rng import ensure_rng
 
 __all__ = ["StreamConfig", "InteractionBatch", "InteractionStream"]
 
+#: Bootstrap interactions per warm user (:meth:`InteractionStream.warm_interactions`).
+WARM_PER_USER = 3
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -130,15 +133,16 @@ class InteractionStream:
         self.introduced_items: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------ #
-    def warm_interactions(self, per_user: int = 3) -> tuple[np.ndarray, np.ndarray]:
-        """Seeded t=0 history over the warm population (dataset bootstrap).
+    def warm_interactions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Seeded t=0 history over the warm population (dataset bootstrap):
+        :data:`WARM_PER_USER` interactions per warm user.
 
         Drawn from a *derived* RNG so consuming it never perturbs the
         arrival stream.
         """
         c = self.config
         rng = ensure_rng(self.seed + 1)
-        users = np.repeat(np.arange(c.warm_users), per_user)
+        users = np.repeat(np.arange(c.warm_users), WARM_PER_USER)
         items = np.empty(users.size, dtype=np.int64)
         for row, user in enumerate(users):
             scores = self.user_latent[user] @ self.item_latent[: c.warm_items].T

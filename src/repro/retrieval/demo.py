@@ -37,6 +37,12 @@ __all__ = ["build_demo", "staleness_cells"]
 
 #: Requests in the steady-state episode; the later two replay 30 each.
 NUM_REQUESTS = 150
+#: The demo catalog: users, items and embedding dimension.
+NUM_USERS = 64
+NUM_ITEMS = 2_000
+DIM = 32
+#: Share of steady-state requests that get an injected ``index_stale``.
+FAULT_RATE = 0.06
 
 
 def _clustered(rng, rows: int, dim: int, centers: np.ndarray) -> np.ndarray:
@@ -44,23 +50,16 @@ def _clustered(rng, rows: int, dim: int, centers: np.ndarray) -> np.ndarray:
     return picks + 0.25 * rng.standard_normal((rows, dim))
 
 
-def build_demo(
-    seed: int = 0,
-    num_users: int = 64,
-    num_items: int = 2_000,
-    dim: int = 32,
-    num_requests: int = NUM_REQUESTS,
-    fault_rate: float = 0.06,
-):
+def build_demo(seed: int = 0):
     """A service whose live rung is a two-stage recommender; plus the models."""
     dataset = generate_dataset(
-        MOVIE_SCHEMA, num_users=num_users, num_items=num_items, seed=seed
+        MOVIE_SCHEMA, num_users=NUM_USERS, num_items=NUM_ITEMS, seed=seed
     )
     rng = ensure_rng(seed)
-    centers = rng.standard_normal((32, dim))
+    centers = rng.standard_normal((32, DIM))
     base = ArrayEmbeddingRecommender(
-        _clustered(rng, num_users, dim, centers),
-        _clustered(rng, num_items, dim, centers),
+        _clustered(rng, NUM_USERS, DIM, centers),
+        _clustered(rng, NUM_ITEMS, DIM, centers),
         generation=1,
     ).fit(dataset)
     two = TwoStageRecommender(base, IvfIndex(seed=seed), k_candidates=128)
@@ -68,7 +67,7 @@ def build_demo(
 
     clock = ManualClock()
     plan = FaultPlan.random(
-        num_requests, rate=fault_rate, kinds=("index_stale",), seed=seed
+        NUM_REQUESTS, rate=FAULT_RATE, kinds=("index_stale",), seed=seed
     )
     injector = FaultInjector(plan, sleep=clock.advance)
     # Promoting the primary builds the ANN index: ModelRegistry.promote
@@ -128,9 +127,8 @@ def staleness_cells(seed: int, workdir) -> list[FaultCell]:
     # Swap in a new embedding generation without rebuilding the index.
     rng = ensure_rng(seed + 99)
     base.set_embeddings(
-        item_vectors=base.item_vectors() + 0.05 * rng.standard_normal(
-            base.item_vectors().shape
-        )
+        base.item_vectors()
+        + 0.05 * rng.standard_normal(base.item_vectors().shape)
     )
     service.faults = None  # isolate real staleness from injected faults
     outcomes = _replay(service, clock, seed + 1, 30)

@@ -94,22 +94,16 @@ class ArrayEmbeddingRecommender(Recommender):
             raise DataError("user and item vectors must share their dimension")
         self.generation = int(generation)
 
-    def set_embeddings(
-        self,
-        user_vectors: np.ndarray | None = None,
-        item_vectors: np.ndarray | None = None,
-        generation: int | None = None,
-    ) -> int:
-        """Swap tables in (a new "training generation"); returns the generation."""
-        if user_vectors is not None:
-            self._users = np.ascontiguousarray(user_vectors, dtype=np.float64)
-        if item_vectors is not None:
-            self._items = np.ascontiguousarray(item_vectors, dtype=np.float64)
-        if self._users.shape[1] != self._items.shape[1]:
+    def set_embeddings(self, item_vectors: np.ndarray) -> int:
+        """Swap the item table in (a new "training generation").
+
+        Bumps and returns :attr:`generation`.
+        """
+        items = np.ascontiguousarray(item_vectors, dtype=np.float64)
+        if items.ndim != 2 or items.shape[1] != self._users.shape[1]:
             raise DataError("user and item vectors must share their dimension")
-        self.generation = (
-            int(generation) if generation is not None else self.generation + 1
-        )
+        self._items = items
+        self.generation += 1
         return self.generation
 
     # -------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Resilient training runtime: guards, retries, checkpoints, fault injection.
+"""Resilient training runtime: guards, checkpoints, fault injection.
 
 This package is the robustness layer the training loop and the serving
 and storage layers run through:
@@ -7,10 +7,8 @@ and storage layers run through:
   the one mini-batch loop every autograd model trains through.
 * :mod:`repro.runtime.guards` — gradient norms, loss-divergence
   detection, and served-score validation.
-* :mod:`repro.runtime.retry` — :class:`RetryPolicy`, seeded exponential
-  backoff as a direct call (:meth:`RetryPolicy.call`) or an attempt loop.
 * :mod:`repro.runtime.checkpoint` — ``.npz`` snapshot/restore of
-  parameters + optimizer + RNG state, with periodic saves and
+  parameters + optimizer + RNG state, saved every epoch with
   resume-from-latest; non-finite parameters are never saved.
 * :mod:`repro.runtime.faults` — deterministic fault injection so every
   guard is testable without flaky sleeps.
@@ -47,7 +45,6 @@ from .guards import (
     raw_grad,
     validate_scores,
 )
-from .retry import Attempt, RetryPolicy
 
 __all__ = [
     "raw_grad",
@@ -55,8 +52,6 @@ __all__ = [
     "validate_scores",
     "ScoreReport",
     "DivergenceDetector",
-    "RetryPolicy",
-    "Attempt",
     "Checkpoint",
     "Checkpointer",
     "save_checkpoint",
@@ -103,8 +98,8 @@ class TrainingRuntime:
         return self.checkpointer.restore_latest(params, optimizer=optimizer, rng=rng)
 
     def maybe_checkpoint(self, step: int, params, optimizer, rng, extra: dict) -> None:
-        """Periodic-save hook: call at the end of each epoch."""
+        """Checkpoint hook: call at the end of each epoch."""
         if self.checkpointer is not None:
-            self.checkpointer.maybe_save(
+            self.checkpointer.save(
                 step, params, optimizer=optimizer, rng=rng, extra=extra
             )

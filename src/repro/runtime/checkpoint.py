@@ -20,8 +20,8 @@ other.
 :func:`save_checkpoint` writes through a :class:`~repro.store.io.StoreIO`
 (the bound durable store's, so its fault plans and op log cover
 checkpoints too): a fsynced temp file, then an atomic rename and a
-directory fsync.  :class:`Checkpointer` adds the policy layer: periodic
-saves, pruning to the newest ``keep`` snapshots, resume-from-latest, and
+directory fsync.  :class:`Checkpointer` adds the policy layer: a save
+per epoch, pruning to the newest ``keep`` snapshots, resume-from-latest, and
 a refusal to save non-finite parameters (``TrainingDivergedError``).
 Every other failure mode raises :class:`~repro.core.exceptions.CheckpointError`.
 
@@ -286,11 +286,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 class Checkpointer:
-    """Periodic checkpointing into a directory, newest-``keep`` retained.
+    """Checkpointing into a directory, newest-``keep`` retained.
 
-    ``every`` is measured in whatever unit the caller passes as ``step``
-    (epochs in :func:`repro.runtime.loop.train_epochs`).  :meth:`save`
-    refuses NaN or Inf parameters with ``TrainingDivergedError`` and writes
+    :func:`repro.runtime.loop.train_epochs` saves once per epoch, with
+    the epoch as ``step``.  :meth:`save` refuses NaN or Inf parameters with ``TrainingDivergedError`` and writes
     nothing, no archive and no store commit, so every snapshot on disk is
     one a resume can train on.
 
@@ -305,17 +304,13 @@ class Checkpointer:
     def __init__(
         self,
         directory: str | Path,
-        every: int = 1,
         keep: int = 3,
         store=None,
     ) -> None:
-        if every < 1:
-            raise ConfigError("checkpoint interval 'every' must be >= 1")
         if keep < 1:
             raise ConfigError("'keep' must be >= 1")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.every = every
         self.keep = keep
         self.store = store
 
@@ -346,12 +341,6 @@ class Checkpointer:
         )
         self._prune()
         return path
-
-    def maybe_save(self, step, params, optimizer=None, rng=None, extra=None) -> Path | None:
-        """Save when ``(step + 1) % every == 0`` (steps are 0-based)."""
-        if (step + 1) % self.every != 0:
-            return None
-        return self.save(step, params, optimizer=optimizer, rng=rng, extra=extra)
 
     def _prune(self) -> None:
         paths = self.paths()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.exceptions import ConfigError, TrainingDivergedError
+from repro.core.exceptions import TrainingDivergedError
 
 __all__ = [
     "raw_grad",
@@ -176,32 +176,28 @@ def validate_scores(scores, num_items: int, expected_indices=None) -> ScoreRepor
     )
 
 
+#: Consecutive bad losses before :class:`DivergenceDetector` raises.
+PATIENCE = 5
+#: A finite loss is bad above this multiple of the best loss so far...
+GROWTH_FACTOR = 10.0
+#: ...where the best loss counts as at least this much (no trips near zero).
+FLOOR = 1e-3
+
+
 class DivergenceDetector:
     """Watches a loss series and raises once training has diverged.
 
     An update is *bad* when the loss is non-finite, or when it exceeds
-    ``growth_factor`` times the best finite loss seen so far (with ``floor``
-    guarding against spurious trips when the best loss is near zero).
-    ``patience`` consecutive bad updates raise
+    :data:`GROWTH_FACTOR` times the best finite loss seen so far (with
+    :data:`FLOOR` guarding against spurious trips when the best loss is
+    near zero).  :data:`PATIENCE` consecutive bad updates raise
     :class:`~repro.core.exceptions.TrainingDivergedError`; any good update
     resets the streak.
 
     Use as a passthrough: ``loss = detector.update(loss)``.
     """
 
-    def __init__(
-        self,
-        patience: int = 5,
-        growth_factor: float = 10.0,
-        floor: float = 1e-3,
-    ) -> None:
-        if patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if growth_factor <= 1.0:
-            raise ConfigError("growth_factor must be > 1")
-        self.patience = patience
-        self.growth_factor = growth_factor
-        self.floor = floor
+    def __init__(self) -> None:
         self.best: float | None = None
         self.bad_streak = 0
         self.num_updates = 0
@@ -211,7 +207,7 @@ class DivergenceDetector:
             return True
         if self.best is None:
             return False
-        return loss > self.growth_factor * max(abs(self.best), self.floor)
+        return loss > GROWTH_FACTOR * max(abs(self.best), FLOOR)
 
     def update(self, loss: float) -> float:
         """Observe one loss value; raises when patience is exhausted."""
@@ -219,7 +215,7 @@ class DivergenceDetector:
         self.num_updates += 1
         if self._is_bad(loss):
             self.bad_streak += 1
-            if self.bad_streak >= self.patience:
+            if self.bad_streak >= PATIENCE:
                 raise TrainingDivergedError(
                     f"loss diverged: {self.bad_streak} consecutive bad updates "
                     f"(last loss {loss!r}, best {self.best!r})"

@@ -55,7 +55,7 @@ def _attempt(dataset, seed: int, runtime: TrainingRuntime):
 def _runtime(directory: Path, plan: FaultPlan, clock: ManualClock) -> TrainingRuntime:
     return TrainingRuntime(
         divergence=DivergenceDetector(),
-        checkpointer=Checkpointer(directory, every=1, keep=EPOCHS),
+        checkpointer=Checkpointer(directory, keep=EPOCHS),
         faults=FaultInjector(plan, sleep=clock.advance),
     )
 

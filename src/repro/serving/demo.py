@@ -35,7 +35,6 @@ from repro.runtime.faults import (
     FaultInjector,
     FaultPlan,
 )
-from repro.runtime.retry import RetryPolicy
 from repro.telemetry import Telemetry
 
 from .admission import AdmissionQueue
@@ -96,10 +95,6 @@ def build_demo_service(
         },
         admission=AdmissionQueue(capacity=6, drain_rate=120.0, clock=clock),
         faults=injector,
-        retry=RetryPolicy(
-            max_attempts=2, base_delay=0.005, jitter=0.0, seed=seed,
-            total_budget=DEADLINE, sleep=clock.advance, clock=clock,
-        ),
         clock=clock,
         telemetry=telemetry,
     )

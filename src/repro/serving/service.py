@@ -42,7 +42,6 @@ from repro.core.exceptions import (
 from repro.core.recommender import Recommender
 from repro.runtime.faults import FaultInjector
 from repro.runtime.guards import validate_scores
-from repro.runtime.retry import RetryPolicy
 from repro.telemetry import NULL, NullTelemetry, Telemetry
 
 from .admission import AdmissionQueue
@@ -179,9 +178,8 @@ class RecommenderService:
         Seeded :class:`~repro.runtime.faults.FaultInjector` applied to the
         *live* rung only (``step`` = global request index), so chaos tests
         exercise exactly the failure path real model regressions take.
-    retry:
-        Optional :class:`~repro.runtime.retry.RetryPolicy` for live-rung
-        scoring; give it a ``total_budget`` so retries respect the SLO.
+        A faulted live rung is not retried: the request goes down the
+        degradation ladder, the service's one failure path.
     clock:
         Injectable monotonic time source shared by every component.
     telemetry:
@@ -203,7 +201,6 @@ class RecommenderService:
         breaker_config: dict | None = None,
         admission: AdmissionQueue | None = None,
         faults: FaultInjector | None = None,
-        retry: RetryPolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
         telemetry: Telemetry | NullTelemetry | None = None,
     ) -> None:
@@ -214,7 +211,6 @@ class RecommenderService:
         self.default_deadline = default_deadline
         self.admission = admission
         self.faults = faults
-        self.retry = retry
         self.telemetry = telemetry if telemetry is not None else NULL
         self.metrics = ServiceMetrics(
             registry=self.telemetry.metrics if self.telemetry.enabled else None
@@ -455,30 +451,24 @@ class RecommenderService:
         self, request_id: int, model: Recommender, user_id: int,
         primary: bool, k: int = 1, candidates: bool = False,
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """One rung's scoring call, with faults/retries on the live rung.
+        """One rung's scoring call, with faults on the live rung.
 
         Returns ``(ids, scores)``: the rung's candidate subset when
         ``candidates`` is set (the rung exposes ``score_candidates``), else
-        ``(None, full score vector)``.  Faults and retries apply
-        identically on both shapes, so a candidate rung degrades through
-        exactly the same machinery.
+        ``(None, full score vector)``.  Faults apply identically on both
+        shapes, so a candidate rung degrades through exactly the same
+        machinery.
         """
         faults = self.faults if primary else None
-
-        def attempt():
-            if faults is not None:
-                faults.on_request(request_id)
-            if candidates:
-                ids, scores = model.score_candidates(user_id, k)
-            else:
-                ids, scores = None, model.score_all(user_id)
-            if faults is not None:
-                scores = faults.corrupt_scores(request_id, scores)
-            return ids, scores
-
-        if primary and self.retry is not None:
-            return self.retry.call(attempt)
-        return attempt()
+        if faults is not None:
+            faults.on_request(request_id)
+        if candidates:
+            ids, scores = model.score_candidates(user_id, k)
+        else:
+            ids, scores = None, model.score_all(user_id)
+        if faults is not None:
+            scores = faults.corrupt_scores(request_id, scores)
+        return ids, scores
 
     def _rank(
         self, scores: np.ndarray, user_id: int, k: int, exclude_seen: bool,

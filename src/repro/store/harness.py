@@ -126,7 +126,7 @@ def run_scenario(
         )
         runtime = TrainingRuntime(
             checkpointer=Checkpointer(
-                workdir / "ckpt", every=1, keep=3, store=store
+                workdir / "ckpt", keep=3, store=store
             )
         )
         history = model.fit(
@@ -207,9 +207,7 @@ def _recover(
 # ---------------------------------------------------------------------- #
 # fault-matrix cells and the corrupted-store fixture
 # ---------------------------------------------------------------------- #
-def make_corrupted_store(
-    directory: str | Path, seed: int = 0, config: ScenarioConfig = ScenarioConfig()
-) -> Path:
+def make_corrupted_store(directory: str | Path, seed: int = 0) -> Path:
     """Build a real store, then deliberately rot its newest generation.
 
     Flips the last payload byte of a record only the newest manifest
@@ -218,7 +216,7 @@ def make_corrupted_store(
     one.  Returns the store directory.
     """
     directory = Path(directory)
-    scenario = run_scenario(directory, seed=seed, config=config)
+    scenario = run_scenario(directory, seed=seed)
     manifests = [
         load_manifest(path) for __, path in scan_manifests(scenario.store_dir)
     ]

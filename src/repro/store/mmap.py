@@ -237,7 +237,6 @@ class MmapShardStore:
         directory: str | Path,
         mode: str = "train",
         generation: int | None = None,
-        io: StoreIO | None = None,
     ) -> "MmapShardStore":
         """Open with first-class recovery (see module doc).
 
@@ -252,7 +251,6 @@ class MmapShardStore:
         if mode not in ("train", "serve"):
             raise StoreError(f"unknown store mode {mode!r}")
         directory = Path(directory)
-        io = io if io is not None else StoreIO()
         entries = scan_manifests(directory) if directory.is_dir() else []
         if not entries:
             raise StoreError(f"{directory} is not an embedding store (no manifests)")
@@ -270,7 +268,7 @@ class MmapShardStore:
         if broken and tel.enabled:
             tel.counter("store.recoveries").inc()
             tel.counter("store.generations.broken").inc(len(broken))
-        store = cls(directory, mode, io, manifest, manifest.get("seed"))
+        store = cls(directory, mode, StoreIO(), manifest, manifest.get("seed"))
         store.default_rows_per_shard = 4096
         if mode == "serve":
             store._build_views(offsets, segments)

@@ -15,7 +15,7 @@ Design constraints, in order:
   injected clock, and records are appended in *end* order (children before
   parents), so two seeded runs on a :class:`~repro.core.clock.ManualClock`
   export byte-identical traces.
-* **Bounded** — the buffer holds at most ``max_spans`` finished records;
+* **Bounded** — the buffer holds at most :data:`MAX_SPANS` finished records;
   older records are dropped (and counted) rather than growing without
   limit under a long-lived service.
 """
@@ -30,6 +30,9 @@ from typing import Callable
 from repro.core.clock import system_clock
 
 __all__ = ["Span", "SpanRecord", "Tracer"]
+
+#: Finished records a :class:`Tracer` keeps; older ones are dropped.
+MAX_SPANS = 100_000
 
 
 @dataclass(frozen=True)
@@ -106,15 +109,8 @@ class Tracer:
     lock so concurrent threads interleave records without corruption.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = system_clock,
-        max_spans: int = 100_000,
-    ) -> None:
-        if max_spans < 1:
-            raise ValueError("max_spans must be >= 1")
+    def __init__(self, clock: Callable[[], float] = system_clock) -> None:
         self.clock = clock
-        self.max_spans = max_spans
         self.dropped = 0
         self._records: deque[SpanRecord] = deque()
         self._lock = threading.Lock()
@@ -166,7 +162,7 @@ class Tracer:
         )
         with self._lock:
             self._records.append(record)
-            if len(self._records) > self.max_spans:
+            if len(self._records) > MAX_SPANS:
                 self._records.popleft()
                 self.dropped += 1
         return record
@@ -217,7 +213,7 @@ class Tracer:
         with self._lock:
             for record in remapped:
                 self._records.append(record)
-                if len(self._records) > self.max_spans:
+                if len(self._records) > MAX_SPANS:
                     self._records.popleft()
                     self.dropped += 1
         return idmap

@@ -37,6 +37,8 @@ DEFAULT_PROFILE = ScheduleProfile(
     rate_scale=8.0,
 )
 
+#: User id space of every load world.
+NUM_USERS = 120
 SMOKE_FAULT_RATE = 0.05
 MIN_RESPONSE_RATE = 0.7
 MAX_SHED_RATE = 0.4
@@ -45,17 +47,15 @@ MAX_SHED_RATE = 0.4
 def build_load_world(
     scenario: str = "movie",
     seed: int = 0,
-    profile: ScheduleProfile | None = None,
     fault_rate: float = 0.0,
-    num_users: int = 120,
     trace: bool = False,
 ):
-    """(harness, service, schedule) for one seeded scenario load run."""
-    profile = profile if profile is not None else DEFAULT_PROFILE
+    """(harness, service, schedule) for one seeded scenario load run over
+    :data:`DEFAULT_PROFILE` and :data:`NUM_USERS` users."""
     population = PersonaPopulation.from_scenario(
-        scenario, num_users=num_users, seed=seed
+        scenario, num_users=NUM_USERS, seed=seed
     )
-    schedule = TrafficSchedule(population, profile, seed=seed)
+    schedule = TrafficSchedule(population, DEFAULT_PROFILE, seed=seed)
     service, clock, __ = build_scenario_service(
         scenario, seed=seed, num_requests=len(schedule),
         fault_rate=fault_rate, trace=trace,

@@ -17,10 +17,10 @@ distribution all behave realistically at thousands of requests per
 *simulated* second while the wall clock only pays for the scoring math.
 
 Builders at the bottom construct the two standard targets: a fitted
-Table-4 scenario ladder (``build_scenario_service``) and a 10^5-item
-two-stage ANN service (``build_two_stage_service``, the
-``BENCH_serving.json`` configuration).  Both compose with a
-:class:`~repro.runtime.faults.FaultPlan` for load+chaos runs.
+Table-4 scenario ladder (``build_scenario_service``, which composes with
+a :class:`~repro.runtime.faults.FaultPlan` for load+chaos runs) and a
+10^5-item two-stage ANN service (``build_two_stage_service``, the
+``BENCH_serving.json`` configuration).
 """
 
 from __future__ import annotations
@@ -56,12 +56,26 @@ LATENCY_BOUNDS = tuple(
     for base in (1.0, 2.5, 5.0)
 ) + (1.0,)
 
+#: Per-request deadline of both builders' services, in seconds.
+DEADLINE = 0.02
+#: Median service time of both builders' primary rungs, in seconds.
+SERVICE_TIME = 0.0002
+#: Log-space spread of :class:`TimedModel`'s lognormal service time.
+SIGMA = 0.35
+#: Circuit breaker of every model rung both builders wire.
+BREAKER_CONFIG = {
+    "failure_threshold": 5,
+    "window": 20,
+    "recovery_time": 0.25,
+    "half_open_probes": 2,
+}
+
 
 class TimedModel:
     """Scoring wrapper that charges simulated service time per call.
 
     Each ``score_all``/``score_candidates`` call advances the shared
-    clock by ``mean * exp(sigma * N(0, 1))`` seconds from a dedicated
+    clock by ``mean * exp(SIGMA * N(0, 1))`` seconds from a dedicated
     seeded RNG — a lognormal service time with median ``mean``.  The
     draw order is the call order, which the schedule fixes, so latencies
     are deterministic per seed.  Everything else (fit, retrieval
@@ -74,21 +88,19 @@ class TimedModel:
         self,
         inner,
         clock: ManualClock,
-        mean: float = 0.0002,
-        sigma: float = 0.35,
+        mean: float = SERVICE_TIME,
         seed: int = 0,
     ) -> None:
-        if mean <= 0 or sigma < 0:
-            raise ConfigError("TimedModel needs mean > 0 and sigma >= 0")
+        if mean <= 0:
+            raise ConfigError("TimedModel needs mean > 0")
         self.inner = inner
         self.clock = clock
         self.mean = float(mean)
-        self.sigma = float(sigma)
         self._rng = ensure_rng(seed)
 
     def _charge(self) -> None:
         self.clock.advance(
-            self.mean * exp(self.sigma * float(self._rng.standard_normal()))
+            self.mean * exp(SIGMA * float(self._rng.standard_normal()))
         )
 
     # ------------------------------------------------------------------ #
@@ -260,17 +272,14 @@ def build_scenario_service(
     seed: int = 0,
     num_requests: int = 2000,
     fault_rate: float = 0.0,
-    deadline: float = 0.02,
-    capacity: int = 48,
-    drain_rate: float = 3000.0,
-    service_time: float = 0.0002,
     trace: bool = False,
 ) -> tuple[RecommenderService, ManualClock, FaultInjector | None]:
     """A fitted Table-4 scenario ladder behind a timed serving stack.
 
     ItemKNN primary + MostPopular fallback (+ implicit static rung),
-    both wrapped in :class:`TimedModel`; the admission queue and
-    optional serving-fault plan share the returned clock.
+    both wrapped in :class:`TimedModel`; the admission queue (48 deep,
+    draining 3,000 requests a second) and the optional serving-fault plan
+    share the returned clock.
     """
     from repro.data import SCENARIO_SCHEMAS
     from repro.data.synthetic import generate_dataset
@@ -286,11 +295,11 @@ def build_scenario_service(
     clock = ManualClock()
     primary = TimedModel(
         ItemKNN(num_neighbors=10).fit(dataset), clock,
-        mean=service_time, seed=seed,
+        mean=SERVICE_TIME, seed=seed,
     )
     fallback = TimedModel(
         MostPopular().fit(dataset), clock,
-        mean=service_time / 2, seed=seed + 1,
+        mean=SERVICE_TIME / 2, seed=seed + 1,
     )
     injector = None
     if fault_rate > 0:
@@ -304,16 +313,9 @@ def build_scenario_service(
         dataset,
         primary=("ItemKNN", primary),
         fallbacks=[("MostPopular", fallback)],
-        default_deadline=deadline,
-        breaker_config={
-            "failure_threshold": 5,
-            "window": 20,
-            "recovery_time": 0.25,
-            "half_open_probes": 2,
-        },
-        admission=AdmissionQueue(
-            capacity=capacity, drain_rate=drain_rate, clock=clock
-        ),
+        default_deadline=DEADLINE,
+        breaker_config=BREAKER_CONFIG,
+        admission=AdmissionQueue(capacity=48, drain_rate=3000.0, clock=clock),
         faults=injector,
         clock=clock,
         telemetry=telemetry,
@@ -324,30 +326,23 @@ def build_scenario_service(
 def build_two_stage_service(
     num_items: int = 100_000,
     num_users: int = 2048,
-    dim: int = 32,
     seed: int = 0,
-    num_requests: int = 10_000,
-    fault_rate: float = 0.0,
-    deadline: float = 0.02,
-    capacity: int = 64,
-    drain_rate: float = 4000.0,
-    service_time: float = 0.0002,
-    trace: bool = False,
-) -> tuple[RecommenderService, ManualClock, FaultInjector | None]:
+) -> tuple[RecommenderService, ManualClock]:
     """A 10^5-item ANN-fronted service (the serving-bench configuration).
 
     Primary rung: :class:`TwoStageRecommender` (IVF candidates + exact
-    rerank) over a clustered synthetic catalog; fallback: the same
-    embeddings scored exactly.  Both are :class:`TimedModel`-wrapped on
-    the shared clock.
+    rerank) over a clustered 32-dimensional synthetic catalog; fallback:
+    the same embeddings scored exactly.  Both are
+    :class:`TimedModel`-wrapped on the shared clock, behind an admission
+    queue 64 deep that drains 4,000 requests a second.
     """
     from repro.retrieval import IvfIndex
     from repro.retrieval.two_stage import (
         ArrayEmbeddingRecommender,
         TwoStageRecommender,
     )
-    from repro.telemetry import Telemetry
 
+    dim = 32
     rng = np.random.default_rng(seed)
     num_centers = 256
     centers = rng.standard_normal((num_centers, dim))
@@ -373,33 +368,15 @@ def build_two_stage_service(
         base, IvfIndex(seed=seed), k_candidates=128
     ).fit(dataset)
     two_stage.sync_index()
-    primary = TimedModel(two_stage, clock, mean=service_time, seed=seed)
-    fallback = TimedModel(base, clock, mean=service_time * 4, seed=seed + 1)
-
-    injector = None
-    if fault_rate > 0:
-        plan = FaultPlan.random(
-            num_requests, rate=fault_rate, kinds=SERVING_FAULT_KINDS,
-            seed=seed, seconds=0.05,
-        )
-        injector = FaultInjector(plan, sleep=clock.advance)
-    telemetry = Telemetry(clock=clock) if trace else None
+    primary = TimedModel(two_stage, clock, mean=SERVICE_TIME, seed=seed)
+    fallback = TimedModel(base, clock, mean=SERVICE_TIME * 4, seed=seed + 1)
     service = RecommenderService(
         dataset,
         primary=("two_stage", primary),
         fallbacks=[("exact", fallback)],
-        default_deadline=deadline,
-        breaker_config={
-            "failure_threshold": 5,
-            "window": 20,
-            "recovery_time": 0.25,
-            "half_open_probes": 2,
-        },
-        admission=AdmissionQueue(
-            capacity=capacity, drain_rate=drain_rate, clock=clock
-        ),
-        faults=injector,
+        default_deadline=DEADLINE,
+        breaker_config=BREAKER_CONFIG,
+        admission=AdmissionQueue(capacity=64, drain_rate=4000.0, clock=clock),
         clock=clock,
-        telemetry=telemetry,
     )
-    return service, clock, injector
+    return service, clock

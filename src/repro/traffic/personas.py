@@ -257,32 +257,27 @@ class PersonaPopulation:
         num_users: int,
         seed: int = 0,
         num_members: int | None = None,
-        mix: dict[str, float] | None = None,
-        archetypes: dict[str, PersonaArchetype] | None = None,
     ) -> "PersonaPopulation":
         """Sample a population for one Table-4 scenario.
 
-        ``num_members`` defaults to ``min(num_users, 48)`` — enough to
-        show every archetype without making the merge dominate runtime.
+        The scenario's :data:`SCENARIO_MIXES` entry apportions the
+        :data:`ARCHETYPES`.  ``num_members`` defaults to
+        ``min(num_users, 48)`` — enough to show every archetype without
+        making the merge dominate runtime.
         """
-        if mix is None:
-            if scenario not in SCENARIO_MIXES:
-                raise ConfigError(
-                    f"unknown scenario {scenario!r}; choose from "
-                    f"{sorted(SCENARIO_MIXES)} or pass an explicit mix"
-                )
-            mix = SCENARIO_MIXES[scenario]
-        archetypes = archetypes if archetypes is not None else ARCHETYPES
-        unknown = set(mix) - set(archetypes)
-        if unknown:
-            raise ConfigError(f"mix names unknown archetypes {sorted(unknown)}")
+        if scenario not in SCENARIO_MIXES:
+            raise ConfigError(
+                f"unknown scenario {scenario!r}; choose from "
+                f"{sorted(SCENARIO_MIXES)}"
+            )
+        mix = SCENARIO_MIXES[scenario]
         if num_users < 2:
             raise ConfigError("population needs num_users >= 2")
         total = num_members if num_members is not None else min(num_users, 48)
         total = min(total, num_users)
         counts = _apportion(mix, total)
         newcomer_count = sum(
-            c for name, c in counts.items() if archetypes[name].newcomer
+            c for name, c in counts.items() if ARCHETYPES[name].newcomer
         )
         warm_users = num_users - newcomer_count
         if warm_users < 1:
@@ -299,7 +294,7 @@ class PersonaPopulation:
         warm_pool = rng.permutation(warm_users)
         warm_cursor = 0
         for name in sorted(counts):
-            arche = archetypes[name]
+            arche = ARCHETYPES[name]
             for __ in range(counts[name]):
                 if arche.newcomer:
                     user_id = next_newcomer

@@ -34,7 +34,7 @@ from repro.core.exceptions import ConfigError
 from repro.online.stream import InteractionStream, StreamConfig
 
 from .personas import PersonaPopulation
-from .schedule import ScheduleProfile, TrafficSchedule
+from .schedule import TrafficSchedule
 
 __all__ = ["PersonaInteractionStream", "persona_stream_factory"]
 
@@ -48,7 +48,6 @@ class PersonaInteractionStream(InteractionStream):
         clock: ManualClock | None = None,
         seed: int = 0,
         population: PersonaPopulation | None = None,
-        profile: ScheduleProfile | None = None,
     ) -> None:
         super().__init__(config, clock=clock, seed=seed)
         c = self.config
@@ -63,8 +62,7 @@ class PersonaInteractionStream(InteractionStream):
                 f"stream capacity is {c.num_users}"
             )
         self.population = population
-        self.profile = profile if profile is not None else ScheduleProfile()
-        self._schedule = TrafficSchedule(population, self.profile, seed=seed)
+        self._schedule = TrafficSchedule(population, seed=seed)
         self._events = self._schedule.materialize()
         self._cursor = 0
         #: member index -> stream user id, bound on first arrival.
@@ -120,36 +118,25 @@ class PersonaInteractionStream(InteractionStream):
         return max(0.0, self._schedule.horizon - now)
 
 
-def persona_stream_factory(
-    population: PersonaPopulation | None = None,
-    profile: ScheduleProfile | None = None,
-    scenario: str = "movie",
-    num_members: int | None = None,
-):
+def persona_stream_factory(scenario: str = "movie"):
     """A ``stream_factory`` for :func:`repro.online.harness.build_world`.
 
     Returns ``factory(config, clock, seed)`` building a
-    :class:`PersonaInteractionStream`; with no explicit population, one
-    is sampled from ``scenario`` per seed (sized to the stream config).
+    :class:`PersonaInteractionStream` whose population is sampled from
+    ``scenario`` per seed (sized to the stream config).
     """
 
     def factory(
         config: StreamConfig, clock: ManualClock, seed: int
     ) -> PersonaInteractionStream:
-        pop = population
-        if pop is None:
-            pop = PersonaPopulation.from_scenario(
-                scenario,
-                num_users=config.num_users,
-                seed=seed,
-                num_members=(
-                    num_members
-                    if num_members is not None
-                    else min(config.num_users, 24)
-                ),
-            )
+        population = PersonaPopulation.from_scenario(
+            scenario,
+            num_users=config.num_users,
+            seed=seed,
+            num_members=min(config.num_users, 24),
+        )
         return PersonaInteractionStream(
-            config, clock=clock, seed=seed, population=pop, profile=profile
+            config, clock=clock, seed=seed, population=population
         )
 
     return factory

@@ -444,7 +444,7 @@ class TestFitEquivalence:
 
         crashed = TransE(15, 3, dim=4, seed=0)
         runtime = TrainingRuntime(
-            checkpointer=Checkpointer(tmp_path, every=1, keep=2),
+            checkpointer=Checkpointer(tmp_path, keep=2),
             faults=FaultInjector(FaultPlan([Fault(step=4, kind="raise")])),
         )
         with pytest.raises(InjectedFault):
@@ -456,7 +456,7 @@ class TestFitEquivalence:
         history = resumed.fit(
             small_store, epochs=epochs, batch_size=64, seed=0,
             runtime=TrainingRuntime(
-                checkpointer=Checkpointer(tmp_path, every=1, keep=2)
+                checkpointer=Checkpointer(tmp_path, keep=2)
             ),
         )
         np.testing.assert_array_equal(

@@ -15,6 +15,7 @@ from repro.experiments.harness import (
 from repro.kg.triples import TripleStore
 from repro.kge import TransE
 from repro.models.baselines import MostPopular, Random
+from repro.runtime import guards
 from repro.runtime import (
     DivergenceDetector,
     Fault,
@@ -72,7 +73,7 @@ class KGEBacked(Recommender):
         model.fit(
             store, epochs=self._epochs, seed=0,
             runtime=TrainingRuntime(
-                divergence=DivergenceDetector(patience=1), faults=self._injector
+                divergence=DivergenceDetector(), faults=self._injector
             ),
         )
         self._item_emb = model.entity_embeddings()[dataset.item_entities]
@@ -165,13 +166,16 @@ class TestFailureTable:
 
 
 class TestAcceptancePanel:
-    def test_mixed_fault_panel_completes_end_to_end(self, movie_dataset):
+    def test_mixed_fault_panel_completes_end_to_end(self, movie_dataset, monkeypatch):
         """4+ models, one raising, one with NaN gradients.
 
         The panel must finish, return rows for every healthy model, and keep
         a structured record for each failed one: the crasher's error, and
-        the typed divergence the detector raises on the NaN-injected model.
+        the typed divergence the detector raises on the NaN-injected model
+        (at its first bad loss: the short fit has fewer bad steps than
+        the detector's default patience).
         """
+        monkeypatch.setattr(guards, "PATIENCE", 1)
         nan_injector = FaultInjector(
             FaultPlan([Fault(step=0, kind="nan_grad"),
                        Fault(step=1, kind="nan_grad")])

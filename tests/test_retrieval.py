@@ -601,7 +601,7 @@ class TestProbeCalibration:
         model.sync_index()
         assert model.index.nprobe == PROBE_BUDGET
         moved = clustered(dataset.num_items, 8, seed=11)
-        base.set_embeddings(item_vectors=moved, generation=base.generation)
+        base.set_embeddings(moved)
         model.sync_index(force=True)
         fresh = IvfIndex(seed=0).build(moved)
         assert model.index.nprobe == fresh.nprobe < PROBE_BUDGET
@@ -691,7 +691,7 @@ class TestTwoStage:
 
     def test_stale_generation_refuses_typed(self, two_stage):
         dataset, base, model = two_stage
-        base.set_embeddings(item_vectors=base.item_vectors() * 1.01)
+        base.set_embeddings(base.item_vectors() * 1.01)
         with pytest.raises(IndexStaleError, match="generation"):
             model.score_candidates(0)
         # score_all degrades to the exact path instead of raising.
@@ -701,7 +701,7 @@ class TestTwoStage:
         dataset, base, model = two_stage
         model.score_all(0)
         assert model.exact_fallbacks == 0
-        base.set_embeddings(item_vectors=base.item_vectors() * 1.01)
+        base.set_embeddings(base.item_vectors() * 1.01)
         model.score_all(0)
         model.score_all(1)
         assert model.exact_fallbacks == 2
@@ -762,7 +762,7 @@ class TestServingDegradation:
         service = build_service(dataset, base, model)
         assert service.serve(ServeRequest(user_id=0, k=5)).status == "ok"
 
-        base.set_embeddings(item_vectors=base.item_vectors() * 1.01)
+        base.set_embeddings(base.item_vectors() * 1.01)
         stale = service.serve(ServeRequest(user_id=0, k=5))
         assert stale.status == "degraded" and stale.model == "exact"
 

@@ -1,4 +1,4 @@
-"""Tests for the resilient training runtime (guards, retry, checkpoint, faults)."""
+"""Tests for the resilient training runtime (guards, checkpoint, faults)."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from repro.runtime import (
     FaultInjector,
     FaultPlan,
     InjectedFault,
-    RetryPolicy,
     TrainingRuntime,
     grad_norm,
     load_checkpoint,
@@ -57,33 +56,37 @@ class TestGuards:
         assert grad_norm([a, b]) == pytest.approx(13.0)
 
     def test_divergence_detector_nonfinite_patience(self):
-        det = DivergenceDetector(patience=3)
+        det = DivergenceDetector()
         det.update(1.0)
-        det.update(float("nan"))
-        det.update(float("inf"))
+        for loss in ("nan", "inf", "nan", "-inf"):
+            det.update(float(loss))  # bad, streaks 1 to 4 of PATIENCE = 5
         with pytest.raises(TrainingDivergedError):
             det.update(float("nan"))
 
     def test_divergence_detector_growth(self):
-        det = DivergenceDetector(patience=2, growth_factor=10.0)
+        det = DivergenceDetector()
         det.update(1.0)
-        det.update(50.0)  # bad, streak 1
+        for __ in range(4):
+            det.update(50.0)  # above GROWTH_FACTOR = 10 times the best
         with pytest.raises(TrainingDivergedError):
-            det.update(60.0)  # bad, streak 2
+            det.update(60.0)  # bad, streak 5
 
     def test_divergence_streak_resets_on_good_update(self):
-        det = DivergenceDetector(patience=2, growth_factor=10.0)
+        det = DivergenceDetector()
         det.update(1.0)
         det.update(50.0)
         det.update(0.9)  # recovers
         det.update(50.0)  # streak restarts at 1, no raise
         assert det.bad_streak == 1
 
-    def test_detector_validates_config(self):
-        with pytest.raises(ConfigError):
-            DivergenceDetector(patience=0)
-        with pytest.raises(ConfigError):
-            DivergenceDetector(growth_factor=1.0)
+    def test_divergence_floor_guards_near_zero_best(self):
+        det = DivergenceDetector()
+        det.update(0.0)
+        for __ in range(10):
+            det.update(0.01)  # 10 x FLOOR, not above it: never bad
+        assert det.bad_streak == 0
+        det.update(0.0101)
+        assert det.bad_streak == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -98,184 +101,6 @@ class TestOptimizerGuards:
         p.grad[:] = [np.nan]
         opt.step()
         assert np.isnan(p.data).all()
-
-
-# ---------------------------------------------------------------------- #
-# retry
-# ---------------------------------------------------------------------- #
-class TestRetryPolicy:
-    def test_succeeds_after_transient_failures(self):
-        sleeps = []
-        policy = RetryPolicy(max_attempts=3, base_delay=1.0, jitter=0.5,
-                             seed=7, sleep=sleeps.append)
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise OSError("transient")
-            return "ok"
-
-        assert policy.call(flaky) == "ok"
-        assert calls["n"] == 3
-        assert len(sleeps) == 2
-
-    def test_backoff_is_seeded_and_deterministic(self):
-        a = RetryPolicy(max_attempts=4, base_delay=0.5, seed=13, sleep=lambda s: None)
-        b = RetryPolicy(max_attempts=4, base_delay=0.5, seed=13, sleep=lambda s: None)
-        assert a.delays() == b.delays()
-        assert a.delays() == a.delays()  # reusable, restarts the stream
-        c = RetryPolicy(max_attempts=4, base_delay=0.5, seed=14)
-        assert a.delays() != c.delays()
-
-    def test_exhaustion_reraises_last_error(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0,
-                             sleep=lambda s: None)
-        with pytest.raises(ValueError, match="always"):
-            policy.call(lambda: (_ for _ in ()).throw(ValueError("always")))
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-        policy = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0,
-                             retry_on=OSError, sleep=lambda s: None)
-
-        def wrong_kind():
-            calls.append(1)
-            raise KeyError("not transient")
-
-        with pytest.raises(KeyError):
-            policy.call(wrong_kind)
-        assert len(calls) == 1
-
-    def test_attempt_loop_form(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0,
-                             sleep=lambda s: None)
-        tries = []
-        for attempt in policy:
-            with attempt:
-                tries.append(attempt.number)
-                if attempt.number < 2:
-                    raise OSError("flaky")
-        assert tries == [1, 2]
-
-    def test_per_attempt_deadline_stops_retrying(self):
-        # Fake clock: each attempt appears to take 100s against a 10s deadline.
-        ticks = iter(range(0, 10_000, 100))
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.0, jitter=0.0, deadline=10.0,
-            sleep=lambda s: None, clock=lambda: float(next(ticks)),
-        )
-        calls = []
-
-        def slow_and_broken():
-            calls.append(1)
-            raise OSError("too slow anyway")
-
-        with pytest.raises(OSError):
-            policy.call(slow_and_broken)
-        assert len(calls) == 1  # not worth retrying an over-deadline attempt
-
-    def test_total_budget_stops_before_overrunning_slo(self):
-        # Manual clock: each attempt takes 1s, backoff is a flat 10s.  With
-        # a 15s total budget the first backoff fits (1 + 10 = 11s) but the
-        # second would not (12 + 10 = 22s), so exactly two attempts run.
-        now = [0.0]
-
-        def clock():
-            return now[0]
-
-        def sleep(seconds):
-            now[0] += seconds
-
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=10.0, multiplier=1.0, jitter=0.0,
-            total_budget=15.0, sleep=sleep, clock=clock,
-        )
-        calls = []
-
-        def slow_and_broken():
-            calls.append(1)
-            now[0] += 1.0
-            raise OSError("still broken")
-
-        with pytest.raises(OSError):
-            policy.call(slow_and_broken)
-        assert len(calls) == 2
-        assert now[0] <= 15.0  # the SLO was never exceeded
-
-    def test_total_budget_unlimited_by_default(self):
-        now = [0.0]
-        policy = RetryPolicy(
-            max_attempts=4, base_delay=10.0, multiplier=1.0, jitter=0.0,
-            sleep=lambda s: now.__setitem__(0, now[0] + s),
-            clock=lambda: now[0],
-        )
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise OSError("nope")
-
-        with pytest.raises(OSError):
-            policy.call(broken)
-        assert len(calls) == 4  # every attempt ran, however long the backoff
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=2.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(deadline=0.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(total_budget=0.0)
-
-    def test_budget_with_zero_base_delay_rejected(self):
-        # base_delay=0 means backoff sleeps can never consume the budget:
-        # the loop would retry max_attempts times with the budget check
-        # inert.  Construction must reject the combination up front.
-        with pytest.raises(ConfigError, match="base_delay"):
-            RetryPolicy(total_budget=5.0, base_delay=0.0)
-        # Without a budget, zero backoff stays legal (pure attempt cap).
-        RetryPolicy(base_delay=0.0)
-        # With max_attempts=1 there is no backoff to consume it either.
-        RetryPolicy(total_budget=5.0, base_delay=0.0, max_attempts=1)
-
-    def test_budget_with_non_advancing_clock_raises_config_error(self):
-        # A mis-wired ManualClock (sleep does not advance the clock the
-        # policy reads) would make the budget check read zero elapsed
-        # time forever — surfaced as ConfigError, not an infinite spin.
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=1.0, jitter=0.0, total_budget=100.0,
-            sleep=lambda s: None, clock=lambda: 0.0,
-        )
-
-        def broken():
-            raise OSError("still down")
-
-        with pytest.raises(ConfigError, match="clock did not advance"):
-            policy.call(broken)
-
-    def test_budget_with_wired_manual_clock_trips_normally(self):
-        # Correctly wired (sleep advances the same clock), the budget
-        # gives up with the last real error — never ConfigError.
-        from repro.core.clock import ManualClock
-
-        clock = ManualClock()
-        policy = RetryPolicy(
-            max_attempts=50, base_delay=1.0, multiplier=1.0, jitter=0.0,
-            total_budget=3.5, sleep=clock.advance, clock=clock,
-        )
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise OSError("still down")
-
-        with pytest.raises(OSError):
-            policy.call(broken)
-        assert 1 < len(calls) < 50  # budget, not the attempt cap, stopped it
-        assert clock() <= 3.5
 
 
 # ---------------------------------------------------------------------- #
@@ -318,14 +143,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
 
-    def test_checkpointer_interval_and_prune(self, tmp_path):
+    def test_checkpointer_prunes_to_keep(self, tmp_path):
         params = _params([1.0])
-        ck = Checkpointer(tmp_path, every=2, keep=2)
-        saved = [ck.maybe_save(step, params) for step in range(8)]
-        # 0-based steps: saves fire at steps 1, 3, 5, 7
-        assert [s is not None for s in saved] == [False, True] * 4
-        assert len(ck.paths()) == 2  # pruned to the newest two
-        assert ck.paths()[-1].name.endswith("00000007.npz")
+        ck = Checkpointer(tmp_path, keep=2)
+        for step in range(8):
+            ck.save(step, params)
+        assert [p.name for p in ck.paths()] == [
+            "ckpt-00000006.npz", "ckpt-00000007.npz",
+        ]  # pruned to the newest two
         assert ck.restore_latest(_params([0.0])).step == 7
 
     def test_restore_latest_empty_directory(self, tmp_path):
@@ -334,10 +159,10 @@ class TestCheckpoint:
 
     def test_resume_skips_truncated_latest(self, tmp_path):
         params = _params([1.0])
-        ck = Checkpointer(tmp_path, every=1, keep=3)
+        ck = Checkpointer(tmp_path, keep=3)
         for step in range(3):
             params[0].data[:] = float(step)
-            ck.maybe_save(step, params)
+            ck.save(step, params)
         # truncate the newest file, as if the process died mid-write
         newest = ck.paths()[-1]
         with open(newest, "r+b") as handle:
@@ -351,14 +176,14 @@ class TestCheckpoint:
         params = _params([1.0], [2.0, np.inf])
         ck = Checkpointer(tmp_path)
         with pytest.raises(TrainingDivergedError, match="step 3: parameter 1"):
-            ck.maybe_save(3, params)
+            ck.save(3, params)
         assert list(tmp_path.iterdir()) == []
 
     def test_resume_raises_when_every_checkpoint_is_corrupt(self, tmp_path):
         params = _params([1.0])
-        ck = Checkpointer(tmp_path, every=1, keep=3)
+        ck = Checkpointer(tmp_path, keep=3)
         for step in range(2):
-            ck.maybe_save(step, params)
+            ck.save(step, params)
         for path in ck.paths():
             path.write_bytes(b"garbage")
         with pytest.raises(CheckpointError, match="2 candidate.s. failed"):
@@ -413,7 +238,7 @@ class TestKGERuntimeIntegration:
         # the detector must pull the plug.
         plan = FaultPlan([Fault(step=s, kind="nan_grad") for s in range(2, 8)])
         runtime = TrainingRuntime(
-            divergence=DivergenceDetector(patience=2),
+            divergence=DivergenceDetector(),
             faults=FaultInjector(plan),
         )
         model = TransE(12, 2, dim=6, seed=0)
@@ -433,7 +258,7 @@ class TestKGERuntimeIntegration:
         poisoned = TransE(12, 2, dim=6, seed=0)
         runtime = TrainingRuntime(
             divergence=DivergenceDetector(),
-            checkpointer=Checkpointer(tmp_path, every=1, keep=epochs),
+            checkpointer=Checkpointer(tmp_path, keep=epochs),
             faults=FaultInjector(FaultPlan([Fault(step=7, kind="nan_grad")])),
         )
         with pytest.raises(TrainingDivergedError, match="checkpoint step 1"):
@@ -446,7 +271,7 @@ class TestKGERuntimeIntegration:
         history = resumed.fit(
             small_store,
             runtime=TrainingRuntime(
-                checkpointer=Checkpointer(tmp_path, every=1, keep=epochs)
+                checkpointer=Checkpointer(tmp_path, keep=epochs)
             ),
             **fit,
         )
@@ -467,7 +292,7 @@ class TestKGERuntimeIntegration:
         # (batch_size >= num_triples, so global step == epoch).
         crashed = TransE(12, 2, dim=6, seed=0)
         runtime = TrainingRuntime(
-            checkpointer=Checkpointer(tmp_path, every=1, keep=2),
+            checkpointer=Checkpointer(tmp_path, keep=2),
             faults=FaultInjector(FaultPlan([Fault(step=4, kind="raise")])),
         )
         with pytest.raises(InjectedFault):
@@ -478,7 +303,7 @@ class TestKGERuntimeIntegration:
         history = resumed.fit(
             small_store, epochs=epochs, seed=0,
             runtime=TrainingRuntime(
-                checkpointer=Checkpointer(tmp_path, every=1, keep=2)
+                checkpointer=Checkpointer(tmp_path, keep=2)
             ),
         )
         np.testing.assert_array_equal(
@@ -491,7 +316,7 @@ class TestKGERuntimeIntegration:
         assert resumed.is_fitted
 
     def test_resume_skips_completed_training(self, small_store, tmp_path):
-        ck = Checkpointer(tmp_path, every=1)
+        ck = Checkpointer(tmp_path)
         first = TransE(12, 2, dim=6, seed=0)
         first.fit(small_store, epochs=3, seed=0,
                   runtime=TrainingRuntime(checkpointer=ck))

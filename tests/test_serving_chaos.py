@@ -266,3 +266,18 @@ def test_serve_demo_smoke_small(tmp_path):
     assert cell.ok, cell.problems
     assert set(cell.fired) == set(SERVING_FAULT_KINDS)
     assert trace.stat().st_size > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_demo_replay_fires_each_planned_fault_once(seed):
+    """A faulted request walks the degradation ladder once: the live rung
+    is not called again for it, so no planned fault fires twice."""
+    from collections import Counter
+
+    from repro.serving.demo import NUM_REQUESTS, build_demo_service, run_replay
+
+    service, clock, injector = build_demo_service(seed, NUM_REQUESTS)
+    run_replay(service, clock, seed, NUM_REQUESTS)
+    fired = Counter((f.step, f.kind) for f in injector.injected)
+    assert fired
+    assert [key for key, n in fired.items() if n > 1] == []

@@ -349,7 +349,7 @@ def in_place_model(rows, dim, offset, swap, seed):
     model = ArrayEmbeddingRecommender(users, big[offset:])
     if swap:
         big = rng.standard_normal((rows + offset + 1, dim))
-        model.set_embeddings(rng.standard_normal((3, dim)), big[offset + 1:])
+        model.set_embeddings(big[offset + 1:])
     dataset = Dataset(
         name="in-place",
         interactions=InteractionMatrix(

@@ -916,7 +916,7 @@ class TestCheckpointChecksums:
             load_checkpoint(path)
 
     def test_skip_to_newest_loadable_still_works(self, tmp_path):
-        ckpt = Checkpointer(tmp_path, every=1, keep=3)
+        ckpt = Checkpointer(tmp_path, keep=3)
         params = [FakeParam(np.zeros((2, 2)))]
         ckpt.save(0, params)
         params[0].data[:] = 1.0
@@ -1010,7 +1010,7 @@ class TestStoreBackedCheckpoints:
         owned = store.register("emb", np.zeros((4, 2)))
         params = [FakeParam(owned)]
         params[0].data = owned
-        ckpt = Checkpointer(tmp_path / "ckpt", every=1, keep=3, store=store)
+        ckpt = Checkpointer(tmp_path / "ckpt", keep=3, store=store)
         ckpt.save(0, params)  # generation 1
         owned[:] = 1.0
         store.mark_dirty("emb")
@@ -1022,7 +1022,7 @@ class TestStoreBackedCheckpoints:
         fresh = reopened.register("emb", np.full((4, 2), 5.0))
         params2 = [FakeParam(fresh)]
         params2[0].data = fresh
-        ckpt2 = Checkpointer(tmp_path / "ckpt", every=1, keep=3, store=reopened)
+        ckpt2 = Checkpointer(tmp_path / "ckpt", keep=3, store=reopened)
         restored = ckpt2.restore_latest(params2)
         assert restored.step == 0
         np.testing.assert_array_equal(fresh, np.zeros((4, 2)))
@@ -1033,7 +1033,7 @@ class TestStoreBackedCheckpoints:
         owned = store.register("emb", np.zeros((4, 2)))
         params = [FakeParam(owned)]
         params[0].data = owned
-        ckpt = Checkpointer(tmp_path / "ckpt", every=1, keep=3, store=store)
+        ckpt = Checkpointer(tmp_path / "ckpt", keep=3, store=store)
         ckpt.save(0, params)  # generation 1
         owned[2, 1] = np.nan
         store.mark_dirty("emb")
@@ -1050,7 +1050,7 @@ class TestStoreBackedCheckpoints:
         store = MmapShardStore.create(tmp_path / "store", rows_per_shard=4)
         model = TransE(8, 2, dim=4, seed=0, store=store)
         runtime = TrainingRuntime(
-            checkpointer=Checkpointer(tmp_path / "ckpt", every=1, store=store)
+            checkpointer=Checkpointer(tmp_path / "ckpt", store=store)
         )
         model.fit(triples, epochs=2, batch_size=8, seed=0, runtime=runtime)
         assert store.generation == 2
@@ -1059,7 +1059,7 @@ class TestStoreBackedCheckpoints:
         reopened = MmapShardStore.open(tmp_path / "store", mode="train")
         resumed = TransE(8, 2, dim=4, seed=0, store=reopened)
         runtime2 = TrainingRuntime(
-            checkpointer=Checkpointer(tmp_path / "ckpt", every=1, store=reopened)
+            checkpointer=Checkpointer(tmp_path / "ckpt", store=reopened)
         )
         history = resumed.fit(
             triples, epochs=3, batch_size=8, seed=0, runtime=runtime2

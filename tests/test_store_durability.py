@@ -98,7 +98,7 @@ class TestCrashMatrix:
         store.close()
 
     def test_make_corrupted_store_breaks_only_newest(self, tmp_path):
-        store_dir = make_corrupted_store(tmp_path, seed=0, config=SMALL)
+        store_dir = make_corrupted_store(tmp_path, seed=0)
         from repro.store import inspect_store
 
         report = inspect_store(store_dir)
@@ -599,7 +599,7 @@ class TestStoredServing:
 
     def test_corrupted_newest_generation_still_serves(self, tmp_path):
         """store-verify --repair flow, end to end through the service."""
-        store_dir = make_corrupted_store(tmp_path, seed=0, config=SMALL)
+        store_dir = make_corrupted_store(tmp_path, seed=0)
         from repro.store import repair_store
 
         report, actions = repair_store(store_dir)
@@ -607,7 +607,7 @@ class TestStoredServing:
         assert any("quarantined" in a for a in actions)
         store = MmapShardStore.open(store_dir, mode="serve")
         assert store.generation == 1
-        assert store.table("entity").to_array().shape[0] == SMALL.num_entities
+        assert store.table("entity").to_array().shape[0] == ScenarioConfig().num_entities
         store.close()
 
 
@@ -625,7 +625,7 @@ class TestStoreVerifyCLI:
     def test_corrupt_store_fails_then_repairs(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        store_dir = make_corrupted_store(tmp_path, seed=0, config=SMALL)
+        store_dir = make_corrupted_store(tmp_path, seed=0)
         with pytest.raises(SystemExit) as excinfo:
             main(["store-verify", str(store_dir)])
         assert "BROKEN" in str(excinfo.value)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exceptions import ConfigError, DataError
+from repro.core.exceptions import DataError
 from repro.data.scenarios import SCENARIO_SCHEMAS
 from repro.data.synthetic import AttributeSpec, ScenarioSchema, generate_dataset
 
@@ -158,26 +158,6 @@ class TestScalePaths:
         b = generate_dataset(schema, **kwargs)
         assert_datasets_equal(a, b)
         assert a.interactions.nnz >= 2 * 3000
-
-    def test_zipf_activity(self):
-        schema = SCENARIO_SCHEMAS["movie"]
-        ds = generate_dataset(
-            schema, num_users=400, num_items=120, mean_interactions=8.0,
-            activity="zipf", fast=True, seed=3,
-        )
-        degrees = ds.interactions.user_degrees()
-        assert degrees.min() >= 2
-        # Power-law long tail: the busiest user is far above the median.
-        assert degrees.max() >= 4 * np.median(degrees)
-
-    def test_unknown_activity_rejected(self):
-        with pytest.raises(ConfigError, match="activity"):
-            generate_dataset(SCENARIO_SCHEMAS["movie"], activity="uniform")
-
-    def test_zipf_exponent_must_have_mean(self):
-        with pytest.raises(ConfigError, match="zipf_exponent"):
-            generate_dataset(SCENARIO_SCHEMAS["movie"], activity="zipf",
-                             zipf_exponent=1.5)
 
 
 class TestClampSatellite:

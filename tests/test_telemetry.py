@@ -39,6 +39,7 @@ from repro.telemetry import (
     validate_records,
     write_jsonl,
 )
+from repro.telemetry import tracer as tracer_module
 
 
 @pytest.fixture(autouse=True)
@@ -121,8 +122,9 @@ class TestTracer:
         (record,) = tracer.records()
         assert record.attrs["error"] == "ValueError"
 
-    def test_bounded_buffer_drops_oldest_and_counts(self):
-        tracer = Tracer(clock=ManualClock(), max_spans=3)
+    def test_bounded_buffer_drops_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "MAX_SPANS", 3)
+        tracer = Tracer(clock=ManualClock())
         for i in range(5):
             tracer.end(tracer.begin(f"s{i}"))
         records = tracer.records()

@@ -30,6 +30,8 @@ from repro.traffic import (
     TimedModel,
     TrafficSchedule,
 )
+from repro.traffic import demo as traffic_demo
+from repro.traffic import harness as traffic_harness
 from repro.traffic.demo import build_load_world
 from repro.traffic.report import check_bench_floor
 from repro.traffic.stream import PersonaInteractionStream
@@ -203,9 +205,10 @@ class TestTimedModel:
         assert clock_a() == clock_b()
         assert clock_a() > 0.0
 
-    def test_median_is_mean(self):
+    def test_median_is_mean(self, monkeypatch):
+        monkeypatch.setattr(traffic_harness, "SIGMA", 0.0)
         clock = ManualClock()
-        model = TimedModel(_Scored(), clock, mean=0.002, sigma=0.0, seed=0)
+        model = TimedModel(_Scored(), clock, mean=0.002, seed=0)
         model.score_all(0)
         assert clock() == pytest.approx(0.002)
 
@@ -229,15 +232,22 @@ QUICK = ScheduleProfile(
 )
 
 
+@pytest.fixture
+def quick_world(monkeypatch):
+    """Shrink :func:`build_load_world` to the QUICK profile over 60 users."""
+    monkeypatch.setattr(traffic_demo, "DEFAULT_PROFILE", QUICK)
+    monkeypatch.setattr(traffic_demo, "NUM_USERS", 60)
+
+
 def _quick_run(seed, fault_rate=0.0):
     harness, service, __ = build_load_world(
-        "movie", seed=seed, profile=QUICK, fault_rate=fault_rate,
-        num_users=60,
+        "movie", seed=seed, fault_rate=fault_rate
     )
     harness.run()
     return harness, service
 
 
+@pytest.mark.usefixtures("quick_world")
 class TestLoadHarness:
     @pytest.mark.parametrize("fault_rate", [0.0, 0.08])
     def test_same_seed_byte_identical(self, fault_rate):
@@ -277,9 +287,7 @@ class TestLoadHarness:
             harness.reconcile()
 
     def test_reconcile_requires_run(self):
-        harness, __, ___ = build_load_world(
-            "movie", seed=0, profile=QUICK, num_users=60
-        )
+        harness, __, ___ = build_load_world("movie", seed=0)
         with pytest.raises(ConfigError):
             harness.reconcile()
 
